@@ -1,7 +1,7 @@
 """Exact algebra kernel: Gaussian-rational sparse polynomials and friends."""
 
 from .gaussrat import GaussRat
-from .poly import SparsePoly, arith, random_poly
+from .poly import SparsePoly, random_poly
 from .laurent import LaurentBivar
 from .euclid import (
     canonical_scale,
@@ -13,7 +13,6 @@ from .euclid import (
     primitive_part_in,
     pseudo_rem,
     resultant,
-    resultant_univariate,
 )
 from .squarefree import squarefree_decompose, squarefree_part
 from .roots import (
@@ -37,7 +36,6 @@ from .serialize import (
 __all__ = [
     "GaussRat",
     "SparsePoly",
-    "arith",
     "LaurentBivar",
     "AlgebraicRoots",
     "RootEnclosure",
@@ -53,7 +51,6 @@ __all__ = [
     "primitive_part_in",
     "pseudo_rem",
     "resultant",
-    "resultant_univariate",
     "squarefree_decompose",
     "squarefree_part",
     "roots_certified",

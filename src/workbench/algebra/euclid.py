@@ -275,8 +275,3 @@ def resultant(f: SparsePoly, g: SparsePoly, var: int) -> SparsePoly:
     zero = SparsePoly.zero(f.num_vars)
     mat = sylvester_matrix(fc, gc, zero)
     return bareiss_determinant(mat, SparsePoly.one(f.num_vars))
-
-
-def resultant_univariate(f: SparsePoly, g: SparsePoly, var: int = 0) -> SparsePoly:
-    """Spec-facing alias: resultant of two polynomials viewed in one variable."""
-    return resultant(f, g, var)

@@ -413,27 +413,6 @@ class SparsePoly:
         return f"SparsePoly({self.num_vars}, {self})"
 
 
-def poly_ring_vars(num_vars: int) -> list[SparsePoly]:
-    """Convenience: the list of variable polynomials x0..x_{n-1}."""
-    return [SparsePoly.variable(i, num_vars) for i in range(num_vars)]
-
-
-def arith(p: SparsePoly, q: SparsePoly | None, op: str, k: int | None = None) -> SparsePoly:
-    """Dispatcher form of the ring operations: op in {add, mul, pow}.
-
-    pow ignores q and takes the exponent k, which must be non-negative.
-    """
-    if op == "add":
-        return p + q
-    if op == "mul":
-        return p * q
-    if op == "pow":
-        if k is None or not isinstance(k, int) or k < 0:
-            raise ValueError("pow needs a non-negative integer exponent")
-        return p**k
-    raise ValueError(f"unknown op {op!r}")
-
-
 def random_poly(rng, num_vars: int, max_degree: int, max_terms: int = 6,
                 coeff_range: int = 5, gaussian: bool = True,
                 homogeneous_degree: int | None = None) -> SparsePoly:

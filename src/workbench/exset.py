@@ -356,25 +356,18 @@ class CurveSpec:
     provenance: tuple[Provenance, ...] = ()
 
     def canonical_key(self):
-        if self.kind == "coordinate-line":
-            return ("coord", self.coord_index)
-        e, beta = self._oriented()
-        return ("rel", e, beta.poly_key(),
-                (round(beta.enclosure.center.real, 9), round(beta.enclosure.center.imag, 9)))
+        return _exact_key(self, self._oriented())
 
-    def _oriented(self) -> tuple[tuple[int, int, int], BetaValue]:
+    def _oriented(self) -> tuple[tuple[int, int, int], BetaValue] | None:
+        """Exponents with first nonzero entry negative, and the matching beta;
+        None for a coordinate line."""
+        if self.kind == "coordinate-line":
+            return None
         e = self.exponents
         first = next(v for v in e if v)
         if first > 0:
             return tuple(-v for v in e), self.beta.reciprocal()
         return e, self.beta
-
-    def overlap_key(self):
-        """Orientation-canonical (exponents, approximate beta) for merging."""
-        if self.kind == "coordinate-line":
-            return ("coord", self.coord_index)
-        e, beta = self._oriented()
-        return ("rel", e, beta.enclosure.center, beta.enclosure.radius)
 
     def sort_key(self):
         prov = self.provenance[0]
@@ -496,27 +489,41 @@ def build_W(G: SparsePoly, ell2: int | None = None,
     return ExceptionalSet(_dedup(curves), G, ell2, Fraction(eps) if eps is not None else None)
 
 
+def _exact_key(c: CurveSpec, oriented) -> tuple:
+    if oriented is None:
+        return ("coord", c.coord_index)
+    e, beta = oriented
+    return ("rel", e, beta.poly_key(),
+            (round(beta.enclosure.center.real, 9), round(beta.enclosure.center.imag, 9)))
+
+
 def _dedup(curves: list[CurveSpec]) -> tuple[CurveSpec, ...]:
-    ordered = sorted(curves, key=lambda c: c.sort_key())
+    # each curve is oriented once; a merge keeps the first curve's exponents
+    # and beta, so the first curve's orientation stays valid for the merge
     by_exact: dict = {}
-    for c in ordered:
-        key = c.canonical_key()
-        if key in by_exact:
-            prev = by_exact[key]
-            by_exact[key] = _merge(prev, c)
-        else:
-            by_exact[key] = c
+    for c in sorted(curves, key=lambda c: c.sort_key()):
+        oriented = c._oriented()
+        key = _exact_key(c, oriented)
+        prev = by_exact.get(key)
+        by_exact[key] = (c, oriented) if prev is None else (_merge(prev[0], c), prev[1])
     # second pass: merge enclosure-overlapping relations with the same
-    # oriented exponents but different defining polynomials
+    # oriented exponents but different defining polynomials; only curves in
+    # one exponent group can merge, and each group keeps the pass order
     result: list[CurveSpec] = []
-    for c in by_exact.values():
-        merged = False
-        for i, r in enumerate(result):
-            if _same_curve(r, c):
-                result[i] = _merge(r, c)
-                merged = True
+    groups: dict[tuple[int, int, int], list[tuple[int, RootEnclosure]]] = {}
+    for c, oriented in by_exact.values():
+        if oriented is None:
+            result.append(c)
+            continue
+        e, beta = oriented
+        rb = beta.enclosure
+        group = groups.setdefault(e, [])
+        for i, ra in group:
+            if abs(ra.center - rb.center) <= ra.radius + rb.radius + 1e-11:
+                result[i] = _merge(result[i], c)
                 break
-        if not merged:
+        else:
+            group.append((len(result), rb))
             result.append(c)
     return tuple(sorted(result, key=lambda c: c.sort_key()))
 
@@ -525,17 +532,6 @@ def _merge(a: CurveSpec, b: CurveSpec) -> CurveSpec:
     prov = a.provenance + tuple(p for p in b.provenance if p not in a.provenance)
     return CurveSpec(kind=a.kind, exponents=a.exponents, beta=a.beta,
                      coord_index=a.coord_index, provenance=prov)
-
-
-def _same_curve(a: CurveSpec, b: CurveSpec) -> bool:
-    if a.kind == "coordinate-line" or b.kind == "coordinate-line":
-        return a.canonical_key() == b.canonical_key()
-    ea, ba = a._oriented()
-    eb, bb = b._oriented()
-    if ea != eb:
-        return False
-    ra, rb = ba.enclosure, bb.enclosure
-    return abs(ra.center - rb.center) <= ra.radius + rb.radius + 1e-11
 
 
 # ---------------------------------------------------------------------------

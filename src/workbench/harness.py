@@ -31,6 +31,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from enum import Enum
 from fractions import Fraction
 from pathlib import Path
 
@@ -49,6 +50,7 @@ from .nevanlinna import (
     INFINITY,
     MeroFn,
     RadiusGrid,
+    _log_counting,
     characteristic_T,
     circle_average,
     counting_N,
@@ -85,16 +87,32 @@ class MarginRow:
         return self.rhs - self.lhs
 
 
+class Verdict(Enum):
+    """Outcome of a scenario; the value is the prefix of the rendered verdict."""
+
+    HOLDS_ON_GRID = "holds-on-grid"
+    EXCLUDED_BY_W = "excluded-by-W"
+    DEGENERATE_BRANCH = "degenerate-branch"
+    VIOLATED_AT = "violated-at"
+    HYPOTHESIS_VIOLATION = "hypothesis-violation"
+
+
 @dataclass
 class MarginReport:
     scenario: str
     target: str
     rows: list[MarginRow] = field(default_factory=list)
-    verdict: str = "holds-on-grid"
+    outcome: Verdict = Verdict.HOLDS_ON_GRID
+    detail: str = ""  # rendered in parentheses after the outcome
     matched_curves: tuple[CurveSpec, ...] = ()
     degenerate_tuple: tuple[int, int] | None = None
     fitted_slopes: dict = field(default_factory=dict)
     notes: tuple[str, ...] = ()
+
+    @property
+    def verdict(self) -> str:
+        """The verdict as text, e.g. ``degenerate-branch(3, -1)``."""
+        return self.outcome.value + (f"({self.detail})" if self.detail else "")
 
     def min_gated_margin(self) -> float:
         gated = [row.margin for row in self.rows if row.gated]
@@ -105,14 +123,17 @@ class MarginReport:
 
     def finalize(self) -> "MarginReport":
         bad = self.gated_violations()
+        self.detail = ""
         if self.matched_curves:
-            self.verdict = "excluded-by-W"
+            self.outcome = Verdict.EXCLUDED_BY_W
         elif self.degenerate_tuple is not None:
-            self.verdict = f"degenerate-branch{self.degenerate_tuple}"
+            self.outcome = Verdict.DEGENERATE_BRANCH
+            self.detail = ", ".join(str(m) for m in self.degenerate_tuple)
         elif bad:
-            self.verdict = "violated-at(" + ", ".join(f"{r:.4g}" for r in bad) + ")"
+            self.outcome = Verdict.VIOLATED_AT
+            self.detail = ", ".join(f"{r:.4g}" for r in bad)
         else:
-            self.verdict = "holds-on-grid"
+            self.outcome = Verdict.HOLDS_ON_GRID
         self.fitted_slopes = {
             "lhs": fit_log_slope([(row.r, row.lhs) for row in self.rows if row.gated]),
             "rhs": fit_log_slope([(row.r, row.rhs) for row in self.rows if row.gated]),
@@ -120,9 +141,14 @@ class MarginReport:
         }
         return self
 
+    def reject(self, reason: str) -> "MarginReport":
+        """Record that the scenario's hypotheses fail, so nothing was tested."""
+        self.outcome, self.detail = Verdict.HYPOTHESIS_VIOLATION, reason
+        return self
+
     def passed(self) -> bool:
         """True unless a gated violation occurred outside the excluded branches."""
-        return not self.verdict.startswith("violated-at")
+        return self.outcome is not Verdict.VIOLATED_AT
 
     def csv_rows(self) -> list[str]:
         out = ["r,lhs,rhs,margin,gated"]
@@ -151,36 +177,17 @@ def fit_log_slope(points: list[tuple[float, float]]) -> float:
 # generic functional dispatch (class functions and exp-sums)
 # ---------------------------------------------------------------------------
 
-def _logabs_of(fn):
-    return fn.log_abs
-
-
 def tuple_characteristic(fns, r: float) -> float:
     """Circle average of log max_i |f_i| for mixed class/exp-sum tuples."""
     if all(isinstance(f, MeroFn) for f in fns):
         return characteristic_T(tuple(fns), r)
-    logs = [_logabs_of(f) for f in fns if not _is_zero_fn(f)]
+    logs = [f.log_abs for f in fns if not f.is_zero()]
 
     def logmax(zs):
         return np.maximum.reduce([la(zs) for la in logs])
 
     value, _ = circle_average(logmax, r, positive_part=False)
     return value
-
-
-def _is_zero_fn(f) -> bool:
-    return f.is_zero()
-
-
-def scalar_T(fn, r: float) -> float:
-    if isinstance(fn, MeroFn):
-        return characteristic_T(fn, r)
-    if isinstance(fn, ExpSumFn):
-        if not fn.is_entire():
-            raise InvalidInput("characteristic of a non-entire exp-sum is unsupported")
-        value, _ = circle_average(fn.log_abs, r)
-        return value
-    raise InvalidInput(f"unsupported function object {type(fn)}")
 
 
 def zero_list(fn, r: float, allow_jensen: bool = False) -> list[tuple[complex, int]] | None:
@@ -201,15 +208,7 @@ def zero_list(fn, r: float, allow_jensen: bool = False) -> list[tuple[complex, i
 
 def counting_from_zeros(zeros: list[tuple[complex, int]], r: float,
                         trunc: float = INFINITY) -> float:
-    total = 0.0
-    for z, m in zeros:
-        m = min(m, trunc)
-        rho = abs(z)
-        if rho <= 1e-9:
-            total += m * math.log(r)
-        elif rho <= r:
-            total += m * math.log(r / rho)
-    return total
+    return _log_counting(((z, min(m, trunc)) for z, m in zeros), r)
 
 
 def counting_of(fn, r: float, trunc: float = INFINITY,
@@ -241,11 +240,6 @@ def _jensen_counting(fn: ExpSumFn, r: float) -> float:
     return value - math.log(abs(h0))
 
 
-def pair_characteristic(f, g, r: float) -> float:
-    """Cartan characteristic of [f : g]; equals T_{f/g} up to a bounded term."""
-    return tuple_characteristic((f, g), r)
-
-
 # ---------------------------------------------------------------------------
 # scenarios
 # ---------------------------------------------------------------------------
@@ -267,14 +261,17 @@ class Scenario:
     def eps(self) -> Fraction:
         return Fraction(self.params.get("eps", "1/10"))
 
-    def r_pass(self, grid: RadiusGrid) -> float:
-        if "r_pass" in self.params:
-            return float(self.params["r_pass"])
-        return math.sqrt(grid.points[0] * grid.points[-1])
-
     def allowance(self) -> tuple[float, float]:
         c, c0 = self.params.get("log_allowance", ("1", "0"))
         return float(Fraction(str(c))), float(Fraction(str(c0)))
+
+
+def _r_pass(params: dict, grid: RadiusGrid) -> float:
+    """Radius from which rows are gated: ``params["r_pass"]``, by default the
+    geometric midpoint sqrt(r_min * r_max) of the grid."""
+    if "r_pass" in params:
+        return float(params["r_pass"])
+    return math.sqrt(grid.points[0] * grid.points[-1])
 
 
 def _component_from_doc(doc) -> MeroFn:
@@ -378,12 +375,11 @@ def _curve_vs_form_check(s: Scenario) -> MarginReport:
 
     Gg = eval_poly_on_tuple(G, tuple(s.curve))
     if Gg.is_zero():
-        report = MarginReport(s.name, s.target, notes=tuple(notes))
-        report.verdict = "hypothesis-violation(curve lies inside the form)"
-        return report
+        return MarginReport(s.name, s.target, notes=tuple(notes)).reject(
+            "curve lies inside the form")
 
     grid = s.grid().perturbed_for([c for c in s.curve if isinstance(c, MeroFn)])
-    r_pass = s.r_pass(grid)
+    r_pass = _r_pass(s.params, grid)
     simple = bool(s.params.get("simple_zeros"))
     report = MarginReport(s.name, s.target, matched_curves=matched)
     for r in grid.points:
@@ -413,7 +409,7 @@ def _log_derivative_check(s: Scenario) -> MarginReport:
     C, C0 = s.allowance()
     ld = log_derivative(f)
     grid = s.grid().perturbed_for([f])
-    r_pass = s.r_pass(grid)
+    r_pass = _r_pass(s.params, grid)
     report = MarginReport(s.name, s.target, notes=tuple(notes))
     for r in grid.points:
         Tf = characteristic_T(f, r)
@@ -438,21 +434,19 @@ def unit_sum_check(fns, grid: RadiusGrid, allowance=(1.0, 0.0), params=None,
         total = total + f
     report = MarginReport(name, "borel-unit-sum")
     if not total.is_zero():
-        report.verdict = "hypothesis-violation(components do not sum to zero)"
-        return report
+        return report.reject("components do not sum to zero")
     bad = _vanishing_subsum(fns)
     if bad is not None:
-        report.verdict = f"hypothesis-violation(vanishing proper subsum {bad})"
-        return report
+        return report.reject(f"vanishing proper subsum {bad}")
     C, C0 = allowance
     grid = grid.perturbed_for(mero_fns)
-    r_pass = params.get("r_pass", math.sqrt(grid.points[0] * grid.points[-1]))
+    r_pass = _r_pass(params, grid)
     head = fns[: n + 1]
     for r in grid.points:
         T = tuple_characteristic(head, r)
         rhs = sum(counting_of(f, r, trunc=n) for f in fns)
         rhs += C * math.log(max(T, 1.0)) + C0
-        report.rows.append(MarginRow(r, T, rhs, gated=r >= float(r_pass)))
+        report.rows.append(MarginRow(r, T, rhs, gated=r >= r_pass))
     return report.finalize()
 
 
@@ -487,15 +481,13 @@ def borel_check(coeffs, fns, ell: int, grid: RadiusGrid, allowance=(1.0, 0.0),
         total = total + ExpSumFn.from_mero(a) * ExpSumFn.from_mero(f)
     report = MarginReport(name, "coefficient-borel")
     if not total.is_zero():
-        report.verdict = "hypothesis-violation(combination does not vanish)"
-        return report
+        return report.reject("combination does not vanish")
     terms = [ExpSumFn.from_mero(a) * ExpSumFn.from_mero(f)
              for a, f in zip(coeffs, fns) if not (a.is_zero() or f.is_zero())]
     if len(terms) < len(fns):
         bad = tuple(i for i, (a, f) in enumerate(zip(coeffs, fns))
                     if a.is_zero() or f.is_zero())
-        report.verdict = f"hypothesis-violation(vanishing proper subsum {bad})"
-        return report
+        return report.reject(f"vanishing proper subsum {bad}")
     # clear coefficient denominators so the coefficient tuple is entire
     denom = MeroFn.constant(1)
     for a in coeffs:
@@ -505,20 +497,21 @@ def borel_check(coeffs, fns, ell: int, grid: RadiusGrid, allowance=(1.0, 0.0),
     cleared = [a * denom for a in coeffs]
     C, C0 = allowance
     grid = grid.perturbed_for(list(fns) + cleared)
-    r_pass = params.get("r_pass", math.sqrt(grid.points[0] * grid.points[-1]))
+    r_pass = _r_pass(params, grid)
     notes: list[str] = []
     _validate_curve_tuple(fns, notes, ell)
     active = [i for i, a in enumerate(coeffs) if not a.is_zero()]
     for r in grid.points:
         Ta = tuple_characteristic(cleared, r)
         Tf = tuple_characteristic(fns, r)
+        # Cartan characteristic of [f_i : f_j], which is T_{f_i/f_j} up to O(1)
         lhs = max(
-            min(pair_characteristic(fns[i], fns[j], r)
+            min(tuple_characteristic((fns[i], fns[j]), r)
                 for j in range(len(fns)) if j != i)
             for i in active
         )
         rhs = 3 * n * Ta + (n * n - 1) / ell * Tf + C * math.log(max(Tf, 1.0)) + C0
-        report.rows.append(MarginRow(r, lhs, rhs, gated=r >= float(r_pass)))
+        report.rows.append(MarginRow(r, lhs, rhs, gated=r >= r_pass))
     report.notes = tuple(notes)
     return report.finalize()
 
@@ -550,24 +543,24 @@ def gcd_bound_check(F: SparsePoly, G: SparsePoly, curve, eps: Fraction,
     ell = int(params["ell"]) if "ell" in params else None
     _validate_curve_tuple(curve, notes, ell)
     grid = (grid or RadiusGrid.log_spaced(2.0, 200.0, 21)).perturbed_for(list(curve))
-    r_pass = params.get("r_pass", math.sqrt(grid.points[0] * grid.points[-1]))
+    r_pass = _r_pass(params, grid)
 
     Fg = eval_poly_on_tuple(F, tuple(curve))
     Gg = eval_poly_on_tuple(G, tuple(curve))
     if Fg.is_zero() or Gg.is_zero():
-        report = MarginReport(name, "gcd-bound", notes=tuple(notes))
-        report.verdict = "hypothesis-violation(a composed form vanishes identically)"
-        return report
+        return MarginReport(name, "gcd-bound", notes=tuple(notes)).reject(
+            "a composed form vanishes identically")
 
     report = MarginReport(name, "gcd-bound", notes=tuple(notes))
+    T_curve = [tuple_characteristic(curve, r) for r in grid.points]
     scan_params = dict(params)
     scan_params.setdefault("form_degree", max(F.total_degree(), G.total_degree()))
-    report.degenerate_tuple = _degeneracy_scan(curve, eps, scan_params, grid, notes)
+    gated_T = {r: T for r, T in zip(grid.points, T_curve) if r >= r_pass}
+    report.degenerate_tuple = _degeneracy_scan(curve, eps, scan_params, gated_T, notes)
 
-    for r in grid.points:
-        T = tuple_characteristic(curve, r)
+    for r, T in zip(grid.points, T_curve):
         lhs = _gcd_counting_generic(Fg, Gg, r)
-        report.rows.append(MarginRow(r, lhs, float(eps) * T, gated=r >= float(r_pass)))
+        report.rows.append(MarginRow(r, lhs, float(eps) * T, gated=r >= r_pass))
     report.notes = tuple(notes)
     return report.finalize()
 
@@ -580,7 +573,7 @@ def _gcd_counting_generic(Fg, Gg, r: float) -> float:
     zg = zero_list(Gg, r)
     if zf is None or zg is None:
         raise InvalidInput("gcd counting needs explicit zero structures")
-    total = 0.0
+    shared = []
     used = [False] * len(zg)
     for z, m in zf:
         for k, (w, mw) in enumerate(zg):
@@ -588,16 +581,17 @@ def _gcd_counting_generic(Fg, Gg, r: float) -> float:
                 continue
             if abs(z - w) <= 1e-8 * max(1.0, abs(z)):
                 used[k] = True
-                mm = min(m, mw)
-                rho = abs(z)
-                total += mm * (math.log(r) if rho <= 1e-9 else math.log(r / rho))
+                shared.append((z, min(m, mw)))
                 break
-    return total
+    return _log_counting(shared, r)
 
 
-def _degeneracy_scan(curve, eps: Fraction, params, grid: RadiusGrid,
+def _degeneracy_scan(curve, eps: Fraction, params, T_curve: dict[float, float],
                      notes: list[str]) -> tuple[int, int] | None:
-    """Scan exponent tuples for multiplicative near-degeneracy of the curve."""
+    """Scan exponent tuples for multiplicative near-degeneracy of the curve.
+
+    ``T_curve`` maps each gated radius to the characteristic of the curve.
+    """
     if len(curve) != 3:
         return None
     g0, g1, g2 = curve
@@ -617,9 +611,6 @@ def _degeneracy_scan(curve, eps: Fraction, params, grid: RadiusGrid,
         )
     u1, u2 = g1 / g0, g2 / g0
     eps3 = float(eps) ** 3
-    r_pass = float(params.get("r_pass", math.sqrt(grid.points[0] * grid.points[-1])))
-    gated_rs = [r for r in grid.points if r >= r_pass]
-    T_curve = {r: tuple_characteristic(curve, r) for r in gated_rs}
     tuples = sorted(
         (
             (m1, m2)
@@ -638,8 +629,8 @@ def _degeneracy_scan(curve, eps: Fraction, params, grid: RadiusGrid,
             return _canonical_tuple(m1, m2)
         if abs(m1) + abs(m2) <= numeric_bound and best is None:
             ratios = [
-                characteristic_T(mono, r) / T_curve[r]
-                for r in gated_rs if T_curve[r] > 0
+                characteristic_T(mono, r) / T
+                for r, T in T_curve.items() if T > 0
             ]
             if ratios and max(ratios) <= eps3:
                 best = _canonical_tuple(m1, m2)
@@ -671,18 +662,16 @@ def smt_instance_check(hypersurfaces: list[SparsePoly], curve, eps: Fraction,
     if nv == 3 and not params.get("skip_position_check"):
         pos = general_position_check(list(hypersurfaces))
         if not pos:
-            report.verdict = "hypothesis-violation(not in general position)"
-            return report
+            return report.reject("not in general position")
     composed = []
     for p in hypersurfaces:
         c = eval_poly_on_tuple(p, tuple(curve))
         if c.is_zero():
-            report.verdict = "hypothesis-violation(curve inside a hypersurface)"
-            return report
+            return report.reject("curve inside a hypersurface")
         composed.append((c, p.total_degree()))
     q = len(hypersurfaces)
     grid = grid.perturbed_for(list(curve))
-    r_pass = float(params.get("r_pass", math.sqrt(grid.points[0] * grid.points[-1])))
+    r_pass = _r_pass(params, grid)
     simple = bool(params.get("simple_zeros"))
     factor = q - n - 1 - float(eps)
     for r in grid.points:

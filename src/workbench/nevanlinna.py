@@ -57,6 +57,14 @@ class MeroFn:
     Canonical form: factor polynomials are squarefree, pairwise coprime,
     monic, non-constant, with nonzero multiplicities; the scalar absorbs
     all constants.  The zero scalar represents the zero function.
+
+    The public constructor canonicalises its input: one squarefree
+    decomposition per factor (whose parts are monic, so the unit moved into
+    the scalar is the factor's leading coefficient), then a gcd-free
+    refinement across all parts.  Operands of ``*``, ``/``, ``inverse`` and
+    ``**`` are already canonical, so products only refine the two factor
+    lists against each other and inverses and powers map multiplicities;
+    none of them decomposes again.
     """
 
     __slots__ = ("scalar", "factors", "exp_part", "_divisor")
@@ -78,22 +86,28 @@ class MeroFn:
                 if poly.is_constant():
                     scalar = scalar * poly.constant_value() ** mult
                     continue
-                # squarefree factors come back canonically scaled; the unit
-                # dropped relative to the original poly moves into the scalar
                 for sq, k in squarefree_decompose(poly):
                     canon[sq] = canon.get(sq, 0) + k * mult
-                scalar = scalar * _unit_of_decomposition(poly) ** mult
-            canon = {p: m for p, m in _coprime_refine(canon).items() if m}
-        else:
-            canon = {}
-            exp_part = SparsePoly.zero(1)
+                # the parts are monic, so the unit they drop is the leading coefficient
+                scalar = scalar * poly.terms[max(poly.terms)] ** mult
+            canon = _coprime_refine(canon)
+        self._set(scalar, canon.items(), exp_part)
+
+    def _set(self, scalar: GaussRat, factors, exp_part: SparsePoly) -> None:
         object.__setattr__(self, "scalar", scalar)
         object.__setattr__(
             self, "factors",
-            tuple(sorted(canon.items(), key=lambda kv: (kv[0].degree_in(0), kv[0].sort_key())))
+            tuple(sorted(factors, key=lambda kv: (kv[0].degree_in(0), kv[0].sort_key())))
         )
         object.__setattr__(self, "exp_part", exp_part if scalar else SparsePoly.zero(1))
         object.__setattr__(self, "_divisor", None)
+
+    @classmethod
+    def _canonical(cls, scalar: GaussRat, factors, exp_part: SparsePoly) -> "MeroFn":
+        """Wrap data that is already in canonical form, without decomposing it."""
+        f = object.__new__(cls)
+        f._set(scalar, factors, exp_part)
+        return f
 
     def __setattr__(self, *a):
         raise AttributeError("MeroFn is immutable")
@@ -149,11 +163,11 @@ class MeroFn:
     def __mul__(self, other: "MeroFn") -> "MeroFn":
         if self.is_zero() or other.is_zero():
             return MeroFn(scalar=0)
-        return MeroFn(
-            scalar=self.scalar * other.scalar,
-            factors=list(self.factors) + list(other.factors),
-            exp_part=self.exp_part + other.exp_part,
-        )
+        canon = dict(self.factors)
+        for p, m in other.factors:
+            canon[p] = canon.get(p, 0) + m
+        return MeroFn._canonical(self.scalar * other.scalar, _coprime_refine(canon).items(),
+                                 self.exp_part + other.exp_part)
 
     def __truediv__(self, other: "MeroFn") -> "MeroFn":
         return self * other.inverse()
@@ -161,11 +175,8 @@ class MeroFn:
     def inverse(self) -> "MeroFn":
         if self.is_zero():
             raise ZeroDivisionError("inverse of the zero function")
-        return MeroFn(
-            scalar=GaussRat(1) / self.scalar,
-            factors=[(p, -m) for p, m in self.factors],
-            exp_part=-self.exp_part,
-        )
+        return MeroFn._canonical(GaussRat(1) / self.scalar,
+                                 [(p, -m) for p, m in self.factors], -self.exp_part)
 
     def __pow__(self, k: int) -> "MeroFn":
         if not isinstance(k, int):
@@ -174,11 +185,8 @@ class MeroFn:
             return MeroFn(scalar=1)
         if k < 0:
             return self.inverse() ** (-k)
-        return MeroFn(
-            scalar=self.scalar**k,
-            factors=[(p, m * k) for p, m in self.factors],
-            exp_part=self.exp_part.scale(k),
-        )
+        return MeroFn._canonical(self.scalar**k, [(p, m * k) for p, m in self.factors],
+                                 self.exp_part.scale(k))
 
     # -- divisor / evaluation -----------------------------------------------------
 
@@ -194,10 +202,6 @@ class MeroFn:
 
     def zero_multiplicities(self) -> list[int]:
         return [m for _, m in self.divisor() if m > 0]
-
-    def min_zero_multiplicity(self) -> int | None:
-        mults = self.zero_multiplicities()
-        return min(mults) if mults else None
 
     def eval(self, z: complex) -> complex:
         if self.is_zero():
@@ -251,16 +255,6 @@ class MeroFn:
     __repr__ = __str__
 
 
-def _unit_of_decomposition(poly: SparsePoly) -> GaussRat:
-    """The constant u with poly = u * prod(canonical squarefree factors)."""
-    prod = SparsePoly.one(1)
-    for sq, k in squarefree_decompose(poly):
-        prod = prod * sq**k
-    # both poly and prod share the same monomial support up to a scalar
-    lead = max(poly.terms)
-    return poly.terms[lead] / prod.terms[lead]
-
-
 def _coprime_refine(canon: dict[SparsePoly, int]) -> dict[SparsePoly, int]:
     """Split factors until pairwise coprime (gcd-free basis), exactly."""
     work = [(p, m) for p, m in canon.items() if m]
@@ -294,19 +288,6 @@ def _coprime_refine(canon: dict[SparsePoly, int]) -> dict[SparsePoly, int]:
     for p, m in work:
         out[p] = out.get(p, 0) + m
     return {p: m for p, m in out.items() if m}
-
-
-def mero_arith(f: MeroFn, g: MeroFn | None, op: str, k: int | None = None) -> MeroFn:
-    """Spec-facing arithmetic dispatcher: op in {mul, div, pow}."""
-    if op == "mul":
-        return f * g
-    if op == "div":
-        return f / g
-    if op == "pow":
-        if k is None or not isinstance(k, int):
-            raise InvalidInput("pow requires an integer exponent")
-        return f**k
-    raise InvalidInput(f"unknown op {op!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -466,17 +447,24 @@ def counting_N(f: MeroFn, target: str, r: float, trunc: float = INFINITY) -> flo
         raise InvalidInput("counting function of the zero function")
     _check_radius(f, r)
     sign = 1 if target == "zero" else -1
+    return _log_counting(((root.center, min(sign * mult, trunc))
+                          for root, mult in f.divisor() if sign * mult > 0), r)
+
+
+def _log_counting(points: Iterable[tuple[complex, float]], r: float) -> float:
+    """Sum of w * log(r/|z|) over weighted points (z, w) with |z| <= r.
+
+    A point within _CIRCLE_TOL of the origin contributes w * log r, the
+    n(0) log r term of the counting function.  Points are summed in the
+    order given.
+    """
     total = 0.0
-    for root, mult in f.divisor():
-        m = sign * mult
-        if m <= 0:
-            continue
-        m = min(m, trunc)
-        rho = abs(root.center)
+    for z, w in points:
+        rho = abs(z)
         if rho <= _CIRCLE_TOL:
-            total += m * math.log(r)
+            total += w * math.log(r)
         elif rho <= r:
-            total += m * math.log(r / rho)
+            total += w * math.log(r / rho)
     return total
 
 
@@ -566,20 +554,12 @@ def gcd_counting(f: MeroFn, g: MeroFn, r: float) -> float:
                 total += m
         return total
 
-    total = 0.0
+    points = []
     for q in basis:
-        vf = mult_in(f, q)
-        vg = mult_in(g, q)
-        m = min(vf, vg)
-        if m <= 0:
-            continue
-        for root in _roots_cached(q).roots:
-            rho = abs(root.center)
-            if rho <= _CIRCLE_TOL:
-                total += m * math.log(r)
-            elif rho <= r:
-                total += m * math.log(r / rho)
-    return total
+        m = min(mult_in(f, q), mult_in(g, q))
+        if m > 0:
+            points.extend((root.center, m) for root in _roots_cached(q).roots)
+    return _log_counting(points, r)
 
 
 def log_derivative_T(ld: LogDerivative, r: float, abs_tol: float = 1e-8) -> float:
@@ -588,14 +568,7 @@ def log_derivative_T(ld: LogDerivative, r: float, abs_tol: float = 1e-8) -> floa
         if abs(abs(root.center) - r) <= _CIRCLE_TOL * max(1.0, r):
             raise InvalidInput(f"pole of f'/f on the circle r={r}; perturb the grid")
     m, _ = circle_average(ld.log_abs, r, abs_tol=abs_tol)
-    n = 0.0
-    for root in ld.pole_enclosures():
-        rho = abs(root.center)
-        if rho <= _CIRCLE_TOL:
-            n += math.log(r)
-        elif rho <= r:
-            n += math.log(r / rho)
-    return m + n
+    return m + _log_counting(((root.center, 1) for root in ld.pole_enclosures()), r)
 
 
 def jensen_log_average(p: SparsePoly, r: float) -> float:

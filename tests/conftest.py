@@ -17,6 +17,19 @@ def variables(n):
     return [SparsePoly.variable(i, n) for i in range(n)]
 
 
+def count_calls(monkeypatch, module, name):
+    """Replace module.name by a pass-through that records each call's arguments."""
+    calls = []
+    real = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
 def to_sympy(p: SparsePoly, symbols):
     """Independent conversion into a sympy expression (test oracle side)."""
     expr = sympy.Integer(0)

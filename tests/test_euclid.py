@@ -11,7 +11,6 @@ from workbench.algebra.euclid import (
     is_squarefree,
     monomial_variables,
     resultant,
-    resultant_univariate,
 )
 from workbench.algebra.gaussrat import GaussRat
 from workbench.algebra.poly import SparsePoly, random_poly
@@ -151,7 +150,7 @@ def test_squarefree_and_monomial_checks():
     assert monomial_variables(x0 + x1) == []
 
 
-def test_resultant_univariate_alias():
+def test_resultant_shared_root_vanishes():
     t = SparsePoly.variable(0, 1)
-    r = resultant_univariate(t**2 - 1, t - 1)
+    r = resultant(t**2 - 1, t - 1, 0)
     assert not r  # shared root => zero resultant

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from workbench import exset
 from workbench.algebra.gaussrat import GaussRat
 from workbench.algebra.poly import SparsePoly
 from workbench.errors import InvalidInput
@@ -19,7 +20,7 @@ from workbench.exset import (
 )
 from workbench.nevanlinna import MeroFn
 
-from conftest import variables
+from conftest import count_calls, variables
 
 
 def sphere():
@@ -299,3 +300,10 @@ def test_dedup_merges_provenance_across_loci():
     assert any(len(c.provenance) >= 2 for c in line_like)
     loci_names = {p.locus for c in line_like for p in c.provenance}
     assert "delta" in loci_names or "leading" in loci_names
+
+
+def test_build_W_orients_each_raw_curve_at_most_once(monkeypatch):
+    calls = count_calls(monkeypatch, exset, "_reverse_univar")
+    W = build_W(sphere(), ell2=3)
+    raw = sum(len(c.provenance) for c in W.curves)
+    assert 0 < len(calls) <= raw

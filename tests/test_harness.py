@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from workbench import harness
 from workbench.algebra.poly import SparsePoly
 from workbench.expsum import ExpSumFn
 from workbench.exset import build_W
@@ -23,7 +24,7 @@ from workbench.harness import (
 )
 from workbench.nevanlinna import MeroFn, RadiusGrid
 
-from conftest import variables
+from conftest import count_calls, variables
 
 
 def z():
@@ -272,3 +273,14 @@ def test_exp_unit_zero_structure_is_exact():
 def test_smt_exponential_scenario_holds():
     rep = run_scenario(load_scenario(scenario_dir() / "smt_exp_units.json"))
     assert rep.verdict == "holds-on-grid"
+
+
+def test_gcd_bound_computes_curve_characteristic_once_per_radius(monkeypatch):
+    x0, x1, x2 = variables(3)
+    curve = (MeroFn.constant(1), MeroFn.from_poly(z()), MeroFn.from_poly(z() ** 2 + 1))
+    grid = RadiusGrid.log_spaced(5.0, 100.0, 5)
+    calls = count_calls(monkeypatch, harness, "tuple_characteristic")
+    rep = gcd_bound_check(x0 + x1, x0 + x2, curve, Fraction(1, 2),
+                          {"r_pass": 20.0, "scan_cap": 2}, grid)
+    assert [r for _, r in calls] == [row.r for row in rep.rows]
+    assert len(calls) == len(grid.points)

@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from workbench import nevanlinna
 from workbench.algebra.gaussrat import GaussRat
 from workbench.algebra.poly import SparsePoly
 from workbench.errors import InvalidInput
@@ -14,9 +15,10 @@ from workbench.nevanlinna import (
     jensen_log_average,
     log_derivative,
     log_derivative_T,
-    mero_arith,
     proximity_m,
 )
+
+from conftest import count_calls
 
 
 def z():
@@ -33,20 +35,16 @@ def test_canonical_form():
     assert g.is_constant() and g.constant_value() == GaussRat(1)
 
 
-def test_mero_arith_examples():
+def test_mero_operator_examples():
     t = z()
-    assert mero_arith(MeroFn.from_poly(t**2), MeroFn.from_poly(t**3), "mul") == \
-        MeroFn.from_poly(t**5)
-    prod = mero_arith(
-        MeroFn(scalar=1, factors=[(t, 1)], exp_part=t),
-        MeroFn(scalar=1, factors=[(t, 1)], exp_part=-t),
-        "mul",
-    )
+    assert MeroFn.from_poly(t**2) * MeroFn.from_poly(t**3) == MeroFn.from_poly(t**5)
+    prod = (MeroFn(scalar=1, factors=[(t, 1)], exp_part=t)
+            * MeroFn(scalar=1, factors=[(t, 1)], exp_part=-t))
     assert prod == MeroFn.from_poly(t**2)
-    sq = mero_arith(MeroFn.from_poly(t), None, "pow", k=-2)
+    sq = MeroFn.from_poly(t) ** -2
     assert sq.factors[0][1] == -2
     with pytest.raises(InvalidInput):
-        mero_arith(MeroFn.from_poly(t), None, "pow", k=None)
+        MeroFn.from_poly(t) ** 1.5
 
 
 def test_log_derivative_examples():
@@ -221,3 +219,23 @@ def test_jensen_oracle_matches_quadrature():
     for r in (2.5, 9.0):
         got, _ = circle_average(logabs, r, positive_part=False)
         assert got == pytest.approx(jensen_log_average(p, r), abs=1e-7)
+
+
+def test_constructor_decomposes_each_factor_once(monkeypatch):
+    t = z()
+    calls = count_calls(monkeypatch, nevanlinna, "squarefree_decompose")
+    f = MeroFn(scalar=3, factors=[((t - 1) ** 2 * (2 * t + 4), 1), (t**2 + 1, -2), (t, 3)])
+    assert len(calls) == 3
+    # the unit of each factor (its leading coefficient) lands in the scalar
+    assert f.scalar == GaussRat(6)
+
+
+def test_operators_on_canonical_operands_do_not_decompose(monkeypatch):
+    t = z()
+    f = MeroFn(scalar=2, factors=[((t - 1) ** 2 * (t + 2), 1)], exp_part=t)
+    g = MeroFn(scalar=GaussRat(0, 1), factors=[(t**2 + 1, -1), (t - 1, 1)])
+    calls = count_calls(monkeypatch, nevanlinna, "squarefree_decompose")
+    results = [f * g, f / g, f.inverse(), f**3, g**-2]
+    assert calls == []
+    assert dict(results[0].factors) == {t - 1: 3, t + 2: 1, t**2 + 1: -1}
+    assert results[1] * g == f

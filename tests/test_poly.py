@@ -131,14 +131,10 @@ def test_random_poly_smoke(rng):
     assert p.is_homogeneous() and p.total_degree() == 3
 
 
-def test_arith_dispatcher():
-    from workbench.algebra.poly import arith
-
+def test_ring_operators():
     x0, x1 = variables(2)
-    assert arith(x0 + x1, x0 - x1, "mul") == x0**2 - x1**2
-    assert arith(x0, x1, "add") == x0 + x1
-    assert arith(x0 + 1, None, "pow", k=2) == x0**2 + 2 * x0 + 1
+    assert (x0 + x1) * (x0 - x1) == x0**2 - x1**2
+    assert x0 + x1 == x1 + x0
+    assert (x0 + 1) ** 2 == x0**2 + 2 * x0 + 1
     with pytest.raises(ValueError):
-        arith(x0, None, "pow", k=-1)
-    with pytest.raises(ValueError):
-        arith(x0, x1, "sub")
+        x0 ** -1
