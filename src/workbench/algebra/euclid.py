@@ -25,14 +25,6 @@ def coeff_exact_div(a, b):
     return a.exact_div(b)
 
 
-def _one_like(x):
-    if isinstance(x, GaussRat):
-        return GaussRat(1)
-    if isinstance(x, SparsePoly):
-        return SparsePoly.one(x.num_vars)
-    return x.one()
-
-
 # ---------------------------------------------------------------------------
 # pseudo-division
 # ---------------------------------------------------------------------------
@@ -41,18 +33,10 @@ def pseudo_rem(f: SparsePoly, g: SparsePoly, var: int) -> SparsePoly:
     """Pseudo-remainder of f by g with respect to one variable.
 
     Satisfies lc(g)^(deg f - deg g + 1) * f = q*g + rem with deg_var rem <
-    deg_var g, entirely within the coefficient domain.
-    """
-    rem, _, _ = pseudo_divmod(f, g, var)
-    return rem
-
-
-def pseudo_divmod(f: SparsePoly, g: SparsePoly, var: int):
-    """Return (rem, quot, e) with lc(g)^e * f = quot*g + rem.
-
-    The exponent is normalized to the classical e = deg f - deg g + 1
-    (topping up with leading-coefficient factors when sparse cancellation
-    skips degrees), which the subresultant divisions rely on.
+    deg_var g, entirely within the coefficient domain.  The exponent is the
+    classical one even when sparse cancellation skips degrees (the missing
+    leading-coefficient factors are topped up), which the subresultant
+    divisions rely on.
     """
     dg = g.degree_in(var)
     if dg < 0:
@@ -60,24 +44,16 @@ def pseudo_divmod(f: SparsePoly, g: SparsePoly, var: int):
     df = f.degree_in(var)
     lc = g.leading_coeff_in(var)
     rem = f
-    quot = SparsePoly.zero(f.num_vars)
     e = 0
     x = SparsePoly.variable(var, f.num_vars)
     while rem and rem.degree_in(var) >= dg:
         dr = rem.degree_in(var)
         lead = rem.leading_coeff_in(var)
-        shift = lead * x ** (dr - dg)
-        rem = rem * lc - shift * g
-        quot = quot * lc + shift
+        rem = rem * lc - lead * x ** (dr - dg) * g
         e += 1
-    if df >= dg:
-        target = df - dg + 1
-        if e < target:
-            factor = lc ** (target - e)
-            rem = rem * factor
-            quot = quot * factor
-            e = target
-    return rem, quot, e
+    if df >= dg and e < df - dg + 1:
+        rem = rem * lc ** (df - dg + 1 - e)
+    return rem
 
 
 # ---------------------------------------------------------------------------

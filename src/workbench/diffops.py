@@ -192,18 +192,6 @@ class DiffRingElem:
             raise ValueError("element is not constant")
         return self.terms.get(zero_key, GaussRat(0))
 
-    def min_lambda_exp(self) -> int:
-        if not self.terms:
-            return 0
-        return min(k[1] for k in self.terms)
-
-    def in_differentiable_subring(self) -> bool:
-        """True when the element lies in Q(i)[lambda, lambda^-1]."""
-        return all(
-            all(e == 0 for e in w) and kp == 0 and ks == 0
-            for (w, kl, kp, ks) in self.terms
-        )
-
     def derivative(self) -> "DiffRingElem":
         """Formal derivative: constants to 0, lambda^k to k lambda^(k-1) lambda'.
 

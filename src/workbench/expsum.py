@@ -102,9 +102,6 @@ class ExpSumFn:
         """Exact: every exponent group must cancel identically."""
         return not self.terms
 
-    def is_entire(self) -> bool:
-        return all(den.is_constant() for _, den, _ in self.terms)
-
     def as_polynomial(self) -> SparsePoly | None:
         if not self.terms:
             return _zero1()
@@ -147,9 +144,6 @@ class ExpSumFn:
                 out.append((n1 * n2, d1 * d2, q1 + q2))
         return ExpSumFn.from_terms(out)
 
-    def scale_poly(self, p: SparsePoly) -> "ExpSumFn":
-        return ExpSumFn.from_terms([(n * p, d, q) for n, d, q in self.terms])
-
     def __pow__(self, k: int) -> "ExpSumFn":
         if k < 0:
             raise InvalidInput("negative powers of exp-sums are not closed")
@@ -171,15 +165,6 @@ class ExpSumFn:
         acc = 0j
         for n, d, q in self.terms:
             acc += complex(n.eval([z])) / complex(d.eval([z])) * cmath.exp(complex(q.eval([z])))
-        return acc
-
-    def eval_array(self, zs: np.ndarray) -> np.ndarray:
-        acc = np.zeros(np.shape(zs), dtype=complex)
-        for n, d, q in self.terms:
-            nv = np.polyval(_complex_coeffs_desc(n), zs)
-            dv = np.polyval(_complex_coeffs_desc(d), zs)
-            qv = np.polyval(_complex_coeffs_desc(q), zs) if q else 0.0
-            acc = acc + nv / dv * np.exp(qv)
         return acc
 
     def log_abs(self, zs: np.ndarray) -> np.ndarray:

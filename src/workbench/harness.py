@@ -28,6 +28,7 @@ Supported targets:
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -50,11 +51,11 @@ from .nevanlinna import (
     INFINITY,
     MeroFn,
     RadiusGrid,
+    _check_radius,
     _log_counting,
     characteristic_T,
     circle_average,
-    counting_N,
-    gcd_counting,
+    common_zeros,
     log_derivative,
     log_derivative_T,
     mero_from_doc,
@@ -190,46 +191,43 @@ def tuple_characteristic(fns, r: float) -> float:
     return value
 
 
-def zero_list(fn, r: float, allow_jensen: bool = False) -> list[tuple[complex, int]] | None:
-    """Zeros with multiplicity inside |z| <= r, exactly where supported."""
-    if isinstance(fn, MeroFn):
-        out = []
-        for root, mult in fn.divisor():
-            if mult > 0 and abs(root.center) <= r:
-                out.append((root.center, mult))
-        return out
-    if isinstance(fn, ExpSumFn):
-        mero = fn.as_mero()
-        if mero is not None:
-            return zero_list(mero, r)
-        return fn.zeros_in_disk(r)
-    raise InvalidInput(f"unsupported function object {type(fn)}")
+def _zero_points(fn: ExpSumFn, r_max: float) -> list[tuple[complex, int]] | None:
+    """Zeros with multiplicity of ``fn`` in |z| <= r_max, or None for Jensen.
 
-
-def counting_from_zeros(zeros: list[tuple[complex, int]], r: float,
-                        trunc: float = INFINITY) -> float:
-    return _log_counting(((z, min(m, trunc)) for z, m in zeros), r)
-
-
-def counting_of(fn, r: float, trunc: float = INFINITY,
-                assume_simple: bool = False) -> float:
-    """N(0, r) for a class function or exp-sum.
-
-    Exp-sums without a supported zero structure fall back to the Jensen
-    average for the untruncated count (also for truncated counts when
-    ``assume_simple`` is set, recorded by the caller as a note).
+    The one place the zero-counting route is chosen: a one-term exp-sum is
+    a class function and uses its certified divisor; any other exp-sum uses
+    ``zeros_in_disk`` (certified roots or the exp lattice); None means no
+    supported zero structure, so only the Jensen average is available.
     """
-    if isinstance(fn, MeroFn):
-        return counting_N(fn, "zero", r, trunc)
-    zeros = zero_list(fn, r)
-    if zeros is not None:
-        return counting_from_zeros(zeros, r, trunc)
-    if trunc is INFINITY or assume_simple:
-        return _jensen_counting(fn, r)
-    raise InvalidInput(
-        "truncated counting needs an explicit zero structure; "
-        "set simple_zeros to use the Jensen fallback"
-    )
+    mero = fn.as_mero()
+    if mero is not None:
+        return [(root.center, m) for root, m in mero.divisor()
+                if m > 0 and abs(root.center) <= r_max]
+    return fn.zeros_in_disk(r_max)
+
+
+def counting_of(fn: ExpSumFn, r_max: float):
+    """N(0, r) of an exp-sum for radii r <= r_max, as ``N(r, trunc, assume_simple)``.
+
+    The zero structure is resolved once, at ``r_max``; each call then only
+    sums the points with |z| <= r, in the resolved order.  Exp-sums without
+    a supported zero structure fall back to the Jensen average for the
+    untruncated count (also for truncated counts when ``assume_simple`` is
+    set, recorded by the caller as a note).
+    """
+    zeros = _zero_points(fn, r_max)
+
+    def N(r: float, trunc: float = INFINITY, assume_simple: bool = False) -> float:
+        if zeros is not None:
+            return _log_counting(((z, min(m, trunc)) for z, m in zeros), r)
+        if trunc is INFINITY or assume_simple:
+            return _jensen_counting(fn, r)
+        raise InvalidInput(
+            "truncated counting needs an explicit zero structure; "
+            "set simple_zeros to use the Jensen fallback"
+        )
+
+    return N
 
 
 def _jensen_counting(fn: ExpSumFn, r: float) -> float:
@@ -381,17 +379,18 @@ def _curve_vs_form_check(s: Scenario) -> MarginReport:
     grid = s.grid().perturbed_for([c for c in s.curve if isinstance(c, MeroFn)])
     r_pass = _r_pass(s.params, grid)
     simple = bool(s.params.get("simple_zeros"))
+    N = counting_of(Gg, max(grid.points))
     report = MarginReport(s.name, s.target, matched_curves=matched)
     for r in grid.points:
         T = tuple_characteristic(s.curve, r)
         if s.target == "truncation-defect":
-            lhs = counting_of(Gg, r) - counting_of(Gg, r, trunc=1, assume_simple=simple)
+            lhs = N(r) - N(r, trunc=1, assume_simple=simple)
             rhs = eps * T
         else:
             # lower bound N^(1) >= (d - eps) T: put the bound on the lhs so
             # the margin column rhs - lhs is nonnegative when it holds
             lhs = (d - eps) * T
-            rhs = counting_of(Gg, r, trunc=1, assume_simple=simple)
+            rhs = N(r, trunc=1, assume_simple=simple)
         report.rows.append(MarginRow(r, lhs, rhs, gated=r >= r_pass))
     report.notes = tuple(notes)
     return report.finalize()
@@ -442,19 +441,17 @@ def unit_sum_check(fns, grid: RadiusGrid, allowance=(1.0, 0.0), params=None,
     grid = grid.perturbed_for(mero_fns)
     r_pass = _r_pass(params, grid)
     head = fns[: n + 1]
+    counts = [counting_of(f, max(grid.points)) for f in fns]
     for r in grid.points:
         T = tuple_characteristic(head, r)
-        rhs = sum(counting_of(f, r, trunc=n) for f in fns)
+        rhs = sum(N(r, trunc=n) for N in counts)
         rhs += C * math.log(max(T, 1.0)) + C0
         report.rows.append(MarginRow(r, T, rhs, gated=r >= r_pass))
     return report.finalize()
 
 
-def _vanishing_subsum(fns) -> tuple[int, ...] | None:
-    """Smallest proper nonempty subset with identically zero sum, if any."""
-    import itertools
-
-    sums = [f if isinstance(f, ExpSumFn) else ExpSumFn.from_mero(f) for f in fns]
+def _vanishing_subsum(sums) -> tuple[int, ...] | None:
+    """Smallest proper nonempty subset of exp-sums with identically zero sum, if any."""
     idx = [i for i, f in enumerate(sums) if not f.is_zero()]
     if len(idx) < len(sums):
         return tuple(i for i in range(len(sums)) if sums[i].is_zero())
@@ -482,11 +479,9 @@ def borel_check(coeffs, fns, ell: int, grid: RadiusGrid, allowance=(1.0, 0.0),
     report = MarginReport(name, "coefficient-borel")
     if not total.is_zero():
         return report.reject("combination does not vanish")
-    terms = [ExpSumFn.from_mero(a) * ExpSumFn.from_mero(f)
-             for a, f in zip(coeffs, fns) if not (a.is_zero() or f.is_zero())]
-    if len(terms) < len(fns):
-        bad = tuple(i for i, (a, f) in enumerate(zip(coeffs, fns))
-                    if a.is_zero() or f.is_zero())
+    bad = tuple(i for i, (a, f) in enumerate(zip(coeffs, fns))
+                if a.is_zero() or f.is_zero())
+    if bad:
         return report.reject(f"vanishing proper subsum {bad}")
     # clear coefficient denominators so the coefficient tuple is entire
     denom = MeroFn.constant(1)
@@ -550,6 +545,7 @@ def gcd_bound_check(F: SparsePoly, G: SparsePoly, curve, eps: Fraction,
     if Fg.is_zero() or Gg.is_zero():
         return MarginReport(name, "gcd-bound", notes=tuple(notes)).reject(
             "a composed form vanishes identically")
+    shared = _shared_zeros(Fg, Gg, grid.points)
 
     report = MarginReport(name, "gcd-bound", notes=tuple(notes))
     T_curve = [tuple_characteristic(curve, r) for r in grid.points]
@@ -559,18 +555,29 @@ def gcd_bound_check(F: SparsePoly, G: SparsePoly, curve, eps: Fraction,
     report.degenerate_tuple = _degeneracy_scan(curve, eps, scan_params, gated_T, notes)
 
     for r, T in zip(grid.points, T_curve):
-        lhs = _gcd_counting_generic(Fg, Gg, r)
+        lhs = _log_counting(shared, r)
         report.rows.append(MarginRow(r, lhs, float(eps) * T, gated=r >= r_pass))
     report.notes = tuple(notes)
     return report.finalize()
 
 
-def _gcd_counting_generic(Fg, Gg, r: float) -> float:
+def _shared_zeros(Fg: ExpSumFn, Gg: ExpSumFn, radii) -> list[tuple[complex, int]]:
+    """Common zeros of two composed forms, min-of-multiplicity weighted,
+    resolved once for every radius in ``radii``.
+
+    Two class functions match exactly through ``common_zeros``; no divisor
+    point of either may lie on a circle of ``radii``.  Otherwise both zero
+    lists are resolved at the largest radius and matched numerically.
+    """
     mero_f, mero_g = Fg.as_mero(), Gg.as_mero()
     if mero_f is not None and mero_g is not None:
-        return gcd_counting(mero_f, mero_g, r)
-    zf = zero_list(Fg, r)
-    zg = zero_list(Gg, r)
+        for r in radii:
+            _check_radius(mero_f, r)
+            _check_radius(mero_g, r)
+        return common_zeros(mero_f, mero_g)
+    r_max = max(radii)
+    zf = _zero_points(Fg, r_max)
+    zg = _zero_points(Gg, r_max)
     if zf is None or zg is None:
         raise InvalidInput("gcd counting needs explicit zero structures")
     shared = []
@@ -583,7 +590,7 @@ def _gcd_counting_generic(Fg, Gg, r: float) -> float:
                 used[k] = True
                 shared.append((z, min(m, mw)))
                 break
-    return _log_counting(shared, r)
+    return shared
 
 
 def _degeneracy_scan(curve, eps: Fraction, params, T_curve: dict[float, float],
@@ -674,11 +681,11 @@ def smt_instance_check(hypersurfaces: list[SparsePoly], curve, eps: Fraction,
     r_pass = _r_pass(params, grid)
     simple = bool(params.get("simple_zeros"))
     factor = q - n - 1 - float(eps)
+    counts = [(counting_of(c, max(grid.points)), d) for c, d in composed]
     for r in grid.points:
         T = tuple_characteristic(curve, r)
         lhs = factor * T
-        rhs = sum(counting_of(c, r, trunc=M, assume_simple=simple) / d
-                  for c, d in composed)
+        rhs = sum(N(r, trunc=M, assume_simple=simple) / d for N, d in counts)
         report.rows.append(MarginRow(r, lhs, rhs, gated=r >= r_pass))
     return report.finalize()
 

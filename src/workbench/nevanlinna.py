@@ -11,6 +11,7 @@ the circle (spectrally accurate away from the kink set of log+).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
@@ -26,15 +27,10 @@ from .errors import InvalidInput, QuadratureError
 
 INFINITY = float("inf")
 
-_ROOT_CACHE: dict[SparsePoly, AlgebraicRoots] = {}
 
-
+@functools.lru_cache(maxsize=1024)
 def _roots_cached(p: SparsePoly) -> AlgebraicRoots:
-    got = _ROOT_CACHE.get(p)
-    if got is None:
-        got = roots_certified(p)
-        _ROOT_CACHE[p] = got
-    return got
+    return roots_certified(p)
 
 
 def _univar(p: SparsePoly) -> SparsePoly:
@@ -316,9 +312,6 @@ class LogDerivative:
             return []
         return list(_roots_cached(canonical_scale(self.den)).roots)
 
-    def zero_enclosures(self) -> AlgebraicRoots:
-        return roots_certified(self.num)
-
 
 def log_derivative(f: MeroFn) -> LogDerivative:
     """Exact f'/f = sum m_k p_k'/p_k + Q' for a nonzero class function."""
@@ -389,25 +382,25 @@ def circle_average(logabs: Callable[[np.ndarray], np.ndarray], r: float,
     max(abs_tol, rel_tol * |value|); returns (value, error_estimate).
     Raises QuadratureError with the best estimate when the cap is reached.
     """
+    def sample(theta: np.ndarray) -> np.ndarray:
+        vals = logabs(r * np.exp(1j * theta))
+        if positive_part:
+            vals = np.maximum(vals, 0.0)
+        return np.nan_to_num(vals, neginf=0.0 if positive_part else -1e30)
+
     n = start_order
     theta = np.linspace(0.0, 2 * math.pi, n, endpoint=False)
-    vals = logabs(r * np.exp(1j * theta))
-    if positive_part:
-        vals = np.maximum(vals, 0.0)
-    vals = np.nan_to_num(vals, neginf=0.0 if positive_part else -1e30)
-    est = float(np.mean(vals))
+    est = float(np.mean(sample(theta)))
     hits = 0
     while n < max_order:
         theta_new = theta + math.pi / n
-        new_vals = logabs(r * np.exp(1j * theta_new))
-        if positive_part:
-            new_vals = np.maximum(new_vals, 0.0)
-        new_vals = np.nan_to_num(new_vals, neginf=0.0 if positive_part else -1e30)
-        est_new = 0.5 * (est + float(np.mean(new_vals)))
+        est_new = 0.5 * (est + float(np.mean(sample(theta_new))))
         err = abs(est_new - est)
-        theta = np.sort(np.concatenate([theta, theta_new]))
+        # the new nodes are the midpoints, so interleaving keeps the nodes sorted
+        merged = np.empty(2 * n)
+        merged[0::2], merged[1::2] = theta, theta_new
+        theta = merged
         n *= 2
-        # resample on the full refined grid to keep the running mean exact
         est = est_new
         if err <= max(abs_tol, rel_tol * abs(est)):
             hits += 1
@@ -534,8 +527,8 @@ def _validate_no_common_zeros(fns: Sequence[MeroFn]):
         raise InvalidInput("tuple components share a zero (not a reduced representation)")
 
 
-def gcd_counting(f: MeroFn, g: MeroFn, r: float) -> float:
-    """Counting function of common zeros with min-of-multiplicities weights.
+def common_zeros(f: MeroFn, g: MeroFn) -> list[tuple[complex, int]]:
+    """Common zeros of f and g, each weighted by the smaller multiplicity.
 
     Matching is exact: the factor polynomials of both functions are reduced
     to a gcd-free basis over Q(i), so any shared root lives in a shared
@@ -543,8 +536,6 @@ def gcd_counting(f: MeroFn, g: MeroFn, r: float) -> float:
     """
     if f.is_zero() or g.is_zero():
         raise InvalidInput("gcd counting needs nonzero functions")
-    _check_radius(f, r)
-    _check_radius(g, r)
     basis = _coprime_refine({p: 1 for p, m in list(f.factors) + list(g.factors) if m != 0})
 
     def mult_in(fn: MeroFn, q: SparsePoly) -> int:
@@ -559,7 +550,14 @@ def gcd_counting(f: MeroFn, g: MeroFn, r: float) -> float:
         m = min(mult_in(f, q), mult_in(g, q))
         if m > 0:
             points.extend((root.center, m) for root in _roots_cached(q).roots)
-    return _log_counting(points, r)
+    return points
+
+
+def gcd_counting(f: MeroFn, g: MeroFn, r: float) -> float:
+    """Counting function of common zeros with min-of-multiplicities weights."""
+    _check_radius(f, r)
+    _check_radius(g, r)
+    return _log_counting(common_zeros(f, g), r)
 
 
 def log_derivative_T(ld: LogDerivative, r: float, abs_tol: float = 1e-8) -> float:

@@ -266,8 +266,61 @@ def test_exp_unit_zero_structure_is_exact():
     zeros = Gg.zeros_in_disk(r)
     assert zeros and all(m == 2 for _, m in zeros)
     N = counting_of(Gg, r)
-    N1 = counting_of(Gg, r, trunc=1)
-    assert N - N1 == pytest.approx(N / 2, rel=1e-12)
+    assert N(r) - N(r, trunc=1) == pytest.approx(N(r) / 2, rel=1e-12)
+
+
+@pytest.mark.parametrize("kind", ["lattice", "polynomial"])
+def test_counting_resolved_once_equals_per_radius_zeros(kind):
+    from workbench.expsum import eval_poly_on_tuple
+    from workbench.harness import counting_of
+    from workbench.nevanlinna import INFINITY, _log_counting
+
+    if kind == "lattice":
+        g = (MeroFn.constant(1), MeroFn.unit(z()),
+             MeroFn(scalar=Fraction(1, 2), exp_part=-z()))
+        Gg = eval_poly_on_tuple(sphere(), g)
+        assert Gg.as_mero() is None
+    else:
+        # one squarefree factor, so the divisor lists the roots in the order
+        # roots_certified gives them for the whole polynomial
+        Gg = ExpSumFn.from_mero(MeroFn.from_poly((z() ** 3 + 7) ** 2))
+    grid = RadiusGrid.log_spaced(1.0, 40.0, 9).perturbed_for([])
+    N = counting_of(Gg, max(grid.points))
+    for r in grid.points:
+        zeros = Gg.zeros_in_disk(r)
+        for trunc in (INFINITY, 1):
+            want = _log_counting(((w, min(m, trunc)) for w, m in zeros), r)
+            assert N(r, trunc) == want
+
+
+def test_gcd_bound_resolves_each_zero_structure_once(monkeypatch):
+    x0, x1, x2 = variables(3)
+    curve = (MeroFn.constant(1), MeroFn.unit(z()),
+             MeroFn(scalar=Fraction(1, 2), exp_part=-z()))
+    calls = count_calls(monkeypatch, ExpSumFn, "zeros_in_disk")
+    rep = gcd_bound_check(x0 + x1, x0 + x2, curve, Fraction(1, 2),
+                          {"r_pass": 5.0, "scan_cap": 0},
+                          RadiusGrid.log_spaced(2.0, 10.0, 3))
+    assert len(rep.rows) == 3
+    assert len(calls) <= 2
+
+
+def test_truncation_defect_builds_class_function_once(monkeypatch):
+    calls = count_calls(monkeypatch, ExpSumFn, "as_mero")
+    rep = run_scenario(load_scenario(scenario_dir() / "truncation_defect_unit_witness.json"))
+    assert len(rep.rows) == 13
+    assert len(calls) <= 1
+
+
+def test_exact_gcd_route_rejects_divisor_point_on_grid_circle():
+    from workbench.errors import InvalidInput
+
+    x0, x1, x2 = variables(3)
+    curve = (MeroFn.constant(1), MeroFn.from_poly(z()), MeroFn.from_poly(z() ** 2 + 1))
+    # x1 - 2 x0 composes to z - 2, whose zero sits on the first grid circle
+    with pytest.raises(InvalidInput, match="on the circle"):
+        gcd_bound_check(x1 - x0 * 2, x0 + x2, curve, Fraction(1, 2),
+                        {"scan_cap": 0}, RadiusGrid.log_spaced(2.0, 100.0, 5))
 
 
 def test_smt_exponential_scenario_holds():

@@ -239,3 +239,16 @@ def test_operators_on_canonical_operands_do_not_decompose(monkeypatch):
     assert calls == []
     assert dict(results[0].factors) == {t - 1: 3, t + 2: 1, t**2 + 1: -1}
     assert results[1] * g == f
+
+
+def test_root_cache_is_bounded_and_hits_on_equal_polynomials():
+    info = nevanlinna._roots_cached.cache_info()
+    assert info.maxsize is not None and info.maxsize > 0
+    p = z() ** 3 - 11 * z() + 13
+    MeroFn.from_poly(p).divisor()
+    before = nevanlinna._roots_cached.cache_info()
+    # a fresh object caches no divisor of its own, so this goes to the root cache
+    MeroFn.from_poly(z() ** 3 - 11 * z() + 13).divisor()
+    after = nevanlinna._roots_cached.cache_info()
+    assert after.hits == before.hits + 1
+    assert after.misses == before.misses
