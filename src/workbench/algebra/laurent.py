@@ -70,11 +70,6 @@ class LaurentBivar:
             return 0
         return min(k[axis] for k in self.terms)
 
-    def max_exp(self, axis: int) -> int:
-        if not self.terms:
-            return 0
-        return max(k[axis] for k in self.terms)
-
     def is_polynomial(self) -> bool:
         return self.min_exp(0) >= 0 and self.min_exp(1) >= 0
 
@@ -142,20 +137,6 @@ class LaurentBivar:
         if not self.is_polynomial():
             raise ValueError("Laurent polynomial has negative exponents")
         return SparsePoly(2, {k: c for k, c in self.terms.items()})
-
-    def monomial_normalized(self) -> tuple[int, int, "LaurentBivar"]:
-        """Write self = v0^m0 * v1^m1 * P with P a polynomial, P(0,·) and P(·,0) nonzero.
-
-        Returns (m0, m1, P); the zero polynomial maps to (0, 0, 0).
-        """
-        if not self.terms:
-            return 0, 0, self
-        m0, m1 = self.min_exp(0), self.min_exp(1)
-        return m0, m1, self.shift(-m0, -m1)
-
-    def coeff_of_axis0(self, value: int) -> "LaurentBivar":
-        """The slice with a fixed exponent of the first variable (as a Laurent poly in the second)."""
-        return LaurentBivar({(0, k1): c for (k0, k1), c in self.terms.items() if k0 == value})
 
     def __str__(self):
         if not self.terms:

@@ -286,13 +286,6 @@ class SparsePoly:
             terms[expo[:var] + expo[var + 1 :]] = coeff
         return SparsePoly(self.num_vars - 1, terms)
 
-    def insert_var(self, position: int) -> "SparsePoly":
-        """Add a fresh (unused) variable at ``position``."""
-        terms = {}
-        for expo, coeff in self.terms.items():
-            terms[expo[:position] + (0,) + expo[position:]] = coeff
-        return SparsePoly(self.num_vars + 1, terms)
-
     def permute_vars(self, perm: Iterable[int]) -> "SparsePoly":
         """Relabel variables: new variable i is old variable perm[i]."""
         perm = tuple(perm)

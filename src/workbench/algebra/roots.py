@@ -10,6 +10,7 @@ pins exactly one root per disk.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import mpmath
@@ -21,6 +22,8 @@ from .squarefree import squarefree_decompose
 
 # stored float radii never claim more than honest float exactness
 _MIN_NUMERIC_RADIUS = 1e-250
+# every numeric enclosure radius is at most this
+ENCLOSURE_RADIUS = 1e-12
 
 
 @dataclass(frozen=True)
@@ -119,15 +122,17 @@ def _solve_squarefree(coeffs: list[GaussRat], dps: int):
         return out
 
 
-def roots_certified(f: SparsePoly, tol: float = 1e-12) -> AlgebraicRoots:
+@functools.lru_cache(maxsize=1024)
+def roots_certified(f: SparsePoly) -> AlgebraicRoots:
     """All complex roots of a nonzero univariate polynomial, with multiplicity.
 
     The polynomial is squarefree-decomposed first; each squarefree factor is
     solved numerically and every root is returned as a disk certified to
-    contain exactly one root of that factor, of radius at most ``tol``.
-    Linear factors produce exact enclosures of radius zero.  Raises
-    EnclosureError (carrying the best enclosures) if the requested tolerance
-    or disk disjointness cannot be reached.
+    contain exactly one root of that factor, of radius at most
+    ``ENCLOSURE_RADIUS``.  Linear factors produce exact enclosures of radius
+    zero.  Raises EnclosureError (carrying the best enclosures) if that
+    radius or disk disjointness cannot be reached.  Results are cached per
+    polynomial, so all callers share one solve; an error is never cached.
     """
     if not f:
         raise ValueError("cannot isolate roots of the zero polynomial")
@@ -159,7 +164,7 @@ def roots_certified(f: SparsePoly, tol: float = 1e-12) -> AlgebraicRoots:
         for coeffs, mult in pending:
             got = _solve_squarefree(coeffs, dps)
             for center, rad in got:
-                if rad > tol:
+                if rad > ENCLOSURE_RADIUS:
                     ok = False
                 numeric.append(
                     RootEnclosure(center, max(rad, _MIN_NUMERIC_RADIUS), mult)
@@ -180,7 +185,7 @@ def roots_certified(f: SparsePoly, tol: float = 1e-12) -> AlgebraicRoots:
         best = candidate
         dps *= 2
     raise EnclosureError(
-        f"could not certify enclosures at tol={tol}", best=best
+        f"could not certify enclosures at tol={ENCLOSURE_RADIUS}", best=best
     )
 
 
@@ -205,7 +210,7 @@ class LinearFormFactorization:
     y_multiplicity: int
 
 
-def factor_linear_forms(h: SparsePoly, tol: float = 1e-12) -> LinearFormFactorization:
+def factor_linear_forms(h: SparsePoly) -> LinearFormFactorization:
     """Split a homogeneous binary form into linear factors.
 
     Returns the enclosed slopes delta_j (roots of h(delta, 1)) together with
@@ -222,4 +227,4 @@ def factor_linear_forms(h: SparsePoly, tol: float = 1e-12) -> LinearFormFactoriz
     if x_deg == 0:
         empty = AlgebraicRoots(dehom, ())
         return LinearFormFactorization(empty, y_mult)
-    return LinearFormFactorization(roots_certified(dehom, tol), y_mult)
+    return LinearFormFactorization(roots_certified(dehom), y_mult)

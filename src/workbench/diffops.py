@@ -268,9 +268,6 @@ class DiffPoly:
         terms = {e: ring.constant(c) for e, c in p.terms.items()}
         return DiffPoly(ring, SparsePoly(p.num_vars, terms))
 
-    def num_x_vars(self) -> int:
-        return self.base.num_vars
-
     def degree(self) -> int:
         return self.base.total_degree()
 

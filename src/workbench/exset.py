@@ -158,7 +158,6 @@ class SubstitutionResult:
     M1: int
     M2: int
     B: SparsePoly                # polynomial in (L, T), axes-nonvanishing, squarefree
-    B_Lambda: LaurentBivar       # Laurent in L, polynomial in T, B_Lambda(0) != 0
 
     def roundtrip_holds(self) -> bool:
         """Exact identity: substituting L = X^n1 Y^n2, T = X^b Y^-a back into
@@ -196,7 +195,7 @@ def substitute(G: SparsePoly, pair: NormalizedPair) -> SubstitutionResult:
         raise InternalContradiction("T = 0 slice vanished after normalization")
     if B.is_constant():
         raise InternalContradiction("core polynomial is constant; monomial factor slipped through")
-    result = SubstitutionResult(pair, G1, M1, M2, B, b_lambda)
+    result = SubstitutionResult(pair, G1, M1, M2, B)
     if not result.roundtrip_holds():
         raise InternalContradiction("monomial substitution round-trip failed")
     if not is_squarefree(B):
@@ -230,11 +229,11 @@ def _strip_monic_squarefree(p: SparsePoly) -> SparsePoly:
     return canonical_scale(squarefree_part(p))
 
 
-def _roots_of(p: SparsePoly, tol: float) -> AlgebraicRoots:
+def _roots_of(p: SparsePoly) -> AlgebraicRoots:
     canon = _strip_monic_squarefree(p)
     if not canon or canon.is_constant():
         return AlgebraicRoots(canon, ())
-    return roots_certified(canon, tol)
+    return roots_certified(canon)
 
 
 @dataclass(frozen=True)
@@ -252,7 +251,7 @@ class BetaLoci:
                 yield name, idx, locus.defining_poly, root
 
 
-def beta_loci(sub: SubstitutionResult, tol: float = 1e-12) -> BetaLoci:
+def beta_loci(sub: SubstitutionResult) -> BetaLoci:
     """Compute the exceptional values attached to one substitution.
 
     The resultant is taken formally in L; the values L = 0 are never
@@ -266,10 +265,10 @@ def beta_loci(sub: SubstitutionResult, tol: float = 1e-12) -> BetaLoci:
     res_u = _as_univar(res, 0)
     if not res_u:
         raise InternalContradiction("resultant vanished identically; B not squarefree")
-    alphas = _roots_of(res_u, tol)
-    gammas = _roots_of(_as_univar(B.coeffs_in(1)[0], 0), tol)
+    alphas = _roots_of(res_u)
+    gammas = _roots_of(_as_univar(B.coeffs_in(1)[0], 0))
     lead = B.leading_coeff_in(1)
-    leading = _roots_of(_as_univar(lead, 0), tol) if not lead.is_constant() \
+    leading = _roots_of(_as_univar(lead, 0)) if not lead.is_constant() \
         else AlgebraicRoots(SparsePoly.one(1), ())
     return BetaLoci(alphas, gammas, leading)
 
@@ -281,7 +280,7 @@ def beta_loci(sub: SubstitutionResult, tol: float = 1e-12) -> BetaLoci:
 def _reverse_univar(p: SparsePoly) -> SparsePoly:
     """x^deg * p(1/x), canonically scaled; requires nonzero constant term."""
     deg = p.degree_in(0)
-    if not p.terms.get((0,) * p.num_vars if p.num_vars == 1 else (0,)):
+    if not p.terms.get((0,)):
         raise ValueError("reversal needs a nonzero constant term")
     return canonical_scale(SparsePoly(1, {(deg - e[0],): c for e, c in p.terms.items()}))
 
@@ -306,9 +305,6 @@ class BetaValue:
     def reciprocal(self) -> "BetaValue":
         return BetaValue(_reverse_univar(self.defining_poly),
                          _reciprocal_enclosure(self.enclosure))
-
-    def poly_key(self):
-        return tuple(sorted((e, str(c)) for e, c in self.defining_poly.terms.items()))
 
     def matches_constant(self, c: GaussRat, slack: float = 1e-9) -> bool:
         """Exact vanishing test plus enclosure containment."""
@@ -409,7 +405,7 @@ class ExceptionalSet:
 # construction
 # ---------------------------------------------------------------------------
 
-def delta_lines(G: SparsePoly, tol: float = 1e-12) -> list[CurveSpec]:
+def delta_lines(G: SparsePoly) -> list[CurveSpec]:
     """Linear curves from the top-degree forms of all three coordinate charts.
 
     For the chart that drops x_i, the binary form G|_{x_i = 0} factors into
@@ -421,17 +417,17 @@ def delta_lines(G: SparsePoly, tol: float = 1e-12) -> list[CurveSpec]:
     for i in range(3):
         j, k = [v for v in range(3) if v != i]
         form = G.substitute_var(i, GaussRat(0)).drop_var(i)
-        fact = factor_linear_forms(form, tol)
+        fact = factor_linear_forms(form)
         if fact.y_multiplicity:
             raise InternalContradiction(
                 "top form divisible by a coordinate; general position violated"
             )
+        slope_poly = canonical_scale(squarefree_part(fact.slopes.defining_poly))
+        e = [0, 0, 0]
+        e[j], e[k] = 1, -1
         for idx, root in enumerate(fact.slopes.roots):
-            e = [0, 0, 0]
-            e[j], e[k] = 1, -1
-            beta = BetaValue(canonical_scale(squarefree_part(fact.slopes.defining_poly)), root)
             out.append(CurveSpec(
-                kind="line", exponents=tuple(e), beta=beta,
+                kind="line", exponents=tuple(e), beta=BetaValue(slope_poly, root),
                 provenance=(Provenance(pair=(-1, 1), perm=(i, j, k), locus="delta",
                                        root_index=idx),),
             ))
@@ -451,7 +447,7 @@ _ALL_PERMS = tuple(itertools.permutations((0, 1, 2)))
 
 
 def build_W(G: SparsePoly, ell2: int | None = None,
-            eps: Fraction | None = None, tol: float = 1e-12) -> ExceptionalSet:
+            eps: Fraction | None = None) -> ExceptionalSet:
     """Assemble the exceptional set for a valid plane curve.
 
     Enumerates every normalized coprime pair with |n1| + |n2| <= ell2 and
@@ -470,10 +466,14 @@ def build_W(G: SparsePoly, ell2: int | None = None,
         ell2 = 2 * choose_m(Fraction(eps), 2, G.total_degree())
     curves: list[CurveSpec] = list(_coordinate_lines())
     for pair in enumerate_pairs(ell2):
+        # substitute and beta_loci depend only on (chart polynomial, pair),
+        # so charts with an equal polynomial are solved once
+        solved: dict[SparsePoly, BetaLoci] = {}
         for perm in _ALL_PERMS:
             chart_G = G.permute_vars(perm)
-            sub = substitute(chart_G, pair)
-            loci = beta_loci(sub, tol)
+            loci = solved.get(chart_G)
+            if loci is None:
+                loci = solved[chart_G] = beta_loci(substitute(chart_G, pair))
             base = (-(pair.n1 + pair.n2), pair.n1, pair.n2)
             exps = [0, 0, 0]
             for chart_pos, e in enumerate(base):
@@ -485,7 +485,7 @@ def build_W(G: SparsePoly, ell2: int | None = None,
                     provenance=(Provenance(pair=(pair.n1, pair.n2), perm=perm,
                                            locus=locus_name, root_index=idx),),
                 ))
-    curves.extend(delta_lines(G, tol))
+    curves.extend(delta_lines(G))
     return ExceptionalSet(_dedup(curves), G, ell2, Fraction(eps) if eps is not None else None)
 
 
@@ -493,7 +493,7 @@ def _exact_key(c: CurveSpec, oriented) -> tuple:
     if oriented is None:
         return ("coord", c.coord_index)
     e, beta = oriented
-    return ("rel", e, beta.poly_key(),
+    return ("rel", e, beta.defining_poly,
             (round(beta.enclosure.center.real, 9), round(beta.enclosure.center.imag, 9)))
 
 

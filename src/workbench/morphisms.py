@@ -31,6 +31,10 @@ from .errors import InternalContradiction, InvalidInput, NonProperIntersection
 # projective intersection points
 # ---------------------------------------------------------------------------
 
+# normalized points closer than this in every coordinate are one point
+_SAME_POINT_TOL = 1e-8
+
+
 @dataclass(frozen=True)
 class ProjectivePoint:
     """An intersection point, normalized so the largest coordinate is 1.
@@ -43,8 +47,8 @@ class ProjectivePoint:
     radius: float
     exact: tuple[GaussRat, GaussRat, GaussRat] | None = None
 
-    def close_to(self, other: "ProjectivePoint", tol: float = 1e-8) -> bool:
-        return max(abs(a - b) for a, b in zip(self.coords, other.coords)) <= tol
+    def close_to(self, other: "ProjectivePoint") -> bool:
+        return max(abs(a - b) for a, b in zip(self.coords, other.coords)) <= _SAME_POINT_TOL
 
 
 def _normalize_point(coords, radius, exact=None) -> ProjectivePoint:
@@ -96,7 +100,7 @@ def _mp_eval(p: SparsePoly, x, y):
     return acc
 
 
-def intersection_points(F: SparsePoly, G: SparsePoly, tol: float = 1e-12) -> list[ProjectivePoint]:
+def intersection_points(F: SparsePoly, G: SparsePoly) -> list[ProjectivePoint]:
     """Certified-enclosure intersection points of two plane curves.
 
     Raises NonProperIntersection when the curves share a component.  Points
@@ -126,7 +130,7 @@ def intersection_points(F: SparsePoly, G: SparsePoly, tol: float = 1e-12) -> lis
     else:
         h = gcd_poly(f0, g0, 0)
     if not h.is_constant():
-        fact = factor_linear_forms(h, tol)
+        fact = factor_linear_forms(h)
         for root in fact.slopes.roots:
             exact = None
             if root.exact is not None:
@@ -141,7 +145,7 @@ def intersection_points(F: SparsePoly, G: SparsePoly, tol: float = 1e-12) -> lis
     # affine chart x0 = 1
     f = F.substitute_var(0, GaussRat(1)).drop_var(0)
     g = G.substitute_var(0, GaussRat(1)).drop_var(0)
-    points.extend(_affine_intersections(f, g, tol))
+    points.extend(_affine_intersections(f, g))
     return points
 
 
@@ -149,7 +153,7 @@ def _univar_in(p: SparsePoly, var: int) -> SparsePoly:
     return SparsePoly(1, {(e[var],): c for e, c in p.terms.items()})
 
 
-def _affine_intersections(f: SparsePoly, g: SparsePoly, tol: float) -> list[ProjectivePoint]:
+def _affine_intersections(f: SparsePoly, g: SparsePoly) -> list[ProjectivePoint]:
     if f.is_constant() or g.is_constant():
         return []
     if f.degree_in(1) == 0 and g.degree_in(1) == 0:
@@ -168,7 +172,7 @@ def _affine_intersections(f: SparsePoly, g: SparsePoly, tol: float) -> list[Proj
     if res_x.is_constant():
         return []
     points = []
-    for root in roots_certified(res_x, tol).roots:
+    for root in roots_certified(res_x).roots:
         x0 = root.center
         fy = np.array([complex(c.eval([x0, 0])) for c in f.coeffs_in(1)][::-1])
         fy = np.trim_zeros(fy, "f")
@@ -324,7 +328,7 @@ class GeneralPositionReport:
         return self.in_general_position
 
 
-def general_position_check(curves: list[SparsePoly], tol: float = 1e-12) -> GeneralPositionReport:
+def general_position_check(curves: list[SparsePoly]) -> GeneralPositionReport:
     """No point may lie on three of the listed curves.
 
     For every pair the intersection points are enclosed and every other
@@ -333,7 +337,7 @@ def general_position_check(curves: list[SparsePoly], tol: float = 1e-12) -> Gene
     """
     violations = []
     for (i, F), (j, G) in itertools.combinations(enumerate(curves), 2):
-        pts = intersection_points(F, G, tol)
+        pts = intersection_points(F, G)
         for k, H in enumerate(curves):
             if k in (i, j):
                 continue
@@ -359,8 +363,7 @@ class TransversalityRecord:
     verdict: str  # transversal | tangential | undecided
 
 
-def transversality_check(F1: SparsePoly, F2: SparsePoly,
-                         tol: float = 1e-12) -> list[TransversalityRecord]:
+def transversality_check(F1: SparsePoly, F2: SparsePoly) -> list[TransversalityRecord]:
     """Decide transversality of two curves at each intersection point.
 
     The 2x2 Jacobian minor is evaluated in an affine chart containing the
@@ -369,7 +372,7 @@ def transversality_check(F1: SparsePoly, F2: SparsePoly,
     bounded away from zero reports undecided.
     """
     records = []
-    for p in intersection_points(F1, F2, tol):
+    for p in intersection_points(F1, F2):
         chart = max(range(3), key=lambda k: abs(p.coords[k]))
         rest = [v for v in range(3) if v != chart]
         f = F1.substitute_var(chart, GaussRat(1)).drop_var(chart)

@@ -11,7 +11,6 @@ the circle (spectrally accurate away from the kink set of log+).
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
@@ -21,16 +20,11 @@ import numpy as np
 from .algebra.euclid import canonical_scale, gcd_poly
 from .algebra.gaussrat import GaussRat
 from .algebra.poly import SparsePoly
-from .algebra.roots import AlgebraicRoots, RootEnclosure, roots_certified
+from .algebra.roots import RootEnclosure, roots_certified
 from .algebra.squarefree import squarefree_decompose
 from .errors import InvalidInput, QuadratureError
 
 INFINITY = float("inf")
-
-
-@functools.lru_cache(maxsize=1024)
-def _roots_cached(p: SparsePoly) -> AlgebraicRoots:
-    return roots_certified(p)
 
 
 def _univar(p: SparsePoly) -> SparsePoly:
@@ -191,7 +185,7 @@ class MeroFn:
         if self._divisor is None:
             out = []
             for poly, mult in self.factors:
-                for root in _roots_cached(poly).roots:
+                for root in roots_certified(poly).roots:
                     out.append((root, mult))
             object.__setattr__(self, "_divisor", out)
         return self._divisor
@@ -310,7 +304,7 @@ class LogDerivative:
         """Poles are exactly the distinct roots of the factor product (all simple)."""
         if self.den.is_constant():
             return []
-        return list(_roots_cached(canonical_scale(self.den)).roots)
+        return list(roots_certified(canonical_scale(self.den)).roots)
 
 
 def log_derivative(f: MeroFn) -> LogDerivative:
@@ -549,7 +543,7 @@ def common_zeros(f: MeroFn, g: MeroFn) -> list[tuple[complex, int]]:
     for q in basis:
         m = min(mult_in(f, q), mult_in(g, q))
         if m > 0:
-            points.extend((root.center, m) for root in _roots_cached(q).roots)
+            points.extend((root.center, m) for root in roots_certified(q).roots)
     return points
 
 
@@ -575,7 +569,7 @@ def jensen_log_average(p: SparsePoly, r: float) -> float:
         raise InvalidInput("zero polynomial")
     lead = p.terms[max(p.terms)]
     total = math.log(abs(complex(lead)))
-    for root in _roots_cached(canonical_scale(p)).roots:
+    for root in roots_certified(canonical_scale(p)).roots:
         total += root.multiplicity * math.log(max(r, abs(root.center)))
     return total
 

@@ -288,7 +288,6 @@ def test_substitution_result_invariants():
     # B polynomial, nonvanishing along both axes, squarefree (asserted inside)
     assert s.B.coeffs_in(1)[0]
     assert s.B.coeffs_in(0)[0]
-    assert s.B_Lambda.coeff_of_axis0(s.B_Lambda.min_exp(0))
 
 
 def test_dedup_merges_provenance_across_loci():
@@ -307,3 +306,18 @@ def test_build_W_orients_each_raw_curve_at_most_once(monkeypatch):
     W = build_W(sphere(), ell2=3)
     raw = sum(len(c.provenance) for c in W.curves)
     assert 0 < len(calls) <= raw
+
+
+def quartic():
+    x0, x1, x2 = variables(3)
+    return x0**4 + x1**4 + x2**4 + x0 * x1 * x2**2
+
+
+@pytest.mark.parametrize("curve, ell2, charts", [
+    (sphere, 3, 1),   # all six charts of the sphere are one polynomial
+    (quartic, 2, 3),  # the quartic has three distinct charts of six
+])
+def test_build_W_solves_each_distinct_chart_once_per_pair(monkeypatch, curve, ell2, charts):
+    calls = count_calls(monkeypatch, exset, "beta_loci")
+    build_W(curve(), ell2=ell2)
+    assert len(calls) == charts * len(enumerate_pairs(ell2))

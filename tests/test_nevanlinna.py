@@ -5,6 +5,7 @@ import pytest
 from workbench import nevanlinna
 from workbench.algebra.gaussrat import GaussRat
 from workbench.algebra.poly import SparsePoly
+from workbench.algebra.roots import roots_certified
 from workbench.errors import InvalidInput
 from workbench.nevanlinna import (
     MeroFn,
@@ -242,13 +243,13 @@ def test_operators_on_canonical_operands_do_not_decompose(monkeypatch):
 
 
 def test_root_cache_is_bounded_and_hits_on_equal_polynomials():
-    info = nevanlinna._roots_cached.cache_info()
+    info = roots_certified.cache_info()
     assert info.maxsize is not None and info.maxsize > 0
     p = z() ** 3 - 11 * z() + 13
     MeroFn.from_poly(p).divisor()
-    before = nevanlinna._roots_cached.cache_info()
+    before = roots_certified.cache_info()
     # a fresh object caches no divisor of its own, so this goes to the root cache
     MeroFn.from_poly(z() ** 3 - 11 * z() + 13).divisor()
-    after = nevanlinna._roots_cached.cache_info()
+    after = roots_certified.cache_info()
     assert after.hits == before.hits + 1
     assert after.misses == before.misses

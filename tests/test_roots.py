@@ -5,6 +5,7 @@ import pytest
 from workbench.algebra.gaussrat import GaussRat
 from workbench.algebra.poly import SparsePoly, random_poly
 from workbench.algebra.roots import (
+    ENCLOSURE_RADIUS,
     cauchy_root_bound,
     factor_linear_forms,
     roots_certified,
@@ -50,12 +51,12 @@ def test_multiplicity_sum_equals_degree(rng):
 
 def test_residual_bound(rng):
     # |f(center)| <= |lc| * tol * (2B)^(deg-1) with B the Cauchy bound
-    tol = 1e-12
+    tol = ENCLOSURE_RADIUS
     for _ in range(15):
         f = random_poly(rng, 1, 4, max_terms=4, coeff_range=4)
         if not f or f.degree_in(0) < 1:
             continue
-        roots = roots_certified(f, tol=tol)
+        roots = roots_certified(f)
         lc = abs(complex(f.terms[max(f.terms)]))
         B = cauchy_root_bound(f)
         bound = lc * tol * (2 * B) ** max(f.degree_in(0) - 1, 0)
