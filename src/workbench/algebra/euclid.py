@@ -1,28 +1,18 @@
 """Division, gcd, and resultant machinery for exact sparse polynomials.
 
 Everything here is fraction-free: pseudo-division plus the subresultant
-sequence keep all intermediate values inside the coefficient domain, and
-determinants use Bareiss elimination with exact divisions.  The resultant
-sign convention is fixed once and for all as the determinant of the
-Sylvester matrix with the rows of the first argument on top.
+sequence keep all intermediate values inside the coefficient domain.  One
+subresultant PRS serves both the gcd (its last nonzero element) and the
+resultant (its degree-zero element).  The resultant sign convention is fixed
+once and for all as the determinant of the Sylvester matrix with the rows of
+the first argument on top.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from ..errors import InvalidInput
 from .gaussrat import GaussRat
 from .poly import SparsePoly
-
-
-def coeff_exact_div(a, b):
-    """Exact division in the coefficient domain (field or nested polynomials)."""
-    if isinstance(a, GaussRat):
-        return a / (b if isinstance(b, GaussRat) else GaussRat.coerce(b))
-    if isinstance(a, (int, Fraction)):
-        return GaussRat(a) / GaussRat.coerce(b)
-    return a.exact_div(b)
 
 
 # ---------------------------------------------------------------------------
@@ -72,8 +62,7 @@ def canonical_scale(p: SparsePoly) -> SparsePoly:
     lead = p.terms[max(p.terms)]
     if isinstance(lead, GaussRat):
         return p.scale(GaussRat(1) / lead)
-    # nested coefficients: recurse into the lex-leading scalar
-    return p  # nested polys are left primitive instead
+    return p  # nested coefficients: left as they are, not scaled
 
 def content_in(p: SparsePoly, var: int) -> SparsePoly:
     """gcd of the coefficients of p viewed in ``var`` (a var-free polynomial)."""
@@ -90,32 +79,33 @@ def primitive_part_in(p: SparsePoly, var: int) -> SparsePoly:
     return canonical_scale(p.exact_div(c))
 
 
-def _subresultant_last(f: SparsePoly, g: SparsePoly, var: int) -> SparsePoly:
-    """Last nonzero element of the subresultant PRS of f, g in ``var``.
+def _subresultant_prs(f: SparsePoly, g: SparsePoly, var: int):
+    """Subresultant PRS of f, g in ``var`` by Cohen's (g, h) recurrence.
 
-    Inputs must be primitive in ``var`` with deg f >= deg g >= 1.
+    Inputs must satisfy deg f >= deg g >= 1.  The run stops at the first
+    zero remainder or degree-zero element and returns ``(last, prev, h,
+    sign)``: the last nonzero element, the element before it, the
+    subresultant scale h reached with ``last``, and the product of
+    (-1)^(deg a * deg b) over the pseudo-divisions prem(a, b) taken.
     """
     one = SparsePoly.one(f.num_vars)
-    delta = f.degree_in(var) - g.degree_in(var)
-    beta = -one if delta % 2 == 0 else one
-    psi = -one
+    lead, h, sign = one, one, 1
     while True:
+        da, db = f.degree_in(var), g.degree_in(var)
+        if db == 0:
+            return g, f, h, sign
+        if da % 2 and db % 2:
+            sign = -sign
         rem = pseudo_rem(f, g, var)
         if not rem:
-            return g
-        rem = rem.exact_div(beta)
-        d_new = g.degree_in(var) - rem.degree_in(var)
-        lc = g.leading_coeff_in(var)
-        if delta == 0:
-            psi_new = psi
-        else:
-            num = (-lc) ** delta
-            psi_new = num.exact_div(psi ** (delta - 1)) if delta > 1 else num
-        beta = (-lc) * psi_new**d_new
-        f, g, psi, delta = g, rem, psi_new, d_new
-        if g.degree_in(var) == 0:
-            # one more pseudo-division would only produce zero
-            return g
+            return g, f, h, sign
+        delta = da - db
+        f, g = g, rem.exact_div(lead * h**delta)
+        lead = f.leading_coeff_in(var)
+        if delta == 1:
+            h = lead
+        elif delta > 1:
+            h = (lead**delta).exact_div(h ** (delta - 1))
 
 
 def gcd_poly(f: SparsePoly, g: SparsePoly, main_var: int | None = None) -> SparsePoly:
@@ -147,7 +137,7 @@ def gcd_poly(f: SparsePoly, g: SparsePoly, main_var: int | None = None) -> Spars
     cont = gcd_poly(cf, cg)
     if pf.degree_in(main_var) < pg.degree_in(main_var):
         pf, pg = pg, pf
-    last = _subresultant_last(pf, pg, main_var)
+    last = _subresultant_prs(pf, pg, main_var)[0]
     if last.degree_in(main_var) == 0:
         return canonical_scale(cont)
     return canonical_scale(cont * primitive_part_in(last, main_var))
@@ -186,54 +176,15 @@ def monomial_variables(p: SparsePoly) -> list[int]:
 # resultants
 # ---------------------------------------------------------------------------
 
-def bareiss_determinant(matrix: list[list], one):
-    """Fraction-free determinant of a square matrix over an integral domain."""
-    n = len(matrix)
-    if n == 0:
-        return one
-    zero = one - one
-    m = [row[:] for row in matrix]
-    sign = 1
-    prev = one
-    for k in range(n - 1):
-        if not m[k][k]:
-            pivot = next((r for r in range(k + 1, n) if m[r][k]), None)
-            if pivot is None:
-                return zero
-            m[k], m[pivot] = m[pivot], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                val = m[k][k] * m[i][j] - m[i][k] * m[k][j]
-                m[i][j] = coeff_exact_div(val, prev)
-            m[i][k] = zero
-        prev = m[k][k]
-    det = m[n - 1][n - 1]
-    return det if sign > 0 else -det
-
-
-def sylvester_matrix(f_coeffs: list, g_coeffs: list, zero):
-    """Sylvester matrix from ascending coefficient lists (f rows on top)."""
-    n = len(f_coeffs) - 1
-    m = len(g_coeffs) - 1
-    size = n + m
-    fd = list(reversed(f_coeffs))
-    gd = list(reversed(g_coeffs))
-    rows = []
-    for i in range(m):
-        rows.append([zero] * i + fd + [zero] * (size - n - 1 - i))
-    for i in range(n):
-        rows.append([zero] * i + gd + [zero] * (size - m - 1 - i))
-    return rows
-
-
 def resultant(f: SparsePoly, g: SparsePoly, var: int) -> SparsePoly:
     """Resultant of f and g with respect to one variable.
 
-    Computed as the determinant of the Sylvester matrix with the rows of f
-    first, which fixes the sign convention.  The result is a polynomial in
-    the remaining variables (with ``var`` no longer occurring).  Degree-zero
-    inputs follow the leading-power convention Res(c, g) = c^deg(g).
+    Read off the degree-zero element of the subresultant PRS, with the sign
+    of the Sylvester determinant whose rows of f come first.  The result is
+    a polynomial in the remaining variables (with ``var`` no longer
+    occurring); it is zero exactly when f and g share a factor of positive
+    degree in ``var``.  Degree-zero inputs follow the leading-power
+    convention Res(c, g) = c^deg(g).
     """
     if not f and not g:
         raise InvalidInput("resultant requires inputs not both zero")
@@ -246,8 +197,12 @@ def resultant(f: SparsePoly, g: SparsePoly, var: int) -> SparsePoly:
         return f**m
     if m == 0:
         return g**n
-    fc = f.coeffs_in(var)
-    gc = g.coeffs_in(var)
-    zero = SparsePoly.zero(f.num_vars)
-    mat = sylvester_matrix(fc, gc, zero)
-    return bareiss_determinant(mat, SparsePoly.one(f.num_vars))
+    sign = 1
+    if n < m:
+        f, g, sign = g, f, (-1) ** (n * m)
+    last, prev, h, prs_sign = _subresultant_prs(f, g, var)
+    if last.degree_in(var) > 0:
+        return SparsePoly.zero(f.num_vars)
+    d = prev.degree_in(var)
+    res = last**d if d == 1 else (last**d).exact_div(h ** (d - 1))
+    return res if sign * prs_sign > 0 else -res

@@ -342,8 +342,6 @@ class SparsePoly:
         self._check_compatible(other)
         if not other:
             raise ZeroDivisionError("division by zero polynomial")
-        from .euclid import coeff_exact_div
-
         rem = self
         quot: dict[Expo, object] = {}
         lead_e = other._lex_leading()
@@ -353,7 +351,8 @@ class SparsePoly:
             diff = tuple(a - b for a, b in zip(e, lead_e))
             if any(d < 0 for d in diff):
                 raise ValueError("not exactly divisible")
-            q = coeff_exact_div(rem.terms[e], lead_c)
+            c = rem.terms[e]
+            q = c / lead_c if isinstance(c, GaussRat) else c.exact_div(lead_c)
             quot[diff] = q
             rem = rem - SparsePoly(self.num_vars, {diff: q}) * other
         return SparsePoly(self.num_vars, quot)

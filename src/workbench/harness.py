@@ -242,6 +242,10 @@ def _jensen_counting(fn: ExpSumFn, r: float) -> float:
 # scenarios
 # ---------------------------------------------------------------------------
 
+# (r_min, r_max, count) of the log-spaced grid when a scenario sets no "grid"
+_DEFAULT_GRID = (2.0, 200.0, 21)
+
+
 @dataclass
 class Scenario:
     name: str
@@ -252,8 +256,8 @@ class Scenario:
     polys: tuple[SparsePoly, ...] = ()
     params: dict = field(default_factory=dict)
 
-    def grid(self, default=(2.0, 200.0, 21)) -> RadiusGrid:
-        rmin, rmax, count = self.params.get("grid", default)
+    def grid(self) -> RadiusGrid:
+        rmin, rmax, count = self.params.get("grid", _DEFAULT_GRID)
         return RadiusGrid.log_spaced(float(rmin), float(rmax), int(count))
 
     def eps(self) -> Fraction:
@@ -537,7 +541,7 @@ def gcd_bound_check(F: SparsePoly, G: SparsePoly, curve, eps: Fraction,
     notes: list[str] = []
     ell = int(params["ell"]) if "ell" in params else None
     _validate_curve_tuple(curve, notes, ell)
-    grid = (grid or RadiusGrid.log_spaced(2.0, 200.0, 21)).perturbed_for(list(curve))
+    grid = (grid or RadiusGrid.log_spaced(*_DEFAULT_GRID)).perturbed_for(list(curve))
     r_pass = _r_pass(params, grid)
 
     Fg = eval_poly_on_tuple(F, tuple(curve))

@@ -11,6 +11,7 @@ the circle (spectrally accurate away from the kink set of log+).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
@@ -335,15 +336,13 @@ class RadiusGrid:
     """Log-spaced evaluation radii, kept clear of divisor moduli."""
 
     points: tuple[float, ...]
-    quadrature_order: int = 256
 
     @staticmethod
-    def log_spaced(r_min: float, r_max: float, count: int,
-                   quadrature_order: int = 256) -> "RadiusGrid":
+    def log_spaced(r_min: float, r_max: float, count: int) -> "RadiusGrid":
         if r_min <= 0 or r_max <= r_min or count < 2:
             raise InvalidInput("need 0 < r_min < r_max and count >= 2")
         pts = np.exp(np.linspace(math.log(r_min), math.log(r_max), count))
-        return RadiusGrid(tuple(float(p) for p in pts), quadrature_order)
+        return RadiusGrid(tuple(float(p) for p in pts))
 
     def perturbed_for(self, fns: Sequence[MeroFn]) -> "RadiusGrid":
         """Nudge any point that collides with a zero/pole modulus."""
@@ -359,21 +358,26 @@ class RadiusGrid:
                     break
                 q *= 1.0 + _PERTURB
             pts.append(q)
-        return RadiusGrid(tuple(pts), self.quadrature_order)
+        return RadiusGrid(tuple(pts))
 
 
 # ---------------------------------------------------------------------------
 # quadrature
 # ---------------------------------------------------------------------------
 
+_ABS_TOL = 1e-8
+_REL_TOL = 1e-9
+_START_ORDER = 256
+_MAX_ORDER = 1 << 21
+
+
 def circle_average(logabs: Callable[[np.ndarray], np.ndarray], r: float,
-                   abs_tol: float = 1e-8, rel_tol: float = 1e-9,
-                   start_order: int = 256, max_order: int = 1 << 21,
                    positive_part: bool = True) -> tuple[float, float]:
     """Adaptive trapezoid average of (log+|f|) over the circle |z| = r.
 
-    Doubles the node count until two successive refinements agree within
-    max(abs_tol, rel_tol * |value|); returns (value, error_estimate).
+    Doubles the node count from _START_ORDER until two successive
+    refinements agree within max(_ABS_TOL, _REL_TOL * |value|); returns
+    (value, error_estimate).
     Raises QuadratureError with the best estimate when the cap is reached.
     """
     def sample(theta: np.ndarray) -> np.ndarray:
@@ -382,11 +386,11 @@ def circle_average(logabs: Callable[[np.ndarray], np.ndarray], r: float,
             vals = np.maximum(vals, 0.0)
         return np.nan_to_num(vals, neginf=0.0 if positive_part else -1e30)
 
-    n = start_order
+    n = _START_ORDER
     theta = np.linspace(0.0, 2 * math.pi, n, endpoint=False)
     est = float(np.mean(sample(theta)))
     hits = 0
-    while n < max_order:
+    while n < _MAX_ORDER:
         theta_new = theta + math.pi / n
         est_new = 0.5 * (est + float(np.mean(sample(theta_new))))
         err = abs(est_new - est)
@@ -396,7 +400,7 @@ def circle_average(logabs: Callable[[np.ndarray], np.ndarray], r: float,
         theta = merged
         n *= 2
         est = est_new
-        if err <= max(abs_tol, rel_tol * abs(est)):
+        if err <= max(_ABS_TOL, _REL_TOL * abs(est)):
             hits += 1
             if hits >= 2:
                 return est, err
@@ -455,16 +459,16 @@ def _log_counting(points: Iterable[tuple[complex, float]], r: float) -> float:
     return total
 
 
-def proximity_m(f: MeroFn, r: float, abs_tol: float = 1e-8) -> float:
+def proximity_m(f: MeroFn, r: float) -> float:
     """Circle average of log+ |f|."""
     if f.is_zero():
         return 0.0
     _check_radius(f, r)
-    value, _ = circle_average(f.log_abs, r, abs_tol=abs_tol)
+    value, _ = circle_average(f.log_abs, r)
     return value
 
 
-def characteristic_T(f, r: float, abs_tol: float = 1e-8) -> float:
+def characteristic_T(f, r: float) -> float:
     """Nevanlinna characteristic.
 
     For a single class function: T = m(infinity, r) + N(poles, r).  For a
@@ -472,11 +476,11 @@ def characteristic_T(f, r: float, abs_tol: float = 1e-8) -> float:
     circle average of log max_i |f_i|.
     """
     if isinstance(f, MeroFn):
-        return proximity_m(f, r, abs_tol) + counting_N(f, "pole", r)
+        return proximity_m(f, r) + counting_N(f, "pole", r)
     fns = list(f)
     if all(g.is_zero() for g in fns):
         raise InvalidInput("all components vanish")
-    _validate_no_common_zeros(fns)
+    _validate_no_common_zeros(tuple(fns))
     for g in fns:
         if not g.is_zero():
             # individual zeros on the circle are harmless under log-max;
@@ -492,7 +496,7 @@ def characteristic_T(f, r: float, abs_tol: float = 1e-8) -> float:
             acc = vals if acc is None else np.maximum(acc, vals)
         return acc
 
-    value, _ = circle_average(logmax, r, abs_tol=abs_tol, positive_part=False)
+    value, _ = circle_average(logmax, r, positive_part=False)
     return value
 
 
@@ -504,7 +508,14 @@ def _zero_poly(f: MeroFn) -> SparsePoly:
     return acc
 
 
-def _validate_no_common_zeros(fns: Sequence[MeroFn]):
+@functools.lru_cache(maxsize=256)
+def _validate_no_common_zeros(fns: tuple[MeroFn, ...]):
+    """Raise unless the components share no zero; runs once per tuple.
+
+    The check depends on the tuple only, not on the radius, so a grid of
+    radii validates it once.  An InvalidInput is never cached: a tuple that
+    fails raises again on every call.
+    """
     polys = []
     for g in fns:
         if g.is_zero():
@@ -554,12 +565,12 @@ def gcd_counting(f: MeroFn, g: MeroFn, r: float) -> float:
     return _log_counting(common_zeros(f, g), r)
 
 
-def log_derivative_T(ld: LogDerivative, r: float, abs_tol: float = 1e-8) -> float:
+def log_derivative_T(ld: LogDerivative, r: float) -> float:
     """Characteristic of f'/f: proximity plus the (simple) pole counting."""
     for root in ld.pole_enclosures():
         if abs(abs(root.center) - r) <= _CIRCLE_TOL * max(1.0, r):
             raise InvalidInput(f"pole of f'/f on the circle r={r}; perturb the grid")
-    m, _ = circle_average(ld.log_abs, r, abs_tol=abs_tol)
+    m, _ = circle_average(ld.log_abs, r)
     return m + _log_counting(((root.center, 1) for root in ld.pole_enclosures()), r)
 
 

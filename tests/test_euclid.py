@@ -10,6 +10,7 @@ from workbench.algebra.euclid import (
     gcd_poly,
     is_squarefree,
     monomial_variables,
+    pseudo_rem,
     resultant,
 )
 from workbench.algebra.gaussrat import GaussRat
@@ -42,10 +43,10 @@ def test_resultant_discriminant_shape():
     assert r == expected
 
 
-def _sympy_sylvester_det(f, g, Ls):
+def _sympy_sylvester_det(f, g, syms, var=1):
     """Independent oracle: the Sylvester determinant with f rows on top."""
-    fc = [to_sympy(c, (Ls,)) for c in f.coeffs_in(1)]
-    gc = [to_sympy(c, (Ls,)) for c in g.coeffs_in(1)]
+    fc = [to_sympy(c, syms) for c in f.coeffs_in(var)]
+    gc = [to_sympy(c, syms) for c in g.coeffs_in(var)]
     n, m = len(fc) - 1, len(gc) - 1
     size = n + m
     rows = []
@@ -65,7 +66,7 @@ def test_resultant_against_sylvester_determinant_oracle(rng):
         if not f or not g or f.degree_in(1) < 1 or g.degree_in(1) < 1:
             continue
         ours = resultant(f, g, var=1)
-        assert to_sympy(ours, (Ls, Ts)) == _sympy_sylvester_det(f, g, Ls)
+        assert to_sympy(ours, (Ls, Ts)) == _sympy_sylvester_det(f, g, (Ls, Ts))
         # sympy's resultant agrees up to the orientation sign
         theirs = sympy.expand(
             sympy.resultant(to_sympy(f, (Ls, Ts)), to_sympy(g, (Ls, Ts)), Ts)
@@ -73,6 +74,36 @@ def test_resultant_against_sylvester_determinant_oracle(rng):
         assert to_sympy(ours, (Ls, Ts)) in (theirs, sympy.expand(-theirs))
         checked += 1
     assert checked >= 10
+
+    L, T = variables(2)
+    # deg f < deg g, both odd: swapping the arguments contributes (-1)^(3*5)
+    f, g = T**3 + L * T + 1, T**5 - L**2 * T**2 + 3
+    assert resultant(f, g, 1) == -resultant(g, f, 1)
+    # sparse pair whose PRS drops degree 5 -> 2 (a defective step) after a
+    # non-monic step, so the scale h is not 1 when the step is taken
+    f2, g2 = T**6 + T**2 + 1, L * T**5 + 1
+    assert pseudo_rem(f2, g2, 1).degree_in(1) < g2.degree_in(1) - 1
+    # a shared factor of positive degree in T
+    c = T**2 + L * T - 2
+    f3, g3 = (T + L) * c, (T**3 - 1) * c
+    for f, g in ((f, g), (g, f), (f2, g2), (g2, f2), (f3, g3)):
+        ours = resultant(f, g, var=1)
+        assert to_sympy(ours, (Ls, Ts)) == _sympy_sylvester_det(f, g, (Ls, Ts))
+    assert not resultant(f3, g3, var=1)
+
+    # three variables: coefficients in T are polynomials in L and M
+    syms = sympy.symbols("L M T")
+    checked = 0
+    for _ in range(12):
+        f = random_poly(rng, 3, 2, max_terms=4, coeff_range=3)
+        g = random_poly(rng, 3, 2, max_terms=4, coeff_range=3)
+        if f.degree_in(2) < 1 or g.degree_in(2) < 1:
+            continue
+        ours = resultant(f, g, var=2)
+        assert ours.degree_in(2) <= 0
+        assert to_sympy(ours, syms) == _sympy_sylvester_det(f, g, syms, var=2)
+        checked += 1
+    assert checked >= 4
 
 
 def test_resultant_degree_zero_convention():

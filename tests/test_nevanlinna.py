@@ -108,6 +108,22 @@ def test_tuple_common_zero_rejected():
         characteristic_T((MeroFn.from_poly(t), MeroFn.from_poly(t**2)), 2.0)
 
 
+def test_tuple_validated_once_over_grid(monkeypatch):
+    # the common-zero check depends on the tuple, not on r: one gcd chain for
+    # a whole grid of radii, while a failing tuple raises on every call
+    nevanlinna._validate_no_common_zeros.cache_clear()
+    calls = count_calls(monkeypatch, nevanlinna, "_zero_poly")
+    t = z()
+    tup = (MeroFn.from_poly(t - 3), MeroFn.from_poly(t**2 + 5), MeroFn.constant(1))
+    for r in (2.0, 4.0, 8.0):
+        characteristic_T(tup, r)
+    assert len(calls) == len(tup)
+    bad = (MeroFn.from_poly(t), MeroFn.from_poly(t**2))
+    for r in (2.0, 4.0):
+        with pytest.raises(InvalidInput):
+            characteristic_T(bad, r)
+
+
 def test_first_main_theorem_bound():
     # |T_f - T_{1/f}| equals log of the leading coefficient at the origin
     t = z()
