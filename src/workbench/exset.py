@@ -183,6 +183,11 @@ def substitute(G: SparsePoly, pair: NormalizedPair) -> SubstitutionResult:
     asserts squarefreeness of the core polynomial B.
     """
     validate_curve(G)
+    return _substitute(G, pair)
+
+
+def _substitute(G: SparsePoly, pair: NormalizedPair) -> SubstitutionResult:
+    """``substitute`` for a curve that already passed ``validate_curve``."""
     G1 = dehomogenize(G)
     image = LaurentBivar.from_poly(G1).substitute_monomials(
         (pair.a, pair.n2), (pair.b, -pair.n1)
@@ -413,6 +418,11 @@ def delta_lines(G: SparsePoly) -> list[CurveSpec]:
     and nonzero.
     """
     validate_curve(G)
+    return _delta_lines(G)
+
+
+def _delta_lines(G: SparsePoly) -> list[CurveSpec]:
+    """``delta_lines`` for a curve that already passed ``validate_curve``."""
     out = []
     for i in range(3):
         j, k = [v for v in range(3) if v != i]
@@ -457,7 +467,8 @@ def build_W(G: SparsePoly, ell2: int | None = None,
     lines, and deduplicates; dedup keys are exact (defining polynomial plus
     root) with an enclosure-overlap merge pass across distinct polynomials.
     When ``ell2`` is omitted it defaults to twice the working degree chosen
-    for ``eps``.
+    for ``eps``.  G is validated once; a permutation of the variables keeps
+    every hypothesis, so the charts are not validated again.
     """
     validate_curve(G)
     if ell2 is None:
@@ -473,7 +484,7 @@ def build_W(G: SparsePoly, ell2: int | None = None,
             chart_G = G.permute_vars(perm)
             loci = solved.get(chart_G)
             if loci is None:
-                loci = solved[chart_G] = beta_loci(substitute(chart_G, pair))
+                loci = solved[chart_G] = beta_loci(_substitute(chart_G, pair))
             base = (-(pair.n1 + pair.n2), pair.n1, pair.n2)
             exps = [0, 0, 0]
             for chart_pos, e in enumerate(base):
@@ -485,7 +496,7 @@ def build_W(G: SparsePoly, ell2: int | None = None,
                     provenance=(Provenance(pair=(pair.n1, pair.n2), perm=perm,
                                            locus=locus_name, root_index=idx),),
                 ))
-    curves.extend(delta_lines(G))
+    curves.extend(_delta_lines(G))
     return ExceptionalSet(_dedup(curves), G, ell2, Fraction(eps) if eps is not None else None)
 
 

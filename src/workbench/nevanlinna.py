@@ -4,15 +4,25 @@ The class is scalar * prod_k p_k(z)^{m_k} * exp(Q(z)) with exact Gaussian
 rational data: polynomial factors with integer (possibly negative)
 multiplicities and a polynomial exponent.  It is closed under product,
 quotient and integer powers, and the zero/pole divisor is fully determined
-by the factored form, which makes counting functions exact.  Proximity and
-characteristic functions are computed by adaptive trapezoid quadrature on
-the circle (spectrally accurate away from the kink set of log+).
+by the factored form, which makes counting functions exact.
+
+Proximity and characteristic functions take one of two routes.  When log|f|
+is affine in z, that is f = c exp(lam z + mu) with no polynomial factors, the
+circle average of log+|f| (and of log max_i |f_i| for a tuple of such
+functions) is computed exactly, arc by arc between the angles where two terms
+cross (``max_affine_average``).  Everything else (exp(z^2), polynomial
+factors, logarithmic derivatives, exp-sums) goes through adaptive trapezoid
+quadrature on the circle (``circle_average``; spectrally accurate away from
+the kink set of log+).
 """
 
 from __future__ import annotations
 
+import cmath
 import functools
+import itertools
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -411,6 +421,55 @@ def circle_average(logabs: Callable[[np.ndarray], np.ndarray], r: float,
     )
 
 
+def _exp_affine(f: MeroFn) -> tuple[float, complex] | None:
+    """(b, lam) with log|f(z)| = b + Re(lam z) when f = c exp(lam z + mu), else None.
+
+    b = log|c| + Re mu; ``f`` must be nonzero.
+    """
+    if f.factors or f.exp_part.degree_in(0) > 1:
+        return None
+    mu, lam = (f.exp_part.terms.get((k,), GaussRat(0)) for k in (0, 1))
+    return math.log(abs(complex(f.scalar))) + float(mu.re), complex(lam)
+
+
+def _affine_breaks(terms: Sequence[tuple[float, complex]], r: float) -> list[float]:
+    """Sorted angles in [0, 2 pi] where two terms b + Re(lam r e^{it}) meet.
+
+    Terms i, j meet where (b_i - b_j) + |D| cos(t + arg D) = 0 with
+    D = (lam_i - lam_j) r: at most two angles per pair.
+    """
+    out = set()
+    for (bi, li), (bj, lj) in itertools.combinations(terms, 2):
+        d = (li - lj) * r
+        a = abs(d)
+        if a == 0 or abs(bi - bj) > a:
+            continue
+        phi, arg = math.acos(-(bi - bj) / a), cmath.phase(d)
+        out.update(((phi - arg) % (2 * math.pi), (-phi - arg) % (2 * math.pi)))
+    return sorted(out)
+
+
+def max_affine_average(terms: Sequence[tuple[float, complex]], r: float) -> tuple[float, float]:
+    """Exact average of max_i (b_i + Re(lam_i z)) over the circle |z| = r.
+
+    Between consecutive breakpoints one term is maximal; it is picked at the
+    arc's midpoint and integrated in closed form,
+    b (t1 - t0) + Im(lam r (e^{i t1} - e^{i t0})).  Returns (value, error)
+    like ``circle_average``; the error bounds float rounding (a few ulps of
+    max_i (|b_i| + |lam_i| r) per arc), not a quadrature error.
+    """
+    ws = [(b, lam * r) for b, lam in terms]
+    breaks = _affine_breaks(terms, r)
+    edges = breaks + [breaks[0] + 2 * math.pi] if breaks else [0.0, 2 * math.pi]
+    total = 0.0
+    for t0, t1 in zip(edges, edges[1:]):
+        mid = cmath.exp(0.5j * (t0 + t1))
+        b, w = max(ws, key=lambda bw: bw[0] + (bw[1] * mid).real)
+        total += b * (t1 - t0) + (w * (cmath.exp(1j * t1) - cmath.exp(1j * t0))).imag
+    scale = max(abs(b) + abs(w) for b, w in ws)
+    return total / (2 * math.pi), 4 * sys.float_info.epsilon * scale * (len(edges) - 1)
+
+
 # ---------------------------------------------------------------------------
 # the functionals
 # ---------------------------------------------------------------------------
@@ -460,11 +519,16 @@ def _log_counting(points: Iterable[tuple[complex, float]], r: float) -> float:
 
 
 def proximity_m(f: MeroFn, r: float) -> float:
-    """Circle average of log+ |f|."""
+    """Circle average of log+ |f|; exact when f is exp-affine."""
     if f.is_zero():
         return 0.0
     _check_radius(f, r)
-    value, _ = circle_average(f.log_abs, r)
+    affine = _exp_affine(f)
+    if affine is not None:
+        # log+ |f| = max(log |f|, 0)
+        value, _ = max_affine_average([affine, (0.0, 0j)], r)
+    else:
+        value, _ = circle_average(f.log_abs, r)
     return value
 
 
@@ -473,7 +537,8 @@ def characteristic_T(f, r: float) -> float:
 
     For a single class function: T = m(infinity, r) + N(poles, r).  For a
     tuple (projective curve given by components without common zeros) the
-    circle average of log max_i |f_i|.
+    circle average of log max_i |f_i|, exact when every nonzero component is
+    exp-affine.
     """
     if isinstance(f, MeroFn):
         return proximity_m(f, r) + counting_N(f, "pole", r)
@@ -486,6 +551,10 @@ def characteristic_T(f, r: float) -> float:
             # individual zeros on the circle are harmless under log-max;
             # only poles would poison the average
             _check_radius(g, r, which="pole")
+    affine = [_exp_affine(g) for g in fns if not g.is_zero()]
+    if None not in affine:
+        value, _ = max_affine_average(affine, r)
+        return value
 
     def logmax(zs):
         acc = None

@@ -321,3 +321,17 @@ def test_build_W_solves_each_distinct_chart_once_per_pair(monkeypatch, curve, el
     calls = count_calls(monkeypatch, exset, "beta_loci")
     build_W(curve(), ell2=ell2)
     assert len(calls) == charts * len(enumerate_pairs(ell2))
+
+
+@pytest.mark.parametrize("curve", [sphere, quartic])
+def test_build_W_validates_the_curve_once(monkeypatch, curve):
+    calls = count_calls(monkeypatch, exset, "validate_curve")
+    build_W(curve(), ell2=3)
+    assert len(calls) == 1
+    # the public steps still validate their input themselves
+    x0, x1, _ = variables(3)
+    with pytest.raises(InvalidInput):
+        substitute(x0**2 + x1**2, normalize_pair(0, 1))
+    with pytest.raises(InvalidInput):
+        delta_lines(x0**2 + x1**2)
+    assert len(calls) == 3

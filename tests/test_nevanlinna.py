@@ -269,3 +269,140 @@ def test_root_cache_is_bounded_and_hits_on_equal_polynomials():
     after = roots_certified.cache_info()
     assert after.hits == before.hits + 1
     assert after.misses == before.misses
+
+
+# ---------------------------------------------------------------------------
+# exact circle averages of exp-affine functions and tuples
+# ---------------------------------------------------------------------------
+
+def exp_affine(c, lam, mu=0):
+    """c * exp(lam z + mu) as a class function."""
+    t = z()
+    return MeroFn(scalar=c, exp_part=t.scale(GaussRat.coerce(lam)) + SparsePoly.constant(mu, 1))
+
+
+def test_exact_proximity_of_exp_affine_functions():
+    # m(r, c e^{lam z + mu}) with a = |lam| r, b = log|c| + Re mu
+    cases = [(GaussRat(1, -5), GaussRat(2, 1), 0, 200.0), (3, GaussRat(0, -1), 1, 2.5),
+             (GaussRat(1, 7), 1, GaussRat(-2, 3), 0.5), (1, 2, 9, 4.0), (5, 0, 0, 3.0)]
+    for c, lam, mu, r in cases:
+        a = abs(complex(GaussRat.coerce(lam))) * r
+        b = math.log(abs(complex(GaussRat.coerce(c)))) + float(GaussRat.coerce(mu).re)
+        if abs(b) < a:
+            want = (math.sqrt(a * a - b * b) + b * math.acos(-b / a)) / math.pi
+        else:
+            want = max(b, 0.0)
+        got = proximity_m(exp_affine(c, lam, mu), r)
+        assert got == pytest.approx(want, rel=1e-13, abs=1e-13)
+    for lam in (1, GaussRat(3, -4), GaussRat(0, 2)):
+        for r in (5.0, 17.0, 200.0):
+            want = abs(complex(GaussRat.coerce(lam))) * r / math.pi
+            assert characteristic_T(exp_affine(1, lam), r) == pytest.approx(want, rel=1e-14)
+
+
+def test_exact_tuple_characteristic_is_the_steinmetz_perimeter():
+    # T(r, [e^{lam_i z}]) = r * perimeter(conv{lam_i}) / (2 pi)
+    one = MeroFn.constant(1)
+    for r in (1.0, 7.5, 200.0):
+        got = characteristic_T((one, exp_affine(1, 1), exp_affine(1, 2)), r)
+        assert got == pytest.approx(2 * r / math.pi, rel=1e-14)
+        got = characteristic_T((one, exp_affine(1, 1), exp_affine(1, GaussRat(0, 1))), r)
+        assert got == pytest.approx(r * (2 + math.sqrt(2)) / (2 * math.pi), rel=1e-14)
+
+
+def _mp_gauss(q: GaussRat):
+    import mpmath
+
+    return mpmath.mpc(mpmath.mpf(q.re.numerator) / q.re.denominator,
+                      mpmath.mpf(q.im.numerator) / q.im.denominator)
+
+
+def _mp_logmax(fns, r, positive_part):
+    """mpmath.quad of the average of log max |f_i| (or log+ |f|), split at the
+    kernel's breakpoints, from the exact data of each c e^{lam z + mu}."""
+    import mpmath
+
+    with mpmath.workdps(30):
+        terms = []
+        for f in fns:
+            if f.is_zero():
+                continue
+            ex = f.exp_part.terms
+            b = mpmath.log(abs(_mp_gauss(f.scalar))) + _mp_gauss(ex.get((0,), GaussRat(0))).real
+            terms.append((b, _mp_gauss(ex.get((1,), GaussRat(0)))))
+        if positive_part:
+            terms.append((mpmath.mpf(0), mpmath.mpc(0)))
+        floats = [(float(b), complex(lam)) for b, lam in terms]
+        cuts = [0.0, *nevanlinna._affine_breaks(floats, r), 2 * math.pi]
+
+        def integrand(t):
+            zt = r * mpmath.expjpi(t / mpmath.pi)
+            return max(b + (lam * zt).real for b, lam in terms)
+
+        return float(mpmath.quad(integrand, cuts) / (2 * mpmath.pi))
+
+
+def _draw_exp_affine(rng, small=False):
+    def rat(k):
+        return GaussRat(rng.randint(-k, k), rng.randint(-k, k))
+
+    c = rat(6)
+    while not c:
+        c = rat(6)
+    lam = rat(1) if small else GaussRat(rng.randint(-3, 3), rng.randint(-3, 3)) / rng.randint(1, 3)
+    return exp_affine(c, lam, rat(2))
+
+
+def test_exact_route_matches_mpmath_quadrature(rng):
+    one = MeroFn.constant(1)
+    edge_tuples = [  # at r = 3
+        (exp_affine(1, 1), exp_affine(2, 1), one),                   # equal lam, different c
+        (MeroFn.constant(2), MeroFn.constant(GaussRat(0, 3)), one),  # all lam = 0
+        (exp_affine(1, 1, -3), one),                                 # tangent: |b_i - b_j| = |D| = 3
+        (exp_affine(1, GaussRat(3, 4), 15), exp_affine(1, GaussRat(0, 1)), one),  # tangent at 15
+        (exp_affine(1, 1), exp_affine(1, 1), one),                   # duplicate components
+        (MeroFn.constant(0), exp_affine(1, GaussRat(1, 1)), one),    # a zero component
+    ]
+    cases = [(tup, 3.0) for tup in edge_tuples]
+    for _ in range(40):
+        k = rng.randint(1, 4)
+        tup = tuple(_draw_exp_affine(rng, small=rng.random() < 0.3) for _ in range(k))
+        cases.append((tup, rng.choice((0.5, 3.0, 20.0, 200.0))))
+    for tup, r in cases:
+        if len(tup) > 1:
+            got = characteristic_T(tup, r)
+            want = _mp_logmax(tup, r, positive_part=False)
+            assert abs(got - want) <= 1e-12 * (1 + abs(want)), (tup, r)
+        for f in tup:
+            if f.is_zero():
+                continue
+            got = proximity_m(f, r)
+            want = _mp_logmax((f,), r, positive_part=True)
+            assert abs(got - want) <= 1e-12 * (1 + abs(want)), (f, r)
+    # the reported error is a rounding bound, far below the comparison tolerance
+    value, err = nevanlinna.max_affine_average([(0.0, 2 + 1j), (0.5, 0j)], 200.0)
+    assert 0 < err <= 1e-11 * (1 + abs(value))
+
+
+@pytest.mark.parametrize("scenario", ["gcd_bound_units", "gcd_bound_shared_lattice",
+                                      "gcd_bound_degenerate"])
+def test_gcd_bound_scenarios_run_without_quadrature(monkeypatch, scenario):
+    from workbench import harness
+
+    calls = count_calls(monkeypatch, nevanlinna, "circle_average")
+    calls += count_calls(monkeypatch, harness, "circle_average")
+    harness.run_scenario(harness.load_scenario(harness.shipped_scenario_dir() / f"{scenario}.json"))
+    assert calls == []
+
+
+def test_non_affine_functions_keep_the_quadrature(monkeypatch):
+    from workbench import harness
+
+    calls = count_calls(monkeypatch, nevanlinna, "circle_average")
+    t = z()
+    proximity_m(MeroFn(scalar=1, factors=[(t - 1, 1)], exp_part=t), 4.0)
+    characteristic_T((MeroFn.constant(1), MeroFn.from_poly(t + 2)), 4.0)
+    assert len(calls) == 2
+    scenario = harness.shipped_scenario_dir() / "smt_exp_units.json"  # carries exp(z^2)
+    harness.run_scenario(harness.load_scenario(scenario))
+    assert len(calls) > 2
