@@ -12,7 +12,7 @@ Subsystems:
 - ``workbench.nevanlinna``: Nevanlinna functionals (T, m, N, truncated N,
   gcd counting) on a concrete closed class of meromorphic functions.
 - ``workbench.morphisms``: power-monomial plane morphisms, Jacobians,
-  general position and pushforward by elimination.
+  general position and pushforward by the lowest-degree kernel modulo Z.
 - ``workbench.harness``: scenario-driven margin reports for the supported
   inequalities; ``workbench.cli`` is the command-line surface.
 """

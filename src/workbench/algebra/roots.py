@@ -5,12 +5,14 @@ decomposition), never numerically.  Each squarefree factor is solved with a
 simultaneous iteration at high working precision and every approximate root
 x gets the classical enclosure radius deg(p) * |p(x)/p'(x)|, which always
 contains at least one true root; pairwise disjointness of the disks then
-pins exactly one root per disk.
+pins exactly one root per disk.  The stored radius also covers the rounding
+of x to its float centre.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import mpmath
@@ -92,7 +94,13 @@ def cauchy_root_bound(f: SparsePoly) -> float:
 
 
 def _solve_squarefree(coeffs: list[GaussRat], dps: int):
-    """Roots of a squarefree polynomial with enclosure radii, at given precision."""
+    """Roots of a squarefree polynomial at given precision.
+
+    Returns (centre, radius, stored radius) per root: the float centre, the
+    enclosure radius about the high-precision root and that radius widened
+    by the distance to the centre, rounded up, so the disk about the centre
+    contains the root.
+    """
     deg = len(coeffs) - 1
     with mpmath.workdps(dps):
         cm = [_to_mpc(c) for c in coeffs]
@@ -118,7 +126,9 @@ def _solve_squarefree(coeffs: list[GaussRat], dps: int):
             if dv == 0:
                 raise EnclosureError("derivative vanished at an approximate root")
             rad = deg * abs(pv / dv)
-            out.append((complex(z), float(rad)))
+            center = complex(z)
+            honest = float(rad + abs(z - mpmath.mpc(center)))
+            out.append((center, float(rad), math.nextafter(honest, math.inf)))
         return out
 
 
@@ -128,8 +138,10 @@ def roots_certified(f: SparsePoly) -> AlgebraicRoots:
 
     The polynomial is squarefree-decomposed first; each squarefree factor is
     solved numerically and every root is returned as a disk certified to
-    contain exactly one root of that factor, of radius at most
-    ``ENCLOSURE_RADIUS``.  Linear factors produce exact enclosures of radius
+    contain exactly one root of that factor: the root is within
+    ``ENCLOSURE_RADIUS`` of its high-precision approximation, and the
+    stored radius adds the rounding of that approximation to the float
+    centre.  Linear factors produce exact enclosures of radius
     zero.  Raises EnclosureError (carrying the best enclosures) if that
     radius or disk disjointness cannot be reached.  Results are cached per
     polynomial, so all callers share one solve; an error is never cached.
@@ -163,11 +175,11 @@ def roots_certified(f: SparsePoly) -> AlgebraicRoots:
         ok = True
         for coeffs, mult in pending:
             got = _solve_squarefree(coeffs, dps)
-            for center, rad in got:
+            for center, rad, stored in got:
                 if rad > ENCLOSURE_RADIUS:
                     ok = False
                 numeric.append(
-                    RootEnclosure(center, max(rad, _MIN_NUMERIC_RADIUS), mult)
+                    RootEnclosure(center, max(stored, _MIN_NUMERIC_RADIUS), mult)
                 )
         candidate = enclosures + numeric
         if ok and _pairwise_disjoint(candidate):

@@ -23,6 +23,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+import mpmath
+
 from .algebra.euclid import canonical_scale, is_squarefree, monomial_variables, resultant
 from .algebra.gaussrat import GaussRat
 from .algebra.laurent import LaurentBivar
@@ -295,9 +297,14 @@ def _reciprocal_enclosure(r: RootEnclosure) -> RootEnclosure:
     rho = abs(c)
     if rho <= 2 * r.radius:
         raise InvalidInput("cannot invert an enclosure that may contain zero")
-    rad = r.radius / (rho * (rho - r.radius))
+    inv = 1 / c
+    with mpmath.workdps(50):
+        # |1/z - 1/c| <= radius / (|c| (|c| - radius)), plus the rounding of 1/c
+        cm = mpmath.mpc(c)
+        rad = mpmath.mpf(r.radius) / (abs(cm) * (abs(cm) - r.radius)) + abs(1 / cm - inv)
     exact = (GaussRat(1) / r.exact) if r.exact is not None and r.exact else None
-    return RootEnclosure(1 / c, rad if r.radius else 0.0, r.multiplicity, exact=exact)
+    return RootEnclosure(inv, math.nextafter(float(rad), math.inf) if r.radius else 0.0,
+                         r.multiplicity, exact=exact)
 
 
 @dataclass(frozen=True)

@@ -6,8 +6,8 @@ degree lcm(d1, d2, d3); it is a finite morphism exactly when the F_i have
 no common zero.  The toolkit computes Jacobian determinants (full and
 reduced), verifies the Euler-relation determinant identities, decides
 general position and transversality at certified intersection points, and
-pushes curves forward by iterated resultant elimination with exact
-extraneous-factor filtering.
+pushes an irreducible curve forward to its image curve, the lowest-degree
+form whose pullback Z divides, found by exact linear algebra modulo Z.
 """
 
 from __future__ import annotations
@@ -23,8 +23,7 @@ from .algebra.euclid import canonical_scale, gcd_poly, resultant
 from .algebra.gaussrat import GaussRat
 from .algebra.poly import SparsePoly
 from .algebra.roots import factor_linear_forms, roots_certified
-from .algebra.squarefree import squarefree_decompose
-from .errors import InternalContradiction, InvalidInput, NonProperIntersection
+from .errors import InvalidInput, NonProperIntersection
 
 
 # ---------------------------------------------------------------------------
@@ -396,92 +395,84 @@ def transversality_check(F1: SparsePoly, F2: SparsePoly) -> list[TransversalityR
 
 
 # ---------------------------------------------------------------------------
-# pushforward by elimination
+# pushforward by the lowest-degree kernel
 # ---------------------------------------------------------------------------
 
-def _lift_x_to_xy(p: SparsePoly) -> SparsePoly:
-    """Embed a polynomial in x0..x2 into the ring with y0..y2 appended."""
-    return SparsePoly(6, {tuple(e) + (0, 0, 0): c for e, c in p.terms.items()})
+def _normal_form(terms: dict, lead, tail) -> dict:
+    """Remainder of a polynomial (exponent -> coefficient) modulo Z.
+
+    Z, scaled to be monic at its lex-leading exponent ``lead``, is x^lead
+    minus the terms in ``tail``.  Each step cancels the largest term that
+    ``lead`` divides; a single polynomial is a Groebner basis of its ideal,
+    so the remainder is unique and linear in the input.
+    """
+    rem, pending = {}, dict(terms)
+    while pending:
+        e = max(pending)
+        c = pending.pop(e)
+        if not c:
+            continue
+        shift = tuple(a - b for a, b in zip(e, lead))
+        if min(shift) < 0:
+            rem[e] = c
+            continue
+        for t, tc in tail:
+            k = tuple(a + b for a, b in zip(shift, t))
+            pending[k] = pending[k] + c * tc if k in pending else c * tc
+    return rem
 
 
-def _incidence(P: tuple[SparsePoly, SparsePoly, SparsePoly], i: int, j: int) -> SparsePoly:
-    """y_i * P_j - y_j * P_i in the combined six-variable ring."""
-    yi = SparsePoly.variable(3 + i, 6)
-    yj = SparsePoly.variable(3 + j, 6)
-    return yi * _lift_x_to_xy(P[j]) - yj * _lift_x_to_xy(P[i])
+def _kernel(columns: list[dict]) -> list[list[GaussRat]]:
+    """A basis of the kernel of the matrix with these sparse columns (Gauss-Jordan)."""
+    M = [[col.get(k, GaussRat(0)) for col in columns]
+         for k in {k for col in columns for k in col}]
+    pivots: list[int] = []
+    for j in range(len(columns)):
+        r = len(pivots)
+        p = next((i for i in range(r, len(M)) if M[i][j]), None)
+        if p is None:
+            continue
+        M[r], M[p] = M[p], M[r]
+        M[r] = [v / M[r][j] for v in M[r]]
+        M = [row if i == r or not row[j] else [a - row[j] * b for a, b in zip(row, M[r])]
+             for i, row in enumerate(M)]
+        pivots.append(j)
+    basis = []
+    for j in sorted(set(range(len(columns))) - set(pivots)):
+        v = [GaussRat(int(i == j)) for i in range(len(columns))]
+        for r, pj in enumerate(pivots):
+            v[pj] = -M[r][j]
+        basis.append(v)
+    return basis
 
 
 def pushforward_curve(m: PowerMorphism, Z: SparsePoly) -> SparsePoly:
-    """The image curve of Z under the morphism, by resultant elimination.
+    """The image curve A of Z under the morphism, by the lowest-degree kernel.
 
-    Eliminates the source coordinates from the incidence system
-    {Z, y_i F_j^{a_j} - y_j F_i^{a_i}}; the primitive squarefree part of
-    the eliminant is filtered by the exact pullback test (a factor survives
-    iff its composition with the morphism vanishes on Z).  Z must be
-    irreducible (user assertion) and not contracted; contraction or an
-    identically-zero resultant chain raises.
+    The forms B with Z | B(F1^a1, F2^a2, F3^a3) make up the ideal of the
+    image of Z, generated by A when Z is irreducible (a user assertion).
+    So A spans the kernel of B -> (B o m mod Z) on the forms of the lowest
+    degree e <= deg(m) * deg Z where that kernel is nonzero; it is scaled
+    so its lex-leading coefficient is 1.  A non-dominant morphism (zero
+    Jacobian determinant) and a curve contracted to a point (a kernel of
+    dimension >= 2) raise InvalidInput.
     """
     if Z.num_vars != 3 or not Z or not Z.is_homogeneous() or Z.is_constant():
         raise InvalidInput("curve must be a non-constant homogeneous form")
+    if not jacobian_det(m, reduced=True):
+        raise InvalidInput("the morphism components are algebraically dependent")
     P = m.powered_components()
-    Z6 = _lift_x_to_xy(Z)
-    last_error = None
-    # eliminate x2 with two distinct incidence relations, then x1; fall back
-    # to the other incidence pairs when a chain degenerates
-    pairs = [(_incidence(P, 1, 2), _incidence(P, 0, 2)),
-             (_incidence(P, 1, 2), _incidence(P, 0, 1)),
-             (_incidence(P, 0, 2), _incidence(P, 0, 1))]
-    for C1, C2 in pairs:
-        try:
-            R1 = resultant(Z6, C1, var=2)
-            R2 = resultant(Z6, C2, var=2)
-            if not R1 or not R2:
-                continue
-            R3 = resultant(R1, R2, var=1)
-            if not R3:
-                continue
-            H = _strip_to_y(R3)
-            if H.is_constant():
-                continue
-            A = _filter_pullback(m, Z, H)
-            if A is not None:
-                return A
-        except (ValueError, ZeroDivisionError) as exc:  # pragma: no cover
-            last_error = exc
-            continue
-    raise InvalidInput(
-        "elimination collapsed; the curve is likely contracted by the morphism"
-        + (f" ({last_error})" if last_error else "")
-    )
-
-
-def _strip_to_y(p: SparsePoly) -> SparsePoly:
-    """Drop the remaining x0 monomial content and return a polynomial in y."""
-    for e in p.terms:
-        if e[1] or e[2]:
-            raise InternalContradiction("elimination left x1/x2 behind")
-    terms: dict = {}
-    for e, c in p.terms.items():
-        key = (e[3], e[4], e[5])
-        prev = terms.get(key)
-        terms[key] = c if prev is None else prev + c
-    # distinct x0 powers with the same y exponents collapse by summation
-    # only when the polynomial fails bihomogeneity; for bihomogeneous input
-    # every y-term carries one x0 power and the sum is a plain relabeling
-    return SparsePoly(3, terms)
-
-
-def _filter_pullback(m: PowerMorphism, Z: SparsePoly, H: SparsePoly) -> SparsePoly | None:
-    P = m.powered_components()
-    kept = SparsePoly.one(3)
-    found = False
-    for factor, _ in squarefree_decompose(H):
-        pull = m.apply_to_polys(P, factor)
-        if not pull:
-            continue
-        if Z.divides(pull):
-            kept = kept * factor
-            found = True
-    if not found:
-        return None
-    return canonical_scale(kept)
+    lead = max(Z.terms)
+    tail = [(e, -c / Z.terms[lead]) for e, c in Z.terms.items() if e != lead]
+    # normal forms of P_i1 * ... * P_ie, i1 <= ... <= ie, each from its prefix
+    forms = {(): {(0, 0, 0): GaussRat(1)}}
+    for e in range(1, P[0].total_degree() * Z.total_degree() + 1):
+        forms = {c: _normal_form((SparsePoly(3, forms[c[:-1]]) * P[c[-1]]).terms, lead, tail)
+                 for c in itertools.combinations_with_replacement(range(3), e)}
+        basis = _kernel(list(forms.values()))
+        if len(basis) > 1:
+            raise InvalidInput("the curve is contracted to a point by the morphism")
+        if basis:
+            return canonical_scale(SparsePoly(3, {
+                (c.count(0), c.count(1), c.count(2)): v for c, v in zip(forms, basis[0])}))
+    raise InvalidInput("no image curve of degree <= deg(m) * deg Z")

@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 from workbench import exset
@@ -266,6 +267,18 @@ def test_beta_reciprocal_is_exact():
     rec = bv.reciprocal()
     assert rec.defining_poly == L**2 - 4
     assert rec.enclosure.center == pytest.approx(2.0)
+
+
+def test_beta_reciprocal_covers_rounding():
+    # the propagated radius alone (4.8e-17) misses 1/sqrt(2), 6.3e-17 from the float 1/c
+    L = SparsePoly.variable(0, 1)
+    from workbench.algebra.roots import roots_certified
+
+    for root in roots_certified(L**2 - 2).roots:
+        rec = BetaValue(L**2 - 2, root).reciprocal().enclosure
+        with mpmath.workdps(50):
+            exact = mpmath.sign(root.center.real) / mpmath.sqrt(2)
+            assert abs(exact - mpmath.mpc(rec.center)) <= mpmath.mpf(rec.radius)
 
 
 def test_serialization_schema():

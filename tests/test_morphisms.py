@@ -1,3 +1,7 @@
+import math
+import sys
+
+import numpy as np
 import pytest
 
 from workbench.algebra.gaussrat import GaussRat
@@ -13,7 +17,7 @@ from workbench.morphisms import (
     transversality_check,
 )
 
-from conftest import variables
+from conftest import count_calls, variables
 
 
 def sphere():
@@ -155,3 +159,86 @@ def test_pushforward_soundness_random(rng):
         A = pushforward_curve(m, Z)
         comp = m.apply_to_polys(m.powered_components(), A)
         assert Z.divides(comp)
+
+
+UNITS = (GaussRat(1), GaussRat(-1), GaussRat(0, 1), GaussRat(0, -1))
+
+
+def squaring_morphism():
+    x0, x1, x2 = variables(3)
+    return PowerMorphism.build(x0**2, x1**2, x2**2)
+
+
+def seeded_conics(rng, count):
+    """Nonsingular conics with coefficients drawn from the units of Z[i]."""
+    x0, x1, x2 = variables(3)
+    monos = (x0**2, x1**2, x2**2, x0 * x1, x0 * x2, x1 * x2)
+    out = []
+    while len(out) < count:
+        Z = sum((mono.scale(rng.choice(UNITS)) for mono in monos), SparsePoly.zero(3))
+        # the Jacobian of the gradient is the Hessian, zero exactly for a singular conic
+        grad = PowerMorphism.build(*(Z.partial_derivative(v) for v in range(3)), check_finite=False)
+        if jacobian_det(grad, reduced=True):
+            out.append(Z)
+    return out
+
+
+def sign_flip_degree(Z, rng) -> int:
+    """deg(Z -> A) for a map whose fibres are the sign flips [+-p0 : +-p1 : p2].
+
+    Both the squaring map and [x0 : x1 : sphere] have these fibres.  The
+    count is the number of distinct flips of a generic point p of Z that
+    lie on Z.
+    """
+    p0, p1 = complex(rng.uniform(1, 2), rng.uniform(1, 2)), complex(rng.uniform(1, 2), -1)
+    coeffs = [complex(c.eval([p0, p1, 0])) for c in Z.coeffs_in(2)]
+    p2 = np.roots(coeffs[::-1])[0] if len(coeffs) > 1 else 0j
+    flips = []
+    for s0 in (1, -1):
+        for s1 in (1, -1):
+            q = np.array([s0 * p0, s1 * p1, p2])
+            q = q / q[np.argmax(np.abs(q))]
+            if all(np.max(np.abs(q - f)) > 1e-9 for f in flips):
+                flips.append(q)
+    return sum(abs(complex(Z.eval(list(q)))) < 1e-9 for q in flips)
+
+
+def assert_image(m, Z, A, rng):
+    assert Z.divides(m.apply_to_polys(m.powered_components(), A))
+    assert A.total_degree() * sign_flip_degree(Z, rng) == math.lcm(*m.degrees) * Z.total_degree()
+
+
+def test_pushforward_conics_have_image_degree_4(rng):
+    x0, x1, x2 = variables(3)
+    conics = [
+        # the elimination route returned a degree-12 multiple of the image here
+        x0**2 + x1 * x2 + 2 * x1**2 - 3 * x2**2 + x0 * x2,
+        # no variable v has deg_v Z = deg Z, so no chart divides Z monically
+        x0 * x1 + x1 * x2 + x0 * x2,
+    ] + seeded_conics(rng, 3)
+    for m in (squaring_morphism(), std_morphism()):
+        for Z in conics:
+            A = pushforward_curve(m, Z)
+            assert A.total_degree() == 4
+            assert_image(m, Z, A, rng)
+
+
+def test_pushforward_lines_exact(rng):
+    x0, x1, x2 = variables(3)
+    m = squaring_morphism()
+    A = pushforward_curve(m, x0 + x1 + 2 * x2)
+    assert A == x0**2 - 2 * x0 * x1 - 8 * x0 * x2 + x1**2 - 8 * x1 * x2 + 16 * x2**2
+    assert_image(m, x0 + x1 + 2 * x2, A, rng)
+    # x2 maps 2:1 onto the line y2 = 0
+    assert pushforward_curve(m, x2) == x2
+    assert_image(m, x2, x2, rng)
+
+
+def test_pushforward_runs_no_elimination(monkeypatch):
+    calls = {name: [count_calls(monkeypatch, mod, name) for key, mod in list(sys.modules.items())
+                    if key.startswith("workbench") and hasattr(mod, name)]
+             for name in ("resultant", "squarefree_decompose")}
+    x0, x1, x2 = variables(3)
+    pushforward_curve(squaring_morphism(), x0**2 + x1 * x2 + x0 * x2 - x2**2)
+    assert {name: sum(map(len, lists)) for name, lists in calls.items()} == \
+        {"resultant": 0, "squarefree_decompose": 0}

@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 from workbench.algebra.gaussrat import GaussRat
@@ -92,3 +93,24 @@ def test_nonzero_filter():
     r = roots_certified(t() ** 3 - t())
     assert len(r.roots) == 3
     assert len(r.nonzero().roots) == 2
+
+
+def _holds_a_root(disk, mp_roots) -> bool:
+    """The nearest 50-digit root lies in the disk, with no slack."""
+    center = mpmath.mpc(disk.center.real, disk.center.imag)
+    return min(abs(r - center) for r in mp_roots) <= mpmath.mpf(disk.radius)
+
+
+def test_disks_contain_their_roots_after_rounding(rng):
+    # sqrt(2) lies 9.7e-17 from its float centre, far outside a radius of 1e-41
+    polys = [t() ** 2 - 2]
+    while len(polys) < 5:
+        f = random_poly(rng, 1, 6, max_terms=5, coeff_range=4)
+        if f.degree_in(0) >= 2 and f.terms.get((0,)):
+            polys.append(f)
+    with mpmath.workdps(50):
+        for f in polys:
+            coeffs = [complex(f.terms.get((k,), GaussRat(0))) for k in range(f.degree_in(0), -1, -1)]
+            mp_roots = mpmath.polyroots(coeffs, maxsteps=200, extraprec=100)
+            for disk in roots_certified(f).roots:
+                assert disk.exact is not None or _holds_a_root(disk, mp_roots), (f, disk)
