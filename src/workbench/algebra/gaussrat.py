@@ -1,16 +1,18 @@
 """Exact Gaussian rationals: numbers a + b*i with a, b in Q.
 
 This is the coefficient field for every exact computation in the workbench.
-Values are immutable and kept in canonical (fully reduced) form by virtue of
-`fractions.Fraction` doing the reduction for each part.
+Values are immutable and held as a canonical integer triple (a, b, d) with
+value (a + b*i)/d, d > 0 and gcd(a, b, d) = 1, so equal values have equal
+triples.  The subresultant sequences stay inside Z[i], where d = 1: there
+``+``, ``-`` and ``*`` are integer arithmetic with no gcd, and every other
+result (``/`` included) is reduced by one gcd.  ``re`` and ``im`` are
+``Fraction`` views of the two parts.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Union
-
-Rationalish = Union[int, Fraction]
+from math import gcd, lcm
 
 
 def _as_fraction(x) -> Fraction:
@@ -30,26 +32,45 @@ class GaussRat:
     and hashing.  Mixed arithmetic with int and Fraction coerces exactly.
     """
 
-    __slots__ = ("re", "im")
+    __slots__ = ("_a", "_b", "_d")
 
     def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", _as_fraction(re))
-        object.__setattr__(self, "im", _as_fraction(im))
+        if type(re) is int and type(im) is int:
+            a, b, d = re, im, 1
+        else:
+            re, im = _as_fraction(re), _as_fraction(im)
+            # each part is reduced, so the triple over lcm is already canonical
+            d = lcm(re.denominator, im.denominator)
+            a = re.numerator * (d // re.denominator)
+            b = im.numerator * (d // im.denominator)
+        _set_a(self, a)
+        _set_b(self, b)
+        _set_d(self, d)
 
     # immutability
     def __setattr__(self, name, value):
         raise AttributeError("GaussRat is immutable")
 
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self._a, self._d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self._b, self._d)
+
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def i() -> "GaussRat":
-        return GaussRat(0, 1)
+        return I
 
     @staticmethod
     def coerce(x) -> "GaussRat":
-        if isinstance(x, GaussRat):
+        if type(x) is GaussRat:
             return x
+        if type(x) is int:
+            return _triple(x, 0, 1)
         if isinstance(x, (int, Fraction)):
             return GaussRat(x)
         raise TypeError(f"cannot coerce {x!r} to GaussRat")
@@ -57,82 +78,91 @@ class GaussRat:
     # -- predicates --------------------------------------------------------
 
     def __bool__(self) -> bool:
-        return bool(self.re) or bool(self.im)
+        return bool(self._a or self._b)
 
     def is_rational(self) -> bool:
-        return not self.im
+        return not self._b
 
     def is_one(self) -> bool:
-        return self.re == 1 and not self.im
+        return self._a == 1 and not self._b and self._d == 1
 
     # -- arithmetic --------------------------------------------------------
 
-    @staticmethod
-    def _try_coerce(x):
-        if isinstance(x, GaussRat):
-            return x
-        if isinstance(x, (int, Fraction)):
-            return GaussRat(x)
-        return None
-
     def __add__(self, other):
-        other = GaussRat._try_coerce(other)
-        if other is None:
+        try:
+            other = GaussRat.coerce(other)
+        except TypeError:
             return NotImplemented
-        return GaussRat(self.re + other.re, self.im + other.im)
+        d, f = self._d, other._d
+        if d == f:
+            return _reduced(self._a + other._a, self._b + other._b, d)
+        return _reduced(self._a * f + other._a * d, self._b * f + other._b * d, d * f)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return GaussRat(-self.re, -self.im)
+        return _triple(-self._a, -self._b, self._d)
 
     def __sub__(self, other):
-        other = GaussRat._try_coerce(other)
-        if other is None:
+        try:
+            other = GaussRat.coerce(other)
+        except TypeError:
             return NotImplemented
-        return GaussRat(self.re - other.re, self.im - other.im)
+        d, f = self._d, other._d
+        if d == f:
+            return _reduced(self._a - other._a, self._b - other._b, d)
+        return _reduced(self._a * f - other._a * d, self._b * f - other._b * d, d * f)
 
     def __rsub__(self, other):
-        other = GaussRat._try_coerce(other)
-        if other is None:
+        try:
+            other = GaussRat.coerce(other)
+        except TypeError:
             return NotImplemented
         return other - self
 
     def __mul__(self, other):
-        other = GaussRat._try_coerce(other)
-        if other is None:
+        try:
+            other = GaussRat.coerce(other)
+        except TypeError:
             return NotImplemented
-        return GaussRat(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        a, b, c, e = self._a, self._b, other._a, other._b
+        return _reduced(a * c - b * e, a * e + b * c, self._d * other._d)
 
     __rmul__ = __mul__
 
     def conjugate(self) -> "GaussRat":
-        return GaussRat(self.re, -self.im)
+        return _triple(self._a, -self._b, self._d)
 
     def norm2(self) -> Fraction:
         """The rational |z|^2 = re^2 + im^2."""
-        return self.re * self.re + self.im * self.im
+        return Fraction(self._a * self._a + self._b * self._b, self._d * self._d)
 
     def __truediv__(self, other):
-        other = GaussRat.coerce(other)
-        n2 = other.norm2()
+        try:
+            other = GaussRat.coerce(other)
+        except TypeError:
+            return NotImplemented
+        c, e = other._a, other._b
+        n2 = c * c + e * e
         if not n2:
             raise ZeroDivisionError("division by zero GaussRat")
-        num = self * other.conjugate()
-        return GaussRat(num.re / n2, num.im / n2)
+        # (a+bi)/d1 / ((c+ei)/d2) = (a+bi)(c-ei)*d2 / (d1*(c^2+e^2))
+        a, b, f = self._a, self._b, other._d
+        return _reduced((a * c + b * e) * f, (b * c - a * e) * f, self._d * n2)
 
     def __rtruediv__(self, other):
-        return GaussRat.coerce(other) / self
+        try:
+            other = GaussRat.coerce(other)
+        except TypeError:
+            return NotImplemented
+        return other / self
 
     def __pow__(self, k: int):
         if not isinstance(k, int):
             raise TypeError("GaussRat powers must be integers")
         if k < 0:
-            return (GaussRat(1) / self) ** (-k)
-        result = GaussRat(1)
+            return (ONE / self) ** (-k)
+        result = ONE
         base = self
         while k:
             if k & 1:
@@ -144,29 +174,34 @@ class GaussRat:
     # -- comparisons / hashing ---------------------------------------------
 
     def __eq__(self, other):
+        if type(other) is GaussRat:
+            return self._a == other._a and self._b == other._b and self._d == other._d
         if isinstance(other, (int, Fraction)):
-            other = GaussRat(other)
-        if not isinstance(other, GaussRat):
-            return NotImplemented
-        return self.re == other.re and self.im == other.im
+            return (not self._b and self._a == other.numerator
+                    and self._d == other.denominator)
+        return NotImplemented
 
     def __hash__(self):
-        if not self.im:
-            return hash(self.re)
-        return hash((self.re, self.im))
+        # the hash of the Fraction value, or of the pair of Fraction parts;
+        # an integer part hashes like its Fraction
+        if self._d == 1:
+            return hash(self._a) if not self._b else hash((self._a, self._b))
+        return hash(self.re) if not self._b else hash((self.re, self.im))
 
     # -- conversions -------------------------------------------------------
 
     def __complex__(self) -> complex:
-        return complex(float(self.re), float(self.im))
+        # int true division rounds correctly, exactly like Fraction.__float__
+        return complex(self._a / self._d, self._b / self._d)
 
     def __str__(self):
-        if not self.im:
-            return str(self.re)
-        if not self.re:
-            return f"{self.im}*i"
-        sign = "+" if self.im > 0 else "-"
-        return f"{self.re}{sign}{abs(self.im)}*i"
+        re, im = self.re, self.im
+        if not im:
+            return str(re)
+        if not re:
+            return f"{im}*i"
+        sign = "+" if im > 0 else "-"
+        return f"{re}{sign}{abs(im)}*i"
 
     def __repr__(self):
         return f"GaussRat({self.re!r}, {self.im!r})"
@@ -178,6 +213,30 @@ class GaussRat:
     @staticmethod
     def from_strings(re: str, im: str = "0") -> "GaussRat":
         return GaussRat(Fraction(re), Fraction(im))
+
+
+_set_a = GaussRat._a.__set__
+_set_b = GaussRat._b.__set__
+_set_d = GaussRat._d.__set__
+_new = object.__new__
+
+
+def _triple(a: int, b: int, d: int) -> GaussRat:
+    """(a + b*i)/d from a triple that is already canonical."""
+    z = _new(GaussRat)
+    _set_a(z, a)
+    _set_b(z, b)
+    _set_d(z, d)
+    return z
+
+
+def _reduced(a: int, b: int, d: int) -> GaussRat:
+    """(a + b*i)/d for d > 0, reduced by one gcd unless d is 1."""
+    if d != 1:
+        g = gcd(a, b, d)
+        if g != 1:
+            a, b, d = a // g, b // g, d // g
+    return _triple(a, b, d)
 
 
 ZERO = GaussRat(0)

@@ -11,6 +11,7 @@ and subresultant sequences run over Q(i)[y1,...,yk].
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add
 from typing import Iterable, Mapping
 
 from .gaussrat import GaussRat
@@ -49,12 +50,22 @@ class SparsePoly:
                 coeff = _coerce_coeff(coeff)
                 if coeff:
                     clean[expo] = coeff
-        object.__setattr__(self, "num_vars", num_vars)
-        object.__setattr__(self, "terms", clean)
-        object.__setattr__(self, "_hash", None)
+        _set_num_vars(self, num_vars)
+        _set_terms(self, clean)
+        _set_hash(self, None)
 
     def __setattr__(self, name, value):
         raise AttributeError("SparsePoly is immutable")
+
+    @staticmethod
+    def _clean(num_vars: int, terms: dict) -> "SparsePoly":
+        """Wrap terms that arithmetic already cleaned: exponent tuples of
+        length ``num_vars`` and nonzero coefficients.  ``terms`` is kept."""
+        p = _new(SparsePoly)
+        _set_num_vars(p, num_vars)
+        _set_terms(p, terms)
+        _set_hash(p, None)
+        return p
 
     # -- constructors --------------------------------------------------------
 
@@ -137,12 +148,12 @@ class SparsePoly:
                     del terms[expo]
             else:
                 terms[expo] = coeff
-        return SparsePoly(self.num_vars, terms)
+        return SparsePoly._clean(self.num_vars, terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return SparsePoly(self.num_vars, {e: -c for e, c in self.terms.items()})
+        return SparsePoly._clean(self.num_vars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction, GaussRat)):
@@ -159,7 +170,7 @@ class SparsePoly:
         terms: dict[Expo, object] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                expo = tuple(a + b for a, b in zip(e1, e2))
+                expo = tuple(map(add, e1, e2))
                 prod = c1 * c2
                 if expo in terms:
                     s = terms[expo] + prod
@@ -169,7 +180,7 @@ class SparsePoly:
                         del terms[expo]
                 elif prod:
                     terms[expo] = prod
-        return SparsePoly(self.num_vars, terms)
+        return SparsePoly._clean(self.num_vars, terms)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction, GaussRat)):
@@ -313,7 +324,7 @@ class SparsePoly:
             e = rest[var]
             rest[var] = 0
             buckets[e][tuple(rest)] = coeff
-        return [SparsePoly(self.num_vars, b) for b in buckets]
+        return [SparsePoly._clean(self.num_vars, b) for b in buckets]
 
     @staticmethod
     def from_coeffs_in(var: int, coeffs: list["SparsePoly"], num_vars: int) -> "SparsePoly":
@@ -332,9 +343,6 @@ class SparsePoly:
 
     # -- exact division ---------------------------------------------------------
 
-    def _lex_leading(self) -> Expo:
-        return max(self.terms)
-
     def exact_div(self, other: "SparsePoly") -> "SparsePoly":
         """Exact quotient self / other; raises ValueError if not divisible."""
         if isinstance(other, (int, Fraction, GaussRat)):
@@ -342,20 +350,33 @@ class SparsePoly:
         self._check_compatible(other)
         if not other:
             raise ZeroDivisionError("division by zero polynomial")
-        rem = self
-        quot: dict[Expo, object] = {}
-        lead_e = other._lex_leading()
+        lead_e = max(other.terms)
         lead_c = other.terms[lead_e]
+        tail = [(e, c) for e, c in other.terms.items() if e != lead_e]
+        # the remainder lives in one dict: each step removes its leading
+        # term (cancelled exactly by q * lead_c) and subtracts q * tail
+        rem = dict(self.terms)
+        quot: dict[Expo, object] = {}
         while rem:
-            e = rem._lex_leading()
+            e = max(rem)
             diff = tuple(a - b for a, b in zip(e, lead_e))
             if any(d < 0 for d in diff):
                 raise ValueError("not exactly divisible")
-            c = rem.terms[e]
+            c = rem.pop(e)
             q = c / lead_c if isinstance(c, GaussRat) else c.exact_div(lead_c)
             quot[diff] = q
-            rem = rem - SparsePoly(self.num_vars, {diff: q}) * other
-        return SparsePoly(self.num_vars, quot)
+            for te, tc in tail:
+                expo = tuple(map(add, diff, te))
+                old = rem.get(expo)
+                if old is None:
+                    rem[expo] = -(q * tc)
+                else:
+                    s = old - q * tc
+                    if s:
+                        rem[expo] = s
+                    else:
+                        del rem[expo]
+        return SparsePoly._clean(self.num_vars, quot)
 
     def divides(self, other: "SparsePoly") -> bool:
         try:
@@ -403,6 +424,12 @@ class SparsePoly:
 
     def __repr__(self):
         return f"SparsePoly({self.num_vars}, {self})"
+
+
+_set_num_vars = SparsePoly.num_vars.__set__
+_set_terms = SparsePoly.terms.__set__
+_set_hash = SparsePoly._hash.__set__
+_new = object.__new__
 
 
 def random_poly(rng, num_vars: int, max_degree: int, max_terms: int = 6,

@@ -124,6 +124,26 @@ def enumerate_pairs(ell2: int) -> list[NormalizedPair]:
     return sorted(seen.values(), key=lambda p: (p.ell1(), p.n1, p.n2))
 
 
+def pair_count(ell2: int) -> int:
+    """``len(enumerate_pairs(ell2))`` for ell2 >= 1, without enumerating.
+
+    The normalized pairs are the orbits of the coprime pairs under swap and
+    sign flip.  There are 4 + 4 * S coprime pairs with |n1| + |n2| <= ell2,
+    S the sum of phi(s) over 2 <= s <= ell2 (the pairs with n1, n2 >= 1 and
+    n1 + n2 = s number phi(s)); the swap fixes +-(1, 1), the swap with the
+    flip fixes +-(1, -1), so by Burnside's lemma there are 2 + S orbits
+    when ell2 >= 2.
+    """
+    if ell2 < 2:
+        return max(ell2, 0)
+    phi = list(range(ell2 + 1))
+    for p in range(2, ell2 + 1):
+        if phi[p] == p:  # p is prime
+            for k in range(p, ell2 + 1, p):
+                phi[k] -= phi[k] // p
+    return 2 + sum(phi[2:])
+
+
 # ---------------------------------------------------------------------------
 # curve validation and substitution
 # ---------------------------------------------------------------------------
@@ -462,6 +482,14 @@ def _coordinate_lines() -> list[CurveSpec]:
 
 _ALL_PERMS = tuple(itertools.permutations((0, 1, 2)))
 
+# One chart solve (substitution and beta loci for one pair and one distinct
+# chart polynomial) took 4 to 7 ms for the sphere at ell2 <= 45 and 0.05 to
+# 0.1 s for the quartic x0^4+x1^4+x2^4+x0*x1*x2^2 at ell2 <= 12 (Python
+# 3.11, 2-vCPU host), and the cost grows with ell2.  At 0.1 s per solve
+# this limit is a few minutes of work; the shipped scenarios, the tests and
+# the benchmark need at most 15 solves.
+MAX_CHART_SOLVES = 2000
+
 
 def build_W(G: SparsePoly, ell2: int | None = None,
             eps: Fraction | None = None) -> ExceptionalSet:
@@ -482,13 +510,20 @@ def build_W(G: SparsePoly, ell2: int | None = None,
         if eps is None:
             raise InvalidInput("need an enumeration bound or an epsilon")
         ell2 = 2 * choose_m(Fraction(eps), 2, G.total_degree())
+    charts = [(perm, G.permute_vars(perm)) for perm in _ALL_PERMS]
+    distinct = len({chart_G for _, chart_G in charts})
+    pairs = pair_count(ell2)
+    if pairs * distinct > MAX_CHART_SOLVES:
+        raise InvalidInput(
+            f"ell2 = {ell2} needs {pairs * distinct:,} chart solves ({pairs:,} pairs x "
+            f"{distinct} distinct charts), above the limit of {MAX_CHART_SOLVES:,}; "
+            "use a smaller ell2 or a larger eps")
     curves: list[CurveSpec] = list(_coordinate_lines())
     for pair in enumerate_pairs(ell2):
         # substitute and beta_loci depend only on (chart polynomial, pair),
         # so charts with an equal polynomial are solved once
         solved: dict[SparsePoly, BetaLoci] = {}
-        for perm in _ALL_PERMS:
-            chart_G = G.permute_vars(perm)
+        for perm, chart_G in charts:
             loci = solved.get(chart_G)
             if loci is None:
                 loci = solved[chart_G] = beta_loci(_substitute(chart_G, pair))

@@ -89,3 +89,12 @@ def test_suite_command(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "verdict" in out and "holds-on-grid" in out
+
+
+def test_exset_refuses_an_enumeration_that_cannot_finish(tmp_path, capsys):
+    gpath = write_poly(tmp_path, "G.json", sphere())
+    out = tmp_path / "W.json"
+    code = main(["exset", "--poly", gpath, "--eps", "1/2", "--out", str(out)])
+    assert code == 2
+    assert "19,347 chart solves" in capsys.readouterr().err
+    assert not out.exists()

@@ -185,3 +185,27 @@ def test_resultant_shared_root_vanishes():
     t = SparsePoly.variable(0, 1)
     r = resultant(t**2 - 1, t - 1, 0)
     assert not r  # shared root => zero resultant
+
+
+def test_gaussian_integer_pair_builds_no_fraction(monkeypatch):
+    # a dense pair of degree 6 with unit coefficients: the subresultant
+    # sequence and the gcd stay in Z[i], where GaussRat needs no Fraction
+    rng = random.Random(6)
+    units = [GaussRat(1), GaussRat(-1), GaussRat(0, 1), GaussRat(0, -1)]
+    f, g = (SparsePoly(1, {(e,): rng.choice(units) for e in range(7)}) for _ in range(2))
+    built = []
+    real_new = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        built.append(args)
+        return real_new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counted))
+    res = resultant(f, g, 0)
+    common = gcd_poly(f, g)
+    monkeypatch.undo()
+    assert built == []
+    assert res.is_constant() and res and common == SparsePoly.one(1)
+    x = sympy.Symbol("x")
+    want = sympy.resultant(to_sympy(f, [x]), to_sympy(g, [x]), x)
+    assert sympy.simplify(to_sympy(res, [x]) - want) == 0

@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import mpmath
@@ -17,6 +18,7 @@ from workbench.exset import (
     exceptional_set_to_doc,
     member_of_W,
     normalize_pair,
+    pair_count,
     substitute,
 )
 from workbench.nevanlinna import MeroFn
@@ -348,3 +350,21 @@ def test_build_W_validates_the_curve_once(monkeypatch, curve):
     with pytest.raises(InvalidInput):
         delta_lines(x0**2 + x1**2)
     assert len(calls) == 3
+
+
+def test_pair_count_matches_the_enumeration():
+    assert [pair_count(ell2) for ell2 in range(1, 41)] == \
+        [len(enumerate_pairs(ell2)) for ell2 in range(1, 41)]
+
+
+@pytest.mark.parametrize("curve, kwargs, message", [
+    # eps = 1/2 gives ell2 = 252; the six charts of the sphere are one polynomial
+    (sphere, {"eps": Fraction(1, 2)}, "19,347 chart solves (19,347 pairs x 1 distinct"),
+    (quartic, {"ell2": 50}, "2,325 chart solves (775 pairs x 3 distinct"),
+])
+def test_build_W_refuses_an_enumeration_that_cannot_finish(monkeypatch, curve, kwargs, message):
+    calls = count_calls(monkeypatch, exset, "_substitute")
+    with pytest.raises(InvalidInput, match=re.escape(message)):
+        build_W(curve(), **kwargs)
+    assert calls == []
+    assert pair_count(50) <= exset.MAX_CHART_SOLVES < 3 * pair_count(50)

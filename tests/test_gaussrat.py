@@ -1,3 +1,5 @@
+import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -57,3 +59,118 @@ def test_field_inverse(a):
 @given(gauss, gauss)
 def test_exact_subtraction(a, b):
     assert (a + b) - b == a
+
+
+# -- differential test against a Fraction-pair reference ----------------------
+
+def _ref_str(re, im):
+    if not im:
+        return str(re)
+    if not re:
+        return f"{im}*i"
+    return f"{re}{'+' if im > 0 else '-'}{abs(im)}*i"
+
+
+def _ref_mul(x, y):
+    return x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]
+
+
+def _ref_div(x, y):
+    n = y[0] * y[0] + y[1] * y[1]
+    return (x[0] * y[0] + x[1] * y[1]) / n, (x[1] * y[0] - x[0] * y[1]) / n
+
+
+def _ref_pow(x, k):
+    if k < 0:
+        return _ref_pow(_ref_div((Fraction(1), Fraction(0)), x), -k)
+    acc = (Fraction(1), Fraction(0))
+    for _ in range(k):
+        acc = _ref_mul(acc, x)
+    return acc
+
+
+def _draw_part(rng):
+    kind = rng.randrange(4)
+    if kind == 0:
+        return Fraction(0)
+    if kind == 1:
+        return Fraction(rng.randint(-30, 30))
+    return Fraction(rng.randint(-60, 60), rng.choice((1, 2, 3, 4, 6, 9, 10, 12, 35)))
+
+
+def _draw(rng):
+    """A (reference pair, operand) draw: a GaussRat, an int or a Fraction."""
+    re, im = _draw_part(rng), _draw_part(rng)
+    kind = rng.randrange(5)
+    if kind == 0 and re.denominator == 1:
+        return (re, Fraction(0)), int(re)
+    if kind == 1:
+        return (re, Fraction(0)), re
+    return (re, im), GaussRat(re, im)
+
+
+def _assert_canonical(z, ref):
+    a, b, d = z._a, z._b, z._d
+    assert d > 0 and math.gcd(a, b, d) == 1
+    assert (Fraction(a, d), Fraction(b, d)) == ref
+    assert (z.re, z.im) == ref
+    assert type(z.re) is Fraction and type(z.im) is Fraction
+    # equal values give equal triples
+    w = GaussRat(*ref)
+    assert (a, b, d) == (w._a, w._b, w._d)
+
+
+def test_differential_against_fraction_pairs():
+    rng = random.Random(8)
+    for _ in range(1500):
+        (x, u), (y, v) = _draw(rng), _draw(rng)
+        if not isinstance(u, GaussRat) and not isinstance(v, GaussRat):
+            u = GaussRat(u)
+        _assert_canonical(u + v, (x[0] + y[0], x[1] + y[1]))
+        _assert_canonical(u - v, (x[0] - y[0], x[1] - y[1]))
+        _assert_canonical(u * v, _ref_mul(x, y))
+        if y != (0, 0):
+            _assert_canonical(u / v, _ref_div(x, y))
+        else:
+            with pytest.raises(ZeroDivisionError):
+                u / v
+        assert (u == v) == (x == y) and (v == u) == (x == y)
+        for z, ref in ((u, x), (v, y)):
+            if not isinstance(z, GaussRat):
+                continue
+            k = rng.randint(-4, 5)
+            if k < 0 and ref == (0, 0):
+                with pytest.raises(ZeroDivisionError):
+                    z**k
+            else:
+                _assert_canonical(z**k, _ref_pow(ref, k))
+            _assert_canonical(-z, (-ref[0], -ref[1]))
+            _assert_canonical(z.conjugate(), (ref[0], -ref[1]))
+            assert z.norm2() == ref[0] ** 2 + ref[1] ** 2
+            assert type(z.norm2()) is Fraction
+            assert hash(z) == (hash(ref[0]) if not ref[1] else hash(ref))
+            assert str(z) == _ref_str(*ref)
+            assert repr(z) == f"GaussRat({ref[0]!r}, {ref[1]!r})"
+            assert z.to_strings() == (str(ref[0]), str(ref[1]))
+            assert complex(z) == complex(float(ref[0]), float(ref[1]))
+            assert bool(z) == (ref != (0, 0))
+            if not ref[1]:
+                assert z == ref[0] and ref[0] == z
+                if ref[0].denominator == 1:
+                    assert z == int(ref[0]) and int(ref[0]) == z
+            else:
+                assert z != ref[0]
+
+
+def test_operators_reject_other_types():
+    z = GaussRat(1, 2)
+    for other in (1.5, 1j, "1", None):
+        for op in (lambda: z + other, lambda: other - z, lambda: z * other,
+                   lambda: z / other, lambda: other / z):
+            with pytest.raises(TypeError):
+                op()
+        assert z != other
+    with pytest.raises(TypeError):
+        GaussRat.coerce(1.5)
+    with pytest.raises(AttributeError):
+        z.re = Fraction(0)

@@ -1,10 +1,12 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from workbench.algebra.gaussrat import GaussRat
 from workbench.algebra.poly import SparsePoly, random_poly
 
-from conftest import variables
+from conftest import count_calls, variables
 
 
 def small_poly(num_vars=2, max_degree=3):
@@ -138,3 +140,62 @@ def test_ring_operators():
     assert (x0 + 1) ** 2 == x0**2 + 2 * x0 + 1
     with pytest.raises(ValueError):
         x0 ** -1
+
+
+def _exact_div_reference(p, q):
+    """Long division that rebuilds the remainder polynomial on every step."""
+    rem, quot = p, {}
+    lead_e = max(q.terms)
+    lead_c = q.terms[lead_e]
+    while rem:
+        e = max(rem.terms)
+        diff = tuple(a - b for a, b in zip(e, lead_e))
+        if min(diff) < 0:
+            raise ValueError("not exactly divisible")
+        c = rem.terms[e]
+        qc = c / lead_c if isinstance(c, GaussRat) else c.exact_div(lead_c)
+        quot[diff] = qc
+        rem = rem - SparsePoly(p.num_vars, {diff: qc}) * q
+    return SparsePoly(p.num_vars, quot)
+
+
+def _nested_poly(rng):
+    """A polynomial in one variable over Q(i)[y0, y1]."""
+    return SparsePoly(1, {(e,): random_poly(rng, 2, 2, max_terms=3)
+                          for e in range(rng.randrange(1, 4))})
+
+
+@pytest.mark.parametrize("nested", [False, True])
+def test_exact_division_matches_the_reference(rng, nested):
+    for _ in range(60 if nested else 150):
+        if nested:
+            a, b = _nested_poly(rng), _nested_poly(rng)
+        else:
+            a = random_poly(rng, 2, 3)
+            b = random_poly(rng, 2, 2).scale(GaussRat(Fraction(2, 3), Fraction(-1, 5)))
+        for p in (a * b, a + b, b * b + a):
+            try:
+                want = _exact_div_reference(p, b)
+            except ValueError:
+                with pytest.raises(ValueError):
+                    p.exact_div(b)
+            else:
+                assert p.exact_div(b) == want
+        assert (a * b).exact_div(b) == a
+
+
+def test_arithmetic_skips_the_validating_constructor(monkeypatch, rng):
+    p, q = random_poly(rng, 3, 3), random_poly(rng, 3, 3)
+    calls = count_calls(monkeypatch, SparsePoly, "__init__")
+    prod = p * q
+    results = [p + q, p - q, -p, prod, prod.exact_div(q), *prod.coeffs_in(1)]
+    assert calls == []
+    monkeypatch.undo()
+    for r in results:
+        assert SparsePoly(r.num_vars, r.terms).terms == r.terms
+    # the public constructor still checks and cleans its input
+    assert SparsePoly(2, {(1, 0): 0, (0, 1): 2}).terms == {(0, 1): GaussRat(2)}
+    with pytest.raises(ValueError):
+        SparsePoly(2, {(1,): 1})
+    with pytest.raises(ValueError):
+        SparsePoly(2, {(1, -1): 1})
