@@ -32,14 +32,25 @@ def pseudo_rem(f: SparsePoly, g: SparsePoly, var: int) -> SparsePoly:
     if dg < 0:
         raise ZeroDivisionError("pseudo-division by zero")
     df = f.degree_in(var)
+    n = f.num_vars
     lc = g.leading_coeff_in(var)
+    g_tail = SparsePoly._clean(n, {ex: c for ex, c in g.terms.items() if ex[var] < dg})
     rem = f
     e = 0
-    x = SparsePoly.variable(var, f.num_vars)
-    while rem and rem.degree_in(var) >= dg:
-        dr = rem.degree_in(var)
-        lead = rem.leading_coeff_in(var)
-        rem = rem * lc - lead * x ** (dr - dg) * g
+    # lc*rem - lead*x^k*g without its leading part, which cancels exactly:
+    # body*lc - x^k*(lead*g_tail), with rem = lead*x^dr + body
+    while rem and (dr := rem.degree_in(var)) >= dg:
+        lead, body = {}, {}
+        for ex, c in rem.terms.items():
+            if ex[var] == dr:
+                lead[ex[:var] + (0,) + ex[var + 1:]] = c
+            else:
+                body[ex] = c
+        step = SparsePoly._clean(n, lead) * g_tail
+        k = dr - dg
+        shifted = SparsePoly._clean(
+            n, {ex[:var] + (ex[var] + k,) + ex[var + 1:]: c for ex, c in step.terms.items()})
+        rem = SparsePoly._clean(n, body) * lc - shifted
         e += 1
     if df >= dg and e < df - dg + 1:
         rem = rem * lc ** (df - dg + 1 - e)

@@ -1,12 +1,16 @@
 """Certified complex root enclosures for exact univariate polynomials.
 
 Multiplicities are assigned structurally (from the squarefree
-decomposition), never numerically.  Each squarefree factor is solved with a
-simultaneous iteration at high working precision and every approximate root
-x gets the classical enclosure radius deg(p) * |p(x)/p'(x)|, which always
-contains at least one true root; pairwise disjointness of the disks then
-pins exactly one root per disk.  The stored radius also covers the rounding
-of x to its float centre.
+decomposition), never numerically.  When a squarefree factor has degree
+``_MIN_SEEDED_DEGREE`` or more, the factors are first solved from float
+seeds: the eigenvalue roots of ``np.roots`` are refined by Newton's method at
+high working precision.  Every approximate root x gets the
+classical enclosure radius deg(p) * |p(x)/p'(x)|, which always contains at
+least one true root; pairwise disjointness of the disks then pins exactly one
+root per disk.  So a bad seed can only make the attempt fail, never give a
+wrong disk; when it fails, or is not made, the simultaneous iteration
+``mpmath.polyroots`` solves the factors at doubling precision instead.  The
+stored radius also covers the rounding of x to its float centre.
 """
 
 from __future__ import annotations
@@ -14,8 +18,10 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import mpmath
+import numpy as np
 
 from ..errors import EnclosureError, InternalContradiction
 from .gaussrat import GaussRat
@@ -26,6 +32,14 @@ from .squarefree import squarefree_decompose
 _MIN_NUMERIC_RADIUS = 1e-250
 # every numeric enclosure radius is at most this
 ENCLOSURE_RADIUS = 1e-12
+# (working dps, float-seeded) per attempt: float seeds first, then the
+# polyroots ladder at doubling precision
+_ATTEMPTS = ((40, True), (40, False), (80, False), (160, False), (320, False), (640, False))
+# the float-seeded attempt runs only when a factor has at least this degree.
+# Seeding pays at every degree; the limit is there only because the benchmark
+# cannot yet time an exset pass that short (ROADMAP item 3, "seed every
+# degree").  Lower it to 0 once it can.
+_MIN_SEEDED_DEGREE = 17
 
 
 @dataclass(frozen=True)
@@ -37,6 +51,13 @@ class RootEnclosure:
 
     def contains(self, z: complex, slack: float = 0.0) -> bool:
         return abs(z - self.center) <= self.radius + slack
+
+    def contains_exact(self, c: GaussRat) -> bool:
+        """Whether the disk holds the exact value c: its float is tested with
+        the radius widened by the rounding |c - complex(c)|, rounded up."""
+        z = complex(c)
+        err = abs(c.re - Fraction(z.real)) + abs(c.im - Fraction(z.imag))
+        return self.contains(z, slack=math.nextafter(float(err), math.inf) if err else 0.0)
 
 
 @dataclass(frozen=True)
@@ -93,34 +114,80 @@ def cauchy_root_bound(f: SparsePoly) -> float:
     return 1.0 + max(abs(complex(c)) for c in coeffs[:-1]) / lead if len(coeffs) > 1 else 1.0
 
 
-def _solve_squarefree(coeffs: list[GaussRat], dps: int):
+def _newton(cm, dm, z, dps: int):
+    """Newton steps on the polynomial ``cm`` from z until a step is below
+    10^-(dps-8) or the derivative vanishes; at most 80 steps."""
+    small = mpmath.mpf(10) ** (-(dps - 8))
+    for _ in range(80):
+        dv = _horner(dm, z)
+        if dv == 0:
+            break
+        step = _horner(cm, z) / dv
+        z = z - step
+        if abs(step) < small:
+            break
+    return z
+
+
+def _seeded_roots(coeffs: list[GaussRat], cm, dm, dps: int):
+    """Approximate roots from ``np.roots`` seeds refined by Newton.
+
+    Called at the working precision ``dps``.  As in ``mpmath.polyroots``,
+    the iteration runs 80 bits past it, parts below its epsilon are zeroed
+    (so a real root of a real polynomial comes out real) and the roots are
+    rounded to it.  Raises EnclosureError when the float seeds are unusable:
+    coefficients or seeds that are not finite floats, or fewer seeds than
+    the degree.
+    """
+    deg = len(coeffs) - 1
+    try:
+        floats = [complex(c) for c in reversed(coeffs)]
+        with np.errstate(all="ignore"):
+            seeds = np.roots(floats)
+    except (OverflowError, np.linalg.LinAlgError) as exc:
+        raise EnclosureError(f"no float seeds: {exc}") from exc
+    if len(seeds) != deg or not np.all(np.isfinite(seeds)):
+        raise EnclosureError("no float seeds: non-finite or missing seeds")
+    tol = +mpmath.mp.eps  # unary plus fixes it at the working precision
+    out = []
+    with mpmath.workdps(dps + 24):  # 80 bits
+        for s in seeds:
+            z = _newton(cm, dm, mpmath.mpc(s.real, s.imag), dps + 24)
+            if abs(z) < tol:
+                z = mpmath.mpc(0)
+            elif abs(z.imag) < tol:
+                z = mpmath.mpc(z.real)
+            elif abs(z.real) < tol:
+                z = mpmath.mpc(0, z.imag)
+            out.append(z)
+    out.sort(key=lambda z: (abs(z.imag), z.real))  # polyroots' order
+    return [+z for z in out]
+
+
+def _solve_squarefree(coeffs: list[GaussRat], dps: int, seeded: bool):
     """Roots of a squarefree polynomial at given precision.
 
-    Returns (centre, radius, stored radius) per root: the float centre, the
-    enclosure radius about the high-precision root and that radius widened
-    by the distance to the centre, rounded up, so the disk about the centre
-    contains the root.
+    The approximate roots come from float seeds (``seeded``) or from
+    ``mpmath.polyroots``; either way a final Newton step gives the
+    high-precision root.  Returns (centre, radius, stored radius) per root:
+    the float centre, the enclosure radius about the high-precision root and
+    that radius widened by the distance to the centre, rounded up, so the
+    disk about the centre contains the root.
     """
     deg = len(coeffs) - 1
     with mpmath.workdps(dps):
         cm = [_to_mpc(c) for c in coeffs]
         dm = [cm[i] * i for i in range(1, len(cm))]
-        try:
-            approx = mpmath.polyroots(list(reversed(cm)), maxsteps=200, extraprec=80)
-        except mpmath.libmp.libhyper.NoConvergence as exc:  # pragma: no cover
-            raise EnclosureError(f"root iteration failed to converge: {exc}") from exc
+        if seeded:
+            approx = _seeded_roots(coeffs, cm, dm, dps)
+        else:
+            try:
+                approx = mpmath.polyroots(list(reversed(cm)), maxsteps=200, extraprec=80)
+            except mpmath.libmp.libhyper.NoConvergence as exc:  # pragma: no cover
+                raise EnclosureError(f"root iteration failed to converge: {exc}") from exc
         out = []
         for r in approx:
-            z = mpmath.mpc(r)
-            for _ in range(80):
-                pv = _horner(cm, z)
-                dv = _horner(dm, z)
-                if dv == 0:
-                    break
-                step = pv / dv
-                z = z - step
-                if abs(step) < mpmath.mpf(10) ** (-(dps - 8)):
-                    break
+            z = _newton(cm, dm, mpmath.mpc(r), dps)
             pv = _horner(cm, z)
             dv = _horner(dm, z)
             if dv == 0:
@@ -168,19 +235,25 @@ def roots_certified(f: SparsePoly) -> AlgebraicRoots:
         elif len(coeffs) > 2:
             pending.append((coeffs, mult))
 
-    dps = 40
+    top = max((len(c) - 1 for c, _ in pending), default=0)
     best: list[RootEnclosure] | None = None
-    for attempt in range(5):
+    for dps, seeded in _ATTEMPTS:
+        if seeded and top < _MIN_SEEDED_DEGREE:
+            continue
         numeric: list[RootEnclosure] = []
         ok = True
-        for coeffs, mult in pending:
-            got = _solve_squarefree(coeffs, dps)
-            for center, rad, stored in got:
-                if rad > ENCLOSURE_RADIUS:
-                    ok = False
-                numeric.append(
-                    RootEnclosure(center, max(stored, _MIN_NUMERIC_RADIUS), mult)
-                )
+        try:
+            for coeffs, mult in pending:
+                for center, rad, stored in _solve_squarefree(coeffs, dps, seeded):
+                    if rad > ENCLOSURE_RADIUS:
+                        ok = False
+                    numeric.append(
+                        RootEnclosure(center, max(stored, _MIN_NUMERIC_RADIUS), mult)
+                    )
+        except EnclosureError:
+            if not seeded:
+                raise
+            continue
         candidate = enclosures + numeric
         if ok and _pairwise_disjoint(candidate):
             total = sum(r.multiplicity for r in candidate)
@@ -195,7 +268,6 @@ def roots_certified(f: SparsePoly) -> AlgebraicRoots:
             )
             return AlgebraicRoots(original, ordered)
         best = candidate
-        dps *= 2
     raise EnclosureError(
         f"could not certify enclosures at tol={ENCLOSURE_RADIUS}", best=best
     )

@@ -338,13 +338,13 @@ class BetaValue:
         return BetaValue(_reverse_univar(self.defining_poly),
                          _reciprocal_enclosure(self.enclosure))
 
-    def matches_constant(self, c: GaussRat, slack: float = 1e-9) -> bool:
+    def matches_constant(self, c: GaussRat) -> bool:
         """Exact vanishing test plus enclosure containment."""
         if not c:
             return False
         if self.defining_poly.eval_exact([c]):
             return False
-        return self.enclosure.contains(complex(c), slack=slack)
+        return self.enclosure.contains_exact(c)
 
 
 @dataclass(frozen=True)
@@ -572,7 +572,7 @@ def _dedup(curves: list[CurveSpec]) -> tuple[CurveSpec, ...]:
         rb = beta.enclosure
         group = groups.setdefault(e, [])
         for i, ra in group:
-            if abs(ra.center - rb.center) <= ra.radius + rb.radius + 1e-11:
+            if abs(ra.center - rb.center) <= ra.radius + rb.radius:
                 result[i] = _merge(result[i], c)
                 break
         else:

@@ -707,9 +707,7 @@ def _exact_root(beta) -> GaussRat | None:
         cand = GaussRat(
             Fraction(round(c.real * den), den), Fraction(round(c.imag * den), den)
         )
-        if not beta.defining_poly.eval_exact([cand]) and beta.enclosure.contains(
-            complex(cand), slack=1e-9
-        ):
+        if not beta.defining_poly.eval_exact([cand]) and beta.enclosure.contains_exact(cand):
             return cand
     return None
 

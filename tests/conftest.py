@@ -6,6 +6,7 @@ import sympy
 
 from workbench.algebra.gaussrat import GaussRat
 from workbench.algebra.poly import SparsePoly
+from workbench.algebra.roots import roots_certified
 
 
 @pytest.fixture
@@ -28,6 +29,16 @@ def count_calls(monkeypatch, module, name):
 
     monkeypatch.setattr(module, name, counted)
     return calls
+
+
+def two_close_roots():
+    """(z - 1)(z - 1 - 10^-10), the gap 10^-10, and the certified disks about
+    1 and about 1 + 10^-10."""
+    z = SparsePoly.variable(0, 1)
+    gap = GaussRat(Fraction(1, 10**10))
+    f = (z - 1) * (z - 1 - gap)
+    near_one, near_other = sorted(roots_certified(f).roots, key=lambda d: d.center.real)
+    return f, gap, near_one, near_other
 
 
 def to_sympy(p: SparsePoly, symbols):

@@ -209,3 +209,31 @@ def test_gaussian_integer_pair_builds_no_fraction(monkeypatch):
     x = sympy.Symbol("x")
     want = sympy.resultant(to_sympy(f, [x]), to_sympy(g, [x]), x)
     assert sympy.simplify(to_sympy(res, [x]) - want) == 0
+
+
+def _pseudo_rem_reference(f, g, var):
+    """Pseudo-remainder from the full products lc*rem - lead*x^k*g."""
+    dg, df = g.degree_in(var), f.degree_in(var)
+    lc = g.leading_coeff_in(var)
+    x = SparsePoly.variable(var, f.num_vars)
+    rem, e = f, 0
+    while rem and rem.degree_in(var) >= dg:
+        k = rem.degree_in(var) - dg
+        rem = rem * lc - rem.leading_coeff_in(var) * x**k * g
+        e += 1
+    if df >= dg and e < df - dg + 1:
+        rem = rem * lc ** (df - dg + 1 - e)
+    return rem
+
+
+def test_pseudo_rem_matches_the_full_product_reference(rng):
+    for _ in range(60):
+        n = rng.randrange(1, 4)
+        var = rng.randrange(n)
+        f = random_poly(rng, n, 5, max_terms=6, coeff_range=4)
+        g = random_poly(rng, n, 3, max_terms=4, coeff_range=4)
+        assert pseudo_rem(f, g, var) == _pseudo_rem_reference(f, g, var)
+    # sparse cancellation skips degrees, so the exponent is topped up
+    L, T = variables(2)
+    f, g = T**6 + T**2 + 1, L * T**5 + 1
+    assert pseudo_rem(f, g, 1) == _pseudo_rem_reference(f, g, 1)

@@ -23,7 +23,7 @@ from workbench.exset import (
 )
 from workbench.nevanlinna import MeroFn
 
-from conftest import count_calls, variables
+from conftest import count_calls, two_close_roots, variables
 
 
 def sphere():
@@ -368,3 +368,11 @@ def test_build_W_refuses_an_enumeration_that_cannot_finish(monkeypatch, curve, k
         build_W(curve(), **kwargs)
     assert calls == []
     assert pair_count(50) <= exset.MAX_CHART_SOLVES < 3 * pair_count(50)
+
+
+def test_matches_constant_rejects_the_neighbouring_root():
+    # both constants are roots of the defining polynomial; only 1 is in the disk
+    f, gap, near_one, _ = two_close_roots()
+    beta = BetaValue(f, near_one)
+    assert beta.matches_constant(GaussRat(1))
+    assert not beta.matches_constant(GaussRat(1) + gap)

@@ -6,7 +6,7 @@ import pytest
 from workbench import harness
 from workbench.algebra.poly import SparsePoly
 from workbench.expsum import ExpSumFn
-from workbench.exset import build_W
+from workbench.exset import BetaValue, build_W
 from workbench.harness import (
     borel_check,
     composed_form_has_multiple_zero,
@@ -24,7 +24,7 @@ from workbench.harness import (
 )
 from workbench.nevanlinna import MeroFn, RadiusGrid
 
-from conftest import count_calls, variables
+from conftest import count_calls, two_close_roots, variables
 
 
 def z():
@@ -337,3 +337,11 @@ def test_gcd_bound_computes_curve_characteristic_once_per_radius(monkeypatch):
                           {"r_pass": 20.0, "scan_cap": 2}, grid)
     assert [r for _, r in calls] == [row.r for row in rep.rows]
     assert len(calls) == len(grid.points)
+
+
+def test_exact_root_does_not_upgrade_to_the_neighbouring_root():
+    # the disk about 1 + 10^-10 holds no small-denominator root, though 1 is
+    # a root of its defining polynomial
+    f, _, near_one, near_other = two_close_roots()
+    assert harness._exact_root(BetaValue(f, near_one)) == 1
+    assert harness._exact_root(BetaValue(f, near_other)) is None

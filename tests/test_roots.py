@@ -1,8 +1,11 @@
+import random
 from fractions import Fraction
 
 import mpmath
+import numpy as np
 import pytest
 
+from workbench.algebra import roots
 from workbench.algebra.gaussrat import GaussRat
 from workbench.algebra.poly import SparsePoly, random_poly
 from workbench.algebra.roots import (
@@ -11,8 +14,10 @@ from workbench.algebra.roots import (
     factor_linear_forms,
     roots_certified,
 )
+from workbench.algebra.squarefree import squarefree_decompose
+from workbench.errors import EnclosureError
 
-from conftest import variables
+from conftest import count_calls, variables
 
 
 def t():
@@ -114,3 +119,137 @@ def test_disks_contain_their_roots_after_rounding(rng):
             mp_roots = mpmath.polyroots(coeffs, maxsteps=200, extraprec=100)
             for disk in roots_certified(f).roots:
                 assert disk.exact is not None or _holds_a_root(disk, mp_roots), (f, disk)
+
+
+# -- float-seeded path ---------------------------------------------------------
+
+UNITS = (GaussRat(1), GaussRat(-1), GaussRat(0, 1), GaussRat(0, -1))
+
+
+def _dense(rng, degree):
+    """Every power up to ``degree`` with a Gaussian unit coefficient."""
+    return SparsePoly(1, {(i,): rng.choice(UNITS) for i in range(degree + 1)})
+
+
+def _integer(rng, degree, size):
+    return SparsePoly(1, {(i,): GaussRat(rng.randrange(-size, size + 1)) for i in range(degree + 1)})
+
+
+def _linear(c):
+    return t() - SparsePoly.constant(c, 1)
+
+
+def _differential_draws(seed, count, degrees):
+    """Dense Gaussian draws, real polynomials with rational real roots, roots
+    at exactly +-1 and +-i, and repeated factors, in turn.  Each draw has a
+    squarefree factor of a degree in ``degrees``, give or take 4."""
+    rng = random.Random(seed)
+    draws = []
+    while len(draws) < count:
+        kind = len(draws) % 4
+        degree = rng.choice(degrees)
+        if kind == 0:
+            f = _dense(rng, degree)
+        elif kind == 1:
+            k = rng.randrange(2, 5)
+            f = _integer(rng, max(degree - k, 2), 5)
+            for _ in range(k):
+                f = f * _linear(Fraction(rng.randrange(-9, 10), rng.randrange(1, 5)))
+        elif kind == 2:
+            f = SparsePoly(1, {(i,): GaussRat(rng.randrange(-4, 5), rng.randrange(-1, 2))
+                               for i in range(max(degree - 2, 3))})
+            for c in rng.sample(UNITS, 2):
+                f = f * _linear(c) ** rng.randrange(1, 3)
+        else:
+            f = _integer(rng, max(degree - 2, 3), 6) * _integer(rng, 2, 6) ** 2
+        if f.degree_in(0) >= 2:
+            draws.append(f)
+    return draws
+
+
+def _no_seeds(*_):
+    raise EnclosureError("no float seeds")
+
+
+def _certify(f, monkeypatch, seeded: bool):
+    """roots_certified(f) on a cold cache; without ``seeded`` every seeded
+    attempt finds no seeds, so the polyroots ladder alone runs."""
+    roots_certified.cache_clear()
+    with monkeypatch.context() as m:
+        if not seeded:
+            m.setattr(roots, "_seeded_roots", _no_seeds)
+        out = roots_certified(f).roots
+    roots_certified.cache_clear()
+    return out
+
+
+@pytest.mark.parametrize("degree", [20, 34])
+def test_seeded_draws_never_call_polyroots(monkeypatch, degree):
+    calls = count_calls(monkeypatch, mpmath, "polyroots")
+    rng = random.Random(f"seeded/{degree}")
+    roots_certified.cache_clear()
+    for _ in range(2):
+        got = roots_certified(_dense(rng, degree))
+        assert sum(d.multiplicity for d in got.roots) == degree
+    assert calls == []
+
+
+def test_low_degrees_stay_on_polyroots(monkeypatch):
+    calls = count_calls(monkeypatch, mpmath, "polyroots")
+    roots_certified.cache_clear()
+    roots_certified(_dense(random.Random("seeded/9"), 9))
+    roots_certified.cache_clear()
+    assert len(calls) == 1
+
+
+def test_repeated_seed_falls_back_to_polyroots(monkeypatch):
+    f = _dense(random.Random(7), 20)
+    expected = _certify(f, monkeypatch, seeded=False)
+    real = np.roots
+
+    def repeated(coeffs):
+        seeds = real(coeffs)
+        seeds[1] = seeds[0]  # two seeds converge to one root: disks overlap
+        return seeds
+
+    monkeypatch.setattr(roots.np, "roots", repeated)
+    calls = count_calls(monkeypatch, mpmath, "polyroots")
+    assert _certify(f, monkeypatch, seeded=True) == expected
+    assert len(calls) == 1
+
+
+def test_overflowing_coefficients_certify_through_polyroots(monkeypatch):
+    # the squarefree step makes factors monic, so the overflow has to survive
+    # that: 10^320 does not fit a float
+    f = (t() ** 2 + GaussRat(10**320)) * (t() ** 15 - 2)
+    with pytest.raises(EnclosureError, match="no float seeds"):
+        roots._solve_squarefree(roots._univar_coeffs(f), 40, True)
+    calls = count_calls(monkeypatch, mpmath, "polyroots")
+    got = _certify(f, monkeypatch, seeded=True)
+    seeded_calls = len(calls)
+    assert got == _certify(f, monkeypatch, seeded=False)
+    # the same polyroots ladder ran on both paths
+    assert seeded_calls and len(calls) == 2 * seeded_calls
+    assert sum(d.multiplicity for d in got) == 17
+
+
+def test_seeded_and_polyroots_paths_agree(monkeypatch):
+    # the shipped configuration: a factor of degree >= _MIN_SEEDED_DEGREE
+    calls = count_calls(monkeypatch, mpmath, "polyroots")
+    for f in _differential_draws(20241018, 16, range(21, 35)):
+        seeded = _certify(f, monkeypatch, True)
+        assert calls == [], f  # the seeded attempt certified
+        assert seeded == _certify(f, monkeypatch, False), f
+        calls.clear()
+
+
+def test_seeded_solver_agrees_with_polyroots_at_low_degrees():
+    for f in _differential_draws(20241019, 64, (3, 5, 7, 9)):
+        for p, _ in squarefree_decompose(f):
+            coeffs = roots._univar_coeffs(p)
+            if len(coeffs) > 2:
+                # roots_certified orders the disks itself
+                seeded, plain = (sorted(roots._solve_squarefree(coeffs, 40, s),
+                                        key=lambda r: (r[0].real, r[0].imag))
+                                 for s in (True, False))
+                assert seeded == plain, f
