@@ -1,7 +1,7 @@
 """Exact algebra kernel: Gaussian-rational sparse polynomials and friends."""
 
 from .gaussrat import GaussRat
-from .poly import SparsePoly, random_poly
+from .poly import SparsePoly
 from .laurent import LaurentBivar
 from .euclid import (
     canonical_scale,
@@ -19,7 +19,6 @@ from .roots import (
     AlgebraicRoots,
     LinearFormFactorization,
     RootEnclosure,
-    cauchy_root_bound,
     factor_linear_forms,
     roots_certified,
 )
@@ -41,7 +40,6 @@ __all__ = [
     "RootEnclosure",
     "LinearFormFactorization",
     "NullstellensatzCertificate",
-    "random_poly",
     "canonical_scale",
     "content_in",
     "gcd_many",
@@ -55,7 +53,6 @@ __all__ = [
     "squarefree_part",
     "roots_certified",
     "factor_linear_forms",
-    "cauchy_root_bound",
     "nullstellensatz_certificate",
     "poly_to_doc",
     "poly_from_doc",

@@ -5,11 +5,12 @@ produce an exponent s, a nonzero R in A, and cofactors with
 
     Z^s * R = P1*F + P2*G        and        U^s * R = Q1*F + Q2*G.
 
-The construction runs an extended pseudo-Euclidean algorithm in each of the
-two affine charts (no divisions, so any coefficient ring with exact
-arithmetic works), homogenizes the resulting Bezout identities, and glues
-them with a common R.  Every certificate is re-verified by exact expansion
-before it is returned.
+Both identities come from the cofactor run of the one subresultant PRS
+(``euclid._subresultant_prs``), taken directly on the binary forms, so no
+division leaves the coefficient ring.  The PRS keeps forms homogeneous:
+eliminating U ends in R_z * Z^s_z with homogeneous cofactors, and
+eliminating Z ends in R_u * U^s_u.  The two are glued with R = R_z * R_u.
+Every certificate is re-verified by exact expansion before it is returned.
 """
 
 from __future__ import annotations
@@ -17,126 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..errors import CoprimalityError, InternalContradiction
-from .gaussrat import GaussRat
+from .euclid import _subresultant_prs
 from .poly import SparsePoly
-
-# Univariate polynomials over A are plain ascending coefficient lists.
-
-
-def _lstrip(p: list) -> list:
-    while p and not p[-1]:
-        p.pop()
-    return p
-
-
-def _ladd(p: list, q: list) -> list:
-    n = max(len(p), len(q))
-    out = []
-    for i in range(n):
-        a = p[i] if i < len(p) else None
-        b = q[i] if i < len(q) else None
-        if a is None:
-            out.append(b)
-        elif b is None:
-            out.append(a)
-        else:
-            out.append(a + b)
-    return _lstrip(out)
-
-
-def _lneg(p: list) -> list:
-    return [-a for a in p]
-
-def _lmul(p: list, q: list) -> list:
-    if not p or not q:
-        return []
-    out = [None] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if not a:
-            continue
-        for j, b in enumerate(q):
-            if not b:
-                continue
-            prod = a * b
-            out[i + j] = prod if out[i + j] is None else out[i + j] + prod
-    zero = (p[0] - p[0]) if p else None
-    return _lstrip([zero if c is None else c for c in out])
-
-
-def _lscale(p: list, c) -> list:
-    return _lstrip([a * c for a in p])
-
-
-def _ext_prs(f: list, g: list):
-    """Extended pseudo-Euclid: returns (r, a, b) with r = a*f + b*g.
-
-    ``r`` is the last nonzero element of the pseudo-remainder sequence; its
-    degree is zero exactly when f and g are coprime over the fraction field
-    of A.  No divisions are performed.
-    """
-    one = _ring_one(f + g)
-    r0, a0, b0 = list(f), [one], []
-    r1, a1, b1 = list(g), [], [one]
-    if len(r0) < len(r1):
-        r0, a0, b0, r1, a1, b1 = r1, a1, b1, r0, a0, b0
-    while len(r1) > 1:
-        # pseudo-divide r0 by r1, tracking cofactors
-        lc = r1[-1]
-        rem, ra, rb = list(r0), list(a0), list(b0)
-        while len(rem) >= len(r1) and rem:
-            shift = len(rem) - len(r1)
-            lead = rem[-1]
-            mono = [lead - lead] * shift + [lead]
-            rem = _ladd(_lscale(rem, lc), _lneg(_lmul(mono, r1)))
-            ra = _ladd(_lscale(ra, lc), _lneg(_lmul(mono, a1)))
-            rb = _ladd(_lscale(rb, lc), _lneg(_lmul(mono, b1)))
-        if not rem:
-            return r1, a1, b1
-        r0, a0, b0 = r1, a1, b1
-        r1, a1, b1 = rem, ra, rb
-    return r1, a1, b1
-
-
-def _ring_one(elements: list):
-    for e in elements:
-        if isinstance(e, GaussRat):
-            return GaussRat(1)
-        if isinstance(e, SparsePoly):
-            return SparsePoly.one(e.num_vars)
-        if e is not None and hasattr(e, "one"):
-            return e.one()
-    return GaussRat(1)
-
-
-def _chart_coeffs(F: SparsePoly, axis: int) -> list:
-    """Ascending coefficients of the dehomogenization along one axis.
-
-    axis 0: f(T) with Z=1, T=U (coefficient of U^k); axis 1: with U=1,
-    T=Z.  The list has formal length deg(F)+1.
-    """
-    d = F.total_degree()
-    zero = None
-    coeffs: list = [zero] * (d + 1)
-    for expo, c in F.terms.items():
-        k = expo[1] if axis == 0 else expo[0]
-        coeffs[k] = c if coeffs[k] is None else coeffs[k] + c
-    one = _ring_one([c for c in coeffs if c is not None])
-    zero = one - one
-    return [zero if c is None else c for c in coeffs]
-
-
-def _homogenize_cofactor(a: list, extra: int, axis: int) -> SparsePoly:
-    """Homogenize an A[T] cofactor to a binary form of formal degree len(a)-1+extra."""
-    terms = {}
-    for j, c in enumerate(a):
-        if not c:
-            continue
-        if axis == 0:  # T = U/Z
-            expo = (extra + (len(a) - 1 - j), j)
-        else:  # T = Z/U
-            expo = (j, extra + (len(a) - 1 - j))
-        terms[expo] = c
-    return SparsePoly(2, terms)
 
 
 @dataclass(frozen=True)
@@ -159,20 +42,20 @@ class NullstellensatzCertificate:
         )
 
 
-def _one_chart(F: SparsePoly, G: SparsePoly, axis: int):
-    f = _lstrip(_chart_coeffs(F, axis))
-    g = _lstrip(_chart_coeffs(G, axis))
-    if not f or not g:
-        raise CoprimalityError("a form vanished identically in a chart")
-    r, a, b = _ext_prs(f, g)
-    if len(r) != 1:
+def _eliminate(F: SparsePoly, G: SparsePoly, var: int):
+    """(s, R, a, b) with R * X^s = a*F + b*G, X the binary variable other than ``var``."""
+    if F.degree_in(var) < G.degree_in(var):
+        s, R, b, a = _eliminate(G, F, var)
+        return s, R, a, b
+    if G.degree_in(var) == 0:
+        last, a, b = G, SparsePoly.zero(2), SparsePoly.one(2)
+    else:
+        last, a, b = _subresultant_prs(F, G, var, cofactors=True)
+    if last.degree_in(var) > 0:
         raise CoprimalityError("forms share a nonconstant factor")
-    R = r[0]
-    dF, dG = F.total_degree(), G.total_degree()
-    n = max((len(a) - 1 if a else 0) + dF, (len(b) - 1 if b else 0) + dG)
-    P1 = _homogenize_cofactor(a, n - dF - (len(a) - 1), axis) if a else SparsePoly.zero(2)
-    P2 = _homogenize_cofactor(b, n - dG - (len(b) - 1), axis) if b else SparsePoly.zero(2)
-    return n, R, P1, P2
+    # homogeneous and free of var, so a single term R * X^s
+    (expo, R), = last.terms.items()
+    return expo[1 - var], R, a, b
 
 
 def nullstellensatz_certificate(F: SparsePoly, G: SparsePoly) -> NullstellensatzCertificate:
@@ -193,13 +76,13 @@ def nullstellensatz_certificate(F: SparsePoly, G: SparsePoly) -> Nullstellensatz
     if F.min_degree_in(1) >= 1 and G.min_degree_in(1) >= 1:
         raise CoprimalityError("common factor: second variable divides both forms")
 
-    sz, Rz, P1, P2 = _one_chart(F, G, axis=0)
-    su, Ru, Q1, Q2 = _one_chart(F, G, axis=1)
+    sz, Rz, P1, P2 = _eliminate(F, G, var=1)
+    su, Ru, Q1, Q2 = _eliminate(F, G, var=0)
     s = max(sz, su)
     Z = SparsePoly.variable(0, 2)
     U = SparsePoly.variable(1, 2)
-    # glue to a single R: scale each identity by the other chart's R and
-    # top up the coordinate powers to the common exponent s
+    # glue to a single R: scale each identity by the other elimination's R
+    # and top up the coordinate powers to the common exponent s
     R = Rz * Ru
     P1g = P1.scale(Ru) * Z ** (s - sz)
     P2g = P2.scale(Ru) * Z ** (s - sz)

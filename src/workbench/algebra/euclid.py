@@ -28,6 +28,12 @@ def pseudo_rem(f: SparsePoly, g: SparsePoly, var: int) -> SparsePoly:
     leading-coefficient factors are topped up), which the subresultant
     divisions rely on.
     """
+    return _pseudo_divmod(f, g, var)[1]
+
+
+def _pseudo_divmod(f: SparsePoly, g: SparsePoly, var: int, quotient: bool = False):
+    """``(q, rem)`` of ``pseudo_rem``; q is built only when ``quotient`` is set
+    (None otherwise), so the remainder-only runs pay nothing for it."""
     dg = g.degree_in(var)
     if dg < 0:
         raise ZeroDivisionError("pseudo-division by zero")
@@ -36,6 +42,7 @@ def pseudo_rem(f: SparsePoly, g: SparsePoly, var: int) -> SparsePoly:
     lc = g.leading_coeff_in(var)
     g_tail = SparsePoly._clean(n, {ex: c for ex, c in g.terms.items() if ex[var] < dg})
     rem = f
+    q = SparsePoly.zero(n) if quotient else None
     e = 0
     # lc*rem - lead*x^k*g without its leading part, which cancels exactly:
     # body*lc - x^k*(lead*g_tail), with rem = lead*x^dr + body
@@ -51,10 +58,17 @@ def pseudo_rem(f: SparsePoly, g: SparsePoly, var: int) -> SparsePoly:
         shifted = SparsePoly._clean(
             n, {ex[:var] + (ex[var] + k,) + ex[var + 1:]: c for ex, c in step.terms.items()})
         rem = SparsePoly._clean(n, body) * lc - shifted
+        if quotient:
+            # lc^e*f = q*g + rem turns into lc^(e+1)*f = (lc*q + lead*x^k)*g + rem
+            q = q * lc + SparsePoly._clean(
+                n, {ex[:var] + (k,) + ex[var + 1:]: c for ex, c in lead.items()})
         e += 1
     if df >= dg and e < df - dg + 1:
-        rem = rem * lc ** (df - dg + 1 - e)
-    return rem
+        top = lc ** (df - dg + 1 - e)
+        rem = rem * top
+        if quotient:
+            q = q * top
+    return q, rem
 
 
 # ---------------------------------------------------------------------------
@@ -90,7 +104,7 @@ def primitive_part_in(p: SparsePoly, var: int) -> SparsePoly:
     return canonical_scale(p.exact_div(c))
 
 
-def _subresultant_prs(f: SparsePoly, g: SparsePoly, var: int):
+def _subresultant_prs(f: SparsePoly, g: SparsePoly, var: int, cofactors: bool = False):
     """Subresultant PRS of f, g in ``var`` by Cohen's (g, h) recurrence.
 
     Inputs must satisfy deg f >= deg g >= 1.  The run stops at the first
@@ -98,20 +112,34 @@ def _subresultant_prs(f: SparsePoly, g: SparsePoly, var: int):
     sign)``: the last nonzero element, the element before it, the
     subresultant scale h reached with ``last``, and the product of
     (-1)^(deg a * deg b) over the pseudo-divisions prem(a, b) taken.
+
+    With ``cofactors`` set it returns ``(last, a, b)`` with last = a*f + b*g
+    instead (the extended subresultant algorithm; Brown, JACM 18(4), 1971).
+    Each cofactor pair is divided by the same lead * h^delta as the
+    remainder, which keeps it in the coefficient domain.
     """
     one = SparsePoly.one(f.num_vars)
     lead, h, sign = one, one, 1
+    if cofactors:
+        zero = SparsePoly.zero(f.num_vars)
+        (a0, b0), (a1, b1) = (one, zero), (zero, one)
     while True:
         da, db = f.degree_in(var), g.degree_in(var)
         if db == 0:
-            return g, f, h, sign
+            return (g, a1, b1) if cofactors else (g, f, h, sign)
         if da % 2 and db % 2:
             sign = -sign
-        rem = pseudo_rem(f, g, var)
+        q, rem = _pseudo_divmod(f, g, var, quotient=cofactors)
         if not rem:
-            return g, f, h, sign
+            return (g, a1, b1) if cofactors else (g, f, h, sign)
         delta = da - db
-        f, g = g, rem.exact_div(lead * h**delta)
+        scale = lead * h**delta
+        if cofactors:
+            # lc^(delta+1) * f = q*g + rem, so rem has cofactors lc^(delta+1)*(a0, b0) - q*(a1, b1)
+            lc_pow = g.leading_coeff_in(var) ** (delta + 1)
+            (a0, b0), (a1, b1) = (a1, b1), ((a0 * lc_pow - q * a1).exact_div(scale),
+                                            (b0 * lc_pow - q * b1).exact_div(scale))
+        f, g = g, rem.exact_div(scale)
         lead = f.leading_coeff_in(var)
         if delta == 1:
             h = lead

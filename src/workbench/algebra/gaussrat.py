@@ -130,13 +130,6 @@ class GaussRat:
 
     __rmul__ = __mul__
 
-    def conjugate(self) -> "GaussRat":
-        return _triple(self._a, -self._b, self._d)
-
-    def norm2(self) -> Fraction:
-        """The rational |z|^2 = re^2 + im^2."""
-        return Fraction(self._a * self._a + self._b * self._b, self._d * self._d)
-
     def __truediv__(self, other):
         try:
             other = GaussRat.coerce(other)

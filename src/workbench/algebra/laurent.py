@@ -43,10 +43,6 @@ class LaurentBivar:
         return LaurentBivar()
 
     @staticmethod
-    def monomial(e0: int, e1: int, coeff=1) -> "LaurentBivar":
-        return LaurentBivar({(e0, e1): GaussRat.coerce(coeff)})
-
-    @staticmethod
     def from_poly(p: SparsePoly) -> "LaurentBivar":
         if p.num_vars != 2:
             raise ValueError("expected a polynomial in two variables")

@@ -86,11 +86,6 @@ class SparsePoly:
         expo = tuple(1 if j == index else 0 for j in range(num_vars))
         return SparsePoly(num_vars, {expo: GaussRat(1)})
 
-    @staticmethod
-    def monomial(expo: Iterable[int], coeff=1, num_vars: int | None = None) -> "SparsePoly":
-        expo = tuple(expo)
-        return SparsePoly(num_vars if num_vars is not None else len(expo), {expo: coeff})
-
     # -- predicates ----------------------------------------------------------
 
     def __bool__(self) -> bool:
@@ -326,15 +321,6 @@ class SparsePoly:
             buckets[e][tuple(rest)] = coeff
         return [SparsePoly._clean(self.num_vars, b) for b in buckets]
 
-    @staticmethod
-    def from_coeffs_in(var: int, coeffs: list["SparsePoly"], num_vars: int) -> "SparsePoly":
-        acc = SparsePoly.zero(num_vars)
-        x = SparsePoly.variable(var, num_vars)
-        for e, c in enumerate(coeffs):
-            if c:
-                acc = acc + c * x**e
-        return acc
-
     def leading_coeff_in(self, var: int) -> "SparsePoly":
         deg = self.degree_in(var)
         if deg < 0:
@@ -430,28 +416,3 @@ _set_num_vars = SparsePoly.num_vars.__set__
 _set_terms = SparsePoly.terms.__set__
 _set_hash = SparsePoly._hash.__set__
 _new = object.__new__
-
-
-def random_poly(rng, num_vars: int, max_degree: int, max_terms: int = 6,
-                coeff_range: int = 5, gaussian: bool = True,
-                homogeneous_degree: int | None = None) -> SparsePoly:
-    """Small random polynomial generator for the test suites."""
-    terms = {}
-    for _ in range(rng.randrange(1, max_terms + 1)):
-        if homogeneous_degree is not None:
-            cuts = sorted(rng.randrange(0, homogeneous_degree + 1) for _ in range(num_vars - 1))
-            expo = []
-            prev = 0
-            for c in cuts:
-                expo.append(c - prev)
-                prev = c
-            expo.append(homogeneous_degree - prev)
-            expo = tuple(expo)
-        else:
-            expo = tuple(rng.randrange(0, max_degree + 1) for _ in range(num_vars))
-        re = rng.randrange(-coeff_range, coeff_range + 1)
-        im = rng.randrange(-coeff_range, coeff_range + 1) if gaussian else 0
-        if re == 0 and im == 0:
-            re = 1
-        terms[expo] = GaussRat(re, im)
-    return SparsePoly(num_vars, terms)

@@ -23,7 +23,7 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 
-from ..errors import EnclosureError, InternalContradiction
+from ..errors import EnclosureError, InternalContradiction, InvalidInput
 from .gaussrat import GaussRat
 from .poly import SparsePoly
 from .squarefree import squarefree_decompose
@@ -67,16 +67,10 @@ class AlgebraicRoots:
     defining_poly: SparsePoly
     roots: tuple[RootEnclosure, ...]
 
-    def total_multiplicity(self) -> int:
-        return sum(r.multiplicity for r in self.roots)
-
     def nonzero(self) -> "AlgebraicRoots":
         """Drop enclosures centered at an exact zero root."""
         kept = tuple(r for r in self.roots if not (r.exact is not None and not r.exact))
         return AlgebraicRoots(self.defining_poly, kept)
-
-    def centers(self) -> list[complex]:
-        return [r.center for r in self.roots]
 
 
 def _univar_coeffs(f: SparsePoly) -> list[GaussRat]:
@@ -103,15 +97,6 @@ def _horner(coeffs_mpc, z):
     for c in reversed(coeffs_mpc):
         acc = acc * z + c
     return acc
-
-
-def cauchy_root_bound(f: SparsePoly) -> float:
-    """Cauchy bound: every root has modulus <= 1 + max |a_i / a_n|."""
-    coeffs = _univar_coeffs(f)
-    lead = abs(complex(coeffs[-1]))
-    if lead == 0:
-        raise ValueError("zero leading coefficient")
-    return 1.0 + max(abs(complex(c)) for c in coeffs[:-1]) / lead if len(coeffs) > 1 else 1.0
 
 
 def _newton(cm, dm, z, dps: int):
@@ -209,7 +194,9 @@ def roots_certified(f: SparsePoly) -> AlgebraicRoots:
     ``ENCLOSURE_RADIUS`` of its high-precision approximation, and the
     stored radius adds the rounding of that approximation to the float
     centre.  Linear factors produce exact enclosures of radius
-    zero.  Raises EnclosureError (carrying the best enclosures) if that
+    zero.  A centre is 0 exactly when its root is 0, the one root that is
+    peeled structurally; a nonzero root whose centre underflows to 0 raises
+    InvalidInput.  Raises EnclosureError (carrying the best enclosures) if that
     radius or disk disjointness cannot be reached.  Results are cached per
     polynomial, so all callers share one solve; an error is never cached.
     """
@@ -262,6 +249,8 @@ def roots_certified(f: SparsePoly) -> AlgebraicRoots:
             )
             if total != expected:
                 raise InternalContradiction("root count does not match degree")
+            if any(r.center == 0 and r.exact != 0 for r in candidate):
+                raise InvalidInput("a nonzero root's float centre underflows to 0")
             ordered = tuple(
                 sorted(candidate, key=lambda r: (round(r.center.real, 10),
                                                  round(r.center.imag, 10)))

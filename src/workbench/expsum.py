@@ -211,15 +211,23 @@ class ExpSumFn:
             return None
         poly_w, D = reduced
         alpha = complex(D.coeffs_in(0)[1].constant_value())
-        beta = complex(D.coeffs_in(0)[0].constant_value())
+        beta_exact = D.coeffs_in(0)[0].constant_value()
+        beta = complex(beta_exact)
+        one = GaussRat(1)
+        one_is_root = not poly_w.eval_exact([one])
         out = []
         for root in roots_certified(poly_w).roots:
-            w0 = root.center
             if root.exact is not None and not root.exact:
                 continue  # w = 0 has no preimage under the unit
-            w0log = cmath.log(w0)
+            # the disks are disjoint, so the one holding the root 1 is exactly 1
+            w0_is_one = one_is_root and root.contains_exact(one)
+            w0log = 0j if w0_is_one else cmath.log(root.center)
             for k in _lattice_range(alpha, beta, w0log, r):
                 z = (w0log + 2j * math.pi * k - beta) / alpha
+                # the origin is beta = 0, w0 = 1 and k = 0 exactly: e^beta is
+                # transcendental for algebraic beta != 0 (Lindemann-Weierstrass)
+                if z == 0 and (beta_exact or not w0_is_one or k):
+                    raise InvalidInput("a nonzero lattice zero underflows to 0")
                 if abs(z) <= r:
                     out.append((z, root.multiplicity))
         return sorted(out, key=lambda t: (t[0].real, t[0].imag))

@@ -383,9 +383,6 @@ class CurveSpec:
     coord_index: int | None = None
     provenance: tuple[Provenance, ...] = ()
 
-    def canonical_key(self):
-        return _exact_key(self, self._oriented())
-
     def _oriented(self) -> tuple[tuple[int, int, int], BetaValue] | None:
         """Exponents with first nonzero entry negative, and the matching beta;
         None for a coordinate line."""

@@ -800,17 +800,6 @@ def witness_curves(spec: CurveSpec, count: int = 3,
     return out
 
 
-def composed_form_has_multiple_zero(G: SparsePoly, curve) -> bool:
-    """Exact check that G on the curve has some zero of multiplicity >= 2."""
-    h = eval_poly_on_tuple(G, tuple(curve)).as_polynomial()
-    if h is None:
-        raise InvalidInput("composition did not reduce to a polynomial")
-    if not h:
-        return True
-    g = gcd_poly(h, h.partial_derivative(0), 0)
-    return g.degree_in(0) > 0
-
-
 # ---------------------------------------------------------------------------
 # suite driver
 # ---------------------------------------------------------------------------

@@ -227,22 +227,6 @@ class MeroFn:
                 acc = acc + np.real(np.polyval(_complex_coeffs_desc(self.exp_part), zs))
         return acc
 
-    def leading_coeff_log_abs_at_zero(self) -> float:
-        """log |c0| where f(z) = c0 z^v (1 + O(z)) at the origin."""
-        if self.is_zero():
-            raise InvalidInput("zero function")
-        total = math.log(abs(complex(self.scalar)))
-        for poly, mult in self.factors:
-            c0 = poly.eval_exact([GaussRat(0)])
-            if c0:
-                total += mult * math.log(abs(complex(c0)))
-            else:
-                # squarefree factor: simple root at 0, use p'(0)
-                d0 = poly.partial_derivative(0).eval_exact([GaussRat(0)])
-                total += mult * math.log(abs(complex(d0)))
-        total += float(self.exp_part.eval_exact([GaussRat(0)]).re)
-        return total
-
     def __str__(self):
         if self.is_zero():
             return "0"
@@ -341,6 +325,11 @@ _CIRCLE_TOL = 1e-9
 _PERTURB = 1e-6
 
 
+def _on_circle(rho: float, r: float) -> bool:
+    """Whether the modulus rho counts as lying on the circle of radius r."""
+    return abs(rho - r) <= _CIRCLE_TOL * max(1.0, r)
+
+
 @dataclass(frozen=True)
 class RadiusGrid:
     """Log-spaced evaluation radii, kept clear of divisor moduli."""
@@ -364,7 +353,7 @@ class RadiusGrid:
         for p in self.points:
             q = p
             for _ in range(100):
-                if all(abs(q - m) > _CIRCLE_TOL * max(1.0, q) for m in moduli):
+                if not any(_on_circle(m, q) for m in moduli):
                     break
                 q *= 1.0 + _PERTURB
             pts.append(q)
@@ -475,10 +464,12 @@ def max_affine_average(terms: Sequence[tuple[float, complex]], r: float) -> tupl
 # ---------------------------------------------------------------------------
 
 def _check_radius(f: MeroFn, r: float, which: str = "both"):
-    for root, mult in f.divisor():
-        if which == "pole" and mult > 0:
-            continue
-        if abs(abs(root.center) - r) <= _CIRCLE_TOL * max(1.0, r):
+    _check_clear((root for root, mult in f.divisor() if which != "pole" or mult < 0), r)
+
+
+def _check_clear(roots: Iterable[RootEnclosure], r: float):
+    for root in roots:
+        if _on_circle(abs(root.center), r):
             raise InvalidInput(
                 f"divisor point at |z|={abs(root.center)} sits on the circle r={r}; "
                 "perturb the grid (RadiusGrid.perturbed_for)"
@@ -504,17 +495,19 @@ def counting_N(f: MeroFn, target: str, r: float, trunc: float = INFINITY) -> flo
 def _log_counting(points: Iterable[tuple[complex, float]], r: float) -> float:
     """Sum of w * log(r/|z|) over weighted points (z, w) with |z| <= r.
 
-    A point within _CIRCLE_TOL of the origin contributes w * log r, the
-    n(0) log r term of the counting function.  Points are summed in the
-    order given.
+    A point at z == 0 contributes w * log r, the n(0) log r term of the
+    counting function.  The code that produces a point decides exactly
+    whether it is the origin and gives a nonzero point a nonzero float
+    (``roots_certified`` and ``ExpSumFn.zeros_in_disk`` raise when one
+    underflows), so this test is exact.  Points are summed in the order
+    given.
     """
     total = 0.0
     for z, w in points:
-        rho = abs(z)
-        if rho <= _CIRCLE_TOL:
+        if z == 0:
             total += w * math.log(r)
-        elif rho <= r:
-            total += w * math.log(r / rho)
+        elif abs(z) <= r:
+            total += w * math.log(r / abs(z))
     return total
 
 
@@ -636,22 +629,9 @@ def gcd_counting(f: MeroFn, g: MeroFn, r: float) -> float:
 
 def log_derivative_T(ld: LogDerivative, r: float) -> float:
     """Characteristic of f'/f: proximity plus the (simple) pole counting."""
-    for root in ld.pole_enclosures():
-        if abs(abs(root.center) - r) <= _CIRCLE_TOL * max(1.0, r):
-            raise InvalidInput(f"pole of f'/f on the circle r={r}; perturb the grid")
+    _check_clear(ld.pole_enclosures(), r)
     m, _ = circle_average(ld.log_abs, r)
     return m + _log_counting(((root.center, 1) for root in ld.pole_enclosures()), r)
-
-
-def jensen_log_average(p: SparsePoly, r: float) -> float:
-    """Exact circle average of log|p| for a univariate polynomial (Jensen)."""
-    if not p:
-        raise InvalidInput("zero polynomial")
-    lead = p.terms[max(p.terms)]
-    total = math.log(abs(complex(lead)))
-    for root in roots_certified(canonical_scale(p)).roots:
-        total += root.multiplicity * math.log(max(r, abs(root.center)))
-    return total
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,15 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 import sympy
 
+from workbench.algebra.euclid import canonical_scale, gcd_poly
 from workbench.algebra.gaussrat import GaussRat
 from workbench.algebra.poly import SparsePoly
 from workbench.algebra.roots import roots_certified
+from workbench.expsum import eval_poly_on_tuple
 
 
 @pytest.fixture
@@ -57,3 +60,71 @@ def to_sympy(p: SparsePoly, symbols):
 
 def from_complex_pair(re, im=0):
     return GaussRat(Fraction(re), Fraction(im))
+
+
+def jensen_log_average(p: SparsePoly, r: float) -> float:
+    """Circle average of log|p| for a univariate polynomial, by Jensen's
+    formula over its certified roots (test oracle)."""
+    lead = p.terms[max(p.terms)]
+    total = math.log(abs(complex(lead)))
+    for root in roots_certified(canonical_scale(p)).roots:
+        total += root.multiplicity * math.log(max(r, abs(root.center)))
+    return total
+
+
+def leading_coeff_log_abs_at_zero(f) -> float:
+    """log |c0| where the class function f(z) = c0 z^v (1 + O(z)) at the
+    origin (test oracle)."""
+    total = math.log(abs(complex(f.scalar)))
+    for poly, mult in f.factors:
+        c0 = poly.eval_exact([GaussRat(0)])
+        if c0:
+            total += mult * math.log(abs(complex(c0)))
+        else:
+            # squarefree factor: simple root at 0, use p'(0)
+            d0 = poly.partial_derivative(0).eval_exact([GaussRat(0)])
+            total += mult * math.log(abs(complex(d0)))
+    total += float(f.exp_part.eval_exact([GaussRat(0)]).re)
+    return total
+
+
+def composed_form_has_multiple_zero(G: SparsePoly, curve) -> bool:
+    """Exact check that G on a polynomial curve has some zero of
+    multiplicity >= 2 (test oracle)."""
+    h = eval_poly_on_tuple(G, tuple(curve)).as_polynomial()
+    assert h is not None, "composition did not reduce to a polynomial"
+    if not h:
+        return True
+    return gcd_poly(h, h.partial_derivative(0), 0).degree_in(0) > 0
+
+
+def random_poly(rng, num_vars: int, max_degree: int, max_terms: int = 6,
+                coeff_range: int = 5, gaussian: bool = True,
+                homogeneous_degree: int | None = None) -> SparsePoly:
+    """Small random polynomial generator for the test suites."""
+    terms = {}
+    for _ in range(rng.randrange(1, max_terms + 1)):
+        if homogeneous_degree is not None:
+            cuts = sorted(rng.randrange(0, homogeneous_degree + 1) for _ in range(num_vars - 1))
+            expo = []
+            prev = 0
+            for c in cuts:
+                expo.append(c - prev)
+                prev = c
+            expo.append(homogeneous_degree - prev)
+            expo = tuple(expo)
+        else:
+            expo = tuple(rng.randrange(0, max_degree + 1) for _ in range(num_vars))
+        re = rng.randrange(-coeff_range, coeff_range + 1)
+        im = rng.randrange(-coeff_range, coeff_range + 1) if gaussian else 0
+        if re == 0 and im == 0:
+            re = 1
+        terms[expo] = GaussRat(re, im)
+    return SparsePoly(num_vars, terms)
+
+
+def cauchy_root_bound(f: SparsePoly) -> float:
+    """Cauchy bound: every root of the univariate f has modulus <= 1 + max |a_i / a_n|."""
+    top = max(f.terms)
+    lead = abs(complex(f.terms[top]))
+    return 1.0 + max((abs(complex(c)) for ex, c in f.terms.items() if ex != top), default=0.0) / lead

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from workbench.algebra.gaussrat import GaussRat
-from workbench.algebra.poly import SparsePoly, random_poly
+from workbench.algebra.poly import SparsePoly
 from workbench.diffops import (
     DiffPoly,
     DiffSymbolRing,
@@ -16,7 +16,7 @@ from workbench.diffops import (
 from workbench.errors import InvalidInput
 from workbench.nevanlinna import MeroFn
 
-from conftest import variables
+from conftest import random_poly, variables
 
 
 def sphere():

@@ -5,6 +5,7 @@ import pytest
 import sympy
 
 from workbench.algebra.euclid import (
+    _subresultant_prs,
     canonical_scale,
     content_in,
     gcd_poly,
@@ -14,10 +15,10 @@ from workbench.algebra.euclid import (
     resultant,
 )
 from workbench.algebra.gaussrat import GaussRat
-from workbench.algebra.poly import SparsePoly, random_poly
+from workbench.algebra.poly import SparsePoly
 from workbench.errors import InvalidInput
 
-from conftest import to_sympy, variables
+from conftest import random_poly, to_sympy, variables
 
 
 def test_resultant_quadratic_vs_linear():
@@ -237,3 +238,44 @@ def test_pseudo_rem_matches_the_full_product_reference(rng):
     L, T = variables(2)
     f, g = T**6 + T**2 + 1, L * T**5 + 1
     assert pseudo_rem(f, g, 1) == _pseudo_rem_reference(f, g, 1)
+
+
+def _nested_poly(rng, degree):
+    """A form of the given degree in two variables whose coefficients are
+    polynomials in two further variables (a nested coefficient ring)."""
+    terms = {}
+    for i in range(degree + 1):
+        if rng.random() < 0.7 or i in (0, degree):
+            c = random_poly(rng, 2, 2, max_terms=3, coeff_range=3)
+            if c:
+                terms[(i, degree - i)] = c
+    return SparsePoly(2, terms)
+
+
+def test_cofactor_prs_identity_and_untracked_last(rng):
+    # last = a*f + b*g, and last is the first value of the untracked run
+    draws = []
+    for _ in range(40):
+        n = rng.randrange(1, 4)
+        var = rng.randrange(n)
+        f = random_poly(rng, n, 4, max_terms=5, coeff_range=3)
+        g = random_poly(rng, n, 3, max_terms=4, coeff_range=3)
+        if f.degree_in(var) < g.degree_in(var):
+            f, g = g, f
+        if g.degree_in(var) >= 1:
+            draws.append((f, g, var))
+    for _ in range(4):
+        f, g = _nested_poly(rng, rng.randrange(2, 5)), _nested_poly(rng, rng.randrange(1, 3))
+        if f.degree_in(1) < g.degree_in(1):
+            f, g = g, f
+        if g.degree_in(1) >= 1:
+            draws.append((f, g, 1))
+    assert len(draws) >= 30
+    assert any(not isinstance(c, GaussRat) for f, _, _ in draws for c in f.terms.values())
+    # a PRS that drops degree 5 -> 2 after a non-monic step
+    L, T = variables(2)
+    draws.append((T**6 + T**2 + 1, L * T**5 + 1, 1))
+    for f, g, var in draws:
+        last, a, b = _subresultant_prs(f, g, var, cofactors=True)
+        assert last == a * f + b * g
+        assert last == _subresultant_prs(f, g, var)[0]

@@ -1,13 +1,15 @@
 import cmath
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from workbench.algebra.gaussrat import GaussRat
 from workbench.algebra.poly import SparsePoly
+from workbench.errors import InvalidInput
 from workbench.expsum import ExpSumFn, eval_poly_on_tuple
-from workbench.nevanlinna import MeroFn
+from workbench.nevanlinna import MeroFn, _log_counting
 
 from conftest import variables
 
@@ -79,6 +81,37 @@ def test_unsupported_zero_structure():
     e2 = ExpSumFn.from_mero(MeroFn.unit(z() ** 2))
     trinomial = ExpSumFn.constant(1) + ez + e2
     assert trinomial.zeros_in_disk(3.0) is None
+
+
+def test_lattice_decides_the_origin_exactly():
+    # e^z - w0 vanishes at log w0 + 2 pi i k; below 2 pi only k = 0 counts
+    ez = ExpSumFn.from_mero(MeroFn.unit(z()))
+    r = 2.0
+    ((origin, _),) = (ez + ExpSumFn.constant(-1)).zeros_in_disk(r)
+    assert origin == 0
+    # w0 = 1 + 2^-40 is a float, so its zero log w0 (about 9e-13) is accurate
+    near = GaussRat(1) + GaussRat(Fraction(1, 2**40))
+    zeros = (ez + ExpSumFn.constant(-near)).zeros_in_disk(r)
+    assert _log_counting(zeros, r) == pytest.approx(math.log(r / math.log1p(2**-40)), rel=1e-9)
+    # w0 = 1 + 10^-400 rounds to 1, so its lattice point would read as 0
+    tiny = GaussRat(1) + GaussRat(Fraction(1, 10**400))
+    with pytest.raises(InvalidInput, match="underflows"):
+        (ez + ExpSumFn.constant(-tiny)).zeros_in_disk(r)
+
+
+def test_lattice_origin_from_a_nonlinear_factor():
+    # the root w0 = 1 sits in a squarefree factor of degree > 1, so it is solved
+    # numerically; it is still recognized as exactly 1
+    ez = ExpSumFn.from_mero(MeroFn.unit(z()))
+    e2z = ExpSumFn.from_mero(MeroFn.unit(2 * z()))
+    e3z = ExpSumFn.from_mero(MeroFn.unit(3 * z()))
+    # 1 + w - 2 w^2 = -(w - 1)(2 w + 1); the zeros from w0 = -1/2 lie at |z| > 2
+    zeros = (e2z + ez + ExpSumFn.constant(-2)).zeros_in_disk(2.0)
+    assert zeros == [(0j, 1)]
+    # w^3 - 1: the root 1 comes with the complex pair of cube roots of unity
+    zeros = (e3z + ExpSumFn.constant(-1)).zeros_in_disk(2.0)
+    assert zeros == [(0j, 1)]
+    assert _log_counting(zeros, 2.0) == math.log(2.0)
 
 
 def test_log_abs_overflow_safe():

@@ -90,13 +90,13 @@ def test_beta_loci_worked_examples():
 
     loci = beta_loci(substitute(G, normalize_pair(0, 1)))
     assert loci.alphas.defining_poly == L**2 + 1
-    assert sorted(round(c.imag, 9) for c in loci.alphas.centers()) == [-1.0, 1.0]
+    assert sorted(round(e.center.imag, 9) for e in loci.alphas.roots) == [-1.0, 1.0]
     assert loci.gammas.defining_poly == L**2 + 1
     assert not loci.leading.roots
 
     loci = beta_loci(substitute(G, normalize_pair(1, 1)))
     assert loci.alphas.defining_poly == L**2 - Fraction(1, 4)
-    assert sorted(round(c.real, 9) for c in loci.alphas.centers()) == [-0.5, 0.5]
+    assert sorted(round(e.center.real, 9) for e in loci.alphas.roots) == [-0.5, 0.5]
     assert not loci.gammas.roots  # B(L, 0) = L^2: the zero root is dropped
     assert not loci.leading.roots
 

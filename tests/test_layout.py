@@ -1,0 +1,84 @@
+"""Every def and class under src/workbench is mentioned by the program itself.
+
+A definition counts as used when src/ or perfbench/ mentions its name
+outside its own body: as a name that is read, as an attribute, or inside a
+string (the way perfbench/tracer.py names the functions it wraps).  Package
+``__init__.py`` files are not counted, so a re-export or an ``__all__`` entry
+alone does not make a name used.  Special methods are called by the language
+and are exempt.  Public entry points that only users and tests call are
+listed in KEPT_PUBLIC, and the list must name exactly the unused definitions,
+so it cannot go stale.
+
+This is a check on name mentions, not a call graph: a definition whose name
+is also read as some unrelated variable or attribute still counts as used.
+"""
+
+import ast
+from collections import Counter
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "workbench"
+
+KEPT_PUBLIC = {
+    # the algebra kernel's public operations
+    "algebra.certificates.nullstellensatz_certificate",
+    "algebra.euclid.pseudo_rem",
+    # the other halves of the polynomial file format
+    "algebra.serialize.dump_poly",
+    "algebra.serialize.laurent_to_doc",
+    "algebra.serialize.laurent_from_doc",
+    # the formal symbol ring and its checks (acceptance criterion 4)
+    "diffops.DiffSymbolRing.lam_prime",
+    "diffops.check_product_rule",
+    "diffops.coprime_with_Du",
+    "diffops.resultants_with_Du",
+    "diffops.diffpoly_to_doc",
+    "diffops.diffpoly_from_doc",
+    "diffops.verify_Du_numeric",
+    # the transversality part of the morphism toolkit
+    "morphisms.transversality_check",
+    # the writing half of the class-function file format
+    "nevanlinna.mero_to_doc",
+}
+
+
+def _mentions(tree: ast.AST) -> Counter:
+    out = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            out[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            out[node.attr] += 1
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            out.update(p for p in node.value.replace(":", ".").split(".") if p.isidentifier())
+    return out
+
+
+def _definitions(tree: ast.AST, prefix: str):
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield f"{prefix}.{node.name}", node
+            yield from _definitions(node, f"{prefix}.{node.name}")
+
+
+def _unused() -> set[str]:
+    sources = sorted(PACKAGE.rglob("*.py")) + sorted((ROOT / "perfbench").rglob("*.py"))
+    trees = {path: ast.parse(path.read_text(), str(path)) for path in sources}
+    mentions = sum((_mentions(t) for p, t in trees.items() if p.name != "__init__.py"), Counter())
+    unused = set()
+    for path, tree in trees.items():
+        if PACKAGE not in path.parents:
+            continue
+        module = ".".join(path.relative_to(PACKAGE).with_suffix("").parts)
+        for qualname, node in _definitions(tree, module):
+            name = node.name
+            if name.startswith("__") and name.endswith("__"):
+                continue
+            if mentions[name] - _mentions(node)[name] <= 0:
+                unused.add(qualname)
+    return unused
+
+
+def test_every_definition_is_used_or_kept_public():
+    assert _unused() == KEPT_PUBLIC

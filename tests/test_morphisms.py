@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from workbench.algebra.gaussrat import GaussRat
-from workbench.algebra.poly import SparsePoly, random_poly
+from workbench.algebra.poly import SparsePoly
 from workbench.errors import InvalidInput, NonProperIntersection
 from workbench.morphisms import (
     PowerMorphism,
@@ -17,7 +17,7 @@ from workbench.morphisms import (
     transversality_check,
 )
 
-from conftest import count_calls, variables
+from conftest import count_calls, random_poly, variables
 
 
 def sphere():

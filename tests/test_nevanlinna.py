@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -13,13 +14,12 @@ from workbench.nevanlinna import (
     characteristic_T,
     counting_N,
     gcd_counting,
-    jensen_log_average,
     log_derivative,
     log_derivative_T,
     proximity_m,
 )
 
-from conftest import count_calls
+from conftest import count_calls, jensen_log_average, leading_coeff_log_abs_at_zero
 
 
 def z():
@@ -77,6 +77,16 @@ def test_counting_rejects_circle_collision():
     grid = RadiusGrid.log_spaced(0.5, 2.0, 3).perturbed_for([f])
     for r in grid.points:
         counting_N(f, "zero", r)  # no collision after perturbation
+
+
+def test_counting_decides_the_origin_exactly():
+    # a zero at 10^-10 is not a zero at 0: N(2) = log(2 / 10^-10)
+    f = MeroFn.from_poly(z() - GaussRat(Fraction(1, 10**10)))
+    assert counting_N(f, "zero", 2.0) == pytest.approx(math.log(2e10), rel=1e-12)
+    # a nonzero root whose float centre underflows to 0 cannot be counted
+    tiny = MeroFn.from_poly(z() - GaussRat(Fraction(1, 10**400)))
+    with pytest.raises(InvalidInput, match="underflows"):
+        counting_N(tiny, "zero", 2.0)
 
 
 def test_proximity_examples():
@@ -141,7 +151,7 @@ def test_first_main_theorem_bound():
     ]
     assert len(samples) == 10
     for f in samples:
-        C = abs(f.leading_coeff_log_abs_at_zero()) + 1e-6
+        C = abs(leading_coeff_log_abs_at_zero(f)) + 1e-6
         for r in (3.7, 11.3):
             diff = characteristic_T(f, r) - characteristic_T(f.inverse(), r)
             assert abs(diff) <= C

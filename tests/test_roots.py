@@ -7,17 +7,16 @@ import pytest
 
 from workbench.algebra import roots
 from workbench.algebra.gaussrat import GaussRat
-from workbench.algebra.poly import SparsePoly, random_poly
+from workbench.algebra.poly import SparsePoly
 from workbench.algebra.roots import (
     ENCLOSURE_RADIUS,
-    cauchy_root_bound,
     factor_linear_forms,
     roots_certified,
 )
 from workbench.algebra.squarefree import squarefree_decompose
 from workbench.errors import EnclosureError
 
-from conftest import count_calls, variables
+from conftest import cauchy_root_bound, count_calls, random_poly, variables
 
 
 def t():
@@ -26,7 +25,7 @@ def t():
 
 def test_quadratic_units():
     r = roots_certified(t() ** 2 + 1)
-    centers = sorted((round(c.real, 9), round(c.imag, 9)) for c in r.centers())
+    centers = sorted((round(e.center.real, 9), round(e.center.imag, 9)) for e in r.roots)
     assert centers == [(0.0, -1.0), (0.0, 1.0)]
     assert all(e.multiplicity == 1 for e in r.roots)
 
@@ -40,7 +39,7 @@ def test_double_zero_root_is_exact():
 
 def test_half_roots():
     r = roots_certified(t() ** 2 - Fraction(1, 4))
-    centers = sorted(c.real for c in r.centers())
+    centers = sorted(e.center.real for e in r.roots)
     assert centers == pytest.approx([-0.5, 0.5], abs=1e-12)
 
 
@@ -52,7 +51,7 @@ def test_multiplicity_sum_equals_degree(rng):
         k = rng.randrange(1, 3)
         g = f**k
         roots = roots_certified(g)
-        assert roots.total_multiplicity() == g.degree_in(0)
+        assert sum(e.multiplicity for e in roots.roots) == g.degree_in(0)
 
 
 def test_residual_bound(rng):
@@ -75,7 +74,7 @@ def test_linear_forms_circle():
     X, Y = variables(2)
     lf = factor_linear_forms(X**2 + Y**2)
     assert lf.y_multiplicity == 0
-    got = sorted(round(c.imag, 9) for c in lf.slopes.centers())
+    got = sorted(round(e.center.imag, 9) for e in lf.slopes.roots)
     assert got == [-1.0, 1.0]
 
 
@@ -90,7 +89,7 @@ def test_linear_forms_with_y_factor():
 def test_linear_forms_rational_slopes():
     X, Y = variables(2)
     lf = factor_linear_forms(X**2 - 3 * X * Y + 2 * Y**2)
-    got = sorted(round(c.real, 9) for c in lf.slopes.centers())
+    got = sorted(round(e.center.real, 9) for e in lf.slopes.roots)
     assert got == [1.0, 2.0]
 
 

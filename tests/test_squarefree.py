@@ -1,10 +1,10 @@
 import sympy
 
 from workbench.algebra.euclid import gcd_poly, is_squarefree
-from workbench.algebra.poly import SparsePoly, random_poly
+from workbench.algebra.poly import SparsePoly
 from workbench.algebra.squarefree import squarefree_decompose, squarefree_part
 
-from conftest import to_sympy, variables
+from conftest import random_poly, to_sympy, variables
 
 
 def _reconstruct(factors, num_vars):
