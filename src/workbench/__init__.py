@@ -3,9 +3,11 @@
 Subsystems:
 
 - ``workbench.algebra``: exact sparse polynomial / Laurent / resultant /
-  root-enclosure kernel over the Gaussian rationals.
+  root-enclosure kernel over the Gaussian rationals; SparsePoly is its one
+  polynomial arithmetic.
 - ``workbench.diffops``: the logarithmic differential operator on
-  polynomials over a formal differential symbol ring.
+  polynomials over a formal differential symbol ring, whose symbols are
+  further SparsePoly variables.
 - ``workbench.exset``: explicit exceptional curve sets via monomial
   substitution and resultant loci.
 - ``workbench.constants``: exact effective constants and dimension counts.

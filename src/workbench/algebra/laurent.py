@@ -39,10 +39,6 @@ class LaurentBivar:
     # -- constructors ------------------------------------------------------
 
     @staticmethod
-    def zero() -> "LaurentBivar":
-        return LaurentBivar()
-
-    @staticmethod
     def from_poly(p: SparsePoly) -> "LaurentBivar":
         if p.num_vars != 2:
             raise ValueError("expected a polynomial in two variables")
@@ -69,45 +65,11 @@ class LaurentBivar:
     def is_polynomial(self) -> bool:
         return self.min_exp(0) >= 0 and self.min_exp(1) >= 0
 
-    # -- arithmetic ------------------------------------------------------------
-
-    def __add__(self, other: "LaurentBivar") -> "LaurentBivar":
-        terms = dict(self.terms)
-        for k, c in other.terms.items():
-            s = terms.get(k, GaussRat(0)) + c
-            if s:
-                terms[k] = s
-            else:
-                terms.pop(k, None)
-        return LaurentBivar(terms)
-
-    def __neg__(self):
-        return LaurentBivar({k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other: "LaurentBivar") -> "LaurentBivar":
-        terms: dict[LKey, GaussRat] = {}
-        for (a0, a1), c1 in self.terms.items():
-            for (b0, b1), c2 in other.terms.items():
-                k = (a0 + b0, a1 + b1)
-                s = terms.get(k, GaussRat(0)) + c1 * c2
-                if s:
-                    terms[k] = s
-                else:
-                    terms.pop(k, None)
-        return LaurentBivar(terms)
+    # -- monomial maps -------------------------------------------------------------
 
     def shift(self, d0: int, d1: int) -> "LaurentBivar":
         """Multiply by the monomial v0^d0 * v1^d1."""
         return LaurentBivar({(k0 + d0, k1 + d1): c for (k0, k1), c in self.terms.items()})
-
-    def scale(self, c) -> "LaurentBivar":
-        c = GaussRat.coerce(c)
-        return LaurentBivar({k: v * c for k, v in self.terms.items()})
-
-    # -- substitution -------------------------------------------------------------
 
     def substitute_monomials(self, image0: LKey, image1: LKey) -> "LaurentBivar":
         """Monomial change of variables.

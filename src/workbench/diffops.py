@@ -2,9 +2,12 @@
 
 The coefficient ring has generators w_1..w_n (standing for the logarithmic
 derivatives u_j'/u_j of the tuple components), lambda with its inverse,
-lambda' and s (a formal beta'/beta).  Internally the lambda exponent is a
-single integer that may be negative, which makes the relation
-lambda * lambda^-1 = 1 hold by construction.
+lambda' and s (a formal beta'/beta).  A polynomial over it is one flat
+``SparsePoly`` in the variables of ``DiffSymbolRing``: x_0..x_n, w_1..w_n,
+lambda', s, lambda, lambda^-1.  The Laurent ring K[lambda, lambda^-1] is
+the quotient K[lambda, mu]/(lambda mu - 1), so a polynomial is kept reduced
+(no term holds both lambda and lambda^-1), and equal elements have equal
+terms.
 
 The operator sends a term a * x^i (exponents i_0..i_n against the tuple
 u = (1, u_1, .., u_n)) to (a' + a * sum_j i_j w_j) * x^i; it preserves
@@ -13,319 +16,94 @@ degree and satisfies the product rule exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
-from typing import Mapping
-
 from .algebra.gaussrat import GaussRat
 from .algebra.poly import SparsePoly
 from .algebra.euclid import gcd_poly, is_squarefree, monomial_variables, resultant
-from .errors import InvalidInput
+from .errors import InternalContradiction, InvalidInput
 
-# A symbol-ring exponent key: (w-exponents, lambda-exponent, lambda'-exponent,
-# s-exponent).  Only the lambda exponent may be negative.
-SymKey = tuple[tuple[int, ...], int, int, int]
+# the generator names after w1..wn, in the order of the diffpoly/1 header
+_DOC_SYMBOLS = ["lambda", "lambdainv", "lambdap", "s"]
 
 
 class DiffSymbolRing:
-    """The formal coefficient ring with n logarithmic-derivative symbols."""
+    """Variable layout of polynomials in x_0..x_n over n logarithmic symbols.
+
+    x_j has index j, w_j has index n + j, and ``lam_prime``, ``s``, ``lam``
+    and ``lam_inv`` are the last four indices.
+    """
 
     def __init__(self, n: int):
         if n < 0:
             raise ValueError("need n >= 0 symbols")
         self.n = n
+        self.num_vars = 2 * n + 5
+        self.lam_prime, self.s, self.lam, self.lam_inv = range(2 * n + 1, 2 * n + 5)
 
-    def generator_names(self) -> list[str]:
-        return [f"w{j}" for j in range(1, self.n + 1)] + ["lambda", "lambdainv", "lambdap", "s"]
-
-    # -- element constructors ------------------------------------------------
-
-    def zero(self) -> "DiffRingElem":
-        return DiffRingElem(self, {})
-
-    def one(self) -> "DiffRingElem":
-        return self.constant(1)
-
-    def constant(self, c) -> "DiffRingElem":
-        c = GaussRat.coerce(c)
-        key: SymKey = ((0,) * self.n, 0, 0, 0)
-        return DiffRingElem(self, {key: c} if c else {})
-
-    def w(self, j: int) -> "DiffRingElem":
-        """The symbol w_j = u_j'/u_j, 1-indexed."""
+    def w(self, j: int) -> int:
+        """The index of the symbol w_j = u_j'/u_j, 1-indexed."""
         if not 1 <= j <= self.n:
             raise ValueError(f"w index {j} out of range 1..{self.n}")
-        exps = tuple(1 if k == j - 1 else 0 for k in range(self.n))
-        return DiffRingElem(self, {(exps, 0, 0, 0): GaussRat(1)})
+        return self.n + j
 
-    def lam(self, power: int = 1) -> "DiffRingElem":
-        return DiffRingElem(self, {((0,) * self.n, power, 0, 0): GaussRat(1)})
+    def embed(self, F: SparsePoly) -> SparsePoly:
+        """A form in x_0..x_n with constant coefficients, in this layout."""
+        pad = (0,) * (self.n + 4)
+        return SparsePoly(self.num_vars, {e + pad: c for e, c in F.terms.items()})
 
-    def lam_prime(self) -> "DiffRingElem":
-        return DiffRingElem(self, {((0,) * self.n, 0, 1, 0): GaussRat(1)})
+    def reduce(self, P: SparsePoly) -> SparsePoly:
+        """P with lambda * lambda^-1 = 1 cancelled in every term."""
+        terms = {}
+        for expo, c in P.terms.items():
+            k = min(expo[self.lam], expo[self.lam_inv])
+            if k:
+                expo = expo[: self.lam] + (expo[self.lam] - k, expo[self.lam_inv] - k)
+            terms[expo] = terms[expo] + c if expo in terms else c
+        return SparsePoly(self.num_vars, terms)
 
-    def s(self) -> "DiffRingElem":
-        return DiffRingElem(self, {((0,) * self.n, 0, 0, 1): GaussRat(1)})
-
-    def __eq__(self, other):
-        return isinstance(other, DiffSymbolRing) and other.n == self.n
-
-    def __hash__(self):
-        return hash(("DiffSymbolRing", self.n))
-
-
-class DiffRingElem:
-    """An element of the formal symbol ring (Laurent in lambda)."""
-
-    __slots__ = ("ring", "terms")
-
-    def __init__(self, ring: DiffSymbolRing, terms: Mapping[SymKey, GaussRat]):
-        clean = {}
-        for key, c in terms.items():
-            w, kl, kp, ks = key
-            if len(w) != ring.n or any(e < 0 for e in w) or kp < 0 or ks < 0:
-                raise ValueError(f"bad symbol exponent {key}")
-            if c:
-                clean[(tuple(w), kl, kp, ks)] = c
-        object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "terms", clean)
-
-    def __setattr__(self, *a):
-        raise AttributeError("DiffRingElem is immutable")
-
-    # -- ring operations ---------------------------------------------------
-
-    def _coerce(self, other):
-        if isinstance(other, DiffRingElem):
-            if other.ring != self.ring:
-                raise ValueError("mixed symbol rings")
-            return other
-        if isinstance(other, (int, Fraction, GaussRat)):
-            return self.ring.constant(other)
-        return None
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        terms = dict(self.terms)
-        for k, c in other.terms.items():
-            s = terms.get(k, GaussRat(0)) + c
-            if s:
-                terms[k] = s
-            else:
-                terms.pop(k, None)
-        return DiffRingElem(self.ring, terms)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return DiffRingElem(self.ring, {k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        terms: dict[SymKey, GaussRat] = {}
-        for (w1, l1, p1, s1), c1 in self.terms.items():
-            for (w2, l2, p2, s2), c2 in other.terms.items():
-                key = (
-                    tuple(a + b for a, b in zip(w1, w2)),
-                    l1 + l2,
-                    p1 + p2,
-                    s1 + s2,
-                )
-                v = terms.get(key, GaussRat(0)) + c1 * c2
-                if v:
-                    terms[key] = v
-                else:
-                    terms.pop(key, None)
-        return DiffRingElem(self.ring, terms)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, k: int):
-        if k < 0:
-            raise ValueError("negative powers only exist for pure lambda monomials")
-        out = self.ring.one()
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return out
-
-    def one(self):
-        return self.ring.one()
-
-    # -- structure -----------------------------------------------------------
-
-    def is_constant(self) -> bool:
-        zero_key = ((0,) * self.ring.n, 0, 0, 0)
-        return all(k == zero_key for k in self.terms)
-
-    def constant_value(self) -> GaussRat:
-        zero_key = ((0,) * self.ring.n, 0, 0, 0)
-        if set(self.terms) - {zero_key}:
-            raise ValueError("element is not constant")
-        return self.terms.get(zero_key, GaussRat(0))
-
-    def derivative(self) -> "DiffRingElem":
-        """Formal derivative: constants to 0, lambda^k to k lambda^(k-1) lambda'.
-
-        Only defined on Q(i)[lambda, lambda^-1]; the symbols w_j, lambda'
-        and s carry no assigned derivative, so elements containing them are
-        rejected.
-        """
-        terms: dict[SymKey, GaussRat] = {}
-        for (w, kl, kp, ks), c in self.terms.items():
-            if any(w) or kp or ks:
-                raise InvalidInput(
-                    "derivative undefined outside the lambda subring "
-                    f"(term exponents w={w}, lambda'={kp}, s={ks})"
-                )
-            if kl == 0:
-                continue
-            key = (w, kl - 1, kp + 1, ks)
-            v = terms.get(key, GaussRat(0)) + c * kl
-            if v:
-                terms[key] = v
-        return DiffRingElem(self.ring, terms)
-
-    def eval(self, w_values, lam_value=None, lam_prime_value=None, s_value=None) -> complex:
-        """Numeric evaluation with the listed symbol bindings."""
-        total = 0j
-        for (w, kl, kp, ks), c in self.terms.items():
-            v = complex(c)
-            for e, wv in zip(w, w_values):
-                if e:
-                    v *= wv**e
-            if kl:
-                v *= complex(lam_value) ** kl
-            if kp:
-                v *= complex(lam_prime_value) ** kp
-            if ks:
-                v *= complex(s_value) ** ks
-            total += v
-        return total
-
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        names = self.ring.generator_names()
-        parts = []
-        for key in sorted(self.terms):
-            w, kl, kp, ks = key
-            c = self.terms[key]
-            factors = []
-            for j, e in enumerate(w):
-                if e:
-                    factors.append(f"w{j+1}^{e}" if e > 1 else f"w{j+1}")
-            if kl:
-                factors.append(f"lam^{kl}" if kl != 1 else "lam")
-            if kp:
-                factors.append(f"lam'^{kp}" if kp > 1 else "lam'")
-            if ks:
-                factors.append(f"s^{ks}" if ks > 1 else "s")
-            body = "*".join(factors) if factors else "1"
-            parts.append(f"({c})*{body}")
-        return " + ".join(parts)
-
-    __repr__ = __str__
-
-
-@dataclass(frozen=True)
-class DiffPoly:
-    """A polynomial in x_0..x_n with coefficients in a DiffSymbolRing."""
-
-    ring: DiffSymbolRing
-    base: SparsePoly  # coefficients are DiffRingElem
-
-    @staticmethod
-    def from_constant_poly(p: SparsePoly, ring: DiffSymbolRing) -> "DiffPoly":
-        terms = {e: ring.constant(c) for e, c in p.terms.items()}
-        return DiffPoly(ring, SparsePoly(p.num_vars, terms))
-
-    def degree(self) -> int:
-        return self.base.total_degree()
-
-    def is_homogeneous(self) -> bool:
-        return self.base.is_homogeneous()
-
-    def __add__(self, other: "DiffPoly") -> "DiffPoly":
-        return DiffPoly(self.ring, self.base + other.base)
-
-    def __sub__(self, other: "DiffPoly") -> "DiffPoly":
-        return DiffPoly(self.ring, self.base - other.base)
-
-    def __mul__(self, other: "DiffPoly") -> "DiffPoly":
-        return DiffPoly(self.ring, self.base * other.base)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, DiffPoly)
-            and other.ring == self.ring
-            and other.base == self.base
+    def lam_derivative(self, P: SparsePoly) -> SparsePoly:
+        """dP/dlambda - lambda^-2 dP/dlambda^-1, the derivation of the
+        quotient ring that sends lambda to 1; the result is reduced."""
+        mu = SparsePoly.variable(self.lam_inv, self.num_vars)
+        return self.reduce(
+            P.partial_derivative(self.lam) - mu * mu * P.partial_derivative(self.lam_inv)
         )
 
-    def __str__(self):
-        return self.base.to_string()
 
-
-def apply_Du(F: DiffPoly) -> DiffPoly:
+def apply_Du(ring: DiffSymbolRing, F: SparsePoly) -> SparsePoly:
     """Apply the logarithmic differential operator.
 
-    Term a*x^i (with i = (i_0, .., i_n) measured against u = (1, u_1, ..,
-    u_n)) maps to (a' + a * sum_{j>=1} i_j w_j) * x^i; x_0 carries no
-    symbol because u_0 = 1.  Degree is preserved; coefficients must lie in
-    the differentiable subring.
+    D(F) = sum_{j>=1} w_j x_j dF/dx_j + lambda' (dF/dlambda - lambda^-2
+    dF/dlambda^-1): a term a*x^i maps to (a' + a * sum_{j>=1} i_j w_j) * x^i,
+    where x_0 carries no symbol because u_0 = 1.  Degree is preserved.  The
+    symbols w_j, lambda' and s carry no assigned derivative, so a term that
+    contains one is rejected.  The result is reduced.
     """
-    ring = F.ring
-    n_x = F.base.num_vars
-    if n_x != ring.n + 1:
+    if F.num_vars != ring.num_vars:
         raise InvalidInput(
-            f"polynomial in {n_x} variables needs a symbol ring with {n_x - 1} symbols"
+            f"polynomial in {F.num_vars} variables needs the layout of "
+            f"{ring.num_vars} variables of a ring with {ring.n} symbols"
         )
-    terms = {}
-    for expo, coeff in F.base.terms.items():
-        if not isinstance(coeff, DiffRingElem):
-            coeff = ring.constant(coeff)
-        twist = ring.zero()
-        for j in range(1, n_x):
-            if expo[j]:
-                twist = twist + ring.w(j) * expo[j]
-        new_coeff = coeff.derivative() + coeff * twist
-        if new_coeff:
-            terms[expo] = new_coeff
-    return DiffPoly(ring, SparsePoly(n_x, terms))
+    for expo in F.terms:
+        if any(expo[ring.n + 1 : ring.lam]):
+            raise InvalidInput(
+                "derivative undefined outside the lambda subring "
+                f"(term exponents w={expo[ring.n + 1 : ring.lam_prime]}, "
+                f"lambda'={expo[ring.lam_prime]}, s={expo[ring.s]})"
+            )
+
+    def var(i):
+        return SparsePoly.variable(i, ring.num_vars)
+
+    out = var(ring.lam_prime) * ring.lam_derivative(F)
+    for j in range(1, ring.n + 1):
+        out = out + var(ring.w(j)) * var(j) * F.partial_derivative(j)
+    return ring.reduce(out)
 
 
-def check_product_rule(F: DiffPoly, G: DiffPoly) -> bool:
+def check_product_rule(ring: DiffSymbolRing, F: SparsePoly, G: SparsePoly) -> bool:
     """Exact symbolic test of D(FG) = D(F) G + F D(G)."""
-    lhs = apply_Du(F * G)
-    rhs = apply_Du(F) * G + F * apply_Du(G)
+    lhs = apply_Du(ring, F * G)
+    rhs = ring.reduce(apply_Du(ring, F) * G + F * apply_Du(ring, G))
     return lhs == rhs
 
 
@@ -333,45 +111,28 @@ def check_product_rule(F: DiffPoly, G: DiffPoly) -> bool:
 # coprimality of F with its image (constant coefficients)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CoprimalityReport:
-    coprime: bool
-    relation: tuple[int, ...] | None = None  # exponents (m_1..m_n) when not coprime
-
-    def __bool__(self):
-        return self.coprime
-
-
-def _flatten(F: DiffPoly) -> SparsePoly:
-    """Embed a DiffPoly with lambda-free coefficients into a plain polynomial.
-
-    Variable order: the x variables first, then w_1..w_n, then lambda',
-    then s.  (Nonzero lambda exponents are rejected; callers clear them.)
-    """
-    n_x = F.base.num_vars
-    n_w = F.ring.n
-    total = n_x + n_w + 2
-    terms = {}
-    for expo, coeff in F.base.terms.items():
-        for (w, kl, kp, ks), c in coeff.terms.items():
-            if kl != 0:
-                raise ValueError("clear lambda powers before flattening")
-            key = tuple(expo) + tuple(w) + (kp, ks)
-            terms[key] = terms.get(key, GaussRat(0)) + c
-    return SparsePoly(total, terms)
+def _with_image(F: SparsePoly) -> tuple[SparsePoly, SparsePoly]:
+    """F and D_u(F) in x, w, lambda', s: the lambda slots, which a
+    constant-coefficient form never uses, are dropped."""
+    ring = DiffSymbolRing(F.num_vars - 1)
+    flat = ring.embed(F)
+    pair = (flat, apply_Du(ring, flat))
+    return tuple(p.drop_var(ring.lam_inv).drop_var(ring.lam) for p in pair)
 
 
-def coprime_with_Du(F: SparsePoly) -> CoprimalityReport:
-    """Decide whether F is coprime with its operator image.
+def coprime_with_Du(F: SparsePoly) -> bool:
+    """Check that F is coprime with its operator image; returns True.
 
     ``F`` is a homogeneous polynomial with constant (Gaussian-rational)
     coefficients, with no monomial factors and no repeated factors; the
     preconditions are validated and their violation raises InvalidInput.
 
-    The gcd is attempted first; only a non-constant gcd triggers extraction
-    of the obstructing monomial relation(m_1..m_n) from a pair of exponent
-    vectors of the common factor, and the relation always satisfies
-    sum |m_i| <= 2 deg F.
+    Such an F is always coprime with D_u(F).  Let an irreducible A divide
+    both F and D_u(F) = sum_j w_j x_j dF/dx_j.  A is free of w, so A divides
+    each x_j dF/dx_j.  F is squarefree and has no monomial factor, so A
+    divides dA/dx_j, and then dA/dx_j = 0 for every j >= 1.  That makes A
+    = x_0, a monomial factor.  The gcd is still computed, and a non-constant
+    one raises InternalContradiction.
     """
     if not F or F.is_constant():
         raise InvalidInput("F must be non-constant")
@@ -381,30 +142,17 @@ def coprime_with_Du(F: SparsePoly) -> CoprimalityReport:
         raise InvalidInput("F has a monomial factor")
     if not is_squarefree(F):
         raise InvalidInput("F has a repeated factor")
-    n_x = F.num_vars
-    ring = DiffSymbolRing(n_x - 1)
-    DF = apply_Du(DiffPoly.from_constant_poly(F, ring))
-    flat_D = _flatten(DF)
-    flat_F = _flatten(DiffPoly.from_constant_poly(F, ring))
-    g = gcd_poly(flat_F, flat_D, 0)
-    if all(g.degree_in(v) == 0 for v in range(n_x)):
-        return CoprimalityReport(True)
-    # non-constant common factor: compare two of its terms to read off the
-    # candidate multiplicative relation between the tuple components
-    exps = sorted({e[:n_x] for e in g.terms})
-    first, second = exps[0], exps[1] if len(exps) > 1 else exps[0]
-    relation = tuple(second[j] - first[j] for j in range(1, n_x))
-    return CoprimalityReport(False, relation)
+    g = gcd_poly(*_with_image(F), 0)
+    if any(g.degree_in(v) for v in range(F.num_vars)):
+        raise InternalContradiction(f"F and D_u(F) share the factor {g}")
+    return True
 
 
 def resultants_with_Du(F: SparsePoly) -> list[SparsePoly]:
-    """Resultant of F with its operator image in each x variable (flattened)."""
-    n_x = F.num_vars
-    ring = DiffSymbolRing(n_x - 1)
-    DF = apply_Du(DiffPoly.from_constant_poly(F, ring))
-    flat_D = _flatten(DF)
-    flat_F = _flatten(DiffPoly.from_constant_poly(F, ring))
-    return [resultant(flat_F, flat_D, v) for v in range(n_x)]
+    """Resultant of F with its operator image in each x variable, as
+    polynomials in x_0..x_n, w_1..w_n, lambda', s."""
+    flat_F, flat_D = _with_image(F)
+    return [resultant(flat_F, flat_D, v) for v in range(F.num_vars)]
 
 
 # ---------------------------------------------------------------------------
@@ -414,54 +162,56 @@ def resultants_with_Du(F: SparsePoly) -> list[SparsePoly]:
 DIFFPOLY_SCHEMA = "diffpoly/1"
 
 
-def diffpoly_to_doc(F: DiffPoly) -> dict:
+def diffpoly_to_doc(ring: DiffSymbolRing, F: SparsePoly) -> dict:
     """Serialize with a symbols header in the fixed generator order
-    [w1..wn, lambda, lambdainv, lambdap, s]; negative lambda powers go to
-    the lambdainv slot."""
-    ring = F.ring
+    [w1..wn, lambda, lambdainv, lambdap, s]; terms are grouped by their x
+    exponents, and each group is sorted by the w exponents, the signed
+    lambda power, lambda' and s."""
+    n = ring.n
+    groups: dict[tuple, list] = {}
+    for expo, c in ring.reduce(F).terms.items():
+        w = expo[n + 1 : ring.lam_prime]
+        kp, ks, kl, kinv = expo[ring.lam_prime :]
+        groups.setdefault(expo[: n + 1], []).append(
+            ((w, kl - kinv, kp, ks), [*w, kl, kinv, kp, ks], c)
+        )
     terms = []
-    for expo in sorted(F.base.terms):
-        coeff: DiffRingElem = F.base.terms[expo]
+    for x in sorted(groups):
         parts = []
-        for (w, kl, kp, ks) in sorted(coeff.terms):
-            c = coeff.terms[(w, kl, kp, ks)]
+        for _, sym, c in sorted(groups[x], key=lambda t: t[0]):
             re, im = c.to_strings()
-            sym = list(w) + [max(kl, 0), max(-kl, 0), kp, ks]
             parts.append({"exp": sym, "re": re, "im": im})
-        terms.append({"exp": list(expo), "coeff": parts})
+        terms.append({"exp": list(x), "coeff": parts})
     return {
         "schema": DIFFPOLY_SCHEMA,
-        "vars": F.base.num_vars,
-        "symbols": ring.generator_names(),
+        "vars": n + 1,
+        "symbols": [f"w{j}" for j in range(1, n + 1)] + _DOC_SYMBOLS,
         "terms": terms,
     }
 
 
-def diffpoly_from_doc(doc: dict) -> DiffPoly:
+def diffpoly_from_doc(doc: dict) -> tuple[DiffSymbolRing, SparsePoly]:
+    """The ring and the reduced polynomial of a diffpoly/1 document."""
     if doc.get("schema") != DIFFPOLY_SCHEMA:
         raise ValueError(f"unknown schema {doc.get('schema')!r}")
     names = doc["symbols"]
     n = len(names) - 4
-    if n < 0 or names[n:] != ["lambda", "lambdainv", "lambdap", "s"]:
+    if n < 0 or names[n:] != _DOC_SYMBOLS:
         raise ValueError("symbols header must end with lambda, lambdainv, lambdap, s")
+    if int(doc["vars"]) != n + 1:
+        raise ValueError(f"{n} symbols need {n + 1} x variables, not {doc['vars']}")
     ring = DiffSymbolRing(n)
-    num_vars = int(doc["vars"])
     terms = {}
     for t in doc["terms"]:
-        expo = tuple(int(e) for e in t["exp"])
-        elem_terms = {}
+        expo = [int(e) for e in t["exp"]]
         for part in t["coeff"]:
             sym = [int(e) for e in part["exp"]]
-            w = tuple(sym[:n])
-            kl = sym[n] - sym[n + 1]
-            kp, ks = sym[n + 2], sym[n + 3]
+            if len(sym) != n + 4:
+                raise ValueError(f"symbol exponent {sym} needs {n + 4} entries")
+            key = tuple(expo + sym[:n] + sym[n + 2 :] + sym[n : n + 2])
             coeff = GaussRat.from_strings(part["re"], part.get("im", "0"))
-            if coeff:
-                elem_terms[(w, kl, kp, ks)] = coeff
-        elem = DiffRingElem(ring, elem_terms)
-        if elem:
-            terms[expo] = elem
-    return DiffPoly(ring, SparsePoly(num_vars, terms))
+            terms[key] = terms.get(key, GaussRat(0)) + coeff
+    return ring, ring.reduce(SparsePoly(ring.num_vars, terms))
 
 
 # ---------------------------------------------------------------------------
@@ -473,10 +223,10 @@ def verify_Du_numeric(F: SparsePoly, u: tuple, radius_samples: list[complex],
     """Max relative residual of F(u)' = D_u(F)(u) over the sample points.
 
     Two independent routes: the left side expands F on the tuple into an
-    exact exponential sum and differentiates that; the right side binds the
-    formal symbols w_j to the exact logarithmic derivatives u_j'/u_j and
-    evaluates term by term.  Components must be class functions with
-    u_0 = 1; samples landing on zeros or poles are skipped with a warning.
+    exact exponential sum and differentiates that; the right side evaluates
+    ``apply_Du`` of F at x = u, w_j = u_j'/u_j, lambda = lambda^-1 = 1 and
+    lambda' = s = 0.  Components must be class functions with u_0 = 1;
+    samples landing on zeros or poles are skipped with a warning.
     """
     import warnings
 
@@ -487,24 +237,18 @@ def verify_Du_numeric(F: SparsePoly, u: tuple, radius_samples: list[complex],
         raise InvalidInput("tuple length must match the number of variables")
     if not (u[0].is_constant() and not u[0].exp_part and u[0].scalar.is_one()):
         raise InvalidInput("the first tuple component must be the constant 1")
+    ring = DiffSymbolRing(len(u) - 1)
+    image = apply_Du(ring, ring.embed(F))
     lhs_fn = eval_poly_on_tuple(F, tuple(u)).derivative()
-    logders = [None] + [log_derivative(uj) for uj in u[1:]]
+    logders = [log_derivative(uj) for uj in u[1:]]
     worst = 0.0
     for z in radius_samples:
-        vals = [uj.eval(z) if j else 1.0 + 0j for j, uj in enumerate(u)]
+        vals = [1.0 + 0j] + [uj.eval(z) for uj in u[1:]]
         if any(not (1e-12 < abs(v) < skip_threshold) for v in vals[1:]):
             warnings.warn(f"sample {z} is too close to a zero/pole; skipped")
             continue
         lhs = lhs_fn.eval(z)
-        w = [None] + [ld.eval(z) for ld in logders[1:]]
-        rhs = 0j
-        for expo, coeff in F.terms.items():
-            twist = sum(expo[j] * w[j] for j in range(1, len(u)) if expo[j])
-            mono = complex(coeff)
-            for v, e in zip(vals, expo):
-                if e:
-                    mono *= v**e
-            rhs += mono * twist
+        rhs = image.eval(vals + [ld.eval(z) for ld in logders] + [0j, 0j, 1 + 0j, 1 + 0j])
         resid = abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs))
         worst = max(worst, resid)
     return worst
