@@ -2,9 +2,9 @@
 
 Subsystems:
 
-- ``workbench.algebra``: exact sparse polynomial / Laurent / resultant /
+- ``workbench.algebra``: exact sparse polynomial / resultant /
   root-enclosure kernel over the Gaussian rationals; SparsePoly is its one
-  polynomial arithmetic.
+  polynomial type.
 - ``workbench.diffops``: the logarithmic differential operator on
   polynomials over a formal differential symbol ring, whose symbols are
   further SparsePoly variables.

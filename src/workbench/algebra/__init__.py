@@ -2,7 +2,6 @@
 
 from .gaussrat import GaussRat
 from .poly import SparsePoly
-from .laurent import LaurentBivar
 from .euclid import (
     canonical_scale,
     content_in,
@@ -25,8 +24,6 @@ from .roots import (
 from .certificates import NullstellensatzCertificate, nullstellensatz_certificate
 from .serialize import (
     dump_poly,
-    laurent_from_doc,
-    laurent_to_doc,
     load_poly,
     poly_from_doc,
     poly_to_doc,
@@ -35,7 +32,6 @@ from .serialize import (
 __all__ = [
     "GaussRat",
     "SparsePoly",
-    "LaurentBivar",
     "AlgebraicRoots",
     "RootEnclosure",
     "LinearFormFactorization",
@@ -56,8 +52,6 @@ __all__ = [
     "nullstellensatz_certificate",
     "poly_to_doc",
     "poly_from_doc",
-    "laurent_to_doc",
-    "laurent_from_doc",
     "load_poly",
     "dump_poly",
 ]

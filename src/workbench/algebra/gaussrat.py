@@ -62,10 +62,6 @@ class GaussRat:
     # -- constructors ------------------------------------------------------
 
     @staticmethod
-    def i() -> "GaussRat":
-        return I
-
-    @staticmethod
     def coerce(x) -> "GaussRat":
         if type(x) is GaussRat:
             return x
@@ -234,4 +230,3 @@ def _reduced(a: int, b: int, d: int) -> GaussRat:
 
 ZERO = GaussRat(0)
 ONE = GaussRat(1)
-I = GaussRat(0, 1)

@@ -264,24 +264,28 @@ class SparsePoly:
             acc = acc + term
         return acc
 
-    def substitute_var(self, var: int, value) -> "SparsePoly":
-        """Substitute an exact constant (GaussRat) or SparsePoly for one variable.
-
-        The result keeps the same variable count; the substituted variable
-        simply no longer occurs.
-        """
-        if isinstance(value, (int, Fraction, GaussRat)):
-            value = SparsePoly.constant(value, self.num_vars)
-        acc = SparsePoly.zero(self.num_vars)
+    def specialize(self, var: int, c) -> "SparsePoly":
+        """Set variable ``var`` to the exact constant ``c`` and remove it,
+        reducing num_vars by one."""
+        c = GaussRat.coerce(c)
+        terms: dict[Expo, object] = {}
         for expo, coeff in self.terms.items():
-            rest = list(expo)
-            e = rest[var]
-            rest[var] = 0
-            term = SparsePoly(self.num_vars, {tuple(rest): coeff})
+            e = expo[var]
             if e:
-                term = term * value**e
-            acc = acc + term
-        return acc
+                if not c:
+                    continue
+                coeff = coeff * c**e
+            rest = expo[:var] + expo[var + 1 :]
+            old = terms.get(rest)
+            if old is None:
+                terms[rest] = coeff
+            else:
+                s = old + coeff
+                if s:
+                    terms[rest] = s
+                else:
+                    del terms[rest]
+        return SparsePoly._clean(self.num_vars - 1, terms)
 
     def drop_var(self, var: int) -> "SparsePoly":
         """Remove a variable that no longer occurs, reducing num_vars by one."""

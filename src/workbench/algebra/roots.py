@@ -67,11 +67,6 @@ class AlgebraicRoots:
     defining_poly: SparsePoly
     roots: tuple[RootEnclosure, ...]
 
-    def nonzero(self) -> "AlgebraicRoots":
-        """Drop enclosures centered at an exact zero root."""
-        kept = tuple(r for r in self.roots if not (r.exact is not None and not r.exact))
-        return AlgebraicRoots(self.defining_poly, kept)
-
 
 def _univar_coeffs(f: SparsePoly) -> list[GaussRat]:
     """Ascending GaussRat coefficient list of an (effectively) univariate polynomial."""
@@ -294,7 +289,7 @@ def factor_linear_forms(h: SparsePoly) -> LinearFormFactorization:
     if h.num_vars != 2 or not h.is_homogeneous():
         raise ValueError("expected a homogeneous form in two variables")
     d = h.total_degree()
-    dehom = h.substitute_var(1, GaussRat(1)).drop_var(1)  # univariate in X
+    dehom = h.specialize(1, 1)  # univariate in X
     x_deg = dehom.degree_in(0)
     y_mult = d - x_deg
     if x_deg == 0:

@@ -4,8 +4,8 @@ Polynomial document:
     {"vars": n, "terms": [{"exp": [e0,...], "re": "p/q", "im": "r/s"}, ...]}
 
 Exponents are non-negative integers and coefficient strings are exact
-rationals.  The Laurent variant is tagged {"laurent": true} and permits
-negative exponents (two variables).
+rationals.  A document tagged {"laurent": true} (negative exponents) is
+refused.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ import json
 from fractions import Fraction
 
 from .gaussrat import GaussRat
-from .laurent import LaurentBivar
 from .poly import SparsePoly
 
 
@@ -40,26 +39,6 @@ def poly_from_doc(doc: dict) -> SparsePoly:
         if coeff:
             terms[expo] = coeff
     return SparsePoly(n, terms)
-
-
-def laurent_to_doc(p: LaurentBivar) -> dict:
-    terms = []
-    for expo in sorted(p.terms):
-        re, im = p.terms[expo].to_strings()
-        terms.append({"exp": list(expo), "re": re, "im": im})
-    return {"vars": 2, "laurent": True, "terms": terms}
-
-
-def laurent_from_doc(doc: dict) -> LaurentBivar:
-    if not doc.get("laurent"):
-        raise ValueError("expected a Laurent-tagged document")
-    terms = {}
-    for t in doc["terms"]:
-        e0, e1 = (int(e) for e in t["exp"])
-        coeff = GaussRat(Fraction(t["re"]), Fraction(t.get("im", "0")))
-        if coeff:
-            terms[(e0, e1)] = coeff
-    return LaurentBivar(terms)
 
 
 def load_poly(path: str) -> SparsePoly:

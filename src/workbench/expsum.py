@@ -18,12 +18,13 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 
 from .algebra.euclid import gcd_poly
 from .algebra.gaussrat import GaussRat
 from .algebra.poly import SparsePoly
-from .algebra.roots import roots_certified
+from .algebra.roots import _to_mpc, roots_certified
 from .errors import InvalidInput
 from .nevanlinna import MeroFn, _complex_coeffs_desc
 
@@ -221,7 +222,15 @@ class ExpSumFn:
                 continue  # w = 0 has no preimage under the unit
             # the disks are disjoint, so the one holding the root 1 is exactly 1
             w0_is_one = one_is_root and root.contains_exact(one)
-            w0log = 0j if w0_is_one else cmath.log(root.center)
+            if w0_is_one:
+                w0log = 0j
+            elif root.exact is not None:
+                # log1p of the exact w0 - 1 keeps log w0 to full relative
+                # accuracy near w0 = 1, where the float centre cancels
+                with mpmath.workdps(30):
+                    w0log = complex(mpmath.log1p(_to_mpc(root.exact - one)))
+            else:
+                w0log = cmath.log(root.center)
             for k in _lattice_range(alpha, beta, w0log, r):
                 z = (w0log + 2j * math.pi * k - beta) / alpha
                 # the origin is beta = 0, w0 = 1 and k = 0 exactly: e^beta is

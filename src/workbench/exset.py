@@ -27,7 +27,6 @@ import mpmath
 
 from .algebra.euclid import canonical_scale, is_squarefree, monomial_variables, resultant
 from .algebra.gaussrat import GaussRat
-from .algebra.laurent import LaurentBivar
 from .algebra.poly import SparsePoly
 from .algebra.roots import AlgebraicRoots, RootEnclosure, factor_linear_forms, roots_certified
 from .algebra.squarefree import squarefree_part
@@ -46,18 +45,13 @@ class NormalizedPair:
 
     Invariants: gcd(n1, n2) = 1, n1*a + n2*b = 1, n2 >= n1 >= 0 when
     n1*n2 >= 0 and 0 < n2 <= -n1 otherwise; for n1 != 0 the cofactors
-    satisfy 0 < b <= |n1| and |a| < n2; a < b always.  ``swap``/``flip``
-    record the index exchange and simultaneous sign change applied to the
-    input, ``gcd_removed`` the common factor divided out.
+    satisfy 0 < b <= |n1| and |a| < n2; a < b always.
     """
 
     n1: int
     n2: int
     a: int
     b: int
-    swap: bool = False
-    flip: bool = False
-    gcd_removed: int = 1
 
     def __post_init__(self):
         n1, n2, a, b = self.n1, self.n2, self.a, self.b
@@ -104,7 +98,7 @@ def normalize_pair(n1: int, n2: int) -> NormalizedPair:
             if not (0 < c2 <= -c1):
                 continue
         a, b = _bezout_constrained(c1, c2)
-        return NormalizedPair(c1, c2, a, b, swap=swap, flip=flip, gcd_removed=g)
+        return NormalizedPair(c1, c2, a, b)
     raise InternalContradiction(f"no normal form found for ({n1}, {n2})")
 
 
@@ -120,7 +114,7 @@ def enumerate_pairs(ell2: int) -> list[NormalizedPair]:
             if math.gcd(n1, n2) != 1:
                 continue
             p = normalize_pair(n1, n2)
-            seen[(p.n1, p.n2)] = NormalizedPair(p.n1, p.n2, p.a, p.b)
+            seen[(p.n1, p.n2)] = p
     return sorted(seen.values(), key=lambda p: (p.ell1(), p.n1, p.n2))
 
 
@@ -184,17 +178,26 @@ class SubstitutionResult:
     def roundtrip_holds(self) -> bool:
         """Exact identity: substituting L = X^n1 Y^n2, T = X^b Y^-a back into
         T^M1 L^M2 B recovers G1."""
-        back = LaurentBivar.from_poly(self.B).substitute_monomials(
-            (self.pair.n1, self.pair.n2), (self.pair.b, -self.pair.a)
-        )
-        shift0 = self.pair.n1 * self.M2 + self.pair.b * self.M1
-        shift1 = self.pair.n2 * self.M2 - self.pair.a * self.M1
-        return back.shift(shift0, shift1) == LaurentBivar.from_poly(self.G1)
+        p = self.pair
+        shift = (p.n1 * self.M2 + p.b * self.M1, p.n2 * self.M2 - p.a * self.M1)
+        return _monomial_map(self.B.terms, (p.n1, p.n2), (p.b, -p.a), shift) == self.G1.terms
+
+
+def _monomial_map(terms, image0, image1, shift=(0, 0)) -> dict:
+    """Send the exponent (i, j) to i * image0 + j * image1 + shift.
+
+    The maps used here have determinant -1, so distinct monomials stay
+    distinct and no coefficients are summed; a wrong map that merged two
+    would lose a term, which the round trip in ``_substitute`` detects.
+    Exponents may be negative.
+    """
+    return {(i * image0[0] + j * image1[0] + shift[0], i * image0[1] + j * image1[1] + shift[1]): c
+            for (i, j), c in terms.items()}
 
 
 def dehomogenize(G: SparsePoly) -> SparsePoly:
     """G(1, X, Y) as a polynomial in two variables."""
-    return G.substitute_var(0, GaussRat(1)).drop_var(0)
+    return G.specialize(0, 1)
 
 
 def substitute(G: SparsePoly, pair: NormalizedPair) -> SubstitutionResult:
@@ -211,13 +214,10 @@ def substitute(G: SparsePoly, pair: NormalizedPair) -> SubstitutionResult:
 def _substitute(G: SparsePoly, pair: NormalizedPair) -> SubstitutionResult:
     """``substitute`` for a curve that already passed ``validate_curve``."""
     G1 = dehomogenize(G)
-    image = LaurentBivar.from_poly(G1).substitute_monomials(
-        (pair.a, pair.n2), (pair.b, -pair.n1)
-    )
-    M1 = image.min_exp(1)
-    b_lambda = image.shift(0, -M1)
-    M2 = b_lambda.min_exp(0)
-    B = b_lambda.shift(-M2, 0).to_poly()
+    image = _monomial_map(G1.terms, (pair.a, pair.n2), (pair.b, -pair.n1))
+    M1 = min(t for _, t in image)
+    M2 = min(ell for ell, _ in image)
+    B = SparsePoly(2, {(ell - M2, t - M1): c for (ell, t), c in image.items()})
     if not B.coeffs_in(1)[0]:
         raise InternalContradiction("T = 0 slice vanished after normalization")
     if B.is_constant():
@@ -235,14 +235,6 @@ def _substitute(G: SparsePoly, pair: NormalizedPair) -> SubstitutionResult:
 # ---------------------------------------------------------------------------
 # beta loci
 # ---------------------------------------------------------------------------
-
-def _as_univar(p: SparsePoly, var: int) -> SparsePoly:
-    """Collapse a polynomial that only involves ``var`` to one variable."""
-    other = [v for v in range(p.num_vars) if v != var]
-    if any(p.degree_in(v) > 0 for v in other):
-        raise ValueError("polynomial involves more than the selected variable")
-    return SparsePoly(1, {(e[var],): c for e, c in p.terms.items()})
-
 
 def _strip_monic_squarefree(p: SparsePoly) -> SparsePoly:
     """Strip monomial content, take the squarefree part, scale monic."""
@@ -289,13 +281,13 @@ def beta_loci(sub: SubstitutionResult) -> BetaLoci:
     """
     B = sub.B
     res = resultant(B, B.partial_derivative(1), var=1)
-    res_u = _as_univar(res, 0)
+    res_u = res.drop_var(1)
     if not res_u:
         raise InternalContradiction("resultant vanished identically; B not squarefree")
     alphas = _roots_of(res_u)
-    gammas = _roots_of(_as_univar(B.coeffs_in(1)[0], 0))
+    gammas = _roots_of(B.coeffs_in(1)[0].drop_var(1))
     lead = B.leading_coeff_in(1)
-    leading = _roots_of(_as_univar(lead, 0)) if not lead.is_constant() \
+    leading = _roots_of(lead.drop_var(1)) if not lead.is_constant() \
         else AlgebraicRoots(SparsePoly.one(1), ())
     return BetaLoci(alphas, gammas, leading)
 
@@ -450,7 +442,7 @@ def _delta_lines(G: SparsePoly) -> list[CurveSpec]:
     out = []
     for i in range(3):
         j, k = [v for v in range(3) if v != i]
-        form = G.substitute_var(i, GaussRat(0)).drop_var(i)
+        form = G.specialize(i, 0)
         fact = factor_linear_forms(form)
         if fact.y_multiplicity:
             raise InternalContradiction(

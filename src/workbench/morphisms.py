@@ -118,8 +118,8 @@ def intersection_points(F: SparsePoly, G: SparsePoly) -> list[ProjectivePoint]:
     # chart x0 = 0: common roots of two binary forms (exact via gcd); when a
     # curve contains the line itself, the intersections there are the other
     # form's zeros
-    f0 = F.substitute_var(0, GaussRat(0)).drop_var(0)
-    g0 = G.substitute_var(0, GaussRat(0)).drop_var(0)
+    f0 = F.specialize(0, 0)
+    g0 = G.specialize(0, 0)
     if not f0 and not g0:
         raise NonProperIntersection("both curves contain the line x0 = 0")
     if not f0:
@@ -142,14 +142,10 @@ def intersection_points(F: SparsePoly, G: SparsePoly) -> list[ProjectivePoint]:
                 (GaussRat(0), GaussRat(1), GaussRat(0))))
 
     # affine chart x0 = 1
-    f = F.substitute_var(0, GaussRat(1)).drop_var(0)
-    g = G.substitute_var(0, GaussRat(1)).drop_var(0)
+    f = F.specialize(0, 1)
+    g = G.specialize(0, 1)
     points.extend(_affine_intersections(f, g))
     return points
-
-
-def _univar_in(p: SparsePoly, var: int) -> SparsePoly:
-    return SparsePoly(1, {(e[var],): c for e, c in p.terms.items()})
 
 
 def _affine_intersections(f: SparsePoly, g: SparsePoly) -> list[ProjectivePoint]:
@@ -165,7 +161,7 @@ def _affine_intersections(f: SparsePoly, g: SparsePoly) -> list[ProjectivePoint]
         f, g = g, f
     # a y-free second argument has the same x-root set as the resultant
     res = resultant(f, g, var=1) if g.degree_in(1) > 0 else g
-    res_x = _univar_in(res, 0)
+    res_x = res.drop_var(1)
     if not res_x:
         raise NonProperIntersection("resultant vanished identically in the affine chart")
     if res_x.is_constant():
@@ -374,8 +370,8 @@ def transversality_check(F1: SparsePoly, F2: SparsePoly) -> list[TransversalityR
     for p in intersection_points(F1, F2):
         chart = max(range(3), key=lambda k: abs(p.coords[k]))
         rest = [v for v in range(3) if v != chart]
-        f = F1.substitute_var(chart, GaussRat(1)).drop_var(chart)
-        g = F2.substitute_var(chart, GaussRat(1)).drop_var(chart)
+        f = F1.specialize(chart, 1)
+        g = F2.specialize(chart, 1)
         minor_poly = (f.partial_derivative(0) * g.partial_derivative(1)
                       - f.partial_derivative(1) * g.partial_derivative(0))
         if p.exact is not None:

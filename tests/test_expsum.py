@@ -2,6 +2,7 @@ import cmath
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -93,10 +94,22 @@ def test_lattice_decides_the_origin_exactly():
     near = GaussRat(1) + GaussRat(Fraction(1, 2**40))
     zeros = (ez + ExpSumFn.constant(-near)).zeros_in_disk(r)
     assert _log_counting(zeros, r) == pytest.approx(math.log(r / math.log1p(2**-40)), rel=1e-9)
-    # w0 = 1 + 10^-400 rounds to 1, so its lattice point would read as 0
+    # w0 = 1 + 10^-400: its lattice point log w0 underflows to 0 as a float
     tiny = GaussRat(1) + GaussRat(Fraction(1, 10**400))
     with pytest.raises(InvalidInput, match="underflows"):
         (ez + ExpSumFn.constant(-tiny)).zeros_in_disk(r)
+
+
+def test_lattice_log_near_one_from_the_exact_root():
+    # w0 = 1 + 10^-k is not a float: log of its float centre keeps about 16 - k
+    # digits of log w0 (none at k = 35), the exact root keeps all of them
+    ez = ExpSumFn.from_mero(MeroFn.unit(z()))
+    for k in (12, 35):
+        w0 = GaussRat(1) + GaussRat(Fraction(1, 10**k))
+        zeros = (ez + ExpSumFn.constant(-w0)).zeros_in_disk(2.0)
+        with mpmath.workdps(40):
+            ref = mpmath.log(2 / mpmath.log1p(mpmath.mpf(10) ** -k))
+        assert _log_counting(zeros, 2.0) == pytest.approx(float(ref), rel=1e-14)
 
 
 def test_lattice_origin_from_a_nonlinear_factor():

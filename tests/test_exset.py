@@ -1,9 +1,11 @@
+import dataclasses
 import math
 import re
 from fractions import Fraction
 
 import mpmath
 import pytest
+import sympy
 
 from workbench import exset
 from workbench.algebra.gaussrat import GaussRat
@@ -23,7 +25,7 @@ from workbench.exset import (
 )
 from workbench.nevanlinna import MeroFn
 
-from conftest import count_calls, two_close_roots, variables
+from conftest import count_calls, to_sympy, two_close_roots, variables
 
 
 def sphere():
@@ -35,10 +37,9 @@ def test_normalize_examples():
     p = normalize_pair(-3, 2)
     assert (p.n1, p.n2, p.a, p.b) == (-3, 2, 1, 2)
     p = normalize_pair(0, 5)
-    assert (p.n1, p.n2, p.a, p.b, p.gcd_removed) == (0, 1, 0, 1, 5)
+    assert (p.n1, p.n2, p.a, p.b) == (0, 1, 0, 1)
     p = normalize_pair(2, -4)
-    assert (p.n1, p.n2) == (-2, 1)
-    assert p.gcd_removed == 2 and (p.swap or p.flip)
+    assert (p.n1, p.n2, p.a, p.b) == (-2, 1, 0, 1)
 
 
 def test_normalize_invariants_hold(rng):
@@ -106,9 +107,7 @@ def test_beta_loci_worked_examples():
     assert loci.leading.defining_poly == L**2 + 1
 
 
-def test_roundtrip_many_combinations(rng):
-    # >= 20 (curve, pair) combinations must satisfy the exact identity and
-    # produce a squarefree core polynomial (asserted inside substitute)
+def _substitution_cases():
     x0, x1, x2 = variables(3)
     curves = [
         sphere(),
@@ -118,13 +117,38 @@ def test_roundtrip_many_combinations(rng):
         x0**2 + 3 * x1**2 + x2**2 + x0 * x1,
     ]
     pairs = [(0, 1), (1, 1), (-1, 1), (1, 2), (-2, 1), (-1, 2), (2, 3)]
-    combos = 0
-    for G in curves:
-        for n1, n2 in pairs:
-            s = substitute(G, normalize_pair(n1, n2))
-            assert s.roundtrip_holds()
-            combos += 1
-    assert combos >= 20
+    return [(G, normalize_pair(n1, n2)) for G in curves for n1, n2 in pairs]
+
+
+def test_roundtrip_many_combinations():
+    # >= 20 (curve, pair) combinations must satisfy the exact identity and
+    # produce a squarefree core polynomial (asserted inside substitute)
+    cases = _substitution_cases()
+    for G, pair in cases:
+        s = substitute(G, pair)
+        assert s.roundtrip_holds()
+        assert not dataclasses.replace(s, M1=s.M1 + 1).roundtrip_holds()
+    assert len(cases) >= 20
+
+
+def test_substitution_against_sympy():
+    # the round trip inverts the same exponent map, so it cannot see a wrong
+    # map; sympy expands G(1, L^a T^n2, L^b T^-n1) independently
+    xs = sympy.symbols("x0 x1 x2")
+    L, T = sympy.symbols("L T")
+    for G, pair in _substitution_cases():
+        s = substitute(G, pair)
+        # (L T)^K clears every negative exponent of the image
+        K = G.total_degree() * (abs(pair.a) + abs(pair.b) + pair.ell1())
+        image = to_sympy(G, xs).subs(
+            {xs[0]: 1, xs[1]: L**pair.a * T**pair.n2, xs[2]: L**pair.b * T**(-pair.n1)},
+            simultaneous=True)
+        monoms = sympy.Poly(sympy.expand(image * (L * T) ** K), L, T).monoms()
+        M2 = min(m[0] for m in monoms) - K
+        M1 = min(m[1] for m in monoms) - K
+        assert (s.M1, s.M2) == (M1, M2)
+        core = sympy.expand(image / (T**M1 * L**M2))
+        assert sympy.expand(to_sympy(s.B, (L, T)) - core) == 0
 
 
 def test_delta_lines_sphere():

@@ -1,16 +1,19 @@
 """Every def and class under src/workbench is mentioned by the program itself.
 
 A definition counts as used when src/ or perfbench/ mentions its name
-outside its own body: as a name that is read, as an attribute, or inside a
-string (the way perfbench/tracer.py names the functions it wraps).  Package
-``__init__.py`` files are not counted, so a re-export or an ``__all__`` entry
-alone does not make a name used.  Special methods are called by the language
-and are exempt.  Public entry points that only users and tests call are
-listed in KEPT_PUBLIC, and the list must name exactly the unused definitions,
-so it cannot go stale.
+outside its own body: as an attribute, inside a string (the way
+perfbench/tracer.py names the functions it wraps), or, for a module-level or
+nested function or class, as a name that is read.  A method is reached
+through an attribute, so a bare name counts for it only in the statements of
+its own class body (``__str__ = to_string``); a local variable that happens
+to share its name does not keep it.  Package ``__init__.py`` files are not
+counted, so a re-export or an ``__all__`` entry alone does not make a name
+used.  Special methods are called by the language and are exempt.  Public
+entry points that only users and tests call are listed in KEPT_PUBLIC, and
+the list must name exactly the unused definitions, so it cannot go stale.
 
-This is a check on name mentions, not a call graph: a definition whose name
-is also read as some unrelated variable or attribute still counts as used.
+This is a check on name mentions, not a call graph: a method whose name is
+also some unrelated attribute still counts as used.
 """
 
 import ast
@@ -26,8 +29,6 @@ KEPT_PUBLIC = {
     "algebra.euclid.pseudo_rem",
     # the other halves of the polynomial file format
     "algebra.serialize.dump_poly",
-    "algebra.serialize.laurent_to_doc",
-    "algebra.serialize.laurent_from_doc",
     # the formal symbol ring and its checks (acceptance criterion 4)
     "diffops.check_product_rule",
     "diffops.coprime_with_Du",
@@ -42,39 +43,64 @@ KEPT_PUBLIC = {
 }
 
 
-def _mentions(tree: ast.AST) -> Counter:
-    out = Counter()
+_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def _mentions(tree: ast.AST) -> tuple[Counter, Counter]:
+    """Names read, and names mentioned as attributes or inside strings."""
+    names, attrs = Counter(), Counter()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            out[node.id] += 1
+            names[node.id] += 1
         elif isinstance(node, ast.Attribute):
-            out[node.attr] += 1
+            attrs[node.attr] += 1
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-            out.update(p for p in node.value.replace(":", ".").split(".") if p.isidentifier())
+            attrs.update(p for p in node.value.replace(":", ".").split(".") if p.isidentifier())
+    return names, attrs
+
+
+def _class_level_names(cls: ast.ClassDef) -> Counter:
+    """Names read by the statements of a class body outside its definitions."""
+    out = Counter()
+    for stmt in cls.body:
+        if not isinstance(stmt, _DEFS):
+            out += _mentions(stmt)[0]
     return out
 
 
 def _definitions(tree: ast.AST, prefix: str):
+    """(qualified name, node, enclosing class or None) for every definition."""
     for node in ast.iter_child_nodes(tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            yield f"{prefix}.{node.name}", node
+        if isinstance(node, _DEFS):
+            yield f"{prefix}.{node.name}", node, tree if isinstance(tree, ast.ClassDef) else None
             yield from _definitions(node, f"{prefix}.{node.name}")
 
 
 def _unused() -> set[str]:
     sources = sorted(PACKAGE.rglob("*.py")) + sorted((ROOT / "perfbench").rglob("*.py"))
     trees = {path: ast.parse(path.read_text(), str(path)) for path in sources}
-    mentions = sum((_mentions(t) for p, t in trees.items() if p.name != "__init__.py"), Counter())
+    names, attrs = Counter(), Counter()
+    for path, tree in trees.items():
+        if path.name != "__init__.py":
+            n, a = _mentions(tree)
+            names += n
+            attrs += a
     unused = set()
     for path, tree in trees.items():
         if PACKAGE not in path.parents:
             continue
         module = ".".join(path.relative_to(PACKAGE).with_suffix("").parts)
-        for qualname, node in _definitions(tree, module):
+        for qualname, node, cls in _definitions(tree, module):
             name = node.name
             if name.startswith("__") and name.endswith("__"):
                 continue
-            if mentions[name] - _mentions(node)[name] <= 0:
+            own_names, own_attrs = _mentions(node)
+            uses = attrs[name] - own_attrs[name]
+            if cls is None:
+                uses += names[name] - own_names[name]
+            else:
+                uses += _class_level_names(cls)[name]
+            if uses <= 0:
                 unused.add(qualname)
     return unused
 

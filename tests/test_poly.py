@@ -1,12 +1,13 @@
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, settings, strategies as st
 
 from workbench.algebra.gaussrat import GaussRat
 from workbench.algebra.poly import SparsePoly
 
-from conftest import count_calls, random_poly, variables
+from conftest import count_calls, random_poly, to_sympy, variables
 
 
 def small_poly(num_vars=2, max_degree=3):
@@ -74,15 +75,22 @@ def test_eval_exact_and_numeric():
     assert p.eval([2.0, 1j]) == pytest.approx(4 + 3j)
 
 
-def test_substitute_and_drop():
+def test_specialize(rng):
+    xs = sympy.symbols("x0 x1 x2")
     x0, x1, x2 = variables(3)
-    p = x0**2 + x1 * x2
-    q = p.substitute_var(0, GaussRat(1))
-    assert q == SparsePoly.constant(1, 3) + x1 * x2
-    r = q.drop_var(0)
-    assert r.num_vars == 2
+    # terms cancel at x0 = 1 in the first extra case; the second vanishes at x0 = 0
+    cases = [random_poly(rng, 3, 3) for _ in range(12)]
+    cases += [(x0 - 1) * x1 + x2, x0 * x1 + x0**2 * x2]
+    for p in cases:
+        for var in range(3):
+            rest = [s for i, s in enumerate(xs) if i != var]
+            for c in (0, 1):
+                q = p.specialize(var, c)
+                assert q.num_vars == 2
+                assert sympy.expand(to_sympy(q, rest) - to_sympy(p, xs).subs(xs[var], c)) == 0
+    # drop_var only removes a variable that no longer occurs
     with pytest.raises(ValueError):
-        p.drop_var(0)
+        (x0**2 + x1 * x2).drop_var(0)
 
 
 def test_permute_vars():

@@ -96,7 +96,7 @@ def test_linear_forms_rational_slopes():
 def test_nonzero_filter():
     r = roots_certified(t() ** 3 - t())
     assert len(r.roots) == 3
-    assert len(r.nonzero().roots) == 2
+    assert len([e for e in r.roots if not (e.exact is not None and not e.exact)]) == 2
 
 
 def _holds_a_root(disk, mp_roots) -> bool:

@@ -3,14 +3,8 @@ import json
 import pytest
 
 from workbench.algebra.gaussrat import GaussRat
-from workbench.algebra.laurent import LaurentBivar
 from workbench.algebra.poly import SparsePoly
-from workbench.algebra.serialize import (
-    laurent_from_doc,
-    laurent_to_doc,
-    poly_from_doc,
-    poly_to_doc,
-)
+from workbench.algebra.serialize import poly_from_doc, poly_to_doc
 from workbench.nevanlinna import MeroFn, mero_from_doc, mero_to_doc
 
 from conftest import variables
@@ -23,13 +17,6 @@ def test_poly_round_trip():
     assert doc["vars"] == 2
     assert all(set(t) == {"exp", "re", "im"} for t in doc["terms"])
     assert poly_from_doc(json.loads(json.dumps(doc))) == p
-
-
-def test_laurent_round_trip():
-    p = LaurentBivar({(-2, 3): GaussRat(1, 1), (0, -1): GaussRat("1/3")})
-    doc = laurent_to_doc(p)
-    assert doc["laurent"] is True
-    assert laurent_from_doc(json.loads(json.dumps(doc))) == p
 
 
 def test_laurent_doc_rejected_as_poly():
