@@ -3,10 +3,14 @@
 This is the coefficient field for every exact computation in the workbench.
 Values are immutable and held as a canonical integer triple (a, b, d) with
 value (a + b*i)/d, d > 0 and gcd(a, b, d) = 1, so equal values have equal
-triples.  The subresultant sequences stay inside Z[i], where d = 1: there
-``+``, ``-`` and ``*`` are integer arithmetic with no gcd, and every other
-result (``/`` included) is reduced by one gcd.  ``re`` and ``im`` are
-``Fraction`` views of the two parts.
+triples.  On Z[i], where d = 1, ``+``, ``-`` and ``*`` are integer
+arithmetic with no gcd, and every other result (``/`` included) is reduced
+by one gcd.  ``re`` and ``im`` are ``Fraction`` views of the two parts.
+
+The polynomial product and exact division of ``SparsePoly`` (``poly.py``)
+do not go through these operators: they take the coefficients as integer
+pairs over one denominator (``int_pairs``), do the term arithmetic on
+plain integers and build one GaussRat per output term (``from_ints``).
 """
 
 from __future__ import annotations
@@ -91,8 +95,8 @@ class GaussRat:
             return NotImplemented
         d, f = self._d, other._d
         if d == f:
-            return _reduced(self._a + other._a, self._b + other._b, d)
-        return _reduced(self._a * f + other._a * d, self._b * f + other._b * d, d * f)
+            return from_ints(self._a + other._a, self._b + other._b, d)
+        return from_ints(self._a * f + other._a * d, self._b * f + other._b * d, d * f)
 
     __radd__ = __add__
 
@@ -106,8 +110,8 @@ class GaussRat:
             return NotImplemented
         d, f = self._d, other._d
         if d == f:
-            return _reduced(self._a - other._a, self._b - other._b, d)
-        return _reduced(self._a * f - other._a * d, self._b * f - other._b * d, d * f)
+            return from_ints(self._a - other._a, self._b - other._b, d)
+        return from_ints(self._a * f - other._a * d, self._b * f - other._b * d, d * f)
 
     def __rsub__(self, other):
         try:
@@ -122,7 +126,7 @@ class GaussRat:
         except TypeError:
             return NotImplemented
         a, b, c, e = self._a, self._b, other._a, other._b
-        return _reduced(a * c - b * e, a * e + b * c, self._d * other._d)
+        return from_ints(a * c - b * e, a * e + b * c, self._d * other._d)
 
     __rmul__ = __mul__
 
@@ -137,7 +141,7 @@ class GaussRat:
             raise ZeroDivisionError("division by zero GaussRat")
         # (a+bi)/d1 / ((c+ei)/d2) = (a+bi)(c-ei)*d2 / (d1*(c^2+e^2))
         a, b, f = self._a, self._b, other._d
-        return _reduced((a * c + b * e) * f, (b * c - a * e) * f, self._d * n2)
+        return from_ints((a * c + b * e) * f, (b * c - a * e) * f, self._d * n2)
 
     def __rtruediv__(self, other):
         try:
@@ -219,13 +223,30 @@ def _triple(a: int, b: int, d: int) -> GaussRat:
     return z
 
 
-def _reduced(a: int, b: int, d: int) -> GaussRat:
-    """(a + b*i)/d for d > 0, reduced by one gcd unless d is 1."""
+def from_ints(a: int, b: int, d: int) -> GaussRat:
+    """(a + b*i)/d for integers with d > 0, reduced by one gcd unless d is 1."""
     if d != 1:
         g = gcd(a, b, d)
         if g != 1:
             a, b, d = a // g, b // g, d // g
     return _triple(a, b, d)
+
+
+def int_pairs(values) -> tuple[int, list[tuple[int, int]]] | None:
+    """The values over one denominator: ``(D, [(a, b), ...])`` with the k-th
+    value equal to (a + b*i)/D and D the lcm of their denominators (1 on
+    Z[i]).  None when some value is not a GaussRat."""
+    D = 1
+    pairs = []
+    for c in values:
+        if type(c) is not GaussRat:
+            return None
+        if c._d != 1:
+            D = lcm(D, c._d)
+        pairs.append((c._a, c._b))
+    if D != 1:
+        pairs = [(c._a * (D // c._d), c._b * (D // c._d)) for c in values]
+    return D, pairs
 
 
 ZERO = GaussRat(0)

@@ -6,15 +6,26 @@ Gaussian rationals by default, but every operation that only needs ring
 arithmetic (+, -, *, zero test) works unchanged for nested coefficient
 rings such as polynomials over polynomials; this is what lets resultants
 and subresultant sequences run over Q(i)[y1,...,yk].
+
+Products and exact quotients take one of two routes, chosen by the
+coefficient type.  When every coefficient is a GaussRat they run on
+integer pairs: each operand is (1/D) * sum (a + b*i) x^e with D the lcm
+of its denominators, the term arithmetic is on plain Python integers, and
+one canonical GaussRat is built per output term.  Nested coefficient rings
+take the generic loop over the coefficients' own operators.  Both routes
+produce the same terms in the same insertion order.  A scaling, or a
+product with a one-term factor, has one coefficient product per output
+term and no sums, so it uses the coefficients' own ``*`` on either route.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from operator import add
 from typing import Iterable, Mapping
 
-from .gaussrat import GaussRat
+from .gaussrat import GaussRat, from_ints, int_pairs
 
 Expo = tuple[int, ...]
 
@@ -162,6 +173,47 @@ class SparsePoly:
         if isinstance(other, (int, Fraction, GaussRat)):
             return self.scale(other)
         self._check_compatible(other)
+        # a one-term factor meets no like terms: each output term is one
+        # coefficient product, so there are no partial sums to save
+        if len(other.terms) == 1:
+            [(e2, c2)] = other.terms.items()
+            return SparsePoly._clean(self.num_vars, {
+                tuple(map(add, e1, e2)): c1 * c2 for e1, c1 in self.terms.items()})
+        if len(self.terms) == 1:
+            [(e1, c1)] = self.terms.items()
+            return SparsePoly._clean(self.num_vars, {
+                tuple(map(add, e1, e2)): c1 * c2 for e2, c2 in other.terms.items()})
+        left = int_pairs(self.terms.values())
+        right = int_pairs(other.terms.values()) if left is not None else None
+        if right is None:
+            return self._generic_mul(other)
+        (d1, pairs1), (d2, pairs2) = left, right
+        rows = [(e2, a2, b2) for e2, (a2, b2) in zip(other.terms, pairs2)]
+        # running sums as [re, im] over d1*d2; a sum that reaches zero is
+        # deleted, so the term order is the generic loop's
+        acc: dict[Expo, list[int]] = {}
+        for e1, (a1, b1) in zip(self.terms, pairs1):
+            for e2, a2, b2 in rows:
+                expo = tuple(map(add, e1, e2))
+                re = a1 * a2 - b1 * b2
+                im = a1 * b2 + b1 * a2
+                s = acc.get(expo)
+                if s is None:
+                    acc[expo] = [re, im]
+                else:
+                    re += s[0]
+                    im += s[1]
+                    if re or im:
+                        s[0] = re
+                        s[1] = im
+                    else:
+                        del acc[expo]
+        d = d1 * d2
+        return SparsePoly._clean(
+            self.num_vars, {e: from_ints(re, im, d) for e, (re, im) in acc.items()})
+
+    def _generic_mul(self, other: "SparsePoly") -> "SparsePoly":
+        """The product over any coefficient ring, by its own operators."""
         terms: dict[Expo, object] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
@@ -186,7 +238,7 @@ class SparsePoly:
         c = _coerce_coeff(c)
         if not c:
             return SparsePoly.zero(self.num_vars)
-        return SparsePoly(self.num_vars, {e: v * c for e, v in self.terms.items()})
+        return SparsePoly._clean(self.num_vars, {e: v * c for e, v in self.terms.items()})
 
     def __pow__(self, k: int):
         if not isinstance(k, int) or k < 0:
@@ -340,6 +392,68 @@ class SparsePoly:
         self._check_compatible(other)
         if not other:
             raise ZeroDivisionError("division by zero polynomial")
+        num = int_pairs(self.terms.values())
+        den = int_pairs(other.terms.values()) if num is not None else None
+        if den is None:
+            return self._generic_exact_div(other)
+        (d_num, pairs), (d_den, den_pairs) = num, den
+        # other = B / d_den with B in Z[i][x], so self / other = d_den * (self / B)
+        lead_e = max(other.terms)
+        tail = []
+        for e, (a, b) in zip(other.terms, den_pairs):
+            if e == lead_e:
+                lc, li = a, b
+            else:
+                tail.append((e, a, b))
+        norm = lc * lc + li * li
+        # the remainder as [re, im] over one denominator r; each step removes
+        # its leading term (cancelled exactly by q * lead) and subtracts q * tail
+        r = d_num
+        rem = {e: [a, b] for e, (a, b) in zip(self.terms, pairs)}
+        quot: dict[Expo, tuple[int, int, int]] = {}
+        while rem:
+            e = max(rem)
+            diff = tuple(a - b for a, b in zip(e, lead_e))
+            if any(d < 0 for d in diff):
+                raise ValueError("not exactly divisible")
+            a, b = rem.pop(e)
+            # q = (a + b*i)/r / (lc + li*i) = (x + y*i)/d in lowest terms
+            x, y, d = a * lc + b * li, b * lc - a * li, r * norm
+            g = gcd(x, y, d)
+            x, y, d = x // g, y // g, d // g
+            quot[diff] = (x, y, d)
+            if r % d:
+                # q brings in a denominator the remainder lacks (never on an
+                # exact division over Z[i]): move the remainder to the lcm
+                grown = lcm(r, d)
+                k = grown // r
+                for s in rem.values():
+                    s[0] *= k
+                    s[1] *= k
+                r = grown
+            k = r // d
+            x, y = x * k, y * k
+            for te, ta, tb in tail:
+                expo = tuple(map(add, diff, te))
+                re = x * ta - y * tb
+                im = x * tb + y * ta
+                s = rem.get(expo)
+                if s is None:
+                    rem[expo] = [-re, -im]
+                else:
+                    re = s[0] - re
+                    im = s[1] - im
+                    if re or im:
+                        s[0] = re
+                        s[1] = im
+                    else:
+                        del rem[expo]
+        return SparsePoly._clean(
+            self.num_vars,
+            {e: from_ints(x * d_den, y * d_den, d) for e, (x, y, d) in quot.items()})
+
+    def _generic_exact_div(self, other: "SparsePoly") -> "SparsePoly":
+        """The exact quotient over any coefficient ring, by its own operators."""
         lead_e = max(other.terms)
         lead_c = other.terms[lead_e]
         tail = [(e, c) for e, c in other.terms.items() if e != lead_e]

@@ -24,7 +24,8 @@ import numpy as np
 from .algebra.euclid import gcd_poly
 from .algebra.gaussrat import GaussRat
 from .algebra.poly import SparsePoly
-from .algebra.roots import _to_mpc, roots_certified
+from .algebra.roots import _newton, _to_mpc, _univar_coeffs, roots_certified
+from .algebra.squarefree import squarefree_part
 from .errors import InvalidInput
 from .nevanlinna import MeroFn, _complex_coeffs_desc
 
@@ -216,6 +217,7 @@ class ExpSumFn:
         beta = complex(beta_exact)
         one = GaussRat(1)
         one_is_root = not poly_w.eval_exact([one])
+        newton = None  # the squarefree part's coefficients and derivative at 30 digits
         out = []
         for root in roots_certified(poly_w).roots:
             if root.exact is not None and not root.exact:
@@ -230,7 +232,14 @@ class ExpSumFn:
                 with mpmath.workdps(30):
                     w0log = complex(mpmath.log1p(_to_mpc(root.exact - one)))
             else:
-                w0log = cmath.log(root.center)
+                # the same from w0 refined to 30 digits: Newton on the
+                # squarefree part, where the root is simple, from the centre
+                with mpmath.workdps(30):
+                    if newton is None:
+                        cm = [_to_mpc(c) for c in _univar_coeffs(squarefree_part(poly_w))]
+                        newton = cm, [cm[i] * i for i in range(1, len(cm))]
+                    w0 = _newton(*newton, mpmath.mpc(root.center), 30)
+                    w0log = complex(mpmath.log1p(w0 - 1))
             for k in _lattice_range(alpha, beta, w0log, r):
                 z = (w0log + 2j * math.pi * k - beta) / alpha
                 # the origin is beta = 0, w0 = 1 and k = 0 exactly: e^beta is

@@ -112,6 +112,21 @@ def test_lattice_log_near_one_from_the_exact_root():
         assert _log_counting(zeros, 2.0) == pytest.approx(float(ref), rel=1e-14)
 
 
+def test_lattice_log_near_one_from_a_nonlinear_factor():
+    # w^2 + w - (2 + 10^-12) is irreducible with one root w0 near 1, known only
+    # through its certified disk; the float centre keeps about 4 digits of log w0
+    ez = ExpSumFn.from_mero(MeroFn.unit(z()))
+    e2z = ExpSumFn.from_mero(MeroFn.unit(2 * z()))
+    f = e2z + ez + ExpSumFn.constant(-(GaussRat(2) + GaussRat(Fraction(1, 10**12))))
+    with mpmath.workdps(40):
+        ref = float(mpmath.log((mpmath.sqrt(9 + 4 * mpmath.mpf(10) ** -12) - 1) / 2))
+    # squared, the root is double in p and simple in its squarefree part
+    for g, mult in ((f, 1), (f * f, 2)):
+        [(zero, m)] = g.zeros_in_disk(2.0)
+        assert m == mult and zero.imag == 0
+        assert zero.real == pytest.approx(ref, rel=1e-14, abs=0)
+
+
 def test_lattice_origin_from_a_nonlinear_factor():
     # the root w0 = 1 sits in a squarefree factor of degree > 1, so it is solved
     # numerically; it is still recognized as exactly 1

@@ -4,6 +4,7 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
+from workbench.algebra import poly
 from workbench.algebra.gaussrat import GaussRat
 from workbench.algebra.poly import SparsePoly
 
@@ -193,10 +194,15 @@ def test_exact_division_matches_the_reference(rng, nested):
 
 
 def test_arithmetic_skips_the_validating_constructor(monkeypatch, rng):
-    p, q = random_poly(rng, 3, 3), random_poly(rng, 3, 3)
+    rational = GaussRat(Fraction(2, 3), Fraction(-1, 5))
+    pairs = [(random_poly(rng, 3, 3), random_poly(rng, 3, 3)),
+             (random_poly(rng, 3, 3).scale(rational), random_poly(rng, 3, 3).scale(Fraction(1, 6)))]
     calls = count_calls(monkeypatch, SparsePoly, "__init__")
-    prod = p * q
-    results = [p + q, p - q, -p, prod, prod.exact_div(q), *prod.coeffs_in(1)]
+    results = []
+    for p, q in pairs:
+        prod = p * q
+        results += [p + q, p - q, -p, prod, prod.exact_div(q), *prod.coeffs_in(1),
+                    p.scale(rational), p.scale(3), q.scale(GaussRat(0, 1))]
     assert calls == []
     monkeypatch.undo()
     for r in results:
@@ -207,3 +213,103 @@ def test_arithmetic_skips_the_validating_constructor(monkeypatch, rng):
         SparsePoly(2, {(1,): 1})
     with pytest.raises(ValueError):
         SparsePoly(2, {(1, -1): 1})
+
+
+def _gauss_coeff(rng, kind):
+    """A nonzero Gaussian rational: Gaussian integer, with denominators,
+    purely real or purely imaginary."""
+    while True:
+        den = rng.choice((1, 2, 3, 4, 6, 9, 10)) if kind == "rational" else 1
+        re = Fraction(rng.randint(-3, 3), den if kind == "rational" else 1)
+        im = Fraction(rng.randint(-3, 3), rng.choice((1, 5, 7)) if kind == "rational" else 1)
+        if kind == "real":
+            im = 0
+        elif kind == "imaginary":
+            re = 0
+        if re or im:
+            return GaussRat(re, im)
+
+
+def _gauss_poly(rng, num_vars):
+    """A random polynomial over Q(i); zero, constants and one-term ones included."""
+    shape = rng.choice(("zero", "constant", "small", "small", "dense", "dense"))
+    if shape == "zero":
+        return SparsePoly.zero(num_vars)
+    size = {"constant": 1, "small": rng.randint(1, 3), "dense": rng.randint(3, 8)}[shape]
+    top = 0 if shape == "constant" else 3
+    kind = rng.choice(("integer", "rational", "real", "imaginary", "mixed"))
+    terms = {}
+    for _ in range(size):
+        expo = tuple(rng.randint(0, top) for _ in range(num_vars))
+        terms[expo] = _gauss_coeff(
+            rng, rng.choice(("integer", "rational", "real", "imaginary")) if kind == "mixed" else kind)
+    return SparsePoly(num_vars, terms)
+
+
+def _product_reference(p, q):
+    """Term-by-term product in GaussRat arithmetic: a new exponent is appended,
+    a sum that reaches zero is removed.  Also returns how many sums did."""
+    terms, cancelled = {}, 0
+    for e1, c1 in p.terms.items():
+        for e2, c2 in q.terms.items():
+            expo = tuple(a + b for a, b in zip(e1, e2))
+            s = terms.get(expo, GaussRat(0)) + c1 * c2
+            if s:
+                terms[expo] = s
+            else:
+                del terms[expo]
+                cancelled += 1
+    return SparsePoly(p.num_vars, terms), cancelled
+
+
+def test_product_and_division_kernels_match_the_reference(rng):
+    cancelled = 0
+    for _ in range(300):
+        num_vars = rng.randint(1, 3)
+        a, b = _gauss_poly(rng, num_vars), _gauss_poly(rng, num_vars)
+        # a + b times a - b cancels the cross terms
+        for p, q in ((a, b), (a + b, a - b)):
+            want, k = _product_reference(p, q)
+            cancelled += k
+            got = p * q
+            assert got == want and list(got.terms) == list(want.terms)
+        if not b:
+            continue
+        for p in (a * b, a * b + a, a * b + SparsePoly.one(num_vars)):
+            try:
+                want = _exact_div_reference(p, b)
+            except ValueError:
+                with pytest.raises(ValueError):
+                    p.exact_div(b)
+            else:
+                got = p.exact_div(b)
+                assert got == want and list(got.terms) == list(want.terms)
+        assert (a * b).exact_div(b) == a
+    assert cancelled > 100
+
+
+def test_division_raises_the_remainder_denominator_once(monkeypatch):
+    x = SparsePoly.variable(0, 1)
+    lcms = count_calls(monkeypatch, poly, "lcm")
+    # the first quotient coefficient 1/(2 + i) = (2 - i)/5 brings in the 5
+    q = (x**2 - 1).exact_div((x - 1).scale(GaussRat(2, 1)))
+    assert q == (x + 1).scale(GaussRat(Fraction(2, 5), Fraction(-1, 5)))
+    assert len(lcms) == 1
+    # not divisible: the remainder 2 is left below the divisor's leading term
+    with pytest.raises(ValueError):
+        (x**2 + 1).exact_div((x - 1).scale(GaussRat(2, 1)))
+
+
+def test_gaussian_integer_products_and_quotients_make_no_gaussrat_arithmetic(monkeypatch, rng):
+    # a term of degree 5 makes sure neither factor is a single term
+    x0, x1 = variables(2)
+    p = random_poly(rng, 2, 4, max_terms=8) + x0**5
+    q = random_poly(rng, 2, 4, max_terms=8) + x1**5
+    calls = [count_calls(monkeypatch, GaussRat, name)
+             for name in ("__mul__", "__add__", "__sub__", "__truediv__")]
+    lcms = count_calls(monkeypatch, poly, "lcm")
+    prod = p * q
+    quot = prod.exact_div(q)
+    assert calls == [[], [], [], []] and lcms == []
+    monkeypatch.undo()
+    assert quot == p and prod == _product_reference(p, q)[0]
