@@ -81,13 +81,11 @@ def _occurring_vars(*polys: SparsePoly) -> list[int]:
 
 
 def canonical_scale(p: SparsePoly) -> SparsePoly:
-    """Scale so the lexicographically leading coefficient is 1."""
+    """Scale by 1/lead so the lexicographically leading coefficient is 1."""
     if not p:
         return p
-    lead = p.terms[max(p.terms)]
-    if isinstance(lead, GaussRat):
-        return p.scale(GaussRat(1) / lead)
-    return p  # nested coefficients: left as they are, not scaled
+    return p.scale(GaussRat(1) / p.terms[max(p.terms)])
+
 
 def content_in(p: SparsePoly, var: int) -> SparsePoly:
     """gcd of the coefficients of p viewed in ``var`` (a var-free polynomial)."""

@@ -1,6 +1,7 @@
 """Exact Gaussian rationals: numbers a + b*i with a, b in Q.
 
-This is the coefficient field for every exact computation in the workbench.
+This is the coefficient field for every exact computation in the workbench
+and the only coefficient type of ``SparsePoly``.
 Values are immutable and held as a canonical integer triple (a, b, d) with
 value (a + b*i)/d, d > 0 and gcd(a, b, d) = 1, so equal values have equal
 triples.  On Z[i], where d = 1, ``+``, ``-`` and ``*`` are integer
@@ -232,15 +233,13 @@ def from_ints(a: int, b: int, d: int) -> GaussRat:
     return _triple(a, b, d)
 
 
-def int_pairs(values) -> tuple[int, list[tuple[int, int]]] | None:
-    """The values over one denominator: ``(D, [(a, b), ...])`` with the k-th
-    value equal to (a + b*i)/D and D the lcm of their denominators (1 on
-    Z[i]).  None when some value is not a GaussRat."""
+def int_pairs(values) -> tuple[int, list[tuple[int, int]]]:
+    """GaussRat values over one denominator: ``(D, [(a, b), ...])`` with the
+    k-th value equal to (a + b*i)/D and D the lcm of their denominators (1 on
+    Z[i])."""
     D = 1
     pairs = []
     for c in values:
-        if type(c) is not GaussRat:
-            return None
         if c._d != 1:
             D = lcm(D, c._d)
         pairs.append((c._a, c._b))

@@ -1,21 +1,17 @@
-"""Sparse multivariate polynomials with exact coefficients.
+"""Sparse multivariate polynomials over Q(i).
 
 Terms are stored as a map from exponent tuples (length = number of
-variables, entries >= 0) to nonzero coefficients.  Coefficients are
-Gaussian rationals by default, but every operation that only needs ring
-arithmetic (+, -, *, zero test) works unchanged for nested coefficient
-rings such as polynomials over polynomials; this is what lets resultants
-and subresultant sequences run over Q(i)[y1,...,yk].
+variables, entries >= 0) to nonzero GaussRat coefficients; the constructor
+coerces int and Fraction and refuses anything else with TypeError.  A
+polynomial over formal parameters (a coefficient ring Q(i)[y1,...,yk]) is a
+SparsePoly in more variables, so resultants and subresultant sequences over
+such a ring run on the same arithmetic.
 
-Products and exact quotients take one of two routes, chosen by the
-coefficient type.  When every coefficient is a GaussRat they run on
-integer pairs: each operand is (1/D) * sum (a + b*i) x^e with D the lcm
-of its denominators, the term arithmetic is on plain Python integers, and
-one canonical GaussRat is built per output term.  Nested coefficient rings
-take the generic loop over the coefficients' own operators.  Both routes
-produce the same terms in the same insertion order.  A scaling, or a
-product with a one-term factor, has one coefficient product per output
-term and no sums, so it uses the coefficients' own ``*`` on either route.
+Products and exact quotients run on integer pairs: each operand is
+(1/D) * sum (a + b*i) x^e with D the lcm of its denominators, the term
+arithmetic is on plain Python integers, and one canonical GaussRat is built
+per output term.  A scaling, or a product with a one-term factor, has one
+coefficient product per output term and no sums, so it uses GaussRat ``*``.
 """
 
 from __future__ import annotations
@@ -30,14 +26,6 @@ from .gaussrat import GaussRat, from_ints, int_pairs
 Expo = tuple[int, ...]
 
 
-def _coerce_coeff(c):
-    if isinstance(c, GaussRat):
-        return c
-    if isinstance(c, (int, Fraction)):
-        return GaussRat(c)
-    return c  # nested ring element
-
-
 class SparsePoly:
     """An exact sparse polynomial in ``num_vars`` variables.
 
@@ -47,8 +35,9 @@ class SparsePoly:
 
     __slots__ = ("num_vars", "terms", "_hash")
 
-    def __init__(self, num_vars: int, terms: Mapping[Expo, object] | None = None):
-        clean: dict[Expo, object] = {}
+    def __init__(self, num_vars: int,
+                 terms: Mapping[Expo, int | Fraction | GaussRat] | None = None):
+        clean: dict[Expo, GaussRat] = {}
         if terms:
             for expo, coeff in terms.items():
                 expo = tuple(expo)
@@ -58,7 +47,7 @@ class SparsePoly:
                     )
                 if any(e < 0 for e in expo):
                     raise ValueError(f"negative exponent in {expo}")
-                coeff = _coerce_coeff(coeff)
+                coeff = GaussRat.coerce(coeff)
                 if coeff:
                     clean[expo] = coeff
         _set_num_vars(self, num_vars)
@@ -164,7 +153,19 @@ class SparsePoly:
     def __sub__(self, other):
         if isinstance(other, (int, Fraction, GaussRat)):
             other = SparsePoly.constant(other, self.num_vars)
-        return self + (-other)
+        self._check_compatible(other)
+        # one pass over other: the term order is that of self + (-other)
+        terms = dict(self.terms)
+        for expo, coeff in other.terms.items():
+            if expo in terms:
+                s = terms[expo] - coeff
+                if s:
+                    terms[expo] = s
+                else:
+                    del terms[expo]
+            else:
+                terms[expo] = -coeff
+        return SparsePoly._clean(self.num_vars, terms)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -183,14 +184,11 @@ class SparsePoly:
             [(e1, c1)] = self.terms.items()
             return SparsePoly._clean(self.num_vars, {
                 tuple(map(add, e1, e2)): c1 * c2 for e2, c2 in other.terms.items()})
-        left = int_pairs(self.terms.values())
-        right = int_pairs(other.terms.values()) if left is not None else None
-        if right is None:
-            return self._generic_mul(other)
-        (d1, pairs1), (d2, pairs2) = left, right
+        d1, pairs1 = int_pairs(self.terms.values())
+        d2, pairs2 = int_pairs(other.terms.values())
         rows = [(e2, a2, b2) for e2, (a2, b2) in zip(other.terms, pairs2)]
         # running sums as [re, im] over d1*d2; a sum that reaches zero is
-        # deleted, so the term order is the generic loop's
+        # deleted, so a term keeps the place of the product that made it
         acc: dict[Expo, list[int]] = {}
         for e1, (a1, b1) in zip(self.terms, pairs1):
             for e2, a2, b2 in rows:
@@ -212,30 +210,13 @@ class SparsePoly:
         return SparsePoly._clean(
             self.num_vars, {e: from_ints(re, im, d) for e, (re, im) in acc.items()})
 
-    def _generic_mul(self, other: "SparsePoly") -> "SparsePoly":
-        """The product over any coefficient ring, by its own operators."""
-        terms: dict[Expo, object] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                expo = tuple(map(add, e1, e2))
-                prod = c1 * c2
-                if expo in terms:
-                    s = terms[expo] + prod
-                    if s:
-                        terms[expo] = s
-                    else:
-                        del terms[expo]
-                elif prod:
-                    terms[expo] = prod
-        return SparsePoly._clean(self.num_vars, terms)
-
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction, GaussRat)):
             return self.scale(other)
         return NotImplemented
 
     def scale(self, c):
-        c = _coerce_coeff(c)
+        c = GaussRat.coerce(c)
         if not c:
             return SparsePoly.zero(self.num_vars)
         return SparsePoly._clean(self.num_vars, {e: v * c for e, v in self.terms.items()})
@@ -272,7 +253,7 @@ class SparsePoly:
         """Formal partial derivative with respect to variable ``var``."""
         if var < 0 or var >= self.num_vars:
             raise ValueError(f"variable index {var} out of range")
-        terms: dict[Expo, object] = {}
+        terms: dict[Expo, GaussRat] = {}
         for expo, coeff in self.terms.items():
             e = expo[var]
             if e == 0:
@@ -280,29 +261,28 @@ class SparsePoly:
             new = list(expo)
             new[var] = e - 1
             terms[tuple(new)] = coeff * e
-        return SparsePoly(self.num_vars, terms)
+        return SparsePoly._clean(self.num_vars, terms)
 
     # -- evaluation / substitution --------------------------------------------
 
     def eval(self, values):
-        """Evaluate at a point.
+        """Evaluate in floating point at a point of numbers (``eval_exact``
+        is the exact evaluator).
 
-        ``values`` is a sequence of length ``num_vars``; entries may be
-        complex numbers, GaussRat, or any ring elements supporting + and *.
-        Coefficients are converted via complex() when the point is numeric.
+        ``values`` is a sequence of length ``num_vars``; each coefficient is
+        converted with complex() and the terms are summed in term order.
         """
         if len(values) != self.num_vars:
             raise ValueError("wrong number of values")
-        numeric = all(isinstance(v, (int, float, complex)) for v in values)
         total = None
         for expo, coeff in self.terms.items():
-            term = complex(coeff) if numeric and isinstance(coeff, GaussRat) else coeff
+            term = complex(coeff)
             for v, e in zip(values, expo):
                 if e:
                     term = term * v**e
             total = term if total is None else total + term
         if total is None:
-            return 0j if numeric else GaussRat(0)
+            return 0j
         return total
 
     def eval_exact(self, values: Iterable[GaussRat]) -> GaussRat:
@@ -320,7 +300,7 @@ class SparsePoly:
         """Set variable ``var`` to the exact constant ``c`` and remove it,
         reducing num_vars by one."""
         c = GaussRat.coerce(c)
-        terms: dict[Expo, object] = {}
+        terms: dict[Expo, GaussRat] = {}
         for expo, coeff in self.terms.items():
             e = expo[var]
             if e:
@@ -346,7 +326,7 @@ class SparsePoly:
         terms = {}
         for expo, coeff in self.terms.items():
             terms[expo[:var] + expo[var + 1 :]] = coeff
-        return SparsePoly(self.num_vars - 1, terms)
+        return SparsePoly._clean(self.num_vars - 1, terms)
 
     def permute_vars(self, perm: Iterable[int]) -> "SparsePoly":
         """Relabel variables: new variable i is old variable perm[i]."""
@@ -356,7 +336,7 @@ class SparsePoly:
         terms = {}
         for expo, coeff in self.terms.items():
             terms[tuple(expo[p] for p in perm)] = coeff
-        return SparsePoly(self.num_vars, terms)
+        return SparsePoly._clean(self.num_vars, terms)
 
     # -- univariate views ------------------------------------------------------
 
@@ -392,11 +372,8 @@ class SparsePoly:
         self._check_compatible(other)
         if not other:
             raise ZeroDivisionError("division by zero polynomial")
-        num = int_pairs(self.terms.values())
-        den = int_pairs(other.terms.values()) if num is not None else None
-        if den is None:
-            return self._generic_exact_div(other)
-        (d_num, pairs), (d_den, den_pairs) = num, den
+        d_num, pairs = int_pairs(self.terms.values())
+        d_den, den_pairs = int_pairs(other.terms.values())
         # other = B / d_den with B in Z[i][x], so self / other = d_den * (self / B)
         lead_e = max(other.terms)
         tail = []
@@ -451,36 +428,6 @@ class SparsePoly:
         return SparsePoly._clean(
             self.num_vars,
             {e: from_ints(x * d_den, y * d_den, d) for e, (x, y, d) in quot.items()})
-
-    def _generic_exact_div(self, other: "SparsePoly") -> "SparsePoly":
-        """The exact quotient over any coefficient ring, by its own operators."""
-        lead_e = max(other.terms)
-        lead_c = other.terms[lead_e]
-        tail = [(e, c) for e, c in other.terms.items() if e != lead_e]
-        # the remainder lives in one dict: each step removes its leading
-        # term (cancelled exactly by q * lead_c) and subtracts q * tail
-        rem = dict(self.terms)
-        quot: dict[Expo, object] = {}
-        while rem:
-            e = max(rem)
-            diff = tuple(a - b for a, b in zip(e, lead_e))
-            if any(d < 0 for d in diff):
-                raise ValueError("not exactly divisible")
-            c = rem.pop(e)
-            q = c / lead_c if isinstance(c, GaussRat) else c.exact_div(lead_c)
-            quot[diff] = q
-            for te, tc in tail:
-                expo = tuple(map(add, diff, te))
-                old = rem.get(expo)
-                if old is None:
-                    rem[expo] = -(q * tc)
-                else:
-                    s = old - q * tc
-                    if s:
-                        rem[expo] = s
-                    else:
-                        del rem[expo]
-        return SparsePoly._clean(self.num_vars, quot)
 
     def divides(self, other: "SparsePoly") -> bool:
         try:

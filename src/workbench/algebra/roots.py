@@ -49,15 +49,13 @@ class RootEnclosure:
     multiplicity: int
     exact: GaussRat | None = None  # set when the root is known exactly
 
-    def contains(self, z: complex, slack: float = 0.0) -> bool:
-        return abs(z - self.center) <= self.radius + slack
-
     def contains_exact(self, c: GaussRat) -> bool:
         """Whether the disk holds the exact value c: its float is tested with
         the radius widened by the rounding |c - complex(c)|, rounded up."""
         z = complex(c)
         err = abs(c.re - Fraction(z.real)) + abs(c.im - Fraction(z.imag))
-        return self.contains(z, slack=math.nextafter(float(err), math.inf) if err else 0.0)
+        slack = math.nextafter(float(err), math.inf) if err else 0.0
+        return abs(z - self.center) <= self.radius + slack
 
 
 @dataclass(frozen=True)

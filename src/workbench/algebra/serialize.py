@@ -20,10 +20,7 @@ from .poly import SparsePoly
 def poly_to_doc(p: SparsePoly) -> dict:
     terms = []
     for expo in sorted(p.terms):
-        c = p.terms[expo]
-        if not isinstance(c, GaussRat):
-            raise TypeError("only GaussRat-coefficient polynomials serialize")
-        re, im = c.to_strings()
+        re, im = p.terms[expo].to_strings()
         terms.append({"exp": list(expo), "re": re, "im": im})
     return {"vars": p.num_vars, "terms": terms}
 

@@ -14,6 +14,12 @@ from fractions import Fraction
 
 from .errors import InvalidInput, WorkbenchError
 
+# search caps: the largest degree m, the largest b, and the most sumset
+# points dim_Vt stores, before giving up with a WorkbenchError
+_M_CAP = 10**6
+_B_CAP = 10**6
+_SUMSET_CAP = 2_000_000
+
 
 def binom(top: int, k: int) -> int:
     """Binomial coefficient with the convention C(top, k) = 0 for top < k."""
@@ -87,17 +93,17 @@ def degree_conditions(n: int, d: int, m: int, eps: Fraction) -> tuple[bool, bool
     return bool(cond1), bool(cond2)
 
 
-def choose_m(eps: Fraction, n: int, d: int, cap: int = 10**6) -> int:
+def choose_m(eps: Fraction, n: int, d: int) -> int:
     """Smallest m >= 2d satisfying both degree conditions, by exact search."""
     eps = Fraction(eps)
     if not 0 < eps < 1:
         raise InvalidInput("need 0 < eps < 1")
     m = 2 * d
-    while m <= cap:
+    while m <= _M_CAP:
         if all(degree_conditions(n, d, m, eps)):
             return m
         m += 1
-    raise WorkbenchError(f"degree search exceeded cap {cap}")
+    raise WorkbenchError(f"degree search exceeded cap {_M_CAP}")
 
 
 # ---------------------------------------------------------------------------
@@ -150,13 +156,13 @@ class MonomialFamily:
         return all(sum(v) == 1 and max(v) == 1 for v in vs)
 
 
-def dim_Vt(fam: MonomialFamily, t: int, cap: int = 2_000_000) -> int:
+def dim_Vt(fam: MonomialFamily, t: int) -> int:
     """Dimension of the span of t-fold coefficient products.
 
     Equals the cardinality of the t-fold sumset of the exponent vectors
     (free generators make distinct products linearly independent).  Simplex
     families use the exact closed form; otherwise a frontier-based exact
-    enumeration runs, guarded by ``cap`` on the number of stored points.
+    enumeration runs, guarded by ``_SUMSET_CAP`` on the number of stored points.
     """
     if t < 0:
         raise InvalidInput("t must be >= 0")
@@ -181,16 +187,15 @@ def dim_Vt(fam: MonomialFamily, t: int, cap: int = 2_000_000) -> int:
             break
         seen |= new
         frontier = new
-        if len(seen) > cap:
+        if len(seen) > _SUMSET_CAP:
             raise WorkbenchError(
-                f"sumset enumeration exceeded {cap} points at depth {_}; "
+                f"sumset enumeration exceeded {_SUMSET_CAP} points at depth {_}; "
                 "family growth too fast for exact counting"
             )
     return len(seen)
 
 
-def choose_b(eps: Fraction, m: int, n: int, fam: MonomialFamily, M: int,
-             cap: int = 10**6) -> tuple[int, int, int]:
+def choose_b(eps: Fraction, m: int, n: int, fam: MonomialFamily, M: int) -> tuple[int, int, int]:
     """Smallest b >= 1 with dim V(Mb)/dim V(Mb-M) - 1 <= eps/(4mn).
 
     Returns (b, w, u) with w = dim V(Mb) and u = dim V(Mb - M).  The search
@@ -200,13 +205,13 @@ def choose_b(eps: Fraction, m: int, n: int, fam: MonomialFamily, M: int,
     eps = Fraction(eps)
     bound = eps / (4 * m * n)
     b = 1
-    while b <= cap:
+    while b <= _B_CAP:
         w = dim_Vt(fam, M * b)
         u = dim_Vt(fam, M * b - M)
         if Fraction(w, u) - 1 <= bound:
             return b, w, u
         b += 1
-    raise WorkbenchError(f"b search exceeded cap {cap} without meeting the ratio bound")
+    raise WorkbenchError(f"b search exceeded cap {_B_CAP} without meeting the ratio bound")
 
 
 def choose_N(eps: Fraction, n: int, m: int, L: int, M: int, c3: Fraction) -> int:

@@ -5,7 +5,6 @@ import pytest
 from workbench.algebra.certificates import nullstellensatz_certificate
 from workbench.algebra.euclid import gcd_poly
 from workbench.algebra.gaussrat import GaussRat
-from workbench.algebra.poly import SparsePoly
 from workbench.errors import CoprimalityError
 
 from conftest import random_poly, variables
@@ -25,7 +24,7 @@ def test_quadric_times_product():
     G = Z * U
     cert = nullstellensatz_certificate(F, G)
     assert cert.R  # nonzero constant
-    assert cert.R.is_constant() if isinstance(cert.R, SparsePoly) else True
+    assert cert.R.is_constant()
     assert cert.verify(F, G)
 
 
@@ -60,21 +59,28 @@ def test_randomized_certificates_verify(rng):
 
 
 def test_nested_coefficient_ring():
-    # forms over A = Q(i)[lam]: B-tilde = U^2 + (1 + lam^2) Z^2 and its
-    # operator image 2 lam lam' Z^2 + 2 s U^2 (in flattened symbols)
-    lam = SparsePoly.variable(0, 3)
-    lamp = SparsePoly.variable(1, 3)
-    s = SparsePoly.variable(2, 3)
-    one = SparsePoly.one(3)
-
-    def c(p):
-        return p  # coefficients are polynomials in (lam, lam', s)
-
-    F = SparsePoly(2, {(2, 0): c(one + lam**2), (0, 2): c(one)})
-    G = SparsePoly(2, {(2, 0): c(2 * lam * lamp), (0, 2): c(2 * s)})
+    # forms over A = Q(i)[lam, lam', s], as polynomials in (Z, U, lam, lam', s):
+    # B-tilde = U^2 + (1 + lam^2) Z^2 and its operator image 2 lam lam' Z^2 + 2 s U^2
+    Z, U, lam, lamp, s = variables(5)
+    F = U**2 + (1 + lam**2) * Z**2
+    G = 2 * lam * lamp * Z**2 + 2 * s * U**2
     cert = nullstellensatz_certificate(F, G)
     assert cert.verify(F, G)
     assert cert.R
+    # R lies in A: free of Z and U
+    assert cert.R.degree_in(0) == cert.R.degree_in(1) == 0
+    assert not cert.R.is_constant()
+
+
+def test_refuses_forms_not_homogeneous_in_Z_U():
+    Z, U, lam = variables(3)
+    with pytest.raises(ValueError):
+        nullstellensatz_certificate(Z**2 + lam * U, U**2)
+    with pytest.raises(ValueError):
+        nullstellensatz_certificate(U**2, Z**2 + lam * U)
+    # unequal variable counts
+    with pytest.raises(ValueError):
+        nullstellensatz_certificate(Z**2 + U**2, variables(2)[0] * variables(2)[1])
 
 
 def test_certificate_R_stays_small(rng):
@@ -89,6 +95,6 @@ def test_certificate_R_stays_small(rng):
         if gcd_poly(F, G, 0).is_constant():
             pairs.append((F, G))
     for F, G in pairs:
-        R = nullstellensatz_certificate(F, G).R
+        R = nullstellensatz_certificate(F, G).R.constant_value()
         parts = (R.re.numerator, R.im.numerator, R.re.denominator, R.im.denominator)
         assert max(abs(p) for p in parts).bit_length() <= 128

@@ -240,16 +240,15 @@ def test_pseudo_rem_matches_the_full_product_reference(rng):
     assert pseudo_rem(f, g, 1) == _pseudo_rem_reference(f, g, 1)
 
 
-def _nested_poly(rng, degree):
-    """A form of the given degree in two variables whose coefficients are
-    polynomials in two further variables (a nested coefficient ring)."""
+def _form_over_parameters(rng, degree):
+    """A form of the given degree in variables 0 and 1 whose coefficients are
+    polynomials in variables 2 and 3 (the coefficient ring)."""
     terms = {}
     for i in range(degree + 1):
         if rng.random() < 0.7 or i in (0, degree):
-            c = random_poly(rng, 2, 2, max_terms=3, coeff_range=3)
-            if c:
-                terms[(i, degree - i)] = c
-    return SparsePoly(2, terms)
+            for k, c in random_poly(rng, 2, 2, max_terms=3, coeff_range=3).terms.items():
+                terms[(i, degree - i) + k] = c
+    return SparsePoly(4, terms)
 
 
 def test_cofactor_prs_identity_and_untracked_last(rng):
@@ -265,13 +264,14 @@ def test_cofactor_prs_identity_and_untracked_last(rng):
         if g.degree_in(var) >= 1:
             draws.append((f, g, var))
     for _ in range(4):
-        f, g = _nested_poly(rng, rng.randrange(2, 5)), _nested_poly(rng, rng.randrange(1, 3))
+        f = _form_over_parameters(rng, rng.randrange(2, 5))
+        g = _form_over_parameters(rng, rng.randrange(1, 3))
         if f.degree_in(1) < g.degree_in(1):
             f, g = g, f
         if g.degree_in(1) >= 1:
             draws.append((f, g, 1))
     assert len(draws) >= 30
-    assert any(not isinstance(c, GaussRat) for f, _, _ in draws for c in f.terms.values())
+    assert any(f.num_vars == 4 and f.degree_in(2) + f.degree_in(3) > 0 for f, _, _ in draws)
     # a PRS that drops degree 5 -> 2 after a non-monic step
     L, T = variables(2)
     draws.append((T**6 + T**2 + 1, L * T**5 + 1, 1))

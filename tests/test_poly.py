@@ -161,24 +161,27 @@ def _exact_div_reference(p, q):
         diff = tuple(a - b for a, b in zip(e, lead_e))
         if min(diff) < 0:
             raise ValueError("not exactly divisible")
-        c = rem.terms[e]
-        qc = c / lead_c if isinstance(c, GaussRat) else c.exact_div(lead_c)
+        qc = rem.terms[e] / lead_c
         quot[diff] = qc
         rem = rem - SparsePoly(p.num_vars, {diff: qc}) * q
     return SparsePoly(p.num_vars, quot)
 
 
-def _nested_poly(rng):
-    """A polynomial in one variable over Q(i)[y0, y1]."""
-    return SparsePoly(1, {(e,): random_poly(rng, 2, 2, max_terms=3)
-                          for e in range(rng.randrange(1, 4))})
+def _poly_over_parameters(rng):
+    """A polynomial in x of degree < 3 over Q(i)[y0, y1], as a SparsePoly in
+    (x, y0, y1)."""
+    terms = {}
+    for e in range(rng.randrange(1, 4)):
+        for k, c in random_poly(rng, 2, 2, max_terms=3).terms.items():
+            terms[(e,) + k] = c
+    return SparsePoly(3, terms)
 
 
-@pytest.mark.parametrize("nested", [False, True])
-def test_exact_division_matches_the_reference(rng, nested):
-    for _ in range(60 if nested else 150):
-        if nested:
-            a, b = _nested_poly(rng), _nested_poly(rng)
+@pytest.mark.parametrize("over_parameters", [False, True])
+def test_exact_division_matches_the_reference(rng, over_parameters):
+    for _ in range(60 if over_parameters else 150):
+        if over_parameters:
+            a, b = _poly_over_parameters(rng), _poly_over_parameters(rng)
         else:
             a = random_poly(rng, 2, 3)
             b = random_poly(rng, 2, 2).scale(GaussRat(Fraction(2, 3), Fraction(-1, 5)))
@@ -202,7 +205,9 @@ def test_arithmetic_skips_the_validating_constructor(monkeypatch, rng):
     for p, q in pairs:
         prod = p * q
         results += [p + q, p - q, -p, prod, prod.exact_div(q), *prod.coeffs_in(1),
-                    p.scale(rational), p.scale(3), q.scale(GaussRat(0, 1))]
+                    p.scale(rational), p.scale(3), q.scale(GaussRat(0, 1)),
+                    p.partial_derivative(0), prod.coeffs_in(1)[0].drop_var(1),
+                    p.permute_vars((2, 0, 1))]
     assert calls == []
     monkeypatch.undo()
     for r in results:
@@ -213,6 +218,32 @@ def test_arithmetic_skips_the_validating_constructor(monkeypatch, rng):
         SparsePoly(2, {(1,): 1})
     with pytest.raises(ValueError):
         SparsePoly(2, {(1, -1): 1})
+    with pytest.raises(ValueError):
+        variables(2)[1].drop_var(1)
+
+
+def test_coefficients_are_gaussian_rationals_only():
+    # a float or a polynomial coefficient is refused where it enters, not
+    # stored to fail later inside a product
+    with pytest.raises(TypeError):
+        SparsePoly(1, {(0,): 0.1})
+    with pytest.raises(TypeError):
+        SparsePoly(1, {(1,): SparsePoly.one(2)})
+    with pytest.raises(TypeError):
+        SparsePoly.one(1).scale(0.5)
+
+
+def test_subtraction_matches_adding_the_negation(rng):
+    cancelled = 0
+    for _ in range(200):
+        num_vars = rng.randint(1, 3)
+        p, q = _gauss_poly(rng, num_vars), _gauss_poly(rng, num_vars)
+        # p - (p + q) cancels every term of p
+        for a, b in ((p, q), (q, p), (p, p + q), (p + q, p)):
+            got, want = a - b, a + (-b)
+            assert got == want and list(got.terms) == list(want.terms)
+            cancelled += sum(e in b.terms and e not in got.terms for e in a.terms)
+    assert cancelled > 100
 
 
 def _gauss_coeff(rng, kind):
