@@ -85,6 +85,11 @@ class ExpSumFn:
         return ExpSumFn.from_terms([(SparsePoly.constant(c, 1), _one1(), _zero1())])
 
     @staticmethod
+    def of(f) -> "ExpSumFn":
+        """``f`` as an exp-sum: the one coercion from either function type."""
+        return f if isinstance(f, ExpSumFn) else ExpSumFn.from_mero(f)
+
+    @staticmethod
     def from_mero(f: MeroFn) -> "ExpSumFn":
         """Convert a factored class function; poles become denominators."""
         if f.is_zero():
@@ -304,7 +309,7 @@ def _lattice_range(alpha: complex, beta: complex, w0: complex, r: float):
 
 def eval_poly_on_tuple(P: SparsePoly, fns: tuple) -> ExpSumFn:
     """P(f_0, .., f_{k-1}) for class functions / exp-sums, exactly."""
-    comps = [f if isinstance(f, ExpSumFn) else ExpSumFn.from_mero(f) for f in fns]
+    comps = [ExpSumFn.of(f) for f in fns]
     if P.num_vars != len(comps):
         raise InvalidInput("component count does not match the polynomial arity")
     acc = ExpSumFn.zero()

@@ -48,17 +48,15 @@ from .expsum import ExpSumFn, eval_poly_on_tuple
 from .exset import CurveSpec, build_W, member_of_W
 from .morphisms import general_position_check
 from .nevanlinna import (
-    INFINITY,
     MeroFn,
     RadiusGrid,
-    _check_radius,
     _log_counting,
     characteristic_T,
-    circle_average,
-    common_zeros,
+    counting_of,
     log_derivative,
     log_derivative_T,
     mero_from_doc,
+    shared_zeros,
 )
 
 TARGETS = (
@@ -172,70 +170,6 @@ def fit_log_slope(points: list[tuple[float, float]]) -> float:
     if denom == 0:
         return float("nan")
     return float(np.dot(x0, ys - ys.mean()) / denom)
-
-
-# ---------------------------------------------------------------------------
-# generic functional dispatch (class functions and exp-sums)
-# ---------------------------------------------------------------------------
-
-def tuple_characteristic(fns, r: float) -> float:
-    """Circle average of log max_i |f_i| for mixed class/exp-sum tuples."""
-    if all(isinstance(f, MeroFn) for f in fns):
-        return characteristic_T(tuple(fns), r)
-    logs = [f.log_abs for f in fns if not f.is_zero()]
-
-    def logmax(zs):
-        return np.maximum.reduce([la(zs) for la in logs])
-
-    value, _ = circle_average(logmax, r, positive_part=False)
-    return value
-
-
-def _zero_points(fn: ExpSumFn, r_max: float) -> list[tuple[complex, int]] | None:
-    """Zeros with multiplicity of ``fn`` in |z| <= r_max, or None for Jensen.
-
-    The one place the zero-counting route is chosen: a one-term exp-sum is
-    a class function and uses its certified divisor; any other exp-sum uses
-    ``zeros_in_disk`` (certified roots or the exp lattice); None means no
-    supported zero structure, so only the Jensen average is available.
-    """
-    mero = fn.as_mero()
-    if mero is not None:
-        return [(root.center, m) for root, m in mero.divisor()
-                if m > 0 and abs(root.center) <= r_max]
-    return fn.zeros_in_disk(r_max)
-
-
-def counting_of(fn: ExpSumFn, r_max: float):
-    """N(0, r) of an exp-sum for radii r <= r_max, as ``N(r, trunc, assume_simple)``.
-
-    The zero structure is resolved once, at ``r_max``; each call then only
-    sums the points with |z| <= r, in the resolved order.  Exp-sums without
-    a supported zero structure fall back to the Jensen average for the
-    untruncated count (also for truncated counts when ``assume_simple`` is
-    set, recorded by the caller as a note).
-    """
-    zeros = _zero_points(fn, r_max)
-
-    def N(r: float, trunc: float = INFINITY, assume_simple: bool = False) -> float:
-        if zeros is not None:
-            return _log_counting(((z, min(m, trunc)) for z, m in zeros), r)
-        if trunc is INFINITY or assume_simple:
-            return _jensen_counting(fn, r)
-        raise InvalidInput(
-            "truncated counting needs an explicit zero structure; "
-            "set simple_zeros to use the Jensen fallback"
-        )
-
-    return N
-
-
-def _jensen_counting(fn: ExpSumFn, r: float) -> float:
-    h0 = fn.eval(0j)
-    if abs(h0) < 1e-12:
-        raise InvalidInput("Jensen fallback needs a nonzero value at the origin")
-    value, _ = circle_average(fn.log_abs, r, positive_part=False)
-    return value - math.log(abs(h0))
 
 
 # ---------------------------------------------------------------------------
@@ -380,13 +314,13 @@ def _curve_vs_form_check(s: Scenario) -> MarginReport:
         return MarginReport(s.name, s.target, notes=tuple(notes)).reject(
             "curve lies inside the form")
 
-    grid = s.grid().perturbed_for([c for c in s.curve if isinstance(c, MeroFn)])
+    grid = s.grid().perturbed_for(s.curve)
     r_pass = _r_pass(s.params, grid)
     simple = bool(s.params.get("simple_zeros"))
     N = counting_of(Gg, max(grid.points))
     report = MarginReport(s.name, s.target, matched_curves=matched)
     for r in grid.points:
-        T = tuple_characteristic(s.curve, r)
+        T = characteristic_T(s.curve, r)
         if s.target == "truncation-defect":
             lhs = N(r) - N(r, trunc=1, assume_simple=simple)
             rhs = eps * T
@@ -429,25 +363,26 @@ def unit_sum_check(fns, grid: RadiusGrid, allowance=(1.0, 0.0), params=None,
     params = params or {}
     if len(fns) < 3:
         raise InvalidInput("need at least three components")
-    mero_fns = [f for f in fns if isinstance(f, MeroFn)]
-    fns = [f if isinstance(f, ExpSumFn) else ExpSumFn.from_mero(f) for f in fns]
-    n = len(fns) - 2
+    sums = [ExpSumFn.of(f) for f in fns]
+    n = len(sums) - 2
     total = ExpSumFn.zero()
-    for f in fns:
+    for f in sums:
         total = total + f
     report = MarginReport(name, "borel-unit-sum")
     if not total.is_zero():
         return report.reject("components do not sum to zero")
-    bad = _vanishing_subsum(fns)
+    bad = _vanishing_subsum(sums)
     if bad is not None:
         return report.reject(f"vanishing proper subsum {bad}")
     C, C0 = allowance
-    grid = grid.perturbed_for(mero_fns)
+    grid = grid.perturbed_for(fns)
     r_pass = _r_pass(params, grid)
-    head = fns[: n + 1]
+    # the characteristic of the expanded head, whose rounding the shipped
+    # margins carry; the counts from each component's own zero structure
+    head = sums[: n + 1]
     counts = [counting_of(f, max(grid.points)) for f in fns]
     for r in grid.points:
-        T = tuple_characteristic(head, r)
+        T = characteristic_T(head, r)
         rhs = sum(N(r, trunc=n) for N in counts)
         rhs += C * math.log(max(T, 1.0)) + C0
         report.rows.append(MarginRow(r, T, rhs, gated=r >= r_pass))
@@ -479,7 +414,7 @@ def borel_check(coeffs, fns, ell: int, grid: RadiusGrid, allowance=(1.0, 0.0),
     n = len(fns) - 1
     total = ExpSumFn.zero()
     for a, f in zip(coeffs, fns):
-        total = total + ExpSumFn.from_mero(a) * ExpSumFn.from_mero(f)
+        total = total + ExpSumFn.of(a) * ExpSumFn.of(f)
     report = MarginReport(name, "coefficient-borel")
     if not total.is_zero():
         return report.reject("combination does not vanish")
@@ -501,11 +436,11 @@ def borel_check(coeffs, fns, ell: int, grid: RadiusGrid, allowance=(1.0, 0.0),
     _validate_curve_tuple(fns, notes, ell)
     active = [i for i, a in enumerate(coeffs) if not a.is_zero()]
     for r in grid.points:
-        Ta = tuple_characteristic(cleared, r)
-        Tf = tuple_characteristic(fns, r)
+        Ta = characteristic_T(cleared, r)
+        Tf = characteristic_T(fns, r)
         # Cartan characteristic of [f_i : f_j], which is T_{f_i/f_j} up to O(1)
         lhs = max(
-            min(tuple_characteristic((fns[i], fns[j]), r)
+            min(characteristic_T((fns[i], fns[j]), r)
                 for j in range(len(fns)) if j != i)
             for i in active
         )
@@ -549,10 +484,10 @@ def gcd_bound_check(F: SparsePoly, G: SparsePoly, curve, eps: Fraction,
     if Fg.is_zero() or Gg.is_zero():
         return MarginReport(name, "gcd-bound", notes=tuple(notes)).reject(
             "a composed form vanishes identically")
-    shared = _shared_zeros(Fg, Gg, grid.points)
+    shared = shared_zeros(Fg, Gg, grid.points)
 
     report = MarginReport(name, "gcd-bound", notes=tuple(notes))
-    T_curve = [tuple_characteristic(curve, r) for r in grid.points]
+    T_curve = [characteristic_T(curve, r) for r in grid.points]
     scan_params = dict(params)
     scan_params.setdefault("form_degree", max(F.total_degree(), G.total_degree()))
     gated_T = {r: T for r, T in zip(grid.points, T_curve) if r >= r_pass}
@@ -563,38 +498,6 @@ def gcd_bound_check(F: SparsePoly, G: SparsePoly, curve, eps: Fraction,
         report.rows.append(MarginRow(r, lhs, float(eps) * T, gated=r >= r_pass))
     report.notes = tuple(notes)
     return report.finalize()
-
-
-def _shared_zeros(Fg: ExpSumFn, Gg: ExpSumFn, radii) -> list[tuple[complex, int]]:
-    """Common zeros of two composed forms, min-of-multiplicity weighted,
-    resolved once for every radius in ``radii``.
-
-    Two class functions match exactly through ``common_zeros``; no divisor
-    point of either may lie on a circle of ``radii``.  Otherwise both zero
-    lists are resolved at the largest radius and matched numerically.
-    """
-    mero_f, mero_g = Fg.as_mero(), Gg.as_mero()
-    if mero_f is not None and mero_g is not None:
-        for r in radii:
-            _check_radius(mero_f, r)
-            _check_radius(mero_g, r)
-        return common_zeros(mero_f, mero_g)
-    r_max = max(radii)
-    zf = _zero_points(Fg, r_max)
-    zg = _zero_points(Gg, r_max)
-    if zf is None or zg is None:
-        raise InvalidInput("gcd counting needs explicit zero structures")
-    shared = []
-    used = [False] * len(zg)
-    for z, m in zf:
-        for k, (w, mw) in enumerate(zg):
-            if used[k]:
-                continue
-            if abs(z - w) <= 1e-8 * max(1.0, abs(z)):
-                used[k] = True
-                shared.append((z, min(m, mw)))
-                break
-    return shared
 
 
 def _degeneracy_scan(curve, eps: Fraction, params, T_curve: dict[float, float],
@@ -687,7 +590,7 @@ def smt_instance_check(hypersurfaces: list[SparsePoly], curve, eps: Fraction,
     factor = q - n - 1 - float(eps)
     counts = [(counting_of(c, max(grid.points)), d) for c, d in composed]
     for r in grid.points:
-        T = tuple_characteristic(curve, r)
+        T = characteristic_T(curve, r)
         lhs = factor * T
         rhs = sum(N(r, trunc=M, assume_simple=simple) / d for N, d in counts)
         report.rows.append(MarginRow(r, lhs, rhs, gated=r >= r_pass))

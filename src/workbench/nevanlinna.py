@@ -6,14 +6,19 @@ multiplicities and a polynomial exponent.  It is closed under product,
 quotient and integer powers, and the zero/pole divisor is fully determined
 by the factored form, which makes counting functions exact.
 
-Proximity and characteristic functions take one of two routes.  When log|f|
-is affine in z, that is f = c exp(lam z + mu) with no polynomial factors, the
-circle average of log+|f| (and of log max_i |f_i| for a tuple of such
-functions) is computed exactly, arc by arc between the angles where two terms
-cross (``max_affine_average``).  Everything else (exp(z^2), polynomial
-factors, logarithmic derivatives, exp-sums) goes through adaptive trapezoid
-quadrature on the circle (``circle_average``; spectrally accurate away from
-the kink set of log+).
+Every circle functional here is one log-max average: the mean of
+log max_i |f_i| over |z| = r.  The Cartan characteristic of a tuple is that
+average, and the proximity function is the average for the pair (f, 1),
+since log+|f| = log max(|f|, 1).  When every component is a class function
+c exp(lam z + mu), so that each log|f_i| is affine in z, the average is
+exact, arc by arc between the angles where two terms cross
+(``max_affine_average``).  Anything else (exp(z^2), polynomial factors,
+exp-sums) goes through adaptive trapezoid quadrature (``circle_average``;
+spectrally accurate away from the kink set of the maximum).
+
+Tuples and counting take ``MeroFn`` and ``expsum.ExpSumFn`` (which imports
+this module) duck-typed, through ``log_abs``, ``is_zero``, ``eval`` and
+``as_mero``; the zero-counting route is chosen in ``_zero_points``.
 """
 
 from __future__ import annotations
@@ -134,6 +139,10 @@ class MeroFn:
 
     def is_zero(self) -> bool:
         return not self.scalar
+
+    def as_mero(self) -> "MeroFn":
+        """The class-function view; ``ExpSumFn.as_mero`` is the other one."""
+        return self
 
     def is_constant(self) -> bool:
         return not self.factors and self.exp_part.degree_in(0) <= 0
@@ -343,11 +352,15 @@ class RadiusGrid:
         pts = np.exp(np.linspace(math.log(r_min), math.log(r_max), count))
         return RadiusGrid(tuple(float(p) for p in pts))
 
-    def perturbed_for(self, fns: Sequence[MeroFn]) -> "RadiusGrid":
-        """Nudge any point that collides with a zero/pole modulus."""
+    def perturbed_for(self, fns) -> "RadiusGrid":
+        """Nudge any point that collides with a zero/pole modulus; an exp-sum
+        without a class-function view has no certified divisor and is skipped."""
         moduli = []
         for f in fns:
-            for root, _ in f.divisor():
+            mero = f.as_mero()
+            if mero is None:
+                continue
+            for root, _ in mero.divisor():
                 moduli.append(abs(root.center))
         pts = []
         for p in self.points:
@@ -370,20 +383,17 @@ _START_ORDER = 256
 _MAX_ORDER = 1 << 21
 
 
-def circle_average(logabs: Callable[[np.ndarray], np.ndarray], r: float,
-                   positive_part: bool = True) -> tuple[float, float]:
-    """Adaptive trapezoid average of (log+|f|) over the circle |z| = r.
+def circle_average(logabs: Callable[[np.ndarray], np.ndarray], r: float) -> tuple[float, float]:
+    """Adaptive trapezoid average of ``logabs`` over the circle |z| = r.
 
     Doubles the node count from _START_ORDER until two successive
     refinements agree within max(_ABS_TOL, _REL_TOL * |value|); returns
-    (value, error_estimate).
+    (value, error_estimate).  A node on a zero (-inf) is sampled as -1e30
+    and a NaN as 0.
     Raises QuadratureError with the best estimate when the cap is reached.
     """
     def sample(theta: np.ndarray) -> np.ndarray:
-        vals = logabs(r * np.exp(1j * theta))
-        if positive_part:
-            vals = np.maximum(vals, 0.0)
-        return np.nan_to_num(vals, neginf=0.0 if positive_part else -1e30)
+        return np.nan_to_num(logabs(r * np.exp(1j * theta)), neginf=-1e30)
 
     n = _START_ORDER
     theta = np.linspace(0.0, 2 * math.pi, n, endpoint=False)
@@ -476,6 +486,12 @@ def _check_clear(roots: Iterable[RootEnclosure], r: float):
             )
 
 
+def _divisor_points(f: MeroFn, sign: int, trunc: float = INFINITY):
+    """(centre, min(mult, trunc)) of the zeros (sign 1) or poles (sign -1) of f."""
+    return ((root.center, min(sign * mult, trunc))
+            for root, mult in f.divisor() if sign * mult > 0)
+
+
 def counting_N(f: MeroFn, target: str, r: float, trunc: float = INFINITY) -> float:
     """Counting function of zeros or poles inside radius r, truncated at ``trunc``.
 
@@ -487,9 +503,7 @@ def counting_N(f: MeroFn, target: str, r: float, trunc: float = INFINITY) -> flo
     if f.is_zero():
         raise InvalidInput("counting function of the zero function")
     _check_radius(f, r)
-    sign = 1 if target == "zero" else -1
-    return _log_counting(((root.center, min(sign * mult, trunc))
-                          for root, mult in f.divisor() if sign * mult > 0), r)
+    return _log_counting(_divisor_points(f, 1 if target == "zero" else -1, trunc), r)
 
 
 def _log_counting(points: Iterable[tuple[complex, float]], r: float) -> float:
@@ -511,55 +525,58 @@ def _log_counting(points: Iterable[tuple[complex, float]], r: float) -> float:
     return total
 
 
+_ONE = MeroFn(scalar=1)
+
+
+def _log_max_average(fns, r: float) -> float:
+    """Circle average of log max_i |f_i| over the nonzero components.
+
+    Exact when every component is an exp-affine class function; otherwise
+    the trapezoid over each component's own ``log_abs``.
+    """
+    live = [g for g in fns if not g.is_zero()]
+    affine = [_exp_affine(g) if isinstance(g, MeroFn) else None for g in live]
+    if None not in affine:
+        value, _ = max_affine_average(affine, r)
+        return value
+
+    def logmax(zs):
+        return functools.reduce(np.maximum, (g.log_abs(zs) for g in live))
+
+    value, _ = circle_average(logmax, r)
+    return value
+
+
 def proximity_m(f: MeroFn, r: float) -> float:
-    """Circle average of log+ |f|; exact when f is exp-affine."""
+    """Circle average of log+ |f| = log max(|f|, 1); exact when f is exp-affine."""
     if f.is_zero():
         return 0.0
     _check_radius(f, r)
-    affine = _exp_affine(f)
-    if affine is not None:
-        # log+ |f| = max(log |f|, 0)
-        value, _ = max_affine_average([affine, (0.0, 0j)], r)
-    else:
-        value, _ = circle_average(f.log_abs, r)
-    return value
+    return _log_max_average((f, _ONE), r)
 
 
 def characteristic_T(f, r: float) -> float:
     """Nevanlinna characteristic.
 
     For a single class function: T = m(infinity, r) + N(poles, r).  For a
-    tuple (projective curve given by components without common zeros) the
-    circle average of log max_i |f_i|, exact when every nonzero component is
-    exp-affine.
+    tuple (projective curve given by components without common zeros) of
+    class functions or exp-sums: the circle average of log max_i |f_i|; a
+    tuple of class functions is checked for common zeros and poles first.
     """
     if isinstance(f, MeroFn):
-        return proximity_m(f, r) + counting_N(f, "pole", r)
-    fns = list(f)
+        # counting_N checks the radius against the divisor once for both terms
+        return counting_N(f, "pole", r) + _log_max_average((f, _ONE), r)
+    fns = tuple(f)
     if all(g.is_zero() for g in fns):
         raise InvalidInput("all components vanish")
-    _validate_no_common_zeros(tuple(fns))
-    for g in fns:
-        if not g.is_zero():
-            # individual zeros on the circle are harmless under log-max;
-            # only poles would poison the average
-            _check_radius(g, r, which="pole")
-    affine = [_exp_affine(g) for g in fns if not g.is_zero()]
-    if None not in affine:
-        value, _ = max_affine_average(affine, r)
-        return value
-
-    def logmax(zs):
-        acc = None
+    if all(isinstance(g, MeroFn) for g in fns):
+        _validate_no_common_zeros(fns)
         for g in fns:
-            if g.is_zero():
-                continue
-            vals = g.log_abs(zs)
-            acc = vals if acc is None else np.maximum(acc, vals)
-        return acc
-
-    value, _ = circle_average(logmax, r, positive_part=False)
-    return value
+            if not g.is_zero():
+                # individual zeros on the circle are harmless under log-max;
+                # only poles would poison the average
+                _check_radius(g, r, which="pole")
+    return _log_max_average(fns, r)
 
 
 def _zero_poly(f: MeroFn) -> SparsePoly:
@@ -594,44 +611,115 @@ def _validate_no_common_zeros(fns: tuple[MeroFn, ...]):
         raise InvalidInput("tuple components share a zero (not a reduced representation)")
 
 
-def common_zeros(f: MeroFn, g: MeroFn) -> list[tuple[complex, int]]:
-    """Common zeros of f and g, each weighted by the smaller multiplicity.
+def _zero_points(fn, r_max: float) -> list[tuple[complex, int]] | None:
+    """Zeros with multiplicity of ``fn`` in |z| <= r_max, or None for Jensen.
 
-    Matching is exact: the factor polynomials of both functions are reduced
-    to a gcd-free basis over Q(i), so any shared root lives in a shared
-    basis factor.
+    The one place the zero-counting route is chosen: a class function (or a
+    one-term exp-sum) uses its certified divisor; any other exp-sum uses
+    ``zeros_in_disk`` (certified roots or the exp lattice); None means no
+    supported zero structure, so only the Jensen average is available.
     """
-    if f.is_zero() or g.is_zero():
-        raise InvalidInput("gcd counting needs nonzero functions")
-    basis = _coprime_refine({p: 1 for p, m in list(f.factors) + list(g.factors) if m != 0})
-
-    def mult_in(fn: MeroFn, q: SparsePoly) -> int:
-        total = 0
-        for p, m in fn.factors:
-            if m > 0 and q.divides(p):
-                total += m
-        return total
-
-    points = []
-    for q in basis:
-        m = min(mult_in(f, q), mult_in(g, q))
-        if m > 0:
-            points.extend((root.center, m) for root in roots_certified(q).roots)
-    return points
+    mero = fn.as_mero()
+    if mero is not None:
+        return [(z, m) for z, m in _divisor_points(mero, 1) if abs(z) <= r_max]
+    return fn.zeros_in_disk(r_max)
 
 
-def gcd_counting(f: MeroFn, g: MeroFn, r: float) -> float:
+def counting_of(fn, r_max: float):
+    """N(0, r) of a class function or exp-sum for radii r <= r_max, as
+    ``N(r, trunc, assume_simple)``.
+
+    The zero structure is resolved once, at ``r_max``; each call then only
+    sums the points with |z| <= r, in the resolved order.  Exp-sums without
+    a supported zero structure fall back to the Jensen average for the
+    untruncated count (also for truncated counts when ``assume_simple`` is
+    set, recorded by the caller as a note).
+    """
+    zeros = _zero_points(fn, r_max)
+
+    def N(r: float, trunc: float = INFINITY, assume_simple: bool = False) -> float:
+        if zeros is not None:
+            return _log_counting(((z, min(m, trunc)) for z, m in zeros), r)
+        if trunc is INFINITY or assume_simple:
+            return _jensen_counting(fn, r)
+        raise InvalidInput(
+            "truncated counting needs an explicit zero structure; "
+            "set simple_zeros to use the Jensen fallback"
+        )
+
+    return N
+
+
+def _jensen_counting(fn, r: float) -> float:
+    """N(0, r) = average of log|fn| over |z| = r minus log|fn(0)| (Jensen)."""
+    h0 = fn.eval(0j)
+    if abs(h0) < 1e-12:
+        raise InvalidInput("Jensen fallback needs a nonzero value at the origin")
+    return _log_max_average((fn,), r) - math.log(abs(h0))
+
+
+def shared_zeros(f, g, radii) -> list[tuple[complex, int]]:
+    """Common zeros of two class functions or exp-sums, min-of-multiplicity
+    weighted, resolved once for every radius in ``radii``.
+
+    Two class functions match exactly: their factor polynomials are reduced
+    to a gcd-free basis over Q(i), so any shared root lives in a shared
+    basis factor, and no divisor point of either may lie on a circle of
+    ``radii``.  Otherwise both zero lists are resolved at the largest radius
+    and matched numerically.
+    """
+    mero_f, mero_g = f.as_mero(), g.as_mero()
+    if mero_f is not None and mero_g is not None:
+        for r in radii:
+            _check_radius(mero_f, r)
+            _check_radius(mero_g, r)
+        if mero_f.is_zero() or mero_g.is_zero():
+            raise InvalidInput("gcd counting needs nonzero functions")
+        factors = list(mero_f.factors) + list(mero_g.factors)
+        basis = _coprime_refine({p: 1 for p, m in factors if m != 0})
+
+        def mult_in(fn: MeroFn, q: SparsePoly) -> int:
+            total = 0
+            for p, m in fn.factors:
+                if m > 0 and q.divides(p):
+                    total += m
+            return total
+
+        points = []
+        for q in basis:
+            m = min(mult_in(mero_f, q), mult_in(mero_g, q))
+            if m > 0:
+                points.extend((root.center, m) for root in roots_certified(q).roots)
+        return points
+    r_max = max(radii)
+    zf = _zero_points(f, r_max)
+    zg = _zero_points(g, r_max)
+    if zf is None or zg is None:
+        raise InvalidInput("gcd counting needs explicit zero structures")
+    shared = []
+    used = [False] * len(zg)
+    for z, m in zf:
+        for k, (w, mw) in enumerate(zg):
+            if used[k]:
+                continue
+            if abs(z - w) <= 1e-8 * max(1.0, abs(z)):
+                used[k] = True
+                shared.append((z, min(m, mw)))
+                break
+    return shared
+
+
+def gcd_counting(f, g, r: float) -> float:
     """Counting function of common zeros with min-of-multiplicities weights."""
-    _check_radius(f, r)
-    _check_radius(g, r)
-    return _log_counting(common_zeros(f, g), r)
+    return _log_counting(shared_zeros(f, g, [r]), r)
 
 
 def log_derivative_T(ld: LogDerivative, r: float) -> float:
     """Characteristic of f'/f: proximity plus the (simple) pole counting."""
-    _check_clear(ld.pole_enclosures(), r)
-    m, _ = circle_average(ld.log_abs, r)
-    return m + _log_counting(((root.center, 1) for root in ld.pole_enclosures()), r)
+    poles = ld.pole_enclosures()
+    _check_clear(poles, r)
+    m, _ = circle_average(lambda zs: np.maximum(ld.log_abs(zs), 0.0), r)
+    return m + _log_counting(((root.center, 1) for root in poles), r)
 
 
 # ---------------------------------------------------------------------------

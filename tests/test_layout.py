@@ -124,3 +124,27 @@ def test_one_polynomial_arithmetic():
             ):
                 owners.add(node.name)
     assert owners == {"GaussRat", "SparsePoly", "MeroFn", "ExpSumFn"}
+
+
+def test_one_home_for_circle_functionals():
+    """Circle averages and the choice between the two function types live in
+    nevanlinna.py; the harness asks for functionals and never tests a type.
+
+    log+|f| is the log-max average of (f, 1), so the quadrature has no
+    positive-part mode of its own.
+    """
+    for path in PACKAGE.rglob("*.py"):
+        if path.name != "nevanlinna.py":
+            assert "circle_average" not in path.read_text(), path.name
+    harness = PACKAGE / "harness.py"
+    for node in ast.walk(ast.parse(harness.read_text(), str(harness))):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance":
+            named = {n.id for n in ast.walk(node.args[1]) if isinstance(n, ast.Name)}
+            assert not named & {"MeroFn", "ExpSumFn"}, ast.unparse(node)
+    nevanlinna = PACKAGE / "nevanlinna.py"
+    for node in ast.walk(ast.parse(nevanlinna.read_text(), str(nevanlinna))):
+        if isinstance(node, ast.FunctionDef) and node.name == "circle_average":
+            assert [a.arg for a in node.args.args] == ["logabs", "r"]
+            break
+    else:
+        raise AssertionError("nevanlinna.circle_average is gone")

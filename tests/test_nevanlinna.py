@@ -244,7 +244,7 @@ def test_jensen_oracle_matches_quadrature():
         return MeroFn.from_poly(p).log_abs(zs)
 
     for r in (2.5, 9.0):
-        got, _ = circle_average(logabs, r, positive_part=False)
+        got, _ = circle_average(logabs, r)
         assert got == pytest.approx(jensen_log_average(p, r), abs=1e-7)
 
 
@@ -400,7 +400,6 @@ def test_gcd_bound_scenarios_run_without_quadrature(monkeypatch, scenario):
     from workbench import harness
 
     calls = count_calls(monkeypatch, nevanlinna, "circle_average")
-    calls += count_calls(monkeypatch, harness, "circle_average")
     harness.run_scenario(harness.load_scenario(harness.shipped_scenario_dir() / f"{scenario}.json"))
     assert calls == []
 
@@ -416,3 +415,40 @@ def test_non_affine_functions_keep_the_quadrature(monkeypatch):
     scenario = harness.shipped_scenario_dir() / "smt_exp_units.json"  # carries exp(z^2)
     harness.run_scenario(harness.load_scenario(scenario))
     assert len(calls) > 2
+
+
+def test_each_radius_is_checked_once(monkeypatch):
+    t = z()
+    f = MeroFn(scalar=1, factors=[(t - 1, 2), (t + 3, -1)], exp_part=t)
+    ld = log_derivative(f)
+    checks = count_calls(monkeypatch, nevanlinna, "_check_radius")
+    poles = count_calls(monkeypatch, nevanlinna.LogDerivative, "pole_enclosures")
+    characteristic_T(f, 2.0)
+    log_derivative_T(ld, 2.0)
+    assert (len(checks), len(poles)) == (1, 1)
+    # the checks that remain still raise as before
+    with pytest.raises(InvalidInput, match="on the circle"):
+        characteristic_T(f, 3.0)
+    with pytest.raises(InvalidInput, match="on the circle"):
+        log_derivative_T(ld, 1.0)
+    with pytest.raises(InvalidInput, match="zero function"):
+        characteristic_T(MeroFn.constant(0), 2.0)
+
+
+def test_functionals_take_exp_sums():
+    from workbench.expsum import ExpSumFn
+
+    one, ez = MeroFn.constant(1), MeroFn.unit(z())
+    sums = (ExpSumFn.of(one), ExpSumFn.of(ez))
+    assert ExpSumFn.of(sums[0]) is sums[0]
+    # the trapezoid over the exp-sums agrees with the exact class-function route
+    assert characteristic_T(sums, 5.0) == pytest.approx(5.0 / math.pi, abs=1e-8)
+    assert characteristic_T((one, ez), 5.0) == pytest.approx(5.0 / math.pi, rel=1e-14)
+    with pytest.raises(InvalidInput, match="all components vanish"):
+        characteristic_T((ExpSumFn.zero(), ExpSumFn.zero()), 5.0)
+    # a one-term sum has a certified divisor; 1 + e^z (zeros at i pi) does not
+    assert RadiusGrid((2.0,)).perturbed_for([ExpSumFn.of(MeroFn.from_poly(z() - 2))]).points != (2.0,)
+    assert RadiusGrid((math.pi,)).perturbed_for([sums[0] + sums[1]]).points == (math.pi,)
+    # gcd counting of exp-sums matches their zero lists: 1 + e^z has +-i pi in |z| <= 4
+    s = sums[0] + sums[1]
+    assert gcd_counting(s, s, 4.0) == pytest.approx(2 * math.log(4 / math.pi), rel=1e-12)
