@@ -3,10 +3,14 @@
 A scenario file is the single source of truth: it names a target
 inequality, the curve (a tuple of factored class functions), the polynomial
 inputs and the parameters (epsilon, multiplicity floor, grid, allowance for
-logarithmic error terms).  Running it produces per-radius rows
-(r, lhs, rhs, margin) and a verdict: asymptotic statements are never
-certified, only evaluated on the grid with margin curves, gated beyond a
-pass radius so that transient bounded terms do not flip verdicts.
+logarithmic error terms), each from the fixed list ``PARAMS``.  Every
+target has one check ``Scenario -> MarginReport`` (``CHECKS``), which
+validates the scenario, rejects it when its hypotheses fail and otherwise
+hands one row function to the shared row loop: per-radius rows
+(r, lhs, rhs, margin) on the grid nudged off the divisors, then a verdict.
+Asymptotic statements are never certified, only evaluated on the grid with
+margin curves, gated beyond a pass radius so that transient bounded terms
+do not flip verdicts.
 
 Supported targets:
 
@@ -58,17 +62,6 @@ from .nevanlinna import (
     mero_from_doc,
     shared_zeros,
 )
-
-TARGETS = (
-    "truncation-defect",
-    "truncated-lower-bound",
-    "log-derivative-height",
-    "borel-unit-sum",
-    "coefficient-borel",
-    "gcd-bound",
-    "smt-instance",
-)
-
 
 # ---------------------------------------------------------------------------
 # reports
@@ -179,6 +172,22 @@ def fit_log_slope(points: list[tuple[float, float]]) -> float:
 # (r_min, r_max, count) of the log-spaced grid when a scenario sets no "grid"
 _DEFAULT_GRID = (2.0, 200.0, 21)
 
+# every key a scenario's "params" may set; scenario_from_doc refuses the rest
+PARAMS = frozenset({"eps", "ell", "ell2", "grid", "r_pass", "log_allowance", "trunc",
+                    "scan_cap", "simple_zeros"})
+
+# target -> name of its check in this module; run_scenario looks the name up
+# when it is called, so a wrapper bound to the module attribute sees the call
+CHECKS = {
+    "truncation-defect": "_curve_vs_form_check",
+    "truncated-lower-bound": "_curve_vs_form_check",
+    "log-derivative-height": "_log_derivative_check",
+    "borel-unit-sum": "unit_sum_check",
+    "coefficient-borel": "borel_check",
+    "gcd-bound": "gcd_bound_check",
+    "smt-instance": "smt_instance_check",
+}
+
 
 @dataclass
 class Scenario:
@@ -190,24 +199,12 @@ class Scenario:
     polys: tuple[SparsePoly, ...] = ()
     params: dict = field(default_factory=dict)
 
-    def grid(self) -> RadiusGrid:
-        rmin, rmax, count = self.params.get("grid", _DEFAULT_GRID)
-        return RadiusGrid.log_spaced(float(rmin), float(rmax), int(count))
-
     def eps(self) -> Fraction:
         return Fraction(self.params.get("eps", "1/10"))
 
     def allowance(self) -> tuple[float, float]:
         c, c0 = self.params.get("log_allowance", ("1", "0"))
         return float(Fraction(str(c))), float(Fraction(str(c0)))
-
-
-def _r_pass(params: dict, grid: RadiusGrid) -> float:
-    """Radius from which rows are gated: ``params["r_pass"]``, by default the
-    geometric midpoint sqrt(r_min * r_max) of the grid."""
-    if "r_pass" in params:
-        return float(params["r_pass"])
-    return math.sqrt(grid.points[0] * grid.points[-1])
 
 
 def _component_from_doc(doc) -> MeroFn:
@@ -228,9 +225,13 @@ def _component_from_doc(doc) -> MeroFn:
 def scenario_from_doc(doc: dict) -> Scenario:
     if doc.get("schema") not in (None, "scenario/1"):
         raise InvalidInput(f"unknown scenario schema {doc.get('schema')!r}")
-    target = doc["target"]
-    if target not in TARGETS:
+    target = doc.get("target")
+    if target not in CHECKS:
         raise InvalidInput(f"unknown target {target!r}")
+    params = doc.get("params", {})
+    unknown = sorted(set(params) - PARAMS)
+    if unknown:
+        raise InvalidInput(f"unknown scenario parameters {', '.join(map(repr, unknown))}")
     curve = tuple(_component_from_doc(c) for c in doc.get("curve", []))
     coeffs = tuple(_component_from_doc(c) for c in doc.get("coeffs", []))
     poly = serialize.poly_from_doc(doc["poly"]) if "poly" in doc else None
@@ -242,7 +243,7 @@ def scenario_from_doc(doc: dict) -> Scenario:
         coeffs=coeffs,
         poly=poly,
         polys=polys,
-        params=doc.get("params", {}),
+        params=params,
     )
 
 
@@ -256,26 +257,28 @@ def load_scenario(path: str | Path) -> Scenario:
 # ---------------------------------------------------------------------------
 
 def run_scenario(s: Scenario) -> MarginReport:
-    if s.target in ("truncation-defect", "truncated-lower-bound"):
-        return _curve_vs_form_check(s)
-    if s.target == "log-derivative-height":
-        return _log_derivative_check(s)
-    if s.target == "borel-unit-sum":
-        return unit_sum_check(s.curve, s.grid(), s.allowance(), s.params,
-                              name=s.name)
-    if s.target == "coefficient-borel":
-        ell = int(s.params.get("ell", 1))
-        return borel_check(s.coeffs, s.curve, ell, s.grid(), s.allowance(),
-                           s.params, name=s.name)
-    if s.target == "gcd-bound":
-        F, G = s.polys[0], s.polys[1]
-        return gcd_bound_check(F, G, s.curve, s.eps(), s.params, s.grid(),
-                               name=s.name)
-    if s.target == "smt-instance":
-        M = int(s.params.get("trunc", 1))
-        return smt_instance_check(list(s.polys), s.curve, s.eps(), M, s.grid(),
-                                  s.params, name=s.name)
-    raise InvalidInput(f"unhandled target {s.target}")
+    return globals()[CHECKS[s.target]](s)
+
+
+def _gated_grid(s: Scenario, fns) -> tuple[tuple[float, ...], float]:
+    """The scenario's radii nudged off the divisors of ``fns``, and the radius
+    from which rows are gated: ``params["r_pass"]``, by default the geometric
+    midpoint sqrt(r_min * r_max) of the nudged radii."""
+    rmin, rmax, count = s.params.get("grid", _DEFAULT_GRID)
+    grid = RadiusGrid.log_spaced(float(rmin), float(rmax), int(count))
+    points = grid.perturbed_for(fns).points
+    if "r_pass" in s.params:
+        return points, float(s.params["r_pass"])
+    return points, math.sqrt(points[0] * points[-1])
+
+
+def _margins(report: MarginReport, points, r_pass: float, row,
+             notes=()) -> MarginReport:
+    """The row loop of every check: (r, *row(r)) at each radius, gated from
+    ``r_pass``; then the notes and the verdict."""
+    report.rows = [MarginRow(r, *row(r), gated=r >= r_pass) for r in points]
+    report.notes = tuple(notes)
+    return report.finalize()
 
 
 def _validate_curve_tuple(curve, notes: list[str], ell: int | None):
@@ -302,36 +305,28 @@ def _curve_vs_form_check(s: Scenario) -> MarginReport:
     eps = float(s.eps())
     d = G.total_degree()
 
-    matched: tuple[CurveSpec, ...] = ()
-    if not s.params.get("skip_exceptional_set"):
-        ell2 = s.params.get("ell2")
-        W = build_W(G, ell2=int(ell2) if ell2 else None,
-                    eps=s.eps() if not ell2 else None)
-        matched = tuple(member_of_W(W, tuple(s.curve)))
+    ell2 = s.params.get("ell2")
+    W = build_W(G, ell2=int(ell2) if ell2 else None, eps=s.eps() if not ell2 else None)
+    report = MarginReport(s.name, s.target, matched_curves=tuple(member_of_W(W, s.curve)))
 
-    Gg = eval_poly_on_tuple(G, tuple(s.curve))
+    Gg = eval_poly_on_tuple(G, s.curve)
     if Gg.is_zero():
         return MarginReport(s.name, s.target, notes=tuple(notes)).reject(
             "curve lies inside the form")
 
-    grid = s.grid().perturbed_for(s.curve)
-    r_pass = _r_pass(s.params, grid)
+    points, r_pass = _gated_grid(s, s.curve)
     simple = bool(s.params.get("simple_zeros"))
-    N = counting_of(Gg, max(grid.points))
-    report = MarginReport(s.name, s.target, matched_curves=matched)
-    for r in grid.points:
+    N = counting_of(Gg, max(points))
+
+    def row(r):
         T = characteristic_T(s.curve, r)
         if s.target == "truncation-defect":
-            lhs = N(r) - N(r, trunc=1, assume_simple=simple)
-            rhs = eps * T
-        else:
-            # lower bound N^(1) >= (d - eps) T: put the bound on the lhs so
-            # the margin column rhs - lhs is nonnegative when it holds
-            lhs = (d - eps) * T
-            rhs = N(r, trunc=1, assume_simple=simple)
-        report.rows.append(MarginRow(r, lhs, rhs, gated=r >= r_pass))
-    report.notes = tuple(notes)
-    return report.finalize()
+            return N(r) - N(r, trunc=1, assume_simple=simple), eps * T
+        # lower bound N^(1) >= (d - eps) T: put the bound on the lhs so the
+        # margin column rhs - lhs is nonnegative when it holds
+        return (d - eps) * T, N(r, trunc=1, assume_simple=simple)
+
+    return _margins(report, points, r_pass, row, notes)
 
 
 def _log_derivative_check(s: Scenario) -> MarginReport:
@@ -345,22 +340,19 @@ def _log_derivative_check(s: Scenario) -> MarginReport:
         notes.append(f"zero multiplicity {min(mults)} below ell={ell}")
     C, C0 = s.allowance()
     ld = log_derivative(f)
-    grid = s.grid().perturbed_for([f])
-    r_pass = _r_pass(s.params, grid)
-    report = MarginReport(s.name, s.target, notes=tuple(notes))
-    for r in grid.points:
+    points, r_pass = _gated_grid(s, [f])
+
+    def row(r):
         Tf = characteristic_T(f, r)
-        lhs = log_derivative_T(ld, r)
-        rhs = Tf / ell + C * math.log(max(Tf, 1.0)) + C0
-        report.rows.append(MarginRow(r, lhs, rhs, gated=r >= r_pass))
-    return report.finalize()
+        return log_derivative_T(ld, r), Tf / ell + C * math.log(max(Tf, 1.0)) + C0
+
+    return _margins(MarginReport(s.name, s.target), points, r_pass, row, notes)
 
 
-def unit_sum_check(fns, grid: RadiusGrid, allowance=(1.0, 0.0), params=None,
-                   name: str = "unit-sum") -> MarginReport:
+def unit_sum_check(s: Scenario) -> MarginReport:
     """Vanishing-sum bound: T of the first n+1 components against the
     truncated counting sum over all components."""
-    params = params or {}
+    fns = s.curve
     if len(fns) < 3:
         raise InvalidInput("need at least three components")
     sums = [ExpSumFn.of(f) for f in fns]
@@ -368,25 +360,25 @@ def unit_sum_check(fns, grid: RadiusGrid, allowance=(1.0, 0.0), params=None,
     total = ExpSumFn.zero()
     for f in sums:
         total = total + f
-    report = MarginReport(name, "borel-unit-sum")
+    report = MarginReport(s.name, s.target)
     if not total.is_zero():
         return report.reject("components do not sum to zero")
     bad = _vanishing_subsum(sums)
     if bad is not None:
         return report.reject(f"vanishing proper subsum {bad}")
-    C, C0 = allowance
-    grid = grid.perturbed_for(fns)
-    r_pass = _r_pass(params, grid)
+    C, C0 = s.allowance()
+    points, r_pass = _gated_grid(s, fns)
     # the characteristic of the expanded head, whose rounding the shipped
     # margins carry; the counts from each component's own zero structure
     head = sums[: n + 1]
-    counts = [counting_of(f, max(grid.points)) for f in fns]
-    for r in grid.points:
+    counts = [counting_of(f, max(points)) for f in fns]
+
+    def row(r):
         T = characteristic_T(head, r)
         rhs = sum(N(r, trunc=n) for N in counts)
-        rhs += C * math.log(max(T, 1.0)) + C0
-        report.rows.append(MarginRow(r, T, rhs, gated=r >= r_pass))
-    return report.finalize()
+        return T, rhs + C * math.log(max(T, 1.0)) + C0
+
+    return _margins(report, points, r_pass, row)
 
 
 def _vanishing_subsum(sums) -> tuple[int, ...] | None:
@@ -404,18 +396,18 @@ def _vanishing_subsum(sums) -> tuple[int, ...] | None:
     return None
 
 
-def borel_check(coeffs, fns, ell: int, grid: RadiusGrid, allowance=(1.0, 0.0),
-                params=None, name: str = "coefficient-borel") -> MarginReport:
+def borel_check(s: Scenario) -> MarginReport:
     """Moving-coefficient vanishing combination: quotient characteristics
     against 3n T_a + ((n^2 - 1)/ell) T_f plus the allowance."""
-    params = params or {}
+    coeffs, fns = s.coeffs, s.curve
+    ell = int(s.params.get("ell", 1))
     if len(coeffs) != len(fns):
         raise InvalidInput("coefficient and component counts differ")
     n = len(fns) - 1
     total = ExpSumFn.zero()
     for a, f in zip(coeffs, fns):
         total = total + ExpSumFn.of(a) * ExpSumFn.of(f)
-    report = MarginReport(name, "coefficient-borel")
+    report = MarginReport(s.name, s.target)
     if not total.is_zero():
         return report.reject("combination does not vanish")
     bad = tuple(i for i, (a, f) in enumerate(zip(coeffs, fns))
@@ -429,13 +421,13 @@ def borel_check(coeffs, fns, ell: int, grid: RadiusGrid, allowance=(1.0, 0.0),
             if m < 0:
                 denom = denom * MeroFn(scalar=1, factors=[(p, -m)])
     cleared = [a * denom for a in coeffs]
-    C, C0 = allowance
-    grid = grid.perturbed_for(list(fns) + cleared)
-    r_pass = _r_pass(params, grid)
+    C, C0 = s.allowance()
+    points, r_pass = _gated_grid(s, list(fns) + cleared)
     notes: list[str] = []
     _validate_curve_tuple(fns, notes, ell)
     active = [i for i, a in enumerate(coeffs) if not a.is_zero()]
-    for r in grid.points:
+
+    def row(r):
         Ta = characteristic_T(cleared, r)
         Tf = characteristic_T(fns, r)
         # Cartan characteristic of [f_i : f_j], which is T_{f_i/f_j} up to O(1)
@@ -444,26 +436,24 @@ def borel_check(coeffs, fns, ell: int, grid: RadiusGrid, allowance=(1.0, 0.0),
                 for j in range(len(fns)) if j != i)
             for i in active
         )
-        rhs = 3 * n * Ta + (n * n - 1) / ell * Tf + C * math.log(max(Tf, 1.0)) + C0
-        report.rows.append(MarginRow(r, lhs, rhs, gated=r >= r_pass))
-    report.notes = tuple(notes)
-    return report.finalize()
+        return lhs, 3 * n * Ta + (n * n - 1) / ell * Tf + C * math.log(max(Tf, 1.0)) + C0
+
+    return _margins(report, points, r_pass, row, notes)
 
 
-def gcd_bound_check(F: SparsePoly, G: SparsePoly, curve, eps: Fraction,
-                    params=None, grid: RadiusGrid | None = None,
-                    name: str = "gcd-bound") -> MarginReport:
+def gcd_bound_check(s: Scenario) -> MarginReport:
     """Common-zero counting of two composed coprime forms against eps * T.
 
     Also runs the multiplicative-degeneracy scan over exponent tuples with
     l1-norm up to twice the working degree; an exactly-constant monomial or
     a grid ratio below eps^3 selects the degenerate branch.
     """
-    params = params or {}
-    eps = Fraction(eps)
+    if len(s.polys) != 2:
+        raise InvalidInput("gcd-bound needs two forms 'polys'")
+    (F, G), curve = s.polys, s.curve
+    eps = s.eps()
     if F.num_vars != G.num_vars:
         raise InvalidInput("forms must share their variable count")
-    n = F.num_vars - 1
     if len(curve) != F.num_vars:
         raise InvalidInput("curve length must match the number of variables")
     if not gcd_poly(F, G, 0).is_constant():
@@ -474,37 +464,34 @@ def gcd_bound_check(F: SparsePoly, G: SparsePoly, curve, eps: Fraction,
         if not F.eval_exact(point) and not G.eval_exact(point):
             raise InvalidInput(f"both forms vanish at the coordinate point e_{i}")
     notes: list[str] = []
-    ell = int(params["ell"]) if "ell" in params else None
+    ell = int(s.params["ell"]) if "ell" in s.params else None
     _validate_curve_tuple(curve, notes, ell)
-    grid = (grid or RadiusGrid.log_spaced(*_DEFAULT_GRID)).perturbed_for(list(curve))
-    r_pass = _r_pass(params, grid)
+    points, r_pass = _gated_grid(s, curve)
 
-    Fg = eval_poly_on_tuple(F, tuple(curve))
-    Gg = eval_poly_on_tuple(G, tuple(curve))
+    Fg = eval_poly_on_tuple(F, curve)
+    Gg = eval_poly_on_tuple(G, curve)
     if Fg.is_zero() or Gg.is_zero():
-        return MarginReport(name, "gcd-bound", notes=tuple(notes)).reject(
+        return MarginReport(s.name, s.target, notes=tuple(notes)).reject(
             "a composed form vanishes identically")
-    shared = shared_zeros(Fg, Gg, grid.points)
+    shared = shared_zeros(Fg, Gg, points)
 
-    report = MarginReport(name, "gcd-bound", notes=tuple(notes))
-    T_curve = [characteristic_T(curve, r) for r in grid.points]
-    scan_params = dict(params)
-    scan_params.setdefault("form_degree", max(F.total_degree(), G.total_degree()))
-    gated_T = {r: T for r, T in zip(grid.points, T_curve) if r >= r_pass}
-    report.degenerate_tuple = _degeneracy_scan(curve, eps, scan_params, gated_T, notes)
-
-    for r, T in zip(grid.points, T_curve):
-        lhs = _log_counting(shared, r)
-        report.rows.append(MarginRow(r, lhs, float(eps) * T, gated=r >= r_pass))
-    report.notes = tuple(notes)
-    return report.finalize()
+    report = MarginReport(s.name, s.target)
+    T_curve = {r: characteristic_T(curve, r) for r in points}
+    gated_T = {r: T for r, T in T_curve.items() if r >= r_pass}
+    report.degenerate_tuple = _degeneracy_scan(
+        curve, eps, max(F.total_degree(), G.total_degree()),
+        int(s.params.get("scan_cap", 8)), gated_T, notes)
+    return _margins(report, points, r_pass,
+                    lambda r: (_log_counting(shared, r), float(eps) * T_curve[r]), notes)
 
 
-def _degeneracy_scan(curve, eps: Fraction, params, T_curve: dict[float, float],
-                     notes: list[str]) -> tuple[int, int] | None:
+def _degeneracy_scan(curve, eps: Fraction, d: int, scan_cap: int,
+                     T_curve: dict[float, float], notes: list[str]) -> tuple[int, int] | None:
     """Scan exponent tuples for multiplicative near-degeneracy of the curve.
 
-    ``T_curve`` maps each gated radius to the characteristic of the curve.
+    ``d`` is the working degree of the forms, ``scan_cap`` the largest
+    l1-norm whose grid ratios are computed, and ``T_curve`` maps each gated
+    radius to the characteristic of the curve.
     """
     if len(curve) != 3:
         return None
@@ -513,11 +500,9 @@ def _degeneracy_scan(curve, eps: Fraction, params, T_curve: dict[float, float],
         return None
     if not 0 < eps < 1:
         raise InvalidInput("degeneracy scan needs 0 < eps < 1")
-    d = max(int(params.get("form_degree", 1)), 1)
-    m = choose_m(eps, 2, d)
+    m = choose_m(eps, 2, max(d, 1))
     bound = 2 * m
-    cap = int(params.get("scan_cap", 8))
-    numeric_bound = min(bound, cap)
+    numeric_bound = min(bound, scan_cap)
     if numeric_bound < bound:
         notes.append(
             f"degeneracy scan: exact constants over |m1|+|m2| <= {bound}, "
@@ -557,13 +542,12 @@ def _canonical_tuple(m1: int, m2: int) -> tuple[int, int]:
     return (m1, m2) if first > 0 else (-m1, -m2)
 
 
-def smt_instance_check(hypersurfaces: list[SparsePoly], curve, eps: Fraction,
-                       M: int, grid: RadiusGrid, params=None,
-                       name: str = "smt-instance") -> MarginReport:
+def smt_instance_check(s: Scenario) -> MarginReport:
     """Truncated counting sum against (q - n - 1 - eps) T for a
     general-position configuration."""
-    params = params or {}
-    eps = Fraction(eps)
+    hypersurfaces, curve = list(s.polys), s.curve
+    eps = s.eps()
+    M = int(s.params.get("trunc", 1))
     if not hypersurfaces:
         raise InvalidInput("need at least one hypersurface")
     nv = hypersurfaces[0].num_vars
@@ -572,29 +556,26 @@ def smt_instance_check(hypersurfaces: list[SparsePoly], curve, eps: Fraction,
         raise InvalidInput("hypersurfaces must share the ambient dimension")
     if len(curve) != nv:
         raise InvalidInput("curve length must match the ambient dimension")
-    report = MarginReport(name, "smt-instance")
-    if nv == 3 and not params.get("skip_position_check"):
-        pos = general_position_check(list(hypersurfaces))
-        if not pos:
-            return report.reject("not in general position")
+    report = MarginReport(s.name, s.target)
+    if nv == 3 and not general_position_check(hypersurfaces):
+        return report.reject("not in general position")
     composed = []
     for p in hypersurfaces:
-        c = eval_poly_on_tuple(p, tuple(curve))
+        c = eval_poly_on_tuple(p, curve)
         if c.is_zero():
             return report.reject("curve inside a hypersurface")
         composed.append((c, p.total_degree()))
     q = len(hypersurfaces)
-    grid = grid.perturbed_for(list(curve))
-    r_pass = _r_pass(params, grid)
-    simple = bool(params.get("simple_zeros"))
+    points, r_pass = _gated_grid(s, curve)
+    simple = bool(s.params.get("simple_zeros"))
     factor = q - n - 1 - float(eps)
-    counts = [(counting_of(c, max(grid.points)), d) for c, d in composed]
-    for r in grid.points:
+    counts = [(counting_of(c, max(points)), d) for c, d in composed]
+
+    def row(r):
         T = characteristic_T(curve, r)
-        lhs = factor * T
-        rhs = sum(N(r, trunc=M, assume_simple=simple) / d for N, d in counts)
-        report.rows.append(MarginRow(r, lhs, rhs, gated=r >= r_pass))
-    return report.finalize()
+        return factor * T, sum(N(r, trunc=M, assume_simple=simple) / d for N, d in counts)
+
+    return _margins(report, points, r_pass, row)
 
 
 # ---------------------------------------------------------------------------

@@ -304,11 +304,13 @@ class LogDerivative:
             dv = np.polyval(_complex_coeffs_desc(self.den), zs)
             return np.log(np.abs(nv)) - np.log(np.abs(dv))
 
-    def pole_enclosures(self) -> list[RootEnclosure]:
-        """Poles are exactly the distinct roots of the factor product (all simple)."""
+    @functools.cached_property
+    def poles(self) -> tuple[RootEnclosure, ...]:
+        """Poles are exactly the distinct roots of the factor product (all
+        simple); resolved once per object."""
         if self.den.is_constant():
-            return []
-        return list(roots_certified(canonical_scale(self.den)).roots)
+            return ()
+        return roots_certified(canonical_scale(self.den)).roots
 
 
 def log_derivative(f: MeroFn) -> LogDerivative:
@@ -716,10 +718,9 @@ def gcd_counting(f, g, r: float) -> float:
 
 def log_derivative_T(ld: LogDerivative, r: float) -> float:
     """Characteristic of f'/f: proximity plus the (simple) pole counting."""
-    poles = ld.pole_enclosures()
-    _check_clear(poles, r)
+    _check_clear(ld.poles, r)
     m, _ = circle_average(lambda zs: np.maximum(ld.log_abs(zs), 0.0), r)
-    return m + _log_counting(((root.center, 1) for root in poles), r)
+    return m + _log_counting(((root.center, 1) for root in ld.poles), r)
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from workbench.algebra.gaussrat import GaussRat
 from workbench.algebra.poly import SparsePoly
 from workbench.algebra.roots import roots_certified
 from workbench.expsum import eval_poly_on_tuple
+from workbench.harness import PARAMS, Scenario
 
 
 @pytest.fixture
@@ -32,6 +33,16 @@ def count_calls(monkeypatch, module, name):
 
     monkeypatch.setattr(module, name, counted)
     return calls
+
+
+def scenario(target, curve=(), params=None, coeffs=(), polys=()) -> Scenario:
+    """A Scenario as a scenario file gives it, named after its target: the
+    components and forms as tuples, and the grid as ``(r_min, r_max, count)``
+    in ``params``."""
+    params = dict(params or {})
+    assert set(params) <= PARAMS, set(params) - PARAMS
+    return Scenario(name=target, target=target, curve=tuple(curve), coeffs=tuple(coeffs),
+                    polys=tuple(polys), params=params)
 
 
 def two_close_roots():

@@ -37,7 +37,7 @@ from workbench.nevanlinna import (
     log_derivative_T,
 )
 
-from conftest import leading_coeff_log_abs_at_zero, random_poly
+from conftest import leading_coeff_log_abs_at_zero, random_poly, scenario
 
 
 def _vars3():
@@ -319,15 +319,15 @@ def test_criterion_7_gcd_harness():
     x0, x1, x2 = _vars3()
     z = _z()
     one = MeroFn.constant(1)
-    grid = RadiusGrid.log_spaced(5.0, 150.0, 9)
+    params = {"eps": "1/2", "grid": (5.0, 150.0, 9), "r_pass": 10.0, "scan_cap": 4}
+    forms = (x0 + x1, x0 + x2)
 
     # stated instance: g = (1, e^z, e^{2z}).  The two composed forms are
     # 1 + e^z and 1 + e^{2z}, whose zero lattices i pi (odd) and
     # i pi/2 (odd) are disjoint, so the min-multiplicity sum over the
     # lattice {i pi (2k+1)} is identically zero; direct matching agrees.
     curve2 = (one, MeroFn.unit(z), MeroFn.unit(z.scale(2)))
-    rep2 = gcd_bound_check(x0 + x1, x0 + x2, curve2, Fraction(1, 2),
-                           {"r_pass": 10.0, "scan_cap": 4}, grid)
+    rep2 = gcd_bound_check(scenario("gcd-bound", curve2, params, polys=forms))
     F2 = eval_poly_on_tuple(x0 + x1, curve2)
     G2 = eval_poly_on_tuple(x0 + x2, curve2)
     for row in rep2.rows:
@@ -344,8 +344,7 @@ def test_criterion_7_gcd_harness():
 
     # shared-lattice variant: with e^{3z} both forms vanish on i pi (odd)
     curve3 = (one, MeroFn.unit(z), MeroFn.unit(z.scale(3)))
-    rep3 = gcd_bound_check(x0 + x1, x0 + x2, curve3, Fraction(1, 2),
-                           {"r_pass": 10.0, "scan_cap": 4}, grid)
+    rep3 = gcd_bound_check(scenario("gcd-bound", curve3, params, polys=forms))
     for row in rep3.rows:
         expected = 0.0
         k = 0
@@ -356,8 +355,7 @@ def test_criterion_7_gcd_harness():
 
     # degeneracy detector on (1, e^z, e^{-z}) fires with the tuple (1, 1)
     curve_deg = (one, MeroFn.unit(z), MeroFn.unit(-z))
-    rep_deg = gcd_bound_check(x0 + x1, x0 + x2, curve_deg, Fraction(1, 2),
-                              {"r_pass": 10.0, "scan_cap": 4}, grid)
+    rep_deg = gcd_bound_check(scenario("gcd-bound", curve_deg, params, polys=forms))
     assert rep_deg.degenerate_tuple == (1, 1)
     _report(7, "gcd counting agrees with the explicit lattices within 1e-6 "
                "(disjoint for e^2z: identically zero; shared for e^3z); "

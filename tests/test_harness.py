@@ -5,6 +5,7 @@ import pytest
 
 from workbench import harness
 from workbench.algebra.poly import SparsePoly
+from workbench.errors import InvalidInput
 from workbench.expsum import ExpSumFn
 from workbench.exset import BetaValue, build_W
 from workbench.harness import (
@@ -23,7 +24,13 @@ from workbench.harness import (
 )
 from workbench.nevanlinna import MeroFn, RadiusGrid
 
-from conftest import composed_form_has_multiple_zero, count_calls, two_close_roots, variables
+from conftest import (
+    composed_form_has_multiple_zero,
+    count_calls,
+    scenario,
+    two_close_roots,
+    variables,
+)
 
 
 def z():
@@ -90,8 +97,8 @@ def test_unit_sum_exponential_instance():
     one = ExpSumFn.constant(1)
     ez = ExpSumFn.from_mero(MeroFn.unit(z()))
     third = -(one + ez)
-    grid = RadiusGrid.log_spaced(5.0, 300.0, 11)
-    rep = unit_sum_check([one, ez, third], grid, params={"r_pass": 20.0})
+    rep = unit_sum_check(scenario("borel-unit-sum", [one, ez, third],
+                                  {"grid": (5.0, 300.0, 11), "r_pass": 20.0}))
     assert rep.verdict == "holds-on-grid"
     assert all(row.margin >= 0 for row in rep.rows if row.gated)
 
@@ -100,10 +107,10 @@ def test_unit_sum_hypothesis_violations():
     one = MeroFn.constant(1)
     minus = MeroFn.constant(-1)
     t = MeroFn.from_poly(z())
-    grid = RadiusGrid.log_spaced(2.0, 50.0, 5)
-    rep = unit_sum_check([one, minus, t], grid)
+    grid = {"grid": (2.0, 50.0, 5)}
+    rep = unit_sum_check(scenario("borel-unit-sum", [one, minus, t], grid))
     assert rep.verdict.startswith("hypothesis-violation")
-    rep = unit_sum_check([one, minus, t, MeroFn.from_poly(-z())], grid)
+    rep = unit_sum_check(scenario("borel-unit-sum", [one, minus, t, MeroFn.from_poly(-z())], grid))
     assert "subsum" in rep.verdict
 
 
@@ -116,8 +123,8 @@ def test_borel_check_moving_coefficients():
     s = (t**2 - 1) ** ell + (t**2 + 1) ** ell
     a2 = MeroFn(scalar=-1, factors=[(s, 1), (h3, -ell)])
     coeffs = [MeroFn.constant(1), MeroFn.constant(1), a2]
-    grid = RadiusGrid.log_spaced(5.0, 200.0, 7)
-    rep = borel_check(coeffs, f, ell, grid, params={"r_pass": 10.0})
+    rep = borel_check(scenario("coefficient-borel", f, {"ell": ell, "grid": (5.0, 200.0, 7),
+                                                        "r_pass": 10.0}, coeffs=coeffs))
     assert rep.verdict == "holds-on-grid"
 
 
@@ -125,8 +132,8 @@ def test_borel_check_degenerate_subsum():
     t = z()
     f = [MeroFn.from_poly(t), MeroFn.from_poly(-t), MeroFn.from_poly(t**2)]
     coeffs = [MeroFn.constant(1), MeroFn.constant(1), MeroFn.constant(0)]
-    grid = RadiusGrid.log_spaced(2.0, 20.0, 4)
-    rep = borel_check(coeffs, f, 1, grid)
+    rep = borel_check(scenario("coefficient-borel", f, {"ell": 1, "grid": (2.0, 20.0, 4)},
+                               coeffs=coeffs))
     assert rep.verdict.startswith("hypothesis-violation")
 
 
@@ -136,9 +143,9 @@ def test_gcd_bound_unit_curve_disjoint_lattices():
     # is identically zero
     x0, x1, x2 = variables(3)
     curve = (MeroFn.constant(1), MeroFn.unit(z()), MeroFn.unit(z().scale(2)))
-    grid = RadiusGrid.log_spaced(5.0, 100.0, 7)
-    rep = gcd_bound_check(x0 + x1, x0 + x2, curve, Fraction(1, 2),
-                          {"r_pass": 10.0, "scan_cap": 4}, grid)
+    rep = gcd_bound_check(scenario("gcd-bound", curve, {
+        "eps": "1/2", "grid": (5.0, 100.0, 7), "r_pass": 10.0, "scan_cap": 4},
+        polys=(x0 + x1, x0 + x2)))
     assert rep.degenerate_tuple == (2, -1)
     for row in rep.rows:
         assert row.lhs == pytest.approx(0.0, abs=1e-9)
@@ -149,9 +156,9 @@ def test_gcd_bound_unit_curve_shared_lattice():
     # multiples of i pi; matching must reproduce the explicit lattice sum
     x0, x1, x2 = variables(3)
     curve = (MeroFn.constant(1), MeroFn.unit(z()), MeroFn.unit(z().scale(3)))
-    grid = RadiusGrid.log_spaced(5.0, 100.0, 7)
-    rep = gcd_bound_check(x0 + x1, x0 + x2, curve, Fraction(1, 2),
-                          {"r_pass": 10.0, "scan_cap": 4}, grid)
+    rep = gcd_bound_check(scenario("gcd-bound", curve, {
+        "eps": "1/2", "grid": (5.0, 100.0, 7), "r_pass": 10.0, "scan_cap": 4},
+        polys=(x0 + x1, x0 + x2)))
     assert rep.degenerate_tuple == (3, -1)
     for row in rep.rows:
         expected = 0.0
@@ -166,28 +173,31 @@ def test_gcd_bound_rejects_bad_hypotheses():
     x0, x1, x2 = variables(3)
     curve = (MeroFn.constant(1), MeroFn.unit(z()), MeroFn.unit(z().scale(2)))
     with pytest.raises(Exception):
-        gcd_bound_check(x0 + x1, (x0 + x1) * (x0 + x2), curve, Fraction(1, 2))
+        gcd_bound_check(scenario("gcd-bound", curve, {"eps": "1/2"},
+                                 polys=(x0 + x1, (x0 + x1) * (x0 + x2))))
     with pytest.raises(Exception):
         # both vanish at e_2
-        gcd_bound_check(x0 + x1, x1 - x0, curve, Fraction(1, 2))
+        gcd_bound_check(scenario("gcd-bound", curve, {"eps": "1/2"}, polys=(x0 + x1, x1 - x0)))
+    with pytest.raises(InvalidInput, match="two forms"):
+        gcd_bound_check(scenario("gcd-bound", curve, {"eps": "1/2"}, polys=(x0 + x1,)))
 
 
 def test_smt_lines_instance():
     x0, x1, x2 = variables(3)
     curve = (MeroFn.constant(1), MeroFn.from_poly(z()),
              MeroFn.from_poly(z() ** 2 + 1))
-    grid = RadiusGrid.log_spaced(5.0, 500.0, 9)
-    rep = smt_instance_check([x0, x1, x2, x0 + x1 + x2], curve, Fraction(1, 4),
-                             2, grid, {"r_pass": 10.0})
+    rep = smt_instance_check(scenario("smt-instance", curve, {
+        "eps": "1/4", "trunc": 2, "grid": (5.0, 500.0, 9), "r_pass": 10.0},
+        polys=(x0, x1, x2, x0 + x1 + x2)))
     assert rep.verdict == "holds-on-grid"
 
 
 def test_smt_curve_inside_hypersurface():
     x0, x1, x2 = variables(3)
     curve = (MeroFn.constant(0), MeroFn.from_poly(z()), MeroFn.constant(1))
-    grid = RadiusGrid.log_spaced(5.0, 50.0, 5)
-    rep = smt_instance_check([x0, x1, x2, x0 + x1 + x2], curve, Fraction(1, 4),
-                             2, grid, {"r_pass": 10.0})
+    rep = smt_instance_check(scenario("smt-instance", curve, {
+        "eps": "1/4", "trunc": 2, "grid": (5.0, 50.0, 5), "r_pass": 10.0},
+        polys=(x0, x1, x2, x0 + x1 + x2)))
     assert rep.verdict.startswith("hypothesis-violation")
 
 
@@ -238,6 +248,15 @@ def test_unknown_target_rejected():
 
     with _pytest.raises(InvalidInput):
         scenario_from_doc({"target": "no-such-check"})
+    with _pytest.raises(InvalidInput, match="unknown target None"):
+        scenario_from_doc({"name": "no target"})
+
+
+@pytest.mark.parametrize("key", ["skip_exceptional_set", "r-pass"])
+def test_unknown_scenario_parameter_rejected(key):
+    doc = {"target": "gcd-bound", "params": {"eps": "1/2", key: True}}
+    with pytest.raises(InvalidInput, match=repr(key)):
+        scenario_from_doc(doc)
 
 
 def test_unit_witness_scenario_excluded_with_double_zeros():
@@ -296,9 +315,9 @@ def test_gcd_bound_resolves_each_zero_structure_once(monkeypatch):
     curve = (MeroFn.constant(1), MeroFn.unit(z()),
              MeroFn(scalar=Fraction(1, 2), exp_part=-z()))
     calls = count_calls(monkeypatch, ExpSumFn, "zeros_in_disk")
-    rep = gcd_bound_check(x0 + x1, x0 + x2, curve, Fraction(1, 2),
-                          {"r_pass": 5.0, "scan_cap": 0},
-                          RadiusGrid.log_spaced(2.0, 10.0, 3))
+    rep = gcd_bound_check(scenario("gcd-bound", curve, {
+        "eps": "1/2", "grid": (2.0, 10.0, 3), "r_pass": 5.0, "scan_cap": 0},
+        polys=(x0 + x1, x0 + x2)))
     assert len(rep.rows) == 3
     assert len(calls) <= 2
 
@@ -317,8 +336,9 @@ def test_exact_gcd_route_rejects_divisor_point_on_grid_circle():
     curve = (MeroFn.constant(1), MeroFn.from_poly(z()), MeroFn.from_poly(z() ** 2 + 1))
     # x1 - 2 x0 composes to z - 2, whose zero sits on the first grid circle
     with pytest.raises(InvalidInput, match="on the circle"):
-        gcd_bound_check(x1 - x0 * 2, x0 + x2, curve, Fraction(1, 2),
-                        {"scan_cap": 0}, RadiusGrid.log_spaced(2.0, 100.0, 5))
+        gcd_bound_check(scenario("gcd-bound", curve, {
+            "eps": "1/2", "grid": (2.0, 100.0, 5), "scan_cap": 0},
+            polys=(x1 - x0 * 2, x0 + x2)))
 
 
 def test_smt_exponential_scenario_holds():
@@ -329,14 +349,14 @@ def test_smt_exponential_scenario_holds():
 def test_gcd_bound_computes_curve_characteristic_once_per_radius(monkeypatch):
     x0, x1, x2 = variables(3)
     curve = (MeroFn.constant(1), MeroFn.from_poly(z()), MeroFn.from_poly(z() ** 2 + 1))
-    grid = RadiusGrid.log_spaced(5.0, 100.0, 5)
     calls = count_calls(monkeypatch, harness, "characteristic_T")
-    rep = gcd_bound_check(x0 + x1, x0 + x2, curve, Fraction(1, 2),
-                          {"r_pass": 20.0, "scan_cap": 2}, grid)
+    rep = gcd_bound_check(scenario("gcd-bound", curve, {
+        "eps": "1/2", "grid": (5.0, 100.0, 5), "r_pass": 20.0, "scan_cap": 2},
+        polys=(x0 + x1, x0 + x2)))
     # the degeneracy scan asks for T of single monomials; only the tuple counts
     calls = [(f, r) for f, r in calls if not isinstance(f, MeroFn)]
     assert [r for _, r in calls] == [row.r for row in rep.rows]
-    assert len(calls) == len(grid.points)
+    assert len(calls) == 5
 
 
 def test_exact_root_does_not_upgrade_to_the_neighbouring_root():

@@ -148,3 +148,48 @@ def test_one_home_for_circle_functionals():
             break
     else:
         raise AssertionError("nevanlinna.circle_average is gone")
+
+
+def test_every_check_takes_one_scenario():
+    """run_scenario finds each target's check by name, and every check reads
+    all it needs from its one Scenario argument."""
+    import inspect
+
+    from workbench import harness
+
+    for target, name in harness.CHECKS.items():
+        params = inspect.signature(getattr(harness, name)).parameters
+        assert list(params) == ["s"], (target, name, list(params))
+
+
+def _params_keys_read(tree: ast.AST) -> set[str]:
+    """String keys read from ``params`` or ``<x>.params``: subscripts, ``.get``
+    calls and ``in`` tests."""
+
+    def is_params(node):
+        return (isinstance(node, ast.Name) and node.id == "params") or (
+            isinstance(node, ast.Attribute) and node.attr == "params")
+
+    def key(node):
+        return node.value if isinstance(node, ast.Constant) and isinstance(node.value, str) else None
+
+    keys = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Subscript) and is_params(node.value):
+            keys.add(key(node.slice))
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and node.func.attr == "get" and is_params(node.func.value)):
+            keys.add(key(node.args[0]))
+        elif (isinstance(node, ast.Compare) and isinstance(node.ops[0], ast.In)
+              and is_params(node.comparators[0])):
+            keys.add(key(node.left))
+    return keys
+
+
+def test_scenario_parameters_are_the_ones_read():
+    """harness.PARAMS names exactly the keys the harness reads from a
+    scenario's params, each as a literal string."""
+    from workbench import harness
+
+    path = PACKAGE / "harness.py"
+    assert _params_keys_read(ast.parse(path.read_text(), str(path))) == harness.PARAMS
