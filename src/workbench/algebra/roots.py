@@ -11,6 +11,13 @@ root per disk.  So a bad seed can only make the attempt fail, never give a
 wrong disk; when it fails, or is not made, the simultaneous iteration
 ``mpmath.polyroots`` solves the factors at doubling precision instead.  The
 stored radius also covers the rounding of x to its float centre.
+
+Every root in Q(i) carries its exact value.  With denominators cleared a
+factor has a leading coefficient L in Z[i], and by Gauss's lemma over Z[i]
+its roots in Q(i) are g/L for Gaussian integers g.  Once the attempt
+certifies, each x is refined until |L| times its true radius (``_radii``)
+is below 1/2, so that g = round(L x) is the only candidate, and one exact
+evaluation decides it.
 """
 
 from __future__ import annotations
@@ -18,13 +25,12 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import mpmath
 import numpy as np
 
 from ..errors import EnclosureError, InternalContradiction, InvalidInput
-from .gaussrat import GaussRat
+from .gaussrat import GaussRat, int_pairs
 from .poly import SparsePoly
 from .squarefree import squarefree_decompose
 
@@ -47,15 +53,7 @@ class RootEnclosure:
     center: complex
     radius: float
     multiplicity: int
-    exact: GaussRat | None = None  # set when the root is known exactly
-
-    def contains_exact(self, c: GaussRat) -> bool:
-        """Whether the disk holds the exact value c: its float is tested with
-        the radius widened by the rounding |c - complex(c)|, rounded up."""
-        z = complex(c)
-        err = abs(c.re - Fraction(z.real)) + abs(c.im - Fraction(z.imag))
-        slack = math.nextafter(float(err), math.inf) if err else 0.0
-        return abs(z - self.center) <= self.radius + slack
+    exact: GaussRat | None = None  # the root when it is in Q(i), else None
 
 
 @dataclass(frozen=True)
@@ -107,6 +105,39 @@ def _newton(cm, dm, z, dps: int):
     return z
 
 
+def _level(coeffs: list[GaussRat]):
+    """p and p' at the working precision, and the float |c_k| of each."""
+    cm = [_to_mpc(c) for c in coeffs]
+    dm = [cm[i] * i for i in range(1, len(cm))]
+    return cm, dm, ([abs(complex(c)) for c in cm], [abs(complex(c)) for c in dm])
+
+
+def _size(coeffs, mags, r):
+    """sum |c_k| r^k: in floats from ``mags`` = [|c_k|], or at the working
+    precision when floats overflow."""
+    acc, rf = 0.0, float(r)
+    for m in reversed(mags):
+        acc = acc * rf + m
+    return acc if math.isfinite(acc) else _horner([abs(c) for c in coeffs], r).real
+
+
+def _radii(cm, dm, z, mags):
+    """(radius, true radius) about z.  A disk of radius deg(p) |p(z)/p'(z)|
+    holds a root of p if p(z) and p'(z) are exact; the true radius also
+    covers the rounding of the coefficients and of Horner's rule at the
+    working precision (infinite when p'(z) may vanish).  ``mags`` are the
+    float |c_k| of p and of p'."""
+    n = len(cm) - 1
+    dv = _horner(dm, z)
+    if dv == 0:
+        raise EnclosureError("derivative vanished at an approximate root")
+    pv = _horner(cm, z)
+    u = 16 * (n + 1) * mpmath.mp.eps
+    slack = abs(dv) - u * _size(dm, mags[1], abs(z))
+    true_rad = n * (abs(pv) + u * _size(cm, mags[0], abs(z))) / slack if slack > 0 else mpmath.inf
+    return n * abs(pv / dv), true_rad
+
+
 def _seeded_roots(coeffs: list[GaussRat], cm, dm, dps: int):
     """Approximate roots from ``np.roots`` seeds refined by Newton.
 
@@ -147,15 +178,14 @@ def _solve_squarefree(coeffs: list[GaussRat], dps: int, seeded: bool):
 
     The approximate roots come from float seeds (``seeded``) or from
     ``mpmath.polyroots``; either way a final Newton step gives the
-    high-precision root.  Returns (centre, radius, stored radius) per root:
-    the float centre, the enclosure radius about the high-precision root and
-    that radius widened by the distance to the centre, rounded up, so the
-    disk about the centre contains the root.
+    high-precision root.  Returns (centre, radius, stored radius, root, true
+    radius) per root: the float centre, the enclosure radius about the
+    high-precision root, that radius widened by the distance to the centre,
+    rounded up, so the disk about the centre contains the root, and the
+    high-precision root with its true radius (``_radii``).
     """
-    deg = len(coeffs) - 1
     with mpmath.workdps(dps):
-        cm = [_to_mpc(c) for c in coeffs]
-        dm = [cm[i] * i for i in range(1, len(cm))]
+        cm, dm, mags = _level(coeffs)
         if seeded:
             approx = _seeded_roots(coeffs, cm, dm, dps)
         else:
@@ -166,15 +196,41 @@ def _solve_squarefree(coeffs: list[GaussRat], dps: int, seeded: bool):
         out = []
         for r in approx:
             z = _newton(cm, dm, mpmath.mpc(r), dps)
-            pv = _horner(cm, z)
-            dv = _horner(dm, z)
-            if dv == 0:
-                raise EnclosureError("derivative vanished at an approximate root")
-            rad = deg * abs(pv / dv)
+            rad, true_rad = _radii(cm, dm, z, mags)
             center = complex(z)
             honest = float(rad + abs(z - mpmath.mpc(center)))
-            out.append((center, float(rad), math.nextafter(honest, math.inf)))
+            out.append((center, float(rad), math.nextafter(honest, math.inf), z, true_rad))
         return out
+
+
+def _gaussian_rational(p: SparsePoly, coeffs: list[GaussRat], lead: tuple[int, int], z, rad,
+                       dps: int) -> GaussRat | None:
+    """The root of the squarefree ``p`` within the true radius ``rad`` of its
+    high-precision root z (found at ``dps`` digits) if it is in Q(i), else
+    None; ``lead`` is L = a + bi as (a, b).  While |L| rad >= 1/2, z is
+    refined by Newton at doubling precision, each disk inside the last; then
+    g = round(L z) is the only candidate, and the root is g/L if that lies
+    in the disk and p(g/L) = 0."""
+    while True:
+        with mpmath.workdps(dps):
+            L = mpmath.mpc(*lead)
+            if abs(L) * rad < 0.5:
+                w = L * z
+                g = mpmath.mpc(mpmath.nint(w.real), mpmath.nint(w.imag))
+                if abs(w - g) > abs(L) * rad:  # g/L is outside the disk
+                    return None
+                root = GaussRat(int(g.real), int(g.imag)) / GaussRat(*lead)
+                return None if p.eval_exact([root]) else root
+        dps *= 2
+        if dps > _ATTEMPTS[-1][0]:
+            raise EnclosureError(f"an exactness test needs more than {_ATTEMPTS[-1][0]} digits")
+        with mpmath.workdps(dps):
+            cm, dm, mags = _level(coeffs)
+            fine = _newton(cm, dm, z, dps)
+            fine_rad = _radii(cm, dm, fine, mags)[1]
+            if abs(fine - z) + fine_rad > rad:
+                raise EnclosureError("a refined root left its disk")
+        z, rad = fine, fine_rad
 
 
 @functools.lru_cache(maxsize=1024)
@@ -186,12 +242,14 @@ def roots_certified(f: SparsePoly) -> AlgebraicRoots:
     contain exactly one root of that factor: the root is within
     ``ENCLOSURE_RADIUS`` of its high-precision approximation, and the
     stored radius adds the rounding of that approximation to the float
-    centre.  Linear factors produce exact enclosures of radius
-    zero.  A centre is 0 exactly when its root is 0, the one root that is
-    peeled structurally; a nonzero root whose centre underflows to 0 raises
-    InvalidInput.  Raises EnclosureError (carrying the best enclosures) if that
-    radius or disk disjointness cannot be reached.  Results are cached per
-    polynomial, so all callers share one solve; an error is never cached.
+    centre.  Every root in Q(i) is an exact enclosure of radius zero, so
+    ``exact`` is None only for a root outside Q(i).  A centre is 0 exactly
+    when its root is 0, the one root that is peeled structurally; a nonzero
+    root whose centre underflows to 0 raises InvalidInput.  Raises
+    EnclosureError (carrying the best enclosures) if that radius, the
+    exactness test's or disk disjointness cannot be reached.  Results are
+    cached per polynomial, so all callers share one solve; an error is never
+    cached.
     """
     if not f:
         raise ValueError("cannot isolate roots of the zero polynomial")
@@ -206,30 +264,33 @@ def roots_certified(f: SparsePoly) -> AlgebraicRoots:
     if f.is_constant():
         return AlgebraicRoots(original, tuple(enclosures))
     factors = squarefree_decompose(f)
-    pending: list[tuple[list[GaussRat], int]] = []
+    # (factor, coefficients, multiplicity, leading coefficient in Z[i] as a pair)
+    pending: list[tuple[SparsePoly, list[GaussRat], int, tuple[int, int]]] = []
     for p, mult in factors:
         coeffs = _univar_coeffs(p)
         if len(coeffs) == 2:
             root = -coeffs[0] / coeffs[1]
             enclosures.append(RootEnclosure(complex(root), 0.0, mult, exact=root))
         elif len(coeffs) > 2:
-            pending.append((coeffs, mult))
+            pending.append((p, coeffs, mult, int_pairs(coeffs)[1][-1]))
 
-    top = max((len(c) - 1 for c, _ in pending), default=0)
+    top = max((len(c) - 1 for _, c, _, _ in pending), default=0)
     best: list[RootEnclosure] | None = None
     for dps, seeded in _ATTEMPTS:
         if seeded and top < _MIN_SEEDED_DEGREE:
             continue
         numeric: list[RootEnclosure] = []
+        solved = []  # (factor, coefficients, L, high-precision root, true radius, dps)
         ok = True
         try:
-            for coeffs, mult in pending:
-                for center, rad, stored in _solve_squarefree(coeffs, dps, seeded):
+            for p, coeffs, mult, lead in pending:
+                for center, rad, stored, z, true_rad in _solve_squarefree(coeffs, dps, seeded):
                     if rad > ENCLOSURE_RADIUS:
                         ok = False
                     numeric.append(
                         RootEnclosure(center, max(stored, _MIN_NUMERIC_RADIUS), mult)
                     )
+                    solved.append((p, coeffs, lead, z, true_rad, dps))
         except EnclosureError:
             if not seeded:
                 raise
@@ -237,11 +298,15 @@ def roots_certified(f: SparsePoly) -> AlgebraicRoots:
         candidate = enclosures + numeric
         if ok and _pairwise_disjoint(candidate):
             total = sum(r.multiplicity for r in candidate)
-            expected = sum((len(c) - 1) * m for c, m in pending) + sum(
+            expected = sum((len(c) - 1) * m for _, c, m, _ in pending) + sum(
                 r.multiplicity for r in enclosures
             )
             if total != expected:
                 raise InternalContradiction("root count does not match degree")
+            exact = [_gaussian_rational(*args) for args in solved]
+            candidate = enclosures + [
+                d if r is None else RootEnclosure(complex(r), 0.0, d.multiplicity, r)
+                for d, r in zip(numeric, exact)]
             if any(r.center == 0 and r.exact != 0 for r in candidate):
                 raise InvalidInput("a nonzero root's float centre underflows to 0")
             ordered = tuple(

@@ -220,22 +220,16 @@ class ExpSumFn:
         alpha = complex(D.coeffs_in(0)[1].constant_value())
         beta_exact = D.coeffs_in(0)[0].constant_value()
         beta = complex(beta_exact)
-        one = GaussRat(1)
-        one_is_root = not poly_w.eval_exact([one])
         newton = None  # the squarefree part's coefficients and derivative at 30 digits
         out = []
         for root in roots_certified(poly_w).roots:
-            if root.exact is not None and not root.exact:
+            if root.exact == 0:
                 continue  # w = 0 has no preimage under the unit
-            # the disks are disjoint, so the one holding the root 1 is exactly 1
-            w0_is_one = one_is_root and root.contains_exact(one)
-            if w0_is_one:
-                w0log = 0j
-            elif root.exact is not None:
+            if root.exact is not None:
                 # log1p of the exact w0 - 1 keeps log w0 to full relative
                 # accuracy near w0 = 1, where the float centre cancels
                 with mpmath.workdps(30):
-                    w0log = complex(mpmath.log1p(_to_mpc(root.exact - one)))
+                    w0log = complex(mpmath.log1p(_to_mpc(root.exact - 1)))
             else:
                 # the same from w0 refined to 30 digits: Newton on the
                 # squarefree part, where the root is simple, from the centre
@@ -249,7 +243,7 @@ class ExpSumFn:
                 z = (w0log + 2j * math.pi * k - beta) / alpha
                 # the origin is beta = 0, w0 = 1 and k = 0 exactly: e^beta is
                 # transcendental for algebraic beta != 0 (Lindemann-Weierstrass)
-                if z == 0 and (beta_exact or not w0_is_one or k):
+                if z == 0 and (beta_exact or root.exact != 1 or k):
                     raise InvalidInput("a nonzero lattice zero underflows to 0")
                 if abs(z) <= r:
                     out.append((z, root.multiplicity))

@@ -331,12 +331,8 @@ class BetaValue:
                          _reciprocal_enclosure(self.enclosure))
 
     def matches_constant(self, c: GaussRat) -> bool:
-        """Exact vanishing test plus enclosure containment."""
-        if not c:
-            return False
-        if self.defining_poly.eval_exact([c]):
-            return False
-        return self.enclosure.contains_exact(c)
+        """Whether beta is exactly c; an irrational beta matches no constant."""
+        return self.enclosure.exact == c
 
 
 @dataclass(frozen=True)
@@ -488,8 +484,9 @@ def build_W(G: SparsePoly, ell2: int | None = None,
     every assignment of coordinates to the chart roles (base coordinate and
     the ordered pair), collects monomial-relation curves for each
     exceptional value, adds the chart top-form lines and the coordinate
-    lines, and deduplicates; dedup keys are exact (defining polynomial plus
-    root) with an enclosure-overlap merge pass across distinct polynomials.
+    lines, and deduplicates; dedup keys are exact for a rational beta and
+    its centre rounded to 9 digits for an irrational one, and a merge pass
+    across distinct polynomials compares exact values exactly.
     When ``ell2`` is omitted it defaults to twice the working degree chosen
     for ``eps``.  G is validated once; a permutation of the variables keeps
     every hypothesis, so the charts are not validated again.
@@ -535,8 +532,16 @@ def _exact_key(c: CurveSpec, oriented) -> tuple:
     if oriented is None:
         return ("coord", c.coord_index)
     e, beta = oriented
-    return ("rel", e, beta.defining_poly,
-            (round(beta.enclosure.center.real, 9), round(beta.enclosure.center.imag, 9)))
+    r = beta.enclosure
+    value = r.exact if r.exact is not None else (round(r.center.real, 9), round(r.center.imag, 9))
+    return ("rel", e, beta.defining_poly, value)
+
+
+def _same_beta(a: RootEnclosure, b: RootEnclosure) -> bool:
+    """Equal exact values, or overlapping disks of two irrational betas."""
+    if a.exact is not None or b.exact is not None:
+        return a.exact == b.exact
+    return abs(a.center - b.center) <= a.radius + b.radius
 
 
 def _dedup(curves: list[CurveSpec]) -> tuple[CurveSpec, ...]:
@@ -548,9 +553,9 @@ def _dedup(curves: list[CurveSpec]) -> tuple[CurveSpec, ...]:
         key = _exact_key(c, oriented)
         prev = by_exact.get(key)
         by_exact[key] = (c, oriented) if prev is None else (_merge(prev[0], c), prev[1])
-    # second pass: merge enclosure-overlapping relations with the same
-    # oriented exponents but different defining polynomials; only curves in
-    # one exponent group can merge, and each group keeps the pass order
+    # second pass: merge relations with the same oriented exponents and the
+    # same beta (_same_beta) but different defining polynomials; only curves
+    # in one exponent group can merge, and each group keeps the pass order
     result: list[CurveSpec] = []
     groups: dict[tuple[int, int, int], list[tuple[int, RootEnclosure]]] = {}
     for c, oriented in by_exact.values():
@@ -561,7 +566,7 @@ def _dedup(curves: list[CurveSpec]) -> tuple[CurveSpec, ...]:
         rb = beta.enclosure
         group = groups.setdefault(e, [])
         for i, ra in group:
-            if abs(ra.center - rb.center) <= ra.radius + rb.radius:
+            if _same_beta(ra, rb):
                 result[i] = _merge(result[i], c)
                 break
         else:

@@ -172,9 +172,23 @@ def fit_log_slope(points: list[tuple[float, float]]) -> float:
 # (r_min, r_max, count) of the log-spaced grid when a scenario sets no "grid"
 _DEFAULT_GRID = (2.0, 200.0, 21)
 
-# every key a scenario's "params" may set; scenario_from_doc refuses the rest
-PARAMS = frozenset({"eps", "ell", "ell2", "grid", "r_pass", "log_allowance", "trunc",
-                    "scan_cap", "simple_zeros"})
+
+def _grid_param(value) -> tuple[float, float, int]:
+    rmin, rmax, count = value
+    return float(rmin), float(rmax), int(count)
+
+
+def _allowance_param(value) -> tuple[Fraction, Fraction]:
+    c, c0 = value
+    return Fraction(str(c)), Fraction(str(c0))
+
+
+# the conversion the checks apply to each key a scenario's "params" may set;
+# scenario_from_doc refuses other keys and the values a conversion rejects
+_PARAM_TYPES = {"eps": Fraction, "ell": int, "ell2": int, "trunc": int, "scan_cap": int,
+                "r_pass": float, "grid": _grid_param, "log_allowance": _allowance_param,
+                "simple_zeros": bool}
+PARAMS = frozenset(_PARAM_TYPES)
 
 # target -> name of its check in this module; run_scenario looks the name up
 # when it is called, so a wrapper bound to the module attribute sees the call
@@ -203,8 +217,8 @@ class Scenario:
         return Fraction(self.params.get("eps", "1/10"))
 
     def allowance(self) -> tuple[float, float]:
-        c, c0 = self.params.get("log_allowance", ("1", "0"))
-        return float(Fraction(str(c))), float(Fraction(str(c0)))
+        c, c0 = _allowance_param(self.params.get("log_allowance", ("1", "0")))
+        return float(c), float(c0)
 
 
 def _component_from_doc(doc) -> MeroFn:
@@ -232,6 +246,11 @@ def scenario_from_doc(doc: dict) -> Scenario:
     unknown = sorted(set(params) - PARAMS)
     if unknown:
         raise InvalidInput(f"unknown scenario parameters {', '.join(map(repr, unknown))}")
+    for key, value in params.items():
+        try:
+            _PARAM_TYPES[key](value)
+        except (TypeError, ValueError, ZeroDivisionError) as exc:
+            raise InvalidInput(f"malformed scenario parameter {key!r} = {value!r}: {exc}") from exc
     curve = tuple(_component_from_doc(c) for c in doc.get("curve", []))
     coeffs = tuple(_component_from_doc(c) for c in doc.get("coeffs", []))
     poly = serialize.poly_from_doc(doc["poly"]) if "poly" in doc else None
@@ -264,8 +283,7 @@ def _gated_grid(s: Scenario, fns) -> tuple[tuple[float, ...], float]:
     """The scenario's radii nudged off the divisors of ``fns``, and the radius
     from which rows are gated: ``params["r_pass"]``, by default the geometric
     midpoint sqrt(r_min * r_max) of the nudged radii."""
-    rmin, rmax, count = s.params.get("grid", _DEFAULT_GRID)
-    grid = RadiusGrid.log_spaced(float(rmin), float(rmax), int(count))
+    grid = RadiusGrid.log_spaced(*_grid_param(s.params.get("grid", _DEFAULT_GRID)))
     points = grid.perturbed_for(fns).points
     if "r_pass" in s.params:
         return points, float(s.params["r_pass"])
@@ -582,20 +600,6 @@ def smt_instance_check(s: Scenario) -> MarginReport:
 # exceptional-set witness generator
 # ---------------------------------------------------------------------------
 
-def _exact_root(beta) -> GaussRat | None:
-    """Try to upgrade an enclosure to an exact Gaussian rational root."""
-    if beta.enclosure.exact is not None:
-        return beta.enclosure.exact
-    c = beta.enclosure.center
-    for den in (1, 2, 3, 4, 6, 8, 12, 16):
-        cand = GaussRat(
-            Fraction(round(c.real * den), den), Fraction(round(c.imag * den), den)
-        )
-        if not beta.defining_poly.eval_exact([cand]) and beta.enclosure.contains_exact(cand):
-            return cand
-    return None
-
-
 def _perp_directions(e: tuple[int, int, int]) -> list[tuple[int, int, int]]:
     """Integer directions perpendicular to e, both orientations.
 
@@ -649,14 +653,15 @@ def witness_curves(spec: CurveSpec, count: int = 3,
     """Monomial curves t -> (c_i t^{k_i}) lying exactly on a relation curve.
 
     Returns up to ``count`` witnesses, or an empty list when the relation
-    value has no exact Gaussian-rational representative.  With
+    value beta is not a Gaussian rational (its enclosure has no exact
+    value).  With
     ``require_form`` only witnesses whose composition with the form is
     non-constant are kept (the generic parameterizations).
     """
     if spec.kind == "coordinate-line":
         z = SparsePoly.variable(0, 1)
         return [(MeroFn.constant(0), MeroFn.from_poly(z), MeroFn.constant(1))][:count]
-    beta = _exact_root(spec.beta)
+    beta = spec.beta.enclosure.exact
     if beta is None:
         return []
     e = spec.exponents

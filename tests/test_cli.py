@@ -98,3 +98,20 @@ def test_exset_refuses_an_enumeration_that_cannot_finish(tmp_path, capsys):
     assert code == 2
     assert "19,347 chart solves" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("name, key, value", [
+    ("gcd_bound_units.json", "grid", [5.0, 200.0]),
+    ("gcd_bound_units.json", "scan_cap", "x"),
+    ("gcd_bound_units.json", "eps", "a/b"),
+    ("smt_lines.json", "ell", "two"),
+    ("smt_lines.json", "trunc", "x"),
+    ("smt_lines.json", "r_pass", "far"),
+])
+def test_verify_refuses_a_malformed_parameter(tmp_path, capsys, name, key, value):
+    doc = json.loads((shipped_scenario_dir() / name).read_text())
+    doc["params"][key] = value
+    path = tmp_path / name
+    path.write_text(json.dumps(doc))
+    assert main(["verify", "--scenario", str(path)]) == 2
+    assert f"error: malformed scenario parameter {key!r}" in capsys.readouterr().err

@@ -10,9 +10,12 @@ import sympy
 from workbench import exset
 from workbench.algebra.gaussrat import GaussRat
 from workbench.algebra.poly import SparsePoly
+from workbench.algebra.roots import roots_certified
 from workbench.errors import InvalidInput
 from workbench.exset import (
     BetaValue,
+    CurveSpec,
+    Provenance,
     beta_loci,
     build_W,
     delta_lines,
@@ -400,3 +403,26 @@ def test_matches_constant_rejects_the_neighbouring_root():
     beta = BetaValue(f, near_one)
     assert beta.matches_constant(GaussRat(1))
     assert not beta.matches_constant(GaussRat(1) + gap)
+
+
+def test_dedup_keeps_exact_betas_apart_and_merges_equal_ones():
+    # beta = 1 and beta = 1 + 10^-10 of one polynomial agree to 9 digits;
+    # 1 + 10^-20 of another polynomial has the float centre 1.0 and a
+    # radius-0 disk that touches the disk of 1; z^2 - 1 has the root 1 itself
+    z = SparsePoly.variable(0, 1)
+    f, gap, near_one, near_other = two_close_roots()
+    big = GaussRat(10**20)
+    g = big * z - (big + 1)
+    h = z**2 - 1
+    betas = [BetaValue(f, near_one), BetaValue(f, near_other),
+             BetaValue(g, roots_certified(g).roots[0]),
+             BetaValue(h, next(d for d in roots_certified(h).roots if d.exact == 1))]
+    assert betas[2].enclosure.center == 1.0 and betas[2].enclosure.radius == 0.0
+    curves = [CurveSpec(kind="monomial-relation", exponents=(-1, 1, 0), beta=beta,
+                        provenance=(Provenance(pair=None, perm=None, locus="alpha",
+                                               root_index=i),))
+              for i, beta in enumerate(betas)]
+    merged = exset._dedup(curves)
+    assert len(merged) == 3
+    assert {c.beta.enclosure.exact: len(c.provenance) for c in merged} == \
+        {1: 2, 1 + gap: 1, 1 + GaussRat(Fraction(1, 10**20)): 1}

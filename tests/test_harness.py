@@ -4,10 +4,12 @@ from fractions import Fraction
 import pytest
 
 from workbench import harness
+from workbench.algebra.gaussrat import GaussRat
 from workbench.algebra.poly import SparsePoly
+from workbench.algebra.roots import roots_certified
 from workbench.errors import InvalidInput
 from workbench.expsum import ExpSumFn
-from workbench.exset import BetaValue, build_W
+from workbench.exset import BetaValue, CurveSpec, build_W
 from workbench.harness import (
     borel_check,
     fit_log_slope,
@@ -359,9 +361,37 @@ def test_gcd_bound_computes_curve_characteristic_once_per_radius(monkeypatch):
     assert len(calls) == 5
 
 
+def _relation_value(curve, exponents):
+    """prod g_i^e_i of a curve on [x^e = beta x^e'], which is the constant beta."""
+    acc = MeroFn.constant(1)
+    for g, e in zip(curve, exponents):
+        acc = acc * g**e if e >= 0 else acc / g ** (-e)
+    assert acc.is_constant() and not acc.exp_part
+    return acc.constant_value()
+
+
+def _witnesses_on(f, disk, exponents=(-1, 1, 0)):
+    spec = CurveSpec(kind="monomial-relation", exponents=exponents, beta=BetaValue(f, disk))
+    return witness_curves(spec)
+
+
 def test_exact_root_does_not_upgrade_to_the_neighbouring_root():
-    # the disk about 1 + 10^-10 holds no small-denominator root, though 1 is
-    # a root of its defining polynomial
-    f, _, near_one, near_other = two_close_roots()
-    assert harness._exact_root(BetaValue(f, near_one)) == 1
-    assert harness._exact_root(BetaValue(f, near_other)) is None
+    # the two roots of (z - 1)(z - 1 - 10^-10) agree to 9 digits; each disk
+    # carries its own exact value, and the witnesses lie on their own beta
+    f, gap, near_one, near_other = two_close_roots()
+    assert near_one.exact == 1 and near_other.exact == 1 + gap
+    for disk in (near_one, near_other):
+        wits = _witnesses_on(f, disk)
+        assert wits and all(_relation_value(w, (-1, 1, 0)) == disk.exact for w in wits)
+
+
+@pytest.mark.parametrize("f, beta", [
+    (25 * z() ** 2 + 5 * z() - 2, GaussRat(Fraction(1, 5))),
+    (5 * z() ** 3 - GaussRat(1, 2) * z() ** 2 + 5 * z() - GaussRat(1, 2),
+     GaussRat(Fraction(1, 5), Fraction(2, 5))),
+])
+def test_witnesses_for_a_beta_with_denominator_five(f, beta):
+    (disk,) = [d for d in roots_certified(f).roots if d.exact == beta]
+    wits = _witnesses_on(f, disk, (-2, 1, 1))
+    assert len(wits) == 3
+    assert all(_relation_value(w, (-2, 1, 1)) == beta for w in wits)

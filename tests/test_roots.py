@@ -120,6 +120,71 @@ def test_disks_contain_their_roots_after_rounding(rng):
                 assert disk.exact is not None or _holds_a_root(disk, mp_roots), (f, disk)
 
 
+# -- exact roots -----------------------------------------------------------------
+
+I = GaussRat(0, 1)
+# irreducible over Q(i), so no root in Q(i); x^2 + 1 is left out: it is (x - i)(x + i)
+QUADRATICS = (t() ** 2 - 3, t() ** 2 - 7, t() ** 2 + t() + 1)
+
+
+def _exact_roots(f) -> dict:
+    """{exact value: multiplicity} over the disks, checking that every exact
+    disk is the point at its value's float."""
+    out = {}
+    for d in roots_certified(f).roots:
+        if d.exact is not None:
+            assert d.radius == 0.0 and d.center == complex(d.exact), d
+            out[d.exact] = d.multiplicity
+    return out
+
+
+def test_exact_on_exactly_the_gaussian_rational_roots():
+    rng = random.Random(20261019)
+    for draw in range(20):
+        # two draws have a factor of degree >= 17, solved from float seeds;
+        # smaller denominators keep their squarefree step short
+        seeded = draw in (9, 19)
+        count, top = (16, 10**3) if seeded else (rng.randrange(1, 5), 10**6)
+        values = {}
+        while len(values) < count:
+            den = rng.randrange(1, top + 1)
+            v = GaussRat(Fraction(rng.randrange(-3 * den, 3 * den + 1), den),
+                         Fraction(rng.randrange(-3 * den, 3 * den + 1), den))
+            values[v] = 1 if seeded else rng.choice((1, 1, 1, 2))
+        f = SparsePoly.constant(GaussRat(rng.randrange(1, 9), rng.randrange(-3, 4)), 1)
+        for v, m in values.items():
+            f = f * _linear(v) ** m
+        irrational = 0
+        for q in rng.sample(QUADRATICS, rng.randrange(1, 3)):
+            m = rng.choice((1, 1, 2))
+            f, irrational = f * q**m, irrational + 2 * m
+        got = roots_certified(f).roots
+        assert _exact_roots(f) == values, f
+        assert sum(d.multiplicity for d in got if d.exact is None) == irrational
+
+
+@pytest.mark.parametrize("f, values, irrational", [
+    (t() ** 2 - 1, {1: 1, -1: 1}, 0),
+    (25 * t() ** 2 + 5 * t() - 2, {GaussRat(Fraction(1, 5)): 1, GaussRat(Fraction(-2, 5)): 1}, 0),
+    (5 * t() ** 3 - (1 + 2 * I) * t() ** 2 + 5 * t() - (1 + 2 * I),
+     {I: 1, -I: 1, GaussRat(Fraction(1, 5), Fraction(2, 5)): 1}, 0),
+    # the float centre of 1 + 10^-20 is 1.0
+    ((10**20 * t() - (10**20 + 1)) * (t() ** 2 - 3), {1 + GaussRat(Fraction(1, 10**20)): 1}, 2),
+    # 1 + 10^-60 is decided only at 80 digits
+    ((10**60 * t() - (10**60 + 1)) * (t() ** 2 - 3), {1 + GaussRat(Fraction(1, 10**60)): 1}, 2),
+])
+def test_exact_roots_of_named_polynomials(f, values, irrational):
+    assert _exact_roots(f) == values
+    assert sum(d.multiplicity for d in roots_certified(f).roots if d.exact is None) == irrational
+
+
+def test_exactness_beyond_the_precision_ladder_is_refused():
+    # |L| * radius < 1/2 needs about 700 digits, past the last attempt's
+    big = GaussRat(10**700)
+    with pytest.raises(EnclosureError, match="exactness test needs more than 640 digits"):
+        roots_certified((big * t() - (big + 1)) * (t() ** 2 - 3))
+
+
 # -- float-seeded path ---------------------------------------------------------
 
 UNITS = (GaussRat(1), GaussRat(-1), GaussRat(0, 1), GaussRat(0, -1))
