@@ -15,9 +15,10 @@ stored radius also covers the rounding of x to its float centre.
 Every root in Q(i) carries its exact value.  With denominators cleared a
 factor has a leading coefficient L in Z[i], and by Gauss's lemma over Z[i]
 its roots in Q(i) are g/L for Gaussian integers g.  Once the attempt
-certifies, each x is refined until |L| times its true radius (``_radii``)
-is below 1/2, so that g = round(L x) is the only candidate, and one exact
-evaluation decides it.
+certifies, an x whose true radius (``_radii``) times |L| is 1/2 or more is
+refined at the last attempt's precision; then g = round(L x) is the only
+candidate, and one exact evaluation decides it.  Two roots given one exact
+value leave the attempt uncertified.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from dataclasses import dataclass
 
 import mpmath
 import numpy as np
+from mpmath.libmp import mpc_add, mpc_mul
 
 from ..errors import EnclosureError, InternalContradiction, InvalidInput
 from .gaussrat import GaussRat, int_pairs
@@ -84,10 +86,14 @@ def _to_mpc(c: GaussRat) -> mpmath.mpc:
 
 
 def _horner(coeffs_mpc, z):
-    acc = mpmath.mpc(0)
-    for c in reversed(coeffs_mpc):
-        acc = acc * z + c
-    return acc
+    """p(z) by Horner's rule on mpmath's raw tuples: each step rounds at the
+    working precision exactly as ``acc * z + c`` on mpc values does, without
+    building an mpc per operation (the hot loop of every solve)."""
+    prec, rnd = mpmath.mp._prec_rounding
+    w, acc = z._mpc_, (+coeffs_mpc[-1])._mpc_
+    for c in reversed(coeffs_mpc[:-1]):
+        acc = mpc_add(mpc_mul(acc, w, prec, rnd), c._mpc_, prec, rnd)
+    return mpmath.mp.make_mpc(acc)
 
 
 def _newton(cm, dm, z, dps: int):
@@ -106,36 +112,29 @@ def _newton(cm, dm, z, dps: int):
 
 
 def _level(coeffs: list[GaussRat]):
-    """p and p' at the working precision, and the float |c_k| of each."""
+    """p and p' at the working precision, and u N with N >= sum |c_k| of p
+    and u = 16 (deg + 1) eps, which bounds the rounding of the coefficients
+    and of Horner's rule (``_radii``)."""
     cm = [_to_mpc(c) for c in coeffs]
     dm = [cm[i] * i for i in range(1, len(cm))]
-    return cm, dm, ([abs(complex(c)) for c in cm], [abs(complex(c)) for c in dm])
+    return cm, dm, 16 * len(cm) * mpmath.mp.eps * sum(abs(c.real) + abs(c.imag) for c in cm)
 
 
-def _size(coeffs, mags, r):
-    """sum |c_k| r^k: in floats from ``mags`` = [|c_k|], or at the working
-    precision when floats overflow."""
-    acc, rf = 0.0, float(r)
-    for m in reversed(mags):
-        acc = acc * rf + m
-    return acc if math.isfinite(acc) else _horner([abs(c) for c in coeffs], r).real
-
-
-def _radii(cm, dm, z, mags):
+def _radii(cm, dm, rounding, z):
     """(radius, true radius) about z.  A disk of radius deg(p) |p(z)/p'(z)|
     holds a root of p if p(z) and p'(z) are exact; the true radius also
-    covers the rounding of the coefficients and of Horner's rule at the
-    working precision (infinite when p'(z) may vanish).  ``mags`` are the
-    float |c_k| of p and of p'."""
+    covers their rounding at the working precision, at most ``rounding``
+    R^deg for p and deg ``rounding`` R^(deg-1) for p', with R = max(1, |z|)
+    (infinite when p'(z) may vanish)."""
     n = len(cm) - 1
     dv = _horner(dm, z)
     if dv == 0:
         raise EnclosureError("derivative vanished at an approximate root")
     pv = _horner(cm, z)
-    u = 16 * (n + 1) * mpmath.mp.eps
-    slack = abs(dv) - u * _size(dm, mags[1], abs(z))
-    true_rad = n * (abs(pv) + u * _size(cm, mags[0], abs(z))) / slack if slack > 0 else mpmath.inf
-    return n * abs(pv / dv), true_rad
+    apv, adv, r = abs(pv), abs(dv), max(1, abs(z))
+    err = rounding * r ** (n - 1)
+    true_rad = n * (apv + err * r) / (adv - n * err) if adv > n * err else mpmath.inf
+    return n * apv / adv, true_rad
 
 
 def _seeded_roots(coeffs: list[GaussRat], cm, dm, dps: int):
@@ -185,7 +184,7 @@ def _solve_squarefree(coeffs: list[GaussRat], dps: int, seeded: bool):
     high-precision root with its true radius (``_radii``).
     """
     with mpmath.workdps(dps):
-        cm, dm, mags = _level(coeffs)
+        cm, dm, rounding = _level(coeffs)
         if seeded:
             approx = _seeded_roots(coeffs, cm, dm, dps)
         else:
@@ -196,41 +195,44 @@ def _solve_squarefree(coeffs: list[GaussRat], dps: int, seeded: bool):
         out = []
         for r in approx:
             z = _newton(cm, dm, mpmath.mpc(r), dps)
-            rad, true_rad = _radii(cm, dm, z, mags)
+            rad, true_rad = _radii(cm, dm, rounding, z)
             center = complex(z)
             honest = float(rad + abs(z - mpmath.mpc(center)))
             out.append((center, float(rad), math.nextafter(honest, math.inf), z, true_rad))
         return out
 
 
-def _gaussian_rational(p: SparsePoly, coeffs: list[GaussRat], lead: tuple[int, int], z, rad,
-                       dps: int) -> GaussRat | None:
+def _gaussian_rational(p: SparsePoly, coeffs: list[GaussRat], lead: tuple[int, int], z,
+                       rad) -> GaussRat | None:
     """The root of the squarefree ``p`` within the true radius ``rad`` of its
-    high-precision root z (found at ``dps`` digits) if it is in Q(i), else
-    None; ``lead`` is L = a + bi as (a, b).  While |L| rad >= 1/2, z is
-    refined by Newton at doubling precision, each disk inside the last; then
-    g = round(L z) is the only candidate, and the root is g/L if that lies
-    in the disk and p(g/L) = 0."""
-    while True:
-        with mpmath.workdps(dps):
-            L = mpmath.mpc(*lead)
-            if abs(L) * rad < 0.5:
-                w = L * z
-                g = mpmath.mpc(mpmath.nint(w.real), mpmath.nint(w.imag))
-                if abs(w - g) > abs(L) * rad:  # g/L is outside the disk
-                    return None
-                root = GaussRat(int(g.real), int(g.imag)) / GaussRat(*lead)
-                return None if p.eval_exact([root]) else root
-        dps *= 2
-        if dps > _ATTEMPTS[-1][0]:
-            raise EnclosureError(f"an exactness test needs more than {_ATTEMPTS[-1][0]} digits")
-        with mpmath.workdps(dps):
-            cm, dm, mags = _level(coeffs)
-            fine = _newton(cm, dm, z, dps)
-            fine_rad = _radii(cm, dm, fine, mags)[1]
-            if abs(fine - z) + fine_rad > rad:
-                raise EnclosureError("a refined root left its disk")
-        z, rad = fine, fine_rad
+    high-precision root z if it is in Q(i), else None; ``lead`` is L = a + bi
+    as (a, b).  When |L| rad >= 1/2, z is first refined by Newton at the
+    ladder's last precision, and the refined disk must lie inside the first.
+    Then g = round(L z) is the only candidate, and the root is g/L if that
+    lies in the disk and p(g/L) = 0."""
+    a, b = lead
+    size2 = a * a + b * b  # |L|^2
+    if size2 * rad**2 >= 0.25:
+        top = _ATTEMPTS[-1][0]
+        with mpmath.workdps(top):
+            cm, dm, rounding = _level(coeffs)
+            fine = _newton(cm, dm, z, top)
+            fine_rad = _radii(cm, dm, rounding, fine)[1]
+            if abs(fine - z) + fine_rad > rad or size2 * fine_rad**2 >= 0.25:
+                raise EnclosureError(f"an exactness test needs more than {top} digits")
+        return _gaussian_rational(p, coeffs, lead, fine, fine_rad)
+    # z and rad as integers x, y, m over one power of two 2^s, so that the
+    # disk test is exact
+    parts = (z.real, z.imag, rad)
+    s = max(0, -min(v.exp for v in parts))
+    x, y, m = (int(mpmath.ldexp(v, s)) for v in parts)
+    wr, wi = a * x - b * y, a * y + b * x  # L z times 2^s
+    gr, gi = ((2 * w + (1 << s)) >> (s + 1) for w in (wr, wi))  # g = round(L z)
+    dr, di = wr - (gr << s), wi - (gi << s)
+    if dr * dr + di * di > size2 * m * m:  # g/L is outside the disk
+        return None
+    root = GaussRat(gr, gi) / GaussRat(a, b)
+    return None if p.eval_exact([root]) else root
 
 
 @functools.lru_cache(maxsize=1024)
@@ -280,7 +282,7 @@ def roots_certified(f: SparsePoly) -> AlgebraicRoots:
         if seeded and top < _MIN_SEEDED_DEGREE:
             continue
         numeric: list[RootEnclosure] = []
-        solved = []  # (factor, coefficients, L, high-precision root, true radius, dps)
+        solved = []  # (factor, coefficients, L, high-precision root, true radius)
         ok = True
         try:
             for p, coeffs, mult, lead in pending:
@@ -290,7 +292,7 @@ def roots_certified(f: SparsePoly) -> AlgebraicRoots:
                     numeric.append(
                         RootEnclosure(center, max(stored, _MIN_NUMERIC_RADIUS), mult)
                     )
-                    solved.append((p, coeffs, lead, z, true_rad, dps))
+                    solved.append((p, coeffs, lead, z, true_rad))
         except EnclosureError:
             if not seeded:
                 raise
@@ -307,13 +309,15 @@ def roots_certified(f: SparsePoly) -> AlgebraicRoots:
             candidate = enclosures + [
                 d if r is None else RootEnclosure(complex(r), 0.0, d.multiplicity, r)
                 for d, r in zip(numeric, exact)]
-            if any(r.center == 0 and r.exact != 0 for r in candidate):
-                raise InvalidInput("a nonzero root's float centre underflows to 0")
-            ordered = tuple(
-                sorted(candidate, key=lambda r: (round(r.center.real, 10),
-                                                 round(r.center.imag, 10)))
-            )
-            return AlgebraicRoots(original, ordered)
+            # two roots given one exact value collide: the attempt is uncertified
+            if all(r is None for r in exact) or _pairwise_disjoint(candidate):
+                if any(r.center == 0 and r.exact != 0 for r in candidate):
+                    raise InvalidInput("a nonzero root's float centre underflows to 0")
+                ordered = tuple(
+                    sorted(candidate, key=lambda r: (round(r.center.real, 10),
+                                                     round(r.center.imag, 10)))
+                )
+                return AlgebraicRoots(original, ordered)
         best = candidate
     raise EnclosureError(
         f"could not certify enclosures at tol={ENCLOSURE_RADIUS}", best=best

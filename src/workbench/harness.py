@@ -183,11 +183,18 @@ def _allowance_param(value) -> tuple[Fraction, Fraction]:
     return Fraction(str(c)), Fraction(str(c0))
 
 
-# the conversion the checks apply to each key a scenario's "params" may set;
-# scenario_from_doc refuses other keys and the values a conversion rejects
+def _flag(value) -> bool:
+    if not isinstance(value, bool):
+        raise TypeError("expected true or false")
+    return value
+
+
+# the type of each key a scenario's "params" may set: a Scenario converts its
+# params once, refusing other keys and the values a conversion rejects, and
+# the checks read the converted values
 _PARAM_TYPES = {"eps": Fraction, "ell": int, "ell2": int, "trunc": int, "scan_cap": int,
                 "r_pass": float, "grid": _grid_param, "log_allowance": _allowance_param,
-                "simple_zeros": bool}
+                "simple_zeros": _flag}
 PARAMS = frozenset(_PARAM_TYPES)
 
 # target -> name of its check in this module; run_scenario looks the name up
@@ -213,11 +220,24 @@ class Scenario:
     polys: tuple[SparsePoly, ...] = ()
     params: dict = field(default_factory=dict)
 
+    def __post_init__(self):
+        unknown = sorted(set(self.params) - PARAMS)
+        if unknown:
+            raise InvalidInput(f"unknown scenario parameters {', '.join(map(repr, unknown))}")
+        converted = {}
+        for key, value in self.params.items():
+            try:
+                converted[key] = _PARAM_TYPES[key](value)
+            except (TypeError, ValueError, ZeroDivisionError) as exc:
+                raise InvalidInput(
+                    f"malformed scenario parameter {key!r} = {value!r}: {exc}") from exc
+        self.params = converted
+
     def eps(self) -> Fraction:
-        return Fraction(self.params.get("eps", "1/10"))
+        return self.params.get("eps", Fraction(1, 10))
 
     def allowance(self) -> tuple[float, float]:
-        c, c0 = _allowance_param(self.params.get("log_allowance", ("1", "0")))
+        c, c0 = self.params.get("log_allowance", (1, 0))
         return float(c), float(c0)
 
 
@@ -242,15 +262,6 @@ def scenario_from_doc(doc: dict) -> Scenario:
     target = doc.get("target")
     if target not in CHECKS:
         raise InvalidInput(f"unknown target {target!r}")
-    params = doc.get("params", {})
-    unknown = sorted(set(params) - PARAMS)
-    if unknown:
-        raise InvalidInput(f"unknown scenario parameters {', '.join(map(repr, unknown))}")
-    for key, value in params.items():
-        try:
-            _PARAM_TYPES[key](value)
-        except (TypeError, ValueError, ZeroDivisionError) as exc:
-            raise InvalidInput(f"malformed scenario parameter {key!r} = {value!r}: {exc}") from exc
     curve = tuple(_component_from_doc(c) for c in doc.get("curve", []))
     coeffs = tuple(_component_from_doc(c) for c in doc.get("coeffs", []))
     poly = serialize.poly_from_doc(doc["poly"]) if "poly" in doc else None
@@ -262,7 +273,7 @@ def scenario_from_doc(doc: dict) -> Scenario:
         coeffs=coeffs,
         poly=poly,
         polys=polys,
-        params=params,
+        params=doc.get("params", {}),
     )
 
 
@@ -283,10 +294,10 @@ def _gated_grid(s: Scenario, fns) -> tuple[tuple[float, ...], float]:
     """The scenario's radii nudged off the divisors of ``fns``, and the radius
     from which rows are gated: ``params["r_pass"]``, by default the geometric
     midpoint sqrt(r_min * r_max) of the nudged radii."""
-    grid = RadiusGrid.log_spaced(*_grid_param(s.params.get("grid", _DEFAULT_GRID)))
+    grid = RadiusGrid.log_spaced(*s.params.get("grid", _DEFAULT_GRID))
     points = grid.perturbed_for(fns).points
     if "r_pass" in s.params:
-        return points, float(s.params["r_pass"])
+        return points, s.params["r_pass"]
     return points, math.sqrt(points[0] * points[-1])
 
 
@@ -317,14 +328,14 @@ def _curve_vs_form_check(s: Scenario) -> MarginReport:
     if s.poly is None or len(s.curve) != 3:
         raise InvalidInput("target needs a form 'poly' and a 3-component curve")
     notes: list[str] = []
-    ell = int(s.params["ell"]) if "ell" in s.params else None
+    ell = s.params.get("ell")
     _validate_curve_tuple(s.curve, notes, ell)
     G = s.poly
     eps = float(s.eps())
     d = G.total_degree()
 
     ell2 = s.params.get("ell2")
-    W = build_W(G, ell2=int(ell2) if ell2 else None, eps=s.eps() if not ell2 else None)
+    W = build_W(G, ell2=ell2 or None, eps=s.eps() if not ell2 else None)
     report = MarginReport(s.name, s.target, matched_curves=tuple(member_of_W(W, s.curve)))
 
     Gg = eval_poly_on_tuple(G, s.curve)
@@ -333,7 +344,7 @@ def _curve_vs_form_check(s: Scenario) -> MarginReport:
             "curve lies inside the form")
 
     points, r_pass = _gated_grid(s, s.curve)
-    simple = bool(s.params.get("simple_zeros"))
+    simple = s.params.get("simple_zeros", False)
     N = counting_of(Gg, max(points))
 
     def row(r):
@@ -351,7 +362,7 @@ def _log_derivative_check(s: Scenario) -> MarginReport:
     if len(s.curve) != 1:
         raise InvalidInput("log-derivative-height takes a single function")
     f = s.curve[0]
-    ell = int(s.params.get("ell", 1))
+    ell = s.params.get("ell", 1)
     notes: list[str] = []
     mults = f.zero_multiplicities()
     if mults and min(mults) < ell:
@@ -418,7 +429,7 @@ def borel_check(s: Scenario) -> MarginReport:
     """Moving-coefficient vanishing combination: quotient characteristics
     against 3n T_a + ((n^2 - 1)/ell) T_f plus the allowance."""
     coeffs, fns = s.coeffs, s.curve
-    ell = int(s.params.get("ell", 1))
+    ell = s.params.get("ell", 1)
     if len(coeffs) != len(fns):
         raise InvalidInput("coefficient and component counts differ")
     n = len(fns) - 1
@@ -482,7 +493,7 @@ def gcd_bound_check(s: Scenario) -> MarginReport:
         if not F.eval_exact(point) and not G.eval_exact(point):
             raise InvalidInput(f"both forms vanish at the coordinate point e_{i}")
     notes: list[str] = []
-    ell = int(s.params["ell"]) if "ell" in s.params else None
+    ell = s.params.get("ell")
     _validate_curve_tuple(curve, notes, ell)
     points, r_pass = _gated_grid(s, curve)
 
@@ -498,7 +509,7 @@ def gcd_bound_check(s: Scenario) -> MarginReport:
     gated_T = {r: T for r, T in T_curve.items() if r >= r_pass}
     report.degenerate_tuple = _degeneracy_scan(
         curve, eps, max(F.total_degree(), G.total_degree()),
-        int(s.params.get("scan_cap", 8)), gated_T, notes)
+        s.params.get("scan_cap", 8), gated_T, notes)
     return _margins(report, points, r_pass,
                     lambda r: (_log_counting(shared, r), float(eps) * T_curve[r]), notes)
 
@@ -565,7 +576,7 @@ def smt_instance_check(s: Scenario) -> MarginReport:
     general-position configuration."""
     hypersurfaces, curve = list(s.polys), s.curve
     eps = s.eps()
-    M = int(s.params.get("trunc", 1))
+    M = s.params.get("trunc", 1)
     if not hypersurfaces:
         raise InvalidInput("need at least one hypersurface")
     nv = hypersurfaces[0].num_vars
@@ -585,7 +596,7 @@ def smt_instance_check(s: Scenario) -> MarginReport:
         composed.append((c, p.total_degree()))
     q = len(hypersurfaces)
     points, r_pass = _gated_grid(s, curve)
-    simple = bool(s.params.get("simple_zeros"))
+    simple = s.params.get("simple_zeros", False)
     factor = q - n - 1 - float(eps)
     counts = [(counting_of(c, max(points)), d) for c, d in composed]
 

@@ -107,6 +107,7 @@ def test_exset_refuses_an_enumeration_that_cannot_finish(tmp_path, capsys):
     ("smt_lines.json", "ell", "two"),
     ("smt_lines.json", "trunc", "x"),
     ("smt_lines.json", "r_pass", "far"),
+    ("smt_exp_units.json", "simple_zeros", "yes"),
 ])
 def test_verify_refuses_a_malformed_parameter(tmp_path, capsys, name, key, value):
     doc = json.loads((shipped_scenario_dir() / name).read_text())

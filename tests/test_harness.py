@@ -261,6 +261,18 @@ def test_unknown_scenario_parameter_rejected(key):
         scenario_from_doc(doc)
 
 
+def test_scenario_holds_converted_parameters():
+    # the checks read params without converting them again
+    s = scenario_from_doc({"target": "smt-instance", "params": {
+        "eps": "1/4", "ell": "2", "trunc": 3, "r_pass": 10, "grid": [5, "200", 13],
+        "log_allowance": ["1/2", 0], "simple_zeros": True}})
+    assert s.params == {"eps": Fraction(1, 4), "ell": 2, "trunc": 3, "r_pass": 10.0,
+                        "grid": (5.0, 200.0, 13), "log_allowance": (Fraction(1, 2), 0),
+                        "simple_zeros": True}
+    assert [type(v) for v in s.params.values()] == [Fraction, int, int, float, tuple, tuple, bool]
+    assert s.eps() == Fraction(1, 4) and s.allowance() == (0.5, 0.0)
+
+
 def test_unit_witness_scenario_excluded_with_double_zeros():
     rep = run_scenario(load_scenario(scenario_dir() / "truncation_defect_unit_witness.json"))
     assert rep.verdict == "excluded-by-W"

@@ -185,6 +185,37 @@ def test_exactness_beyond_the_precision_ladder_is_refused():
         roots_certified((big * t() - (big + 1)) * (t() ** 2 - 3))
 
 
+def test_exactness_refines_a_root_past_its_attempt():
+    # the attempt at 80 digits certifies the disks, but about 10^160 i it
+    # pins the root only to 10^80; a refinement at 640 digits decides it
+    f = (t() ** 2 + 10**320) * (t() ** 15 - 2)
+    assert _exact_roots(f) == {GaussRat(0, 10**160): 1, GaussRat(0, -(10**160)): 1}
+
+
+def _mignotte_times_its_rational_root():
+    """(10t - 1)(t^10 - 2(10t - 1)^2): one squarefree factor whose irrational
+    roots 1/10 +- 7.07e-7 lie within 1/(2|L|) = 1/20 of its root 1/10."""
+    return (10 * t() - 1) * (t() ** 10 - 2 * (10 * t() - 1) ** 2)
+
+
+def test_irrational_neighbours_of_a_rational_root_stay_inexact():
+    near = [d for d in roots_certified(_mignotte_times_its_rational_root()).roots
+            if abs(d.center - 0.1) < 1e-3]
+    assert [d.exact for d in near] == [None, GaussRat(Fraction(1, 10)), None]
+
+
+def test_two_roots_given_one_exact_value_do_not_certify(monkeypatch):
+    # true radii of 10^-3 reach from each neighbour to 1/10, so all three
+    # roots pass the test for 1/10; the collision leaves every attempt
+    # uncertified instead of returning three disks at 1/10
+    real = roots._radii
+    monkeypatch.setattr(roots, "_radii", lambda *args: (
+        lambda rad, true_rad: (rad, max(true_rad, mpmath.mpf(1e-3))))(*real(*args)))
+    roots_certified.cache_clear()
+    with pytest.raises(EnclosureError, match="could not certify"):
+        roots_certified(_mignotte_times_its_rational_root())
+
+
 # -- float-seeded path ---------------------------------------------------------
 
 UNITS = (GaussRat(1), GaussRat(-1), GaussRat(0, 1), GaussRat(0, -1))
