@@ -129,9 +129,10 @@ def _cmd_morphism(args) -> int:
         curves = [F1, F2, F3]
         if args.z:
             curves.append(serialize.load_poly(args.z))
-        rep = general_position_check(curves)
-        print("in general position" if rep else f"violations: {rep.violations}")
-        return 0 if rep else 1
+        shared = general_position_check(curves)
+        print("\n".join(f"curves {i}, {j}, {k} share a point" for i, j, k in shared)
+              or "in general position")
+        return 1 if shared else 0
     m = PowerMorphism.build(F1, F2, F3)
     if args.op == "jacobian":
         print("reduced:", jacobian_det(m, reduced=True))

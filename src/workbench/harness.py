@@ -40,8 +40,6 @@ from enum import Enum
 from fractions import Fraction
 from pathlib import Path
 
-import numpy as np
-
 from .algebra import serialize
 from .algebra.euclid import gcd_poly
 from .algebra.gaussrat import GaussRat
@@ -98,7 +96,6 @@ class MarginReport:
     detail: str = ""  # rendered in parentheses after the outcome
     matched_curves: tuple[CurveSpec, ...] = ()
     degenerate_tuple: tuple[int, int] | None = None
-    fitted_slopes: dict = field(default_factory=dict)
     notes: tuple[str, ...] = ()
 
     @property
@@ -126,11 +123,6 @@ class MarginReport:
             self.detail = ", ".join(f"{r:.4g}" for r in bad)
         else:
             self.outcome = Verdict.HOLDS_ON_GRID
-        self.fitted_slopes = {
-            "lhs": fit_log_slope([(row.r, row.lhs) for row in self.rows if row.gated]),
-            "rhs": fit_log_slope([(row.r, row.rhs) for row in self.rows if row.gated]),
-            "margin": fit_log_slope([(row.r, row.margin) for row in self.rows if row.gated]),
-        }
         return self
 
     def reject(self, reason: str) -> "MarginReport":
@@ -149,20 +141,6 @@ class MarginReport:
                 f"{row.r!r},{row.lhs!r},{row.rhs!r},{row.margin!r},{int(row.gated)}"
             )
         return out
-
-
-def fit_log_slope(points: list[tuple[float, float]]) -> float:
-    """Least-squares slope of value against log r."""
-    pts = [(math.log(r), v) for r, v in points if math.isfinite(v)]
-    if len(pts) < 2:
-        return float("nan")
-    xs = np.array([p[0] for p in pts])
-    ys = np.array([p[1] for p in pts])
-    x0 = xs - xs.mean()
-    denom = float(np.dot(x0, x0))
-    if denom == 0:
-        return float("nan")
-    return float(np.dot(x0, ys - ys.mean()) / denom)
 
 
 # ---------------------------------------------------------------------------
@@ -586,8 +564,10 @@ def smt_instance_check(s: Scenario) -> MarginReport:
     if len(curve) != nv:
         raise InvalidInput("curve length must match the ambient dimension")
     report = MarginReport(s.name, s.target)
-    if nv == 3 and not general_position_check(hypersurfaces):
-        return report.reject("not in general position")
+    shared = general_position_check(hypersurfaces) if nv == 3 else ()
+    if shared:
+        return report.reject("not in general position: " + "; ".join(
+            f"curves {i}, {j}, {k} share a point" for i, j, k in shared))
     composed = []
     for p in hypersurfaces:
         c = eval_poly_on_tuple(p, curve)

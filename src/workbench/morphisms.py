@@ -4,10 +4,12 @@ A power morphism sends a plane point P to [F1^a1(P) : F2^a2(P) : F3^a3(P)]
 with a_i = lcm(d1, d2, d3)/d_i, so all three components share the common
 degree lcm(d1, d2, d3); it is a finite morphism exactly when the F_i have
 no common zero.  The toolkit computes Jacobian determinants (full and
-reduced), verifies the Euler-relation determinant identities, decides
-general position and transversality at certified intersection points, and
-pushes an irreducible curve forward to its image curve, the lowest-degree
-form whose pullback Z divides, found by exact linear algebra modulo Z.
+reduced), verifies the Euler-relation determinant identities, and decides
+finiteness, general position and transversality with one exact incidence
+test, ``share_a_zero``: a resultant and its content, with no intersection
+point computed.  It pushes an irreducible curve forward to its image
+curve, the lowest-degree form whose pullback Z divides, found by exact
+linear algebra modulo Z.
 """
 
 from __future__ import annotations
@@ -16,178 +18,57 @@ import itertools
 import math
 from dataclasses import dataclass
 
-import mpmath
-import numpy as np
-
-from .algebra.euclid import canonical_scale, gcd_poly, resultant
+from .algebra.euclid import canonical_scale, content_in, gcd_poly, resultant
 from .algebra.gaussrat import GaussRat
 from .algebra.poly import SparsePoly
-from .algebra.roots import factor_linear_forms, roots_certified
 from .errors import InvalidInput, NonProperIntersection
 
 
 # ---------------------------------------------------------------------------
-# projective intersection points
+# the exact incidence test
 # ---------------------------------------------------------------------------
 
-# normalized points closer than this in every coordinate are one point
-_SAME_POINT_TOL = 1e-8
+def _require_forms(*forms: SparsePoly):
+    for p in forms:
+        if p.num_vars != 3 or not p or not p.is_homogeneous():
+            raise InvalidInput("curves must be nonzero homogeneous forms in three variables")
 
 
-@dataclass(frozen=True)
-class ProjectivePoint:
-    """An intersection point, normalized so the largest coordinate is 1.
-
-    ``radius`` bounds the coordinate error (0 for exact points);
-    ``exact`` carries Gaussian-rational coordinates when available.
-    """
-
-    coords: tuple[complex, complex, complex]
-    radius: float
-    exact: tuple[GaussRat, GaussRat, GaussRat] | None = None
-
-    def close_to(self, other: "ProjectivePoint") -> bool:
-        return max(abs(a - b) for a, b in zip(self.coords, other.coords)) <= _SAME_POINT_TOL
-
-
-def _normalize_point(coords, radius, exact=None) -> ProjectivePoint:
-    mags = [abs(c) for c in coords]
-    k = mags.index(max(mags))
-    scale = coords[k]
-    out = tuple(c / scale for c in coords)
-    ex = None
-    if exact is not None:
-        es = exact[k]
-        ex = tuple(e / es for e in exact)
-    return ProjectivePoint(out, radius, ex)
-
-
-def _newton_polish_pair(f: SparsePoly, g: SparsePoly, x0: complex, y0: complex,
-                        dps: int = 50):
-    """Joint Newton refinement for the affine system f = g = 0."""
-    fx, fy = f.partial_derivative(0), f.partial_derivative(1)
-    gx, gy = g.partial_derivative(0), g.partial_derivative(1)
-    with mpmath.workdps(dps):
-        x, y = mpmath.mpc(x0), mpmath.mpc(y0)
-        step_norm = mpmath.mpf(1)
-        for _ in range(60):
-            fv = _mp_eval(f, x, y)
-            gv = _mp_eval(g, x, y)
-            j11, j12 = _mp_eval(fx, x, y), _mp_eval(fy, x, y)
-            j21, j22 = _mp_eval(gx, x, y), _mp_eval(gy, x, y)
-            det = j11 * j22 - j12 * j21
-            if det == 0:
-                break
-            dx = (fv * j22 - gv * j12) / det
-            dy = (gv * j11 - fv * j21) / det
-            x, y = x - dx, y - dy
-            step_norm = mpmath.sqrt(abs(dx) ** 2 + abs(dy) ** 2)
-            if step_norm < mpmath.mpf(10) ** (-(dps - 10)):
-                break
-        return complex(x), complex(y), float(2 * step_norm)
-
-
-def _mp_eval(p: SparsePoly, x, y):
-    acc = mpmath.mpc(0)
-    for (e0, e1), c in p.terms.items():
-        term = mpmath.mpc(complex(c))
-        if e0:
-            term *= x**e0
-        if e1:
-            term *= y**e1
-        acc += term
+def _compose(polys, A: SparsePoly) -> SparsePoly:
+    """A(P1, P2, P3), a polynomial in the variables of the P_i."""
+    n = polys[0].num_vars
+    acc = SparsePoly.zero(n)
+    for expo, c in A.terms.items():
+        term = SparsePoly.constant(c, n)
+        for p, e in zip(polys, expo):
+            if e:
+                term = term * p**e
+        acc = acc + term
     return acc
 
 
-def intersection_points(F: SparsePoly, G: SparsePoly) -> list[ProjectivePoint]:
-    """Certified-enclosure intersection points of two plane curves.
+def share_a_zero(F: SparsePoly, G: SparsePoly, H: SparsePoly) -> bool:
+    """Whether three plane forms have a common zero in P^2, decided exactly.
 
-    Raises NonProperIntersection when the curves share a component.  Points
-    are collected chart by chart: the line-at-infinity chart x0 = 0 via the
-    gcd of binary forms (exact), the affine chart x0 = 1 via a resultant
-    elimination, root pairing and joint Newton refinement.
+    The shear x0 -> x0 + a x2, x1 -> x1 + b x2 with F(a, b, 1) != 0 (a
+    nonzero form of degree d cannot vanish on all of {0..d}^2) makes F
+    monic in x2 up to a constant, so R = Res_x2(F, G + tH) is c times the
+    product of (G + tH)(p_i) over the points p_i of F above (x0 : x1).  R
+    vanishes for every t exactly above the projections of the common zeros,
+    a finite set of lines through (0 : 0 : 1) unless there are infinitely
+    many; each t-coefficient of R is a binary form, so the forms share a
+    zero exactly when R = 0 or the content of R in t is non-constant (Cox,
+    Little & O'Shea, Using Algebraic Geometry, GTM 185, ch. 3).
     """
-    for p, name in ((F, "first"), (G, "second")):
-        if p.num_vars != 3 or not p or not p.is_homogeneous():
-            raise InvalidInput(f"{name} curve must be a nonzero homogeneous form")
-    if not gcd_poly(F, G, 0).is_constant():
-        raise NonProperIntersection("curves share a common component")
-
-    points: list[ProjectivePoint] = []
-
-    # chart x0 = 0: common roots of two binary forms (exact via gcd); when a
-    # curve contains the line itself, the intersections there are the other
-    # form's zeros
-    f0 = F.specialize(0, 0)
-    g0 = G.specialize(0, 0)
-    if not f0 and not g0:
-        raise NonProperIntersection("both curves contain the line x0 = 0")
-    if not f0:
-        h = g0
-    elif not g0:
-        h = f0
-    else:
-        h = gcd_poly(f0, g0, 0)
-    if not h.is_constant():
-        fact = factor_linear_forms(h)
-        for root in fact.slopes.roots:
-            exact = None
-            if root.exact is not None:
-                exact = (GaussRat(0), root.exact, GaussRat(1))
-            points.append(_normalize_point(
-                (0j, root.center, 1.0 + 0j), root.radius, exact))
-        if fact.y_multiplicity:
-            points.append(_normalize_point(
-                (0j, 1.0 + 0j, 0j), 0.0,
-                (GaussRat(0), GaussRat(1), GaussRat(0))))
-
-    # affine chart x0 = 1
-    f = F.specialize(0, 1)
-    g = G.specialize(0, 1)
-    points.extend(_affine_intersections(f, g))
-    return points
-
-
-def _affine_intersections(f: SparsePoly, g: SparsePoly) -> list[ProjectivePoint]:
-    if f.is_constant() or g.is_constant():
-        return []
-    if f.degree_in(1) == 0 and g.degree_in(1) == 0:
-        # both y-free: the curves are unions of lines through the point at
-        # infinity of the y-axis; a common affine point would force a common
-        # line, already excluded, and the infinity point belongs to the
-        # other chart
-        return []
-    if f.degree_in(1) == 0:
-        f, g = g, f
-    # a y-free second argument has the same x-root set as the resultant
-    res = resultant(f, g, var=1) if g.degree_in(1) > 0 else g
-    res_x = res.drop_var(1)
-    if not res_x:
-        raise NonProperIntersection("resultant vanished identically in the affine chart")
-    if res_x.is_constant():
-        return []
-    points = []
-    for root in roots_certified(res_x).roots:
-        x0 = root.center
-        fy = np.array([complex(c.eval([x0, 0])) for c in f.coeffs_in(1)][::-1])
-        fy = np.trim_zeros(fy, "f")
-        if fy.size <= 1:
-            candidates = []
-        else:
-            candidates = list(np.roots(fy))
-        for y0 in candidates:
-            gval = abs(complex(g.eval([x0, y0])))
-            scale = 1.0 + abs(x0) + abs(y0)
-            if gval > 1e-5 * scale ** max(1, g.total_degree()):
-                continue
-            x1, y1, rad = _newton_polish_pair(f, g, x0, y0)
-            resid = max(abs(complex(f.eval([x1, y1]))), abs(complex(g.eval([x1, y1]))))
-            if resid > 1e-20 * scale ** max(f.total_degree(), g.total_degree()):
-                continue
-            pt = _normalize_point((1 + 0j, x1, y1), max(rad, root.radius))
-            if not any(pt.close_to(q) for q in points):
-                points.append(pt)
-    return points
+    _require_forms(F, G, H)
+    d = F.total_degree()
+    a, b = next(ab for ab in itertools.product(range(d + 1), repeat=2)
+                if F.eval_exact([*ab, 1]))
+    x0, x1, x2, t = (SparsePoly.variable(v, 4) for v in range(4))
+    shear = (x0 + a * x2, x1 + b * x2, x2)
+    F, G, H = (_compose(shear, p) for p in (F, G, H))
+    R = resultant(F, G + t * H, 2)
+    return not R or not content_in(R, 3).is_constant()
 
 
 # ---------------------------------------------------------------------------
@@ -212,21 +93,9 @@ class PowerMorphism:
         d = tuple(p.total_degree() for p in F)
         lcm = math.lcm(*d)
         a = tuple(lcm // di for di in d)
-        m = PowerMorphism(F, d, a)
-        if check_finite and m.common_zeros():
+        if check_finite and share_a_zero(*F):
             raise InvalidInput("components share a zero; the morphism is not finite")
-        return m
-
-    def common_zeros(self) -> list[ProjectivePoint]:
-        """Common zeros of all three components (empty for a finite morphism)."""
-        pts = intersection_points(self.F[0], self.F[1])
-        out = []
-        for p in pts:
-            val = self.F[2].eval(list(p.coords))
-            bound = _poly_lipschitz(self.F[2], p.coords, p.radius)
-            if abs(val) <= bound + 1e-12:
-                out.append(p)
-        return out
+        return PowerMorphism(F, d, a)
 
     def powered_components(self) -> tuple[SparsePoly, SparsePoly, SparsePoly]:
         return tuple(p**a for p, a in zip(self.F, self.exponents))
@@ -234,32 +103,7 @@ class PowerMorphism:
     def apply_to_polys(self, polys: tuple[SparsePoly, SparsePoly, SparsePoly],
                        A: SparsePoly) -> SparsePoly:
         """Composition A(F1^a1, F2^a2, F3^a3)."""
-        P = polys
-        acc = SparsePoly.zero(3)
-        for expo, c in A.terms.items():
-            term = SparsePoly.constant(c, 3)
-            for p, e in zip(P, expo):
-                if e:
-                    term = term * p**e
-            acc = acc + term
-        return acc
-
-
-def _poly_lipschitz(p: SparsePoly, center, radius: float) -> float:
-    """Crude bound for |p(x) - p(center)| on the polydisk of the given radius."""
-    if radius == 0:
-        return 0.0
-    grad_bound = 0.0
-    for v in range(p.num_vars):
-        d = p.partial_derivative(v)
-        s = 0.0
-        for expo, c in d.terms.items():
-            term = abs(complex(c))
-            for cv, e in zip(center, expo):
-                term *= (abs(cv) + radius) ** e
-            s += term
-        grad_bound = max(grad_bound, s)
-    return math.sqrt(p.num_vars) * grad_bound * radius
+        return _compose(polys, A)
 
 
 def jacobian_det(m: PowerMorphism, reduced: bool) -> SparsePoly:
@@ -306,88 +150,46 @@ def euler_identity_check(m: PowerMorphism) -> bool:
 # general position / transversality
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PositionViolation:
-    pair: tuple[int, int]
-    other: int
-    point: ProjectivePoint
-    certified: bool  # False when the enclosure was too coarse to decide
+def general_position_check(curves: list[SparsePoly]) -> tuple[tuple[int, int, int], ...]:
+    """The index triples (i, j, k) of curves that share a point.
 
-
-@dataclass(frozen=True)
-class GeneralPositionReport:
-    in_general_position: bool
-    violations: tuple[PositionViolation, ...]
-
-    def __bool__(self):
-        return self.in_general_position
-
-
-def general_position_check(curves: list[SparsePoly]) -> GeneralPositionReport:
-    """No point may lie on three of the listed curves.
-
-    For every pair the intersection points are enclosed and every other
-    curve is evaluated there; a value smaller than the enclosure-induced
-    bound is reported as a violation (certified for exact points).
+    The curves are in general position, no point lying on three of them,
+    exactly when the result is empty.
     """
-    violations = []
-    for (i, F), (j, G) in itertools.combinations(enumerate(curves), 2):
-        pts = intersection_points(F, G)
-        for k, H in enumerate(curves):
-            if k in (i, j):
-                continue
-            for p in pts:
-                if p.exact is not None:
-                    if not H.eval_exact(list(p.exact)):
-                        violations.append(PositionViolation((i, j), k, p, True))
-                    continue
-                val = abs(H.eval(list(p.coords)))
-                bound = _poly_lipschitz(H, p.coords, max(p.radius, 1e-30))
-                if val <= bound:
-                    violations.append(PositionViolation((i, j), k, p, False))
-                elif val <= 1e-9:
-                    # numerically tiny but not certified either way
-                    violations.append(PositionViolation((i, j), k, p, False))
-    return GeneralPositionReport(not violations, tuple(violations))
+    _require_forms(*curves)
+    return tuple(ijk for ijk in itertools.combinations(range(len(curves)), 3)
+                 if share_a_zero(*(curves[i] for i in ijk)))
 
 
-@dataclass(frozen=True)
-class TransversalityRecord:
-    point: ProjectivePoint
-    minor: complex
-    verdict: str  # transversal | tangential | undecided
+def transversality_check(F: SparsePoly, G: SparsePoly) -> bool:
+    """Whether two curves meet transversally at every common point.
 
-
-def transversality_check(F1: SparsePoly, F2: SparsePoly) -> list[TransversalityRecord]:
-    """Decide transversality of two curves at each intersection point.
-
-    The 2x2 Jacobian minor is evaluated in an affine chart containing the
-    point.  Exact points yield exact verdicts (tangential on exact zero);
-    numeric enclosures certify only nonvanishing, so a minor that cannot be
-    bounded away from zero reports undecided.
+    At a common point P the Euler relations give grad F . P = grad G . P = 0,
+    so grad F x grad G = lambda P, with lambda = 0 exactly where a curve is
+    singular or the tangents agree.  Where the line c . x misses F and G,
+    sum_v c_v (grad F x grad G)_v = lambda (c . P) vanishes exactly with
+    lambda; c = (1, a, a^2) passes through a given point for at most two
+    values of a, so a = 0, 1, 2, ... finds such a line.  Curves with a
+    common component raise NonProperIntersection.
     """
-    records = []
-    for p in intersection_points(F1, F2):
-        chart = max(range(3), key=lambda k: abs(p.coords[k]))
-        rest = [v for v in range(3) if v != chart]
-        f = F1.specialize(chart, 1)
-        g = F2.specialize(chart, 1)
-        minor_poly = (f.partial_derivative(0) * g.partial_derivative(1)
-                      - f.partial_derivative(1) * g.partial_derivative(0))
-        if p.exact is not None:
-            coords = [p.exact[rest[0]] / p.exact[chart], p.exact[rest[1]] / p.exact[chart]]
-            val = minor_poly.eval_exact(coords)
-            verdict = "transversal" if val else "tangential"
-            records.append(TransversalityRecord(p, complex(val), verdict))
-            continue
-        coords = (p.coords[rest[0]] / p.coords[chart], p.coords[rest[1]] / p.coords[chart])
-        val = complex(minor_poly.eval(list(coords)))
-        bound = _poly_lipschitz(minor_poly, coords, max(p.radius, 1e-30))
-        if abs(val) > bound:
-            records.append(TransversalityRecord(p, val, "transversal"))
-        else:
-            records.append(TransversalityRecord(p, val, "undecided"))
-    return records
+    _require_forms(F, G)
+    if not gcd_poly(F, G, 0).is_constant():
+        raise NonProperIntersection("curves share a common component")
+    if F.is_constant() or G.is_constant():
+        return True  # the curves do not meet
+    dF = [F.partial_derivative(v) for v in range(3)]
+    dG = [G.partial_derivative(v) for v in range(3)]
+    cross = [dF[(v + 1) % 3] * dG[(v + 2) % 3] - dF[(v + 2) % 3] * dG[(v + 1) % 3]
+             for v in range(3)]
+    xs = [SparsePoly.variable(v, 3) for v in range(3)]
+
+    def dot(c, forms):
+        return sum((ci * p for ci, p in zip(c, forms)), SparsePoly.zero(3))
+
+    a = next(a for a in itertools.count() if not share_a_zero(F, G, dot((1, a, a * a), xs)))
+    W = dot((1, a, a * a), cross)
+    # W = 0 puts lambda = 0 at every common point, and the curves do meet
+    return bool(W) and not share_a_zero(F, G, W)
 
 
 # ---------------------------------------------------------------------------

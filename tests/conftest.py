@@ -1,5 +1,6 @@
 import math
 import random
+import statistics
 from fractions import Fraction
 
 import pytest
@@ -33,6 +34,12 @@ def count_calls(monkeypatch, module, name):
 
     monkeypatch.setattr(module, name, counted)
     return calls
+
+
+def fit_log_slope(points: list[tuple[float, float]]) -> float:
+    """Least-squares slope of value against log r, over the finite values."""
+    pts = [(math.log(r), v) for r, v in points if math.isfinite(v)]
+    return statistics.linear_regression(*zip(*pts)).slope
 
 
 def scenario(target, curve=(), params=None, coeffs=(), polys=()) -> Scenario:

@@ -74,6 +74,17 @@ def test_morphism_command(tmp_path, capsys):
     assert A.total_degree() == 1 and len(A.terms) == 3
 
 
+def test_morphism_genpos_names_each_shared_point(tmp_path, capsys):
+    x0, x1, x2 = variables(3)
+    args = ["morphism", "--op", "genpos"]
+    for k, p in enumerate((x0**2, x1**2, x2**2)):
+        args += [f"--f{k + 1}", write_poly(tmp_path, f"f{k + 1}.json", p)]
+    assert main(args + ["--z", write_poly(tmp_path, "z.json", x0 + 2 * x1 - 3 * x2)]) == 0
+    assert capsys.readouterr().out == "in general position\n"
+    assert main(args + ["--z", write_poly(tmp_path, "z.json", x0 + x1)]) == 1
+    assert capsys.readouterr().out == "curves 0, 1, 3 share a point\n"
+
+
 def test_verify_command(tmp_path, capsys):
     scenario = shipped_scenario_dir() / "truncation_defect_generic.json"
     out = tmp_path / "report.csv"

@@ -12,7 +12,6 @@ from workbench.expsum import ExpSumFn
 from workbench.exset import BetaValue, CurveSpec, build_W
 from workbench.harness import (
     borel_check,
-    fit_log_slope,
     gcd_bound_check,
     load_scenario,
     run_scenario,
@@ -29,6 +28,7 @@ from workbench.nevanlinna import MeroFn, RadiusGrid
 from conftest import (
     composed_form_has_multiple_zero,
     count_calls,
+    fit_log_slope,
     scenario,
     two_close_roots,
     variables,
@@ -73,8 +73,9 @@ def test_generic_lower_bound_margins_and_slopes():
     assert rep.verdict == "holds-on-grid"
     assert all(row.margin >= 0 for row in rep.rows if row.gated)
     # the counting side N^(1) has slope = number of distinct zeros = 2
-    assert rep.fitted_slopes["rhs"] == pytest.approx(2.0, rel=0.02)
-    assert rep.fitted_slopes["margin"] >= 0
+    gated = [row for row in rep.rows if row.gated]
+    assert fit_log_slope([(row.r, row.rhs) for row in gated]) == pytest.approx(2.0, rel=0.02)
+    assert fit_log_slope([(row.r, row.margin) for row in gated]) >= 0
 
 
 def test_log_derivative_margins():
@@ -194,6 +195,16 @@ def test_smt_lines_instance():
     assert rep.verdict == "holds-on-grid"
 
 
+def test_smt_rejection_names_the_shared_points():
+    x0, x1, x2 = variables(3)
+    curve = (MeroFn.constant(1), MeroFn.from_poly(z()), MeroFn.from_poly(z() ** 2 + 1))
+    rep = smt_instance_check(scenario("smt-instance", curve, {
+        "eps": "1/4", "trunc": 2, "grid": (5.0, 50.0, 5), "r_pass": 10.0},
+        polys=(x0, x1, x2, x0 + x1)))
+    assert rep.verdict == ("hypothesis-violation(not in general position: "
+                           "curves 0, 1, 3 share a point)")
+
+
 def test_smt_curve_inside_hypersurface():
     x0, x1, x2 = variables(3)
     curve = (MeroFn.constant(0), MeroFn.from_poly(z()), MeroFn.constant(1))
@@ -239,7 +250,6 @@ def test_verdicts_reproducible_bit_for_bit():
     rep2 = run_scenario(load_scenario(path))
     assert rep1.verdict == rep2.verdict
     assert rep1.csv_rows() == rep2.csv_rows()
-    assert rep1.fitted_slopes == rep2.fitted_slopes
 
 
 def test_unknown_target_rejected():

@@ -36,7 +36,7 @@ KEPT_PUBLIC = {
     "diffops.diffpoly_to_doc",
     "diffops.diffpoly_from_doc",
     "diffops.verify_Du_numeric",
-    # the transversality part of the morphism toolkit
+    # the exact transversality test of the morphism toolkit
     "morphisms.transversality_check",
     # the writing half of the class-function file format
     "nevanlinna.mero_to_doc",

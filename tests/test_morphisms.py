@@ -3,6 +3,7 @@ import sys
 
 import numpy as np
 import pytest
+import sympy
 
 from workbench.algebra.gaussrat import GaussRat
 from workbench.algebra.poly import SparsePoly
@@ -11,13 +12,13 @@ from workbench.morphisms import (
     PowerMorphism,
     euler_identity_check,
     general_position_check,
-    intersection_points,
     jacobian_det,
     pushforward_curve,
+    share_a_zero,
     transversality_check,
 )
 
-from conftest import count_calls, random_poly, variables
+from conftest import count_calls, random_poly, to_sympy, variables
 
 
 def sphere():
@@ -94,34 +95,131 @@ def test_reduced_divides_full_randomized(rng):
         count += 1
 
 
-def test_intersection_points_exact_corner():
-    x0, x1, x2 = variables(3)
-    pts = intersection_points(x0, x1)
-    assert len(pts) == 1
-    assert pts[0].exact == (GaussRat(0), GaussRat(0), GaussRat(1))
-    with pytest.raises(NonProperIntersection):
-        intersection_points(x0 * x1, x1 * x2)
-
-
 def test_general_position_examples():
     x0, x1, x2 = variables(3)
-    assert general_position_check([x0, x1, x2])
-    rep = general_position_check([x0, x1, x0 + x1])
-    assert not rep
-    assert rep.violations[0].point.coords[2] == 1
-    assert general_position_check([sphere(), x0, x1, x2])
+    assert general_position_check([x0, x1, x2]) == ()
+    assert general_position_check([x0, x1, x0 + x1]) == ((0, 1, 2),)
+    assert general_position_check([sphere(), x0, x1, x2]) == ()
+    # no point is computed, so no float point can be misjudged either way
+    assert general_position_check([x0**2, x1**2, x2**2, x0 + 2 * x1 - 3 * x2]) == ()
+    assert general_position_check([x0**3 + x1**3 + x2**3, x0 + x1, x0 + x2]) == ()
+    # a shared component meets every other curve
+    assert general_position_check([x0 * x1, x1 * x2, x0]) == ((0, 1, 2),)
+    with pytest.raises(InvalidInput):
+        general_position_check([x0, x1, x0 + x1**2])
+
+
+def test_irrational_common_points_are_found():
+    # q*x0 + x2^3, q*x1 + x2^3 and x2 all vanish at (1 : +-sqrt(2) : 0)
+    x0, x1, x2 = variables(3)
+    q = x1**2 - 2 * x0**2
+    F = (q * x0 + x2**3, q * x1 + x2**3, x2)
+    assert general_position_check(list(F)) == ((0, 1, 2),)
+    with pytest.raises(InvalidInput):
+        PowerMorphism.build(*F)
 
 
 def test_transversality_examples():
     x0, x1, x2 = variables(3)
-    recs = transversality_check(x0, x1)
-    assert [r.verdict for r in recs] == ["transversal"]
-    assert recs[0].minor == 1
+    assert transversality_check(x0, x1)
     # tangency of a line with a conic at an exact point
-    recs = transversality_check(x1, x1 * x2 - x0**2)
-    assert [r.verdict for r in recs] == ["tangential"]
-    recs = transversality_check(sphere(), x0)
-    assert len(recs) == 2 and all(r.verdict == "transversal" for r in recs)
+    assert not transversality_check(x1, x1 * x2 - x0**2)
+    assert transversality_check(sphere(), x0)
+    q = x1**2 - 2 * x0**2
+    # x2 = 0 meets q^2 + x2^4 only at its singular points (1 : +-sqrt(2) : 0)
+    assert not transversality_check(q**2 + x2**4, x2)
+    # and meets q*x0 + x2^3 in the three simple points (0 : 1 : 0), (1 : +-sqrt(2) : 0)
+    assert transversality_check(q * x0 + x2**3, x2)
+    with pytest.raises(NonProperIntersection):
+        transversality_check(x0 * x1, x1 * x2)
+    with pytest.raises(InvalidInput):
+        transversality_check(SparsePoly.zero(3), x1)
+
+
+def _linear_form(c):
+    return sum((ci * x for ci, x in zip(c, variables(3))), SparsePoly.zero(3))
+
+
+def _cross(u, v):
+    return tuple(u[(k + 1) % 3] * v[(k + 2) % 3] - u[(k + 2) % 3] * v[(k + 1) % 3] for k in range(3))
+
+
+def _gaussian_vector(rng):
+    while True:
+        v = tuple(GaussRat(rng.randrange(-3, 4), rng.randrange(-3, 4)) for _ in range(3))
+        if any(v):
+            return v
+
+
+def test_share_a_zero_against_exact_intersections(rng):
+    # F and G are products of lines, so F cap G is exactly the cross products
+    # of their line pairs; H vanishes at one of them or is drawn at random
+    outcomes = []
+    while len(outcomes) < 40:
+        ls = [_gaussian_vector(rng) for _ in range(rng.randrange(1, 4))]
+        ms = [_gaussian_vector(rng) for _ in range(rng.randrange(1, 3))]
+        points = [_cross(l, m) for l in ls for m in ms]
+        if not all(any(p) for p in points):
+            continue  # a common line
+        F = math.prod((_linear_form(l) for l in ls), start=SparsePoly.one(3))
+        G = math.prod((_linear_form(m) for m in ms), start=SparsePoly.one(3))
+        H = random_poly(rng, 3, 0, max_terms=4, coeff_range=3,
+                        homogeneous_degree=rng.randrange(0, 3))
+        if rng.random() < 0.5:
+            P = rng.choice(points)
+            v = _gaussian_vector(rng)
+            if not any(_cross(P, v)):
+                continue
+            H = H * _linear_form(_cross(P, v))
+        truth = any(not H.eval_exact(P) for P in points)
+        for triple in ((F, G, H), (G, H, F), (H, F, G)):
+            assert share_a_zero(*triple) == truth
+        outcomes.append(truth)
+    assert 10 <= sum(outcomes) <= 30
+
+
+def test_share_a_zero_finds_planted_irrational_points(rng):
+    # every H = A*F + B*G vanishes on F cap G, which is not empty in P^2
+    count = 0
+    while count < 20:
+        dF, dG = rng.randrange(1, 4), rng.randrange(1, 3)
+        e = max(dF, dG) + rng.randrange(0, 2)
+        F, G, A, B = (random_poly(rng, 3, 0, max_terms=4, coeff_range=3, homogeneous_degree=d)
+                      for d in (dF, dG, e - dF, e - dG))
+        H = A * F + B * G
+        if not H:
+            continue
+        assert share_a_zero(F, G, H) and share_a_zero(H, F, G)
+        count += 1
+
+
+def test_share_a_zero_agrees_with_groebner(rng):
+    # by the Nullstellensatz the forms share a zero in P^2 exactly when the
+    # ideal of some affine chart x_v = 1 is not the unit ideal
+    X = sympy.symbols("x0 x1 x2")
+    outcomes = []
+    for _ in range(40):
+        forms = [random_poly(rng, 3, 0, max_terms=3, coeff_range=2,
+                             homogeneous_degree=rng.randrange(1, 4)) for _ in range(3)]
+        exprs = [to_sympy(p, X) for p in forms]
+        truth = any(sympy.groebner([e.subs(x, 1) for e in exprs], *(y for y in X if y != x),
+                                   order="grevlex").exprs != [1] for x in X)
+        assert share_a_zero(*forms) == truth
+        outcomes.append(truth)
+    assert 0 < sum(outcomes) < len(outcomes)
+
+
+def test_share_a_zero_shears_past_the_coordinate_points():
+    # F passes through (0 : 0 : 1), (0 : 1 : 0) and (1 : 0 : 0), and G(a, 0, 1)
+    # vanishes for a = 0..3, so neither is monic in x2 before a shear
+    x0, x1, x2 = variables(3)
+    F = x0 * x1 + x1 * x2 + x0 * x2
+    G = x0 * (x0 - x2) * (x0 - 2 * x2) * (x0 - 3 * x2)
+    for first, second in ((F, G), (G, F)):
+        assert share_a_zero(first, second, x1)  # (0 : 0 : 1)
+        assert share_a_zero(first, second, x0 - x2)  # a line of G
+        assert not share_a_zero(first, second, x1 + x2)  # only (1 : 0 : 0) on F
+        assert not share_a_zero(first, second, x1 + 5 * x2)
 
 
 def test_pushforward_example():
@@ -235,10 +333,11 @@ def test_pushforward_lines_exact(rng):
 
 
 def test_pushforward_runs_no_elimination(monkeypatch):
+    m = squaring_morphism()  # its finiteness check runs one resultant
     calls = {name: [count_calls(monkeypatch, mod, name) for key, mod in list(sys.modules.items())
                     if key.startswith("workbench") and hasattr(mod, name)]
              for name in ("resultant", "squarefree_decompose")}
     x0, x1, x2 = variables(3)
-    pushforward_curve(squaring_morphism(), x0**2 + x1 * x2 + x0 * x2 - x2**2)
+    pushforward_curve(m, x0**2 + x1 * x2 + x0 * x2 - x2**2)
     assert {name: sum(map(len, lists)) for name, lists in calls.items()} == \
         {"resultant": 0, "squarefree_decompose": 0}
