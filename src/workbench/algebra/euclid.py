@@ -88,9 +88,10 @@ def canonical_scale(p: SparsePoly) -> SparsePoly:
 
 
 def content_in(p: SparsePoly, var: int) -> SparsePoly:
-    """gcd of the coefficients of p viewed in ``var`` (a var-free polynomial)."""
+    """gcd of the coefficients of p viewed in ``var`` (a var-free polynomial);
+    the content of the zero polynomial is zero."""
     coeffs = [c for c in p.coeffs_in(var) if c]
-    return gcd_many(coeffs)
+    return gcd_many(coeffs) if coeffs else p
 
 
 def primitive_part_in(p: SparsePoly, var: int) -> SparsePoly:

@@ -4,28 +4,31 @@ Multiplicities are assigned structurally (from the squarefree
 decomposition), never numerically.  When a squarefree factor has degree
 ``_MIN_SEEDED_DEGREE`` or more, the factors are first solved from float
 seeds: the eigenvalue roots of ``np.roots`` are refined by Newton's method at
-high working precision.  Every approximate root x gets the
-classical enclosure radius deg(p) * |p(x)/p'(x)|, which always contains at
-least one true root; pairwise disjointness of the disks then pins exactly one
-root per disk.  So a bad seed can only make the attempt fail, never give a
-wrong disk; when it fails, or is not made, the simultaneous iteration
+high working precision.  Every approximate root x gets one radius
+(``_radius``), which covers the rounding of the coefficients and of Horner's
+rule and holds at least one true root.  An attempt passes when every radius
+is at most ``ENCLOSURE_RADIUS`` max(1, |x|) and the disks are pairwise
+disjoint, which pins exactly one root per disk.  So a bad seed can only make
+the attempt fail, never give a wrong disk; when it fails, or is not made,
 ``mpmath.polyroots`` solves the factors at doubling precision instead.  The
-stored radius also covers the rounding of x to its float centre.
+stored radius adds the rounding of x to its float centre, and the
+enclosure keeps x as its certified root.
 
 Every root in Q(i) carries its exact value.  With denominators cleared a
 factor has a leading coefficient L in Z[i], and by Gauss's lemma over Z[i]
-its roots in Q(i) are g/L for Gaussian integers g.  Once the attempt
-certifies, an x whose true radius (``_radii``) times |L| is 1/2 or more is
-refined at the last attempt's precision; then g = round(L x) is the only
-candidate, and one exact evaluation decides it.  Two roots given one exact
-value leave the attempt uncertified.
+its roots in Q(i) are g/L for Gaussian integers g.  Once the radii pass, an
+x whose radius times |L| is 1/2 or more is refined at the last attempt's
+precision; then g = round(L x) is the only candidate, and one exact
+evaluation decides it.  The disjointness test compares two exact roots by
+value, so two roots given one exact value leave the attempt uncertified.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import mpmath
 import numpy as np
@@ -36,9 +39,7 @@ from .gaussrat import GaussRat, int_pairs
 from .poly import SparsePoly
 from .squarefree import squarefree_decompose
 
-# stored float radii never claim more than honest float exactness
-_MIN_NUMERIC_RADIUS = 1e-250
-# every numeric enclosure radius is at most this
+# every enclosure radius is at most this times max(1, |root|)
 ENCLOSURE_RADIUS = 1e-12
 # (working dps, float-seeded) per attempt: float seeds first, then the
 # polyroots ladder at doubling precision
@@ -56,6 +57,9 @@ class RootEnclosure:
     radius: float
     multiplicity: int
     exact: GaussRat | None = None  # the root when it is in Q(i), else None
+    # the certified high-precision root of a solved factor; None for a root
+    # that is exact by structure (zero, or a linear factor's)
+    root: mpmath.mpc | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -112,29 +116,36 @@ def _newton(cm, dm, z, dps: int):
 
 
 def _level(coeffs: list[GaussRat]):
-    """p and p' at the working precision, and u N with N >= sum |c_k| of p
-    and u = 16 (deg + 1) eps, which bounds the rounding of the coefficients
-    and of Horner's rule (``_radii``)."""
+    """p and p' at the working precision, and the coefficients u |c_k|,
+    u = 16 (deg + 1) eps, of their rounding bound, each as ``mpmath.frexp``
+    gives it but with a float mantissa."""
     cm = [_to_mpc(c) for c in coeffs]
     dm = [cm[i] * i for i in range(1, len(cm))]
-    return cm, dm, 16 * len(cm) * mpmath.mp.eps * sum(abs(c.real) + abs(c.imag) for c in cm)
+    u = 16 * len(cm) * mpmath.mp.eps
+    em = (mpmath.frexp(u * (abs(c.real) + abs(c.imag))) for c in cm)
+    return cm, dm, [(float(m), x) for m, x in em]
 
 
-def _radii(cm, dm, rounding, z):
-    """(radius, true radius) about z.  A disk of radius deg(p) |p(z)/p'(z)|
-    holds a root of p if p(z) and p'(z) are exact; the true radius also
-    covers their rounding at the working precision, at most ``rounding``
-    R^deg for p and deg ``rounding`` R^(deg-1) for p', with R = max(1, |z|)
-    (infinite when p'(z) may vanish)."""
-    n = len(cm) - 1
-    dv = _horner(dm, z)
-    if dv == 0:
-        raise EnclosureError("derivative vanished at an approximate root")
-    pv = _horner(cm, z)
-    apv, adv, r = abs(pv), abs(dv), max(1, abs(z))
-    err = rounding * r ** (n - 1)
-    true_rad = n * (apv + err * r) / (adv - n * err) if adv > n * err else mpmath.inf
-    return n * apv / adv, true_rad
+def _radius(cm, dm, em, z):
+    """n (|p(z)| + e_p) / (|p'(z)| - e_p'), infinite when p'(z) may vanish.
+
+    A disk of radius n |p(z)/p'(z)| about z holds a root of p when p(z) and
+    p'(z) are exact.  Horner's running error bounds e_p = u sum |c_k| |z|^k
+    and e_p' = u sum k |c_k| |z|^(k-1) (``_level``) cover their rounding.
+    They are summed in floats, each term scaled by one power of two so that
+    nothing overflows; that rounding is far inside the factor 16 of u.
+    """
+    m, x = mpmath.frexp(abs(z))  # |z| = m 2^x
+    m = float(m)
+    top = max(xk + k * x for k, (mk, xk) in enumerate(em) if mk)
+    e = ed = 0.0
+    for k in range(len(em) - 1, -1, -1):
+        ed = ed * m + e
+        e = e * m + math.ldexp(em[k][0], em[k][1] + k * x - top)
+    slope = abs(_horner(dm, z)) - mpmath.ldexp(ed, top - x)
+    if slope <= 0:
+        return mpmath.inf
+    return (len(cm) - 1) * (abs(_horner(cm, z)) + mpmath.ldexp(e, top)) / slope
 
 
 def _seeded_roots(coeffs: list[GaussRat], cm, dm, dps: int):
@@ -177,14 +188,11 @@ def _solve_squarefree(coeffs: list[GaussRat], dps: int, seeded: bool):
 
     The approximate roots come from float seeds (``seeded``) or from
     ``mpmath.polyroots``; either way a final Newton step gives the
-    high-precision root.  Returns (centre, radius, stored radius, root, true
-    radius) per root: the float centre, the enclosure radius about the
-    high-precision root, that radius widened by the distance to the centre,
-    rounded up, so the disk about the centre contains the root, and the
-    high-precision root with its true radius (``_radii``).
+    high-precision root.  Returns (root, radius) per root, the radius from
+    ``_radius``.
     """
     with mpmath.workdps(dps):
-        cm, dm, rounding = _level(coeffs)
+        cm, dm, em = _level(coeffs)
         if seeded:
             approx = _seeded_roots(coeffs, cm, dm, dps)
         else:
@@ -195,16 +203,13 @@ def _solve_squarefree(coeffs: list[GaussRat], dps: int, seeded: bool):
         out = []
         for r in approx:
             z = _newton(cm, dm, mpmath.mpc(r), dps)
-            rad, true_rad = _radii(cm, dm, rounding, z)
-            center = complex(z)
-            honest = float(rad + abs(z - mpmath.mpc(center)))
-            out.append((center, float(rad), math.nextafter(honest, math.inf), z, true_rad))
+            out.append((z, _radius(cm, dm, em, z)))
         return out
 
 
 def _gaussian_rational(p: SparsePoly, coeffs: list[GaussRat], lead: tuple[int, int], z,
                        rad) -> GaussRat | None:
-    """The root of the squarefree ``p`` within the true radius ``rad`` of its
+    """The root of the squarefree ``p`` within the radius ``rad`` of its
     high-precision root z if it is in Q(i), else None; ``lead`` is L = a + bi
     as (a, b).  When |L| rad >= 1/2, z is first refined by Newton at the
     ladder's last precision, and the refined disk must lie inside the first.
@@ -215,9 +220,9 @@ def _gaussian_rational(p: SparsePoly, coeffs: list[GaussRat], lead: tuple[int, i
     if size2 * rad**2 >= 0.25:
         top = _ATTEMPTS[-1][0]
         with mpmath.workdps(top):
-            cm, dm, rounding = _level(coeffs)
+            cm, dm, em = _level(coeffs)
             fine = _newton(cm, dm, z, top)
-            fine_rad = _radii(cm, dm, rounding, fine)[1]
+            fine_rad = _radius(cm, dm, em, fine)
             if abs(fine - z) + fine_rad > rad or size2 * fine_rad**2 >= 0.25:
                 raise EnclosureError(f"an exactness test needs more than {top} digits")
         return _gaussian_rational(p, coeffs, lead, fine, fine_rad)
@@ -242,16 +247,15 @@ def roots_certified(f: SparsePoly) -> AlgebraicRoots:
     The polynomial is squarefree-decomposed first; each squarefree factor is
     solved numerically and every root is returned as a disk certified to
     contain exactly one root of that factor: the root is within
-    ``ENCLOSURE_RADIUS`` of its high-precision approximation, and the
-    stored radius adds the rounding of that approximation to the float
-    centre.  Every root in Q(i) is an exact enclosure of radius zero, so
-    ``exact`` is None only for a root outside Q(i).  A centre is 0 exactly
-    when its root is 0, the one root that is peeled structurally; a nonzero
-    root whose centre underflows to 0 raises InvalidInput.  Raises
-    EnclosureError (carrying the best enclosures) if that radius, the
-    exactness test's or disk disjointness cannot be reached.  Results are
-    cached per polynomial, so all callers share one solve; an error is never
-    cached.
+    ``ENCLOSURE_RADIUS`` max(1, |x|) of its high-precision approximation x,
+    and the stored radius adds the rounding of x to the float centre.  Every
+    root in Q(i) is an exact enclosure of radius zero, so ``exact`` is None
+    only for a root outside Q(i).  A centre is 0 exactly when its root is 0,
+    the one root that is peeled structurally; a nonzero root whose centre
+    underflows to 0 raises InvalidInput.  Raises EnclosureError if that
+    radius, the exactness test's or disk disjointness cannot be reached.
+    Results are cached per polynomial, so all callers share one solve; an
+    error is never cached.
     """
     if not f:
         raise ValueError("cannot isolate roots of the zero polynomial")
@@ -277,59 +281,60 @@ def roots_certified(f: SparsePoly) -> AlgebraicRoots:
             pending.append((p, coeffs, mult, int_pairs(coeffs)[1][-1]))
 
     top = max((len(c) - 1 for _, c, _, _ in pending), default=0)
-    best: list[RootEnclosure] | None = None
     for dps, seeded in _ATTEMPTS:
         if seeded and top < _MIN_SEEDED_DEGREE:
             continue
-        numeric: list[RootEnclosure] = []
-        solved = []  # (factor, coefficients, L, high-precision root, true radius)
-        ok = True
         try:
-            for p, coeffs, mult, lead in pending:
-                for center, rad, stored, z, true_rad in _solve_squarefree(coeffs, dps, seeded):
-                    if rad > ENCLOSURE_RADIUS:
-                        ok = False
-                    numeric.append(
-                        RootEnclosure(center, max(stored, _MIN_NUMERIC_RADIUS), mult)
-                    )
-                    solved.append((p, coeffs, lead, z, true_rad))
+            # (factor, coefficients, multiplicity, L, high-precision root, radius)
+            solved = [(p, coeffs, mult, lead, z, rad) for p, coeffs, mult, lead in pending
+                      for z, rad in _solve_squarefree(coeffs, dps, seeded)]
         except EnclosureError:
             if not seeded:
                 raise
             continue
-        candidate = enclosures + numeric
-        if ok and _pairwise_disjoint(candidate):
+        if any(rad > ENCLOSURE_RADIUS * max(1, abs(z)) for *_, z, rad in solved):
+            continue
+        with mpmath.workdps(dps):
+            candidate = enclosures + [
+                _enclosure(z, rad, mult, _gaussian_rational(p, coeffs, lead, z, rad))
+                for p, coeffs, mult, lead, z, rad in solved]
+        if _pairwise_disjoint(candidate):
             total = sum(r.multiplicity for r in candidate)
             expected = sum((len(c) - 1) * m for _, c, m, _ in pending) + sum(
                 r.multiplicity for r in enclosures
             )
             if total != expected:
                 raise InternalContradiction("root count does not match degree")
-            exact = [_gaussian_rational(*args) for args in solved]
-            candidate = enclosures + [
-                d if r is None else RootEnclosure(complex(r), 0.0, d.multiplicity, r)
-                for d, r in zip(numeric, exact)]
-            # two roots given one exact value collide: the attempt is uncertified
-            if all(r is None for r in exact) or _pairwise_disjoint(candidate):
-                if any(r.center == 0 and r.exact != 0 for r in candidate):
-                    raise InvalidInput("a nonzero root's float centre underflows to 0")
-                ordered = tuple(
-                    sorted(candidate, key=lambda r: (round(r.center.real, 10),
-                                                     round(r.center.imag, 10)))
-                )
-                return AlgebraicRoots(original, ordered)
-        best = candidate
-    raise EnclosureError(
-        f"could not certify enclosures at tol={ENCLOSURE_RADIUS}", best=best
-    )
+            if any(r.center == 0 and r.exact != 0 for r in candidate):
+                raise InvalidInput("a nonzero root's float centre underflows to 0")
+            ordered = tuple(
+                sorted(candidate, key=lambda r: (round(r.center.real, 10),
+                                                 round(r.center.imag, 10)))
+            )
+            return AlgebraicRoots(original, ordered)
+    raise EnclosureError(f"could not certify enclosures at relative tol={ENCLOSURE_RADIUS}")
+
+
+def _enclosure(z, rad, mult: int, exact: GaussRat | None) -> RootEnclosure:
+    """The point ``exact`` when the root is in Q(i); else the disk about the
+    float centre of z that holds the disk of radius ``rad`` about z, its
+    radius rounded up.  Either keeps z as the certified root."""
+    if exact is not None:
+        return RootEnclosure(complex(exact), 0.0, mult, exact, z)
+    center = complex(z)
+    stored = float(rad + abs(z - mpmath.mpc(center)))
+    return RootEnclosure(center, math.nextafter(stored, math.inf), mult, None, z)
 
 
 def _pairwise_disjoint(roots: list[RootEnclosure]) -> bool:
-    for i in range(len(roots)):
-        for j in range(i + 1, len(roots)):
-            a, b = roots[i], roots[j]
-            if abs(a.center - b.center) <= a.radius + b.radius:
+    """No two enclosures can hold one root: two exact roots differ in value,
+    and any other two disks lie apart."""
+    for a, b in itertools.combinations(roots, 2):
+        if a.exact is not None and b.exact is not None:
+            if a.exact == b.exact:
                 return False
+        elif abs(a.center - b.center) <= a.radius + b.radius:
+            return False
     return True
 
 

@@ -35,11 +35,4 @@ class QuadratureError(WorkbenchError):
 
 
 class EnclosureError(WorkbenchError):
-    """Certified root enclosures could not be refined to the requested tolerance.
-
-    Carries the best enclosures computed so far.
-    """
-
-    def __init__(self, message: str, best=None):
-        super().__init__(message)
-        self.best = best
+    """Certified root enclosures could not be refined to the requested tolerance."""

@@ -24,8 +24,7 @@ import numpy as np
 from .algebra.euclid import gcd_poly
 from .algebra.gaussrat import GaussRat
 from .algebra.poly import SparsePoly
-from .algebra.roots import _newton, _to_mpc, _univar_coeffs, roots_certified
-from .algebra.squarefree import squarefree_part
+from .algebra.roots import _to_mpc, roots_certified
 from .errors import InvalidInput
 from .nevanlinna import MeroFn, _complex_coeffs_desc
 
@@ -220,25 +219,16 @@ class ExpSumFn:
         alpha = complex(D.coeffs_in(0)[1].constant_value())
         beta_exact = D.coeffs_in(0)[0].constant_value()
         beta = complex(beta_exact)
-        newton = None  # the squarefree part's coefficients and derivative at 30 digits
         out = []
         for root in roots_certified(poly_w).roots:
             if root.exact == 0:
                 continue  # w = 0 has no preimage under the unit
-            if root.exact is not None:
-                # log1p of the exact w0 - 1 keeps log w0 to full relative
-                # accuracy near w0 = 1, where the float centre cancels
-                with mpmath.workdps(30):
-                    w0log = complex(mpmath.log1p(_to_mpc(root.exact - 1)))
-            else:
-                # the same from w0 refined to 30 digits: Newton on the
-                # squarefree part, where the root is simple, from the centre
-                with mpmath.workdps(30):
-                    if newton is None:
-                        cm = [_to_mpc(c) for c in _univar_coeffs(squarefree_part(poly_w))]
-                        newton = cm, [cm[i] * i for i in range(1, len(cm))]
-                    w0 = _newton(*newton, mpmath.mpc(root.center), 30)
-                    w0log = complex(mpmath.log1p(w0 - 1))
+            # log1p of w0 - 1 keeps log w0 to full relative accuracy near
+            # w0 = 1, where the float centre cancels: from the exact w0 when
+            # it is in Q(i), else from the certified high-precision root
+            with mpmath.workdps(30):
+                w0m1 = _to_mpc(root.exact - 1) if root.exact is not None else root.root - 1
+                w0log = complex(mpmath.log1p(w0m1))
             for k in _lattice_range(alpha, beta, w0log, r):
                 z = (w0log + 2j * math.pi * k - beta) / alpha
                 # the origin is beta = 0, w0 = 1 and k = 0 exactly: e^beta is

@@ -18,7 +18,8 @@ spectrally accurate away from the kink set of the maximum).
 
 Tuples and counting take ``MeroFn`` and ``expsum.ExpSumFn`` (which imports
 this module) duck-typed, through ``log_abs``, ``is_zero``, ``eval`` and
-``as_mero``; the zero-counting route is chosen in ``_zero_points``.
+``as_mero``; the zero-counting route is chosen in ``_zero_points``.  The
+proximity of a ``LogDerivative`` is the log-max average of (f'/f, 1).
 """
 
 from __future__ import annotations
@@ -297,6 +298,9 @@ class LogDerivative:
 
     def eval(self, z: complex) -> complex:
         return complex(self.num.eval([z])) / complex(self.den.eval([z]))
+
+    def is_zero(self) -> bool:
+        return not self.num
 
     def log_abs(self, zs: np.ndarray) -> np.ndarray:
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -719,8 +723,8 @@ def gcd_counting(f, g, r: float) -> float:
 def log_derivative_T(ld: LogDerivative, r: float) -> float:
     """Characteristic of f'/f: proximity plus the (simple) pole counting."""
     _check_clear(ld.poles, r)
-    m, _ = circle_average(lambda zs: np.maximum(ld.log_abs(zs), 0.0), r)
-    return m + _log_counting(((root.center, 1) for root in ld.poles), r)
+    poles = ((root.center, 1) for root in ld.poles)
+    return _log_max_average((ld, _ONE), r) + _log_counting(poles, r)
 
 
 # ---------------------------------------------------------------------------

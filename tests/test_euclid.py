@@ -174,6 +174,13 @@ def test_content_and_canonical_scale():
     assert q.terms[max(q.terms)] == GaussRat(1)
 
 
+def test_content_of_zero_is_zero():
+    zero = SparsePoly.zero(3)
+    for var in range(3):
+        c = content_in(zero, var)
+        assert not c and c.num_vars == 3
+
+
 def test_squarefree_and_monomial_checks():
     x0, x1, x2 = variables(3)
     assert is_squarefree(x0 * x1 + x2**2)

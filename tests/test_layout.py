@@ -17,6 +17,7 @@ also some unrelated attribute still counts as used.
 """
 
 import ast
+import re
 from collections import Counter
 from pathlib import Path
 
@@ -131,7 +132,7 @@ def test_one_home_for_circle_functionals():
     nevanlinna.py; the harness asks for functionals and never tests a type.
 
     log+|f| is the log-max average of (f, 1), so the quadrature has no
-    positive-part mode of its own.
+    positive-part mode of its own, and the log-max average is its one caller.
     """
     for path in PACKAGE.rglob("*.py"):
         if path.name != "nevanlinna.py":
@@ -142,12 +143,26 @@ def test_one_home_for_circle_functionals():
             named = {n.id for n in ast.walk(node.args[1]) if isinstance(n, ast.Name)}
             assert not named & {"MeroFn", "ExpSumFn"}, ast.unparse(node)
     nevanlinna = PACKAGE / "nevanlinna.py"
-    for node in ast.walk(ast.parse(nevanlinna.read_text(), str(nevanlinna))):
+    tree = ast.parse(nevanlinna.read_text(), str(nevanlinna))
+    for node in ast.walk(tree):
         if isinstance(node, ast.FunctionDef) and node.name == "circle_average":
             assert [a.arg for a in node.args.args] == ["logabs", "r"]
             break
     else:
         raise AssertionError("nevanlinna.circle_average is gone")
+    callers = [f.name for f in tree.body if isinstance(f, ast.FunctionDef)
+               for n in ast.walk(f) if isinstance(n, ast.Name) and n.id == "circle_average"]
+    assert callers == ["_log_max_average"]
+
+
+def test_one_home_for_root_refinement():
+    """Newton refinement, the working-precision level and the enclosure
+    radius live in algebra/roots.py; every other module reads the certified
+    root a RootEnclosure carries instead of refining one again."""
+    private = re.compile(r"\b(_newton|_level|_radius)\b")
+    for path in PACKAGE.rglob("*.py"):
+        if path != PACKAGE / "algebra" / "roots.py":
+            assert not private.search(path.read_text()), path.name
 
 
 def test_every_check_takes_one_scenario():

@@ -100,24 +100,67 @@ def test_nonzero_filter():
 
 
 def _holds_a_root(disk, mp_roots) -> bool:
-    """The nearest 50-digit root lies in the disk, with no slack."""
+    """The nearest 80-digit root lies in the disk, with no slack."""
     center = mpmath.mpc(disk.center.real, disk.center.imag)
     return min(abs(r - center) for r in mp_roots) <= mpmath.mpf(disk.radius)
 
 
+def _wide_scale(rng):
+    """10^k A + B with k in [45, 52]: A has two or three distinct integer
+    roots, and B's small coefficients b sit on A's support.  At 40 digits
+    each a 10^k + b rounds to a 10^k exactly, so the rounded polynomial's
+    roots are A's, floats that miss the true roots by about 10^-k."""
+    k = rng.randrange(45, 53)
+    A = SparsePoly.one(1)
+    for r in rng.sample([r for r in range(-5, 6) if r], rng.randrange(2, 4)):
+        A = A * _linear(r)
+    B = SparsePoly(1, {e: GaussRat(rng.randrange(1, 10)) for e in A.terms})
+    return A.scale(GaussRat(10**k)) + B
+
+
 def test_disks_contain_their_roots_after_rounding(rng):
-    # sqrt(2) lies 9.7e-17 from its float centre, far outside a radius of 1e-41
-    polys = [t() ** 2 - 2]
-    while len(polys) < 5:
+    # sqrt(2) lies 9.7e-17 from its float centre, far outside a radius of 1e-41;
+    # at 40 digits 10^60 + 1 rounds to 10^60, so p(+-1) evaluates to 0 there,
+    # while the roots +-sqrt(1 + 10^-60) lie 5e-61 from +-1
+    polys = [t() ** 2 - 2, 10**60 * t() ** 2 - (10**60 + 1), _wide_scale(random.Random(60))]
+    while len(polys) < 7:
         f = random_poly(rng, 1, 6, max_terms=5, coeff_range=4)
         if f.degree_in(0) >= 2 and f.terms.get((0,)):
             polys.append(f)
-    with mpmath.workdps(50):
+    with mpmath.workdps(80):
         for f in polys:
-            coeffs = [complex(f.terms.get((k,), GaussRat(0))) for k in range(f.degree_in(0), -1, -1)]
-            mp_roots = mpmath.polyroots(coeffs, maxsteps=200, extraprec=100)
+            coeffs = [roots._to_mpc(c) for c in reversed(roots._univar_coeffs(f))]
+            mp_roots = mpmath.polyroots(coeffs, maxsteps=200, extraprec=200)
             for disk in roots_certified(f).roots:
                 assert disk.exact is not None or _holds_a_root(disk, mp_roots), (f, disk)
+
+
+def _radius_by_formula(coeffs, z):
+    """n (|p(z)| + e_p) / (|p'(z)| - e_p') with every sum taken in mpmath,
+    infinite when the denominator is not positive."""
+    cm = [roots._to_mpc(c) for c in coeffs]
+    u, a = 16 * len(cm) * mpmath.mp.eps, abs(z)
+    size = [u * (abs(c.real) + abs(c.imag)) for c in cm]
+    e = sum(s * a**k for k, s in enumerate(size))
+    ed = sum(k * s * a ** (k - 1) for k, s in enumerate(size) if k)
+    pv = mpmath.polyval(cm[::-1], z)
+    dv = mpmath.polyval([k * c for k, c in enumerate(cm)][:0:-1], z)
+    slope = abs(dv) - ed
+    return (len(cm) - 1) * (abs(pv) + e) / slope if slope > 0 else mpmath.inf
+
+
+@pytest.mark.parametrize("dps", [40, 640])
+def test_radius_is_the_rounding_aware_formula(dps):
+    # sparse factors, coefficients of wide scale, and points from 0 to 10^160
+    polys = [t() ** 15 - 2, (t() ** 2 + 10**320) * (t() ** 15 - 2),
+             Fraction(1, 10**60) * t() ** 7 + 10**40 * t() ** 2 - 3]
+    with mpmath.workdps(dps):
+        for f in polys:
+            coeffs = roots._univar_coeffs(f)
+            level = roots._level(coeffs)
+            for z in (mpmath.mpc(0), mpmath.mpc(1.1, 0.3), mpmath.mpc(0, 10**160), 2 ** (1 / 15)):
+                got, want = roots._radius(*level, mpmath.mpc(z)), _radius_by_formula(coeffs, z)
+                assert got == want or abs(got / want - 1) < 1e-9, (f, z)
 
 
 # -- exact roots -----------------------------------------------------------------
@@ -172,6 +215,13 @@ def test_exact_on_exactly_the_gaussian_rational_roots():
     ((10**20 * t() - (10**20 + 1)) * (t() ** 2 - 3), {1 + GaussRat(Fraction(1, 10**20)): 1}, 2),
     # 1 + 10^-60 is decided only at 80 digits
     ((10**60 * t() - (10**60 + 1)) * (t() ** 2 - 3), {1 + GaussRat(Fraction(1, 10**60)): 1}, 2),
+    # 1 and 1 + 10^-20 share the float centre 1.0: one squarefree factor, then
+    # two linear factors; exact enclosures are told apart by value
+    ((t() - 1) * (10**20 * t() - (10**20 + 1)), {1: 1, 1 + GaussRat(Fraction(1, 10**20)): 1}, 0),
+    (((t() - 1) * (10**20 * t() - (10**20 + 1))) ** 2,
+     {1: 2, 1 + GaussRat(Fraction(1, 10**20)): 2}, 0),
+    ((t() - 1) * (10**20 * t() - (10**20 + 1)) ** 2,
+     {1: 1, 1 + GaussRat(Fraction(1, 10**20)): 2}, 0),
 ])
 def test_exact_roots_of_named_polynomials(f, values, irrational):
     assert _exact_roots(f) == values
@@ -186,8 +236,9 @@ def test_exactness_beyond_the_precision_ladder_is_refused():
 
 
 def test_exactness_refines_a_root_past_its_attempt():
-    # the attempt at 80 digits certifies the disks, but about 10^160 i it
-    # pins the root only to 10^80; a refinement at 640 digits decides it
+    # the attempt at 40 digits certifies the disks under the relative
+    # tolerance, but about 10^160 i its radius is 1.1e123 (1.0e83 at 80
+    # digits); a refinement at 640 digits decides it
     f = (t() ** 2 + 10**320) * (t() ** 15 - 2)
     assert _exact_roots(f) == {GaussRat(0, 10**160): 1, GaussRat(0, -(10**160)): 1}
 
@@ -205,12 +256,13 @@ def test_irrational_neighbours_of_a_rational_root_stay_inexact():
 
 
 def test_two_roots_given_one_exact_value_do_not_certify(monkeypatch):
-    # true radii of 10^-3 reach from each neighbour to 1/10, so all three
-    # roots pass the test for 1/10; the collision leaves every attempt
-    # uncertified instead of returning three disks at 1/10
-    real = roots._radii
-    monkeypatch.setattr(roots, "_radii", lambda *args: (
-        lambda rad, true_rad: (rad, max(true_rad, mpmath.mpf(1e-3))))(*real(*args)))
+    # radii of 10^-3, under a tolerance raised to match, reach from each
+    # neighbour to 1/10, so all three roots pass the test for 1/10; the
+    # collision leaves every attempt uncertified instead of returning three
+    # disks at 1/10
+    real = roots._radius
+    monkeypatch.setattr(roots, "_radius", lambda *args: max(real(*args), mpmath.mpf(1e-3)))
+    monkeypatch.setattr(roots, "ENCLOSURE_RADIUS", 1e-2)
     roots_certified.cache_clear()
     with pytest.raises(EnclosureError, match="could not certify"):
         roots_certified(_mignotte_times_its_rational_root())
