@@ -17,7 +17,7 @@ plain integers and build one GaussRat per output term (``from_ints``).
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, log
 
 
 def _as_fraction(x) -> Fraction:
@@ -187,6 +187,14 @@ class GaussRat:
     def __complex__(self) -> complex:
         # int true division rounds correctly, exactly like Fraction.__float__
         return complex(self._a / self._d, self._b / self._d)
+
+    def log_abs(self) -> float:
+        """log |self| from the integer triple: (1/2) log(a^2 + b^2) - log d.
+
+        ``math.log`` of a Python int never overflows, so this holds for any
+        nonzero value, also where ``complex(self)`` is inf or 0.
+        """
+        return 0.5 * log(self._a * self._a + self._b * self._b) - log(self._d)
 
     def __str__(self):
         re, im = self.re, self.im

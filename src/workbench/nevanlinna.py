@@ -10,11 +10,12 @@ Every circle functional here is one log-max average: the mean of
 log max_i |f_i| over |z| = r.  The Cartan characteristic of a tuple is that
 average, and the proximity function is the average for the pair (f, 1),
 since log+|f| = log max(|f|, 1).  When every component is a class function
-c exp(lam z + mu), so that each log|f_i| is affine in z, the average is
-exact, arc by arc between the angles where two terms cross
-(``max_affine_average``).  Anything else (exp(z^2), polynomial factors,
-exp-sums) goes through adaptive trapezoid quadrature (``circle_average``;
-spectrally accurate away from the kink set of the maximum).
+c exp(P(z)), so that each log|f_i| is b_i + Re of a polynomial in z, the
+average is exact, arc by arc between the angles where two terms cross
+(``max_harmonic_average``).  Anything else (polynomial factors, exp-sums,
+log-derivatives) goes through adaptive trapezoid quadrature
+(``circle_average``; spectrally accurate away from the kink set of the
+maximum).
 
 Tuples and counting take ``MeroFn`` and ``expsum.ExpSumFn`` (which imports
 this module) duck-typed, through ``log_abs``, ``is_zero``, ``eval`` and
@@ -228,7 +229,7 @@ class MeroFn:
         """log |f| on an array of sample points (vectorized, -inf at zeros)."""
         if self.is_zero():
             return np.full(np.shape(zs), -INFINITY)
-        acc = np.full(np.shape(zs), math.log(abs(complex(self.scalar))) if self.scalar else -INFINITY)
+        acc = np.full(np.shape(zs), self.scalar.log_abs())
         with np.errstate(divide="ignore"):
             for poly, mult in self.factors:
                 vals = np.polyval(_complex_coeffs_desc(poly), zs)
@@ -426,53 +427,117 @@ def circle_average(logabs: Callable[[np.ndarray], np.ndarray], r: float) -> tupl
     )
 
 
-def _exp_affine(f: MeroFn) -> tuple[float, complex] | None:
-    """(b, lam) with log|f(z)| = b + Re(lam z) when f = c exp(lam z + mu), else None.
+def _exp_harmonic(f: MeroFn) -> tuple[float, list[complex]] | None:
+    """(b, [a_1, ..., a_K]) with log|f(z)| = b + Re sum_k a_k z^k when
+    f = c exp(Q) has no polynomial factors, else None.
 
-    b = log|c| + Re mu; ``f`` must be nonzero.
+    b = log|c| + Re Q(0) and a_k is the z^k coefficient of Q; ``f`` must be
+    nonzero.
     """
-    if f.factors or f.exp_part.degree_in(0) > 1:
+    if f.factors:
         return None
-    mu, lam = (f.exp_part.terms.get((k,), GaussRat(0)) for k in (0, 1))
-    return math.log(abs(complex(f.scalar))) + float(mu.re), complex(lam)
+    q = f.exp_part.terms
+    b = f.scalar.log_abs() + float(q.get((0,), GaussRat(0)).re)
+    return b, [complex(q.get((k,), GaussRat(0))) for k in range(1, f.exp_part.degree_in(0) + 1)]
 
 
-def _affine_breaks(terms: Sequence[tuple[float, complex]], r: float) -> list[float]:
-    """Sorted angles in [0, 2 pi] where two terms b + Re(lam r e^{it}) meet.
+_ADMIT = 1e-2      # roots w with ||w| - 1| below this are breakpoint candidates
+_NEWTON_STEPS = 8
+_MISSED = 1e-10    # an arc's term this far (times the scale) below the max at an end: a missed break
 
-    Terms i, j meet where (b_i - b_j) + |D| cos(t + arg D) = 0 with
-    D = (lam_i - lam_j) r: at most two angles per pair.
+
+def _harmonic(b: float, w: Sequence[complex], t: float) -> tuple[float, float]:
+    """h(t) = b + Re sum_k w_k e^{ikt} and its derivative h'(t)."""
+    h, hp = b, 0.0
+    for k, c in enumerate(w, 1):
+        v = c * cmath.exp(1j * k * t)
+        h += v.real
+        hp -= k * v.imag
+    return h, hp
+
+
+def _harmonic_breaks(terms: Sequence[tuple[float, list[complex]]], r: float) -> set[float]:
+    """Angles in [0, 2 pi) where two terms b + Re sum_k a_k (r e^{it})^k meet.
+
+    Terms i, j meet where g(t) = (b_i - b_j) + Re sum_k d_k e^{ikt} = 0 with
+    d_k = (a_ik - a_jk) r^k.  An affine difference (K = 1) meets at the at
+    most two angles of (b_i - b_j) + |d_1| cos(t + arg d_1) = 0.  Otherwise
+    2 w^K g is a polynomial of degree 2K in w = e^{it}; every root near the
+    unit circle is admitted (an extra breakpoint is harmless) and its angle
+    refined by Newton on g.
     """
     out = set()
-    for (bi, li), (bj, lj) in itertools.combinations(terms, 2):
-        d = (li - lj) * r
-        a = abs(d)
-        if a == 0 or abs(bi - bj) > a:
-            continue
-        phi, arg = math.acos(-(bi - bj) / a), cmath.phase(d)
-        out.update(((phi - arg) % (2 * math.pi), (-phi - arg) % (2 * math.pi)))
-    return sorted(out)
+    for (bi, ai), (bj, aj) in itertools.combinations(terms, 2):
+        db = bi - bj
+        pairs = itertools.zip_longest(ai, aj, fillvalue=0j)
+        d = [(x - y) * r**k for k, (x, y) in enumerate(pairs, 1)]
+        while d and d[-1] == 0:
+            d.pop()
+        if len(d) == 1:
+            a = abs(d[0])
+            if abs(db) <= a:
+                phi, arg = math.acos(-db / a), cmath.phase(d[0])
+                out.update(((phi - arg) % (2 * math.pi), (-phi - arg) % (2 * math.pi)))
+        elif d:
+            for w in np.roots([*reversed(d), 2 * db, *(c.conjugate() for c in d)]):
+                if abs(abs(w) - 1) >= _ADMIT:
+                    continue
+                t = cmath.phase(w)
+                for _ in range(_NEWTON_STEPS):
+                    g, gp = _harmonic(db, d, t)
+                    # a long step leaves the root's neighbourhood: keep the angle
+                    if not gp or abs(g / gp) > _ADMIT:
+                        break
+                    t -= g / gp
+                out.add(t % (2 * math.pi))
+    return out
 
 
-def max_affine_average(terms: Sequence[tuple[float, complex]], r: float) -> tuple[float, float]:
-    """Exact average of max_i (b_i + Re(lam_i z)) over the circle |z| = r.
+def max_harmonic_average(terms: Sequence[tuple[float, list[complex]]],
+                         r: float) -> tuple[float, float]:
+    """Exact average of max_i (b_i + Re sum_k a_ik z^k) over the circle |z| = r.
 
-    Between consecutive breakpoints one term is maximal; it is picked at the
-    arc's midpoint and integrated in closed form,
-    b (t1 - t0) + Im(lam r (e^{i t1} - e^{i t0})).  Returns (value, error)
-    like ``circle_average``; the error bounds float rounding (a few ulps of
-    max_i (|b_i| + |lam_i| r) per arc), not a quadrature error.
+    Between consecutive breakpoints (``_harmonic_breaks``) one term is
+    maximal; it is picked at the arc's midpoint and integrated in closed
+    form, b (t1 - t0) + sum_k Im(w_k (e^{ik t1} - e^{ik t0})) / k with
+    w_k = a_k r^k.  It must also be maximal at both ends of its arc: a
+    shortfall beyond rounding means a missed breakpoint and raises
+    ``QuadratureError``.
+
+    Returns (value, error) like ``circle_average``.  The error bounds float
+    rounding (a few ulps of max_i (|b_i| + sum_k |w_ik|) per arc) plus, at
+    each arc end where the winner falls short of the maximal term by eta
+    and their gap g has slope g', the area 1/2 |g'| delta^2 of misplacing
+    their crossing by delta = 2 eta / |g'|.
     """
-    ws = [(b, lam * r) for b, lam in terms]
-    breaks = _affine_breaks(terms, r)
+    ws = [(b, [a * r**k for k, a in enumerate(ak, 1)]) for b, ak in terms]
+    breaks = sorted(_harmonic_breaks(terms, r))
     edges = breaks + [breaks[0] + 2 * math.pi] if breaks else [0.0, 2 * math.pi]
-    total = 0.0
-    for t0, t1 in zip(edges, edges[1:]):
-        mid = cmath.exp(0.5j * (t0 + t1))
-        b, w = max(ws, key=lambda bw: bw[0] + (bw[1] * mid).real)
-        total += b * (t1 - t0) + (w * (cmath.exp(1j * t1) - cmath.exp(1j * t0))).imag
-    scale = max(abs(b) + abs(w) for b, w in ws)
-    return total / (2 * math.pi), 4 * sys.float_info.epsilon * scale * (len(edges) - 1)
+    at_edge = [[_harmonic(b, w, t)[0] for b, w in ws] for t in edges]
+    scale = max(abs(b) + sum(map(abs, w)) for b, w in ws)
+    total = short = worst = 0.0
+    for n, (t0, t1) in enumerate(zip(edges, edges[1:])):
+        mid = 0.5 * (t0 + t1)
+        i = max(range(len(ws)), key=lambda j: _harmonic(*ws[j], mid)[0])
+        b, w = ws[i]
+        total += b * (t1 - t0) + sum(
+            (wk * (cmath.exp(1j * k * t1) - cmath.exp(1j * k * t0))).imag / k
+            for k, wk in enumerate(w, 1))
+        for t, vals in ((t0, at_edge[n]), (t1, at_edge[n + 1])):
+            j = max(range(len(ws)), key=vals.__getitem__)
+            eta = vals[j] - vals[i]
+            if eta > 0:
+                bj, wj = ws[j]
+                gap = [x - y for x, y in itertools.zip_longest(w, wj, fillvalue=0j)]
+                slope = abs(_harmonic(b - bj, gap, t)[1])
+                short += 2 * eta * eta / slope if slope else INFINITY
+                worst = max(worst, eta)
+    avg = total / (2 * math.pi)
+    err = 4 * sys.float_info.epsilon * scale * (len(edges) - 1) + short / (2 * math.pi)
+    if worst > _MISSED * scale:
+        raise QuadratureError(f"missed a breakpoint at r={r}: an arc's term is not maximal "
+                              "at its end", best_estimate=avg, error_estimate=err)
+    return avg, err
 
 
 # ---------------------------------------------------------------------------
@@ -537,13 +602,13 @@ _ONE = MeroFn(scalar=1)
 def _log_max_average(fns, r: float) -> float:
     """Circle average of log max_i |f_i| over the nonzero components.
 
-    Exact when every component is an exp-affine class function; otherwise
+    Exact when every component is a class function c exp(P(z)); otherwise
     the trapezoid over each component's own ``log_abs``.
     """
     live = [g for g in fns if not g.is_zero()]
-    affine = [_exp_affine(g) if isinstance(g, MeroFn) else None for g in live]
-    if None not in affine:
-        value, _ = max_affine_average(affine, r)
+    harmonic = [_exp_harmonic(g) if isinstance(g, MeroFn) else None for g in live]
+    if None not in harmonic:
+        value, _ = max_harmonic_average(harmonic, r)
         return value
 
     def logmax(zs):
@@ -554,7 +619,7 @@ def _log_max_average(fns, r: float) -> float:
 
 
 def proximity_m(f: MeroFn, r: float) -> float:
-    """Circle average of log+ |f| = log max(|f|, 1); exact when f is exp-affine."""
+    """Circle average of log+ |f| = log max(|f|, 1); exact when f = c exp(P(z))."""
     if f.is_zero():
         return 0.0
     _check_radius(f, r)

@@ -42,6 +42,22 @@ def test_complex_conversion():
     assert complex(GaussRat(1, 2)) == 1 + 2j
 
 
+def test_log_abs_from_the_integer_triple():
+    # exact where complex() overflows to inf or underflows to 0
+    big = 10**400
+    log_big = 400 * math.log(10)
+    cases = [(GaussRat(Fraction(3, 10), Fraction(4, 10)), math.log(0.5)),
+             (GaussRat(Fraction(-7, 3)), math.log(7 / 3)),
+             (GaussRat(big), log_big),
+             (GaussRat(Fraction(1, big)), -log_big),
+             (GaussRat(big, -big), log_big + 0.5 * math.log(2))]
+    for c, want in cases:
+        assert c.log_abs() == pytest.approx(want, rel=1e-15)
+    with pytest.raises(OverflowError):
+        complex(GaussRat(big))
+    assert complex(GaussRat(Fraction(1, big))) == 0
+
+
 @given(gauss, gauss, gauss)
 def test_ring_axioms(a, b, c):
     assert a + b == b + a

@@ -40,8 +40,10 @@ def test_verify_csvs_match_golden(tmp_path, capsys):
 
 
 def test_shipped_suite_quadrature_work(monkeypatch):
-    """Every circle average of the shipped suite goes through
-    ``nevanlinna.circle_average``: 265 averages over 5,441,536 nodes."""
+    """The circle averages of the shipped suite that are not exact go through
+    ``nevanlinna.circle_average``: 256 averages over 2,033,664 nodes.  The
+    characteristic of an exp-polynomial tuple, such as the curve
+    [1 : e^z : e^{z^2}] of smt_exp_units, is exact and samples nothing."""
     calls, samples = [], []
     real = nevanlinna.circle_average
 
@@ -56,5 +58,5 @@ def test_shipped_suite_quadrature_work(monkeypatch):
     monkeypatch.setattr(nevanlinna, "circle_average", counted)
     for path in SCENARIOS:
         harness.run_scenario(harness.load_scenario(path))
-    assert len(calls) == 265
-    assert sum(samples) == 5_441_536
+    assert len(calls) == 256
+    assert sum(samples) == 2_033_664

@@ -132,11 +132,17 @@ def test_one_home_for_circle_functionals():
     nevanlinna.py; the harness asks for functionals and never tests a type.
 
     log+|f| is the log-max average of (f, 1), so the quadrature has no
-    positive-part mode of its own, and the log-max average is its one caller.
+    positive-part mode of its own, and the log-max average is the one caller
+    of both the quadrature and the exact exp-polynomial kernel, which has no
+    exp-affine twin.
     """
     for path in PACKAGE.rglob("*.py"):
+        text = path.read_text()
+        for gone in ("max_affine_average", "_affine_breaks", "_exp_affine"):
+            assert gone not in text, (path.name, gone)
         if path.name != "nevanlinna.py":
-            assert "circle_average" not in path.read_text(), path.name
+            assert "circle_average" not in text, path.name
+            assert "max_harmonic_average" not in text, path.name
     harness = PACKAGE / "harness.py"
     for node in ast.walk(ast.parse(harness.read_text(), str(harness))):
         if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance":
@@ -150,9 +156,10 @@ def test_one_home_for_circle_functionals():
             break
     else:
         raise AssertionError("nevanlinna.circle_average is gone")
-    callers = [f.name for f in tree.body if isinstance(f, ast.FunctionDef)
-               for n in ast.walk(f) if isinstance(n, ast.Name) and n.id == "circle_average"]
-    assert callers == ["_log_max_average"]
+    for kernel in ("circle_average", "max_harmonic_average"):
+        callers = [f.name for f in tree.body if isinstance(f, ast.FunctionDef)
+                   for n in ast.walk(f) if isinstance(n, ast.Name) and n.id == kernel]
+        assert callers == ["_log_max_average"], kernel
 
 
 def test_one_home_for_root_refinement():

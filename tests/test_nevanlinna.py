@@ -1,13 +1,14 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from workbench import nevanlinna
 from workbench.algebra.gaussrat import GaussRat
 from workbench.algebra.poly import SparsePoly
 from workbench.algebra.roots import roots_certified
-from workbench.errors import InvalidInput
+from workbench.errors import InvalidInput, QuadratureError
 from workbench.nevanlinna import (
     MeroFn,
     RadiusGrid,
@@ -327,9 +328,33 @@ def _mp_gauss(q: GaussRat):
                       mpmath.mpf(q.im.numerator) / q.im.denominator)
 
 
+def _scan_breaks(terms, nodes=1 << 14):
+    """Angles where the maximal term changes, found without the kernel: a
+    uniform scan of the argmax, then bisection on each bracket in floats."""
+    def values(t):
+        t = np.asarray(t, dtype=float)
+        return np.array([sum((np.real(complex(w) * np.exp(1j * k * t)) for k, w in enumerate(ws, 1)),
+                             np.full_like(t, float(b)))
+                         for b, ws in terms])
+
+    ts = np.linspace(0.0, 2 * math.pi, nodes + 1)
+    top = np.argmax(values(ts), axis=0)
+    cuts = []
+    for n in np.nonzero(top[1:] != top[:-1])[0]:
+        i, j = top[n], top[n + 1]
+        lo, hi = ts[n], ts[n + 1]
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            v = values([mid])[:, 0]
+            lo, hi = (mid, hi) if v[i] >= v[j] else (lo, mid)
+        cuts.append(0.5 * (lo + hi))
+    return [0.0, *cuts, 2 * math.pi]
+
+
 def _mp_logmax(fns, r, positive_part):
-    """mpmath.quad of the average of log max |f_i| (or log+ |f|), split at the
-    kernel's breakpoints, from the exact data of each c e^{lam z + mu}."""
+    """30-digit mpmath.quad of the average of log max |f_i| (or log+ |f|) for
+    class functions c e^{Q}, from their exact data, split where the maximal
+    term changes (``_scan_breaks``)."""
     import mpmath
 
     with mpmath.workdps(30):
@@ -339,17 +364,16 @@ def _mp_logmax(fns, r, positive_part):
                 continue
             ex = f.exp_part.terms
             b = mpmath.log(abs(_mp_gauss(f.scalar))) + _mp_gauss(ex.get((0,), GaussRat(0))).real
-            terms.append((b, _mp_gauss(ex.get((1,), GaussRat(0)))))
+            terms.append((b, [_mp_gauss(ex.get((k,), GaussRat(0))) * mpmath.mpf(r) ** k
+                              for k in range(1, f.exp_part.degree_in(0) + 1)]))
         if positive_part:
-            terms.append((mpmath.mpf(0), mpmath.mpc(0)))
-        floats = [(float(b), complex(lam)) for b, lam in terms]
-        cuts = [0.0, *nevanlinna._affine_breaks(floats, r), 2 * math.pi]
+            terms.append((mpmath.mpf(0), []))
 
         def integrand(t):
-            zt = r * mpmath.expjpi(t / mpmath.pi)
-            return max(b + (lam * zt).real for b, lam in terms)
+            e = mpmath.expj(t)
+            return max(b + sum((w * e**k).real for k, w in enumerate(ws, 1)) for b, ws in terms)
 
-        return float(mpmath.quad(integrand, cuts) / (2 * mpmath.pi))
+        return float(mpmath.quad(integrand, _scan_breaks(terms)) / (2 * mpmath.pi))
 
 
 def _draw_exp_affine(rng, small=False):
@@ -390,8 +414,83 @@ def test_exact_route_matches_mpmath_quadrature(rng):
             want = _mp_logmax((f,), r, positive_part=True)
             assert abs(got - want) <= 1e-12 * (1 + abs(want)), (f, r)
     # the reported error is a rounding bound, far below the comparison tolerance
-    value, err = nevanlinna.max_affine_average([(0.0, 2 + 1j), (0.5, 0j)], 200.0)
+    value, err = nevanlinna.max_harmonic_average([(0.0, [2 + 1j]), (0.5, [])], 200.0)
     assert 0 < err <= 1e-11 * (1 + abs(value))
+
+
+# ---------------------------------------------------------------------------
+# exact circle averages of exp-polynomial functions and tuples
+# ---------------------------------------------------------------------------
+
+def test_characteristic_of_exp_z_power_is_r_power_over_pi():
+    # T(r, [1 : e^{z^k}]) = r^k / pi (Hayman, Meromorphic Functions, ch. 1)
+    one = MeroFn.constant(1)
+    for k in (2, 3):
+        f = MeroFn.unit(z() ** k)
+        for r in (0.5, 7.5, 60.0):
+            want = r**k / math.pi
+            assert characteristic_T((one, f), r) == pytest.approx(want, rel=1e-13)
+            assert characteristic_T(f, r) == pytest.approx(want, rel=1e-13)
+            value, err = nevanlinna.max_harmonic_average(
+                [nevanlinna._exp_harmonic(one), nevanlinna._exp_harmonic(f)], r)
+            assert abs(value - want) <= err <= 1e-12 * want
+
+
+def test_a_missed_breakpoint_raises(monkeypatch):
+    # without breakpoints the one arc's midpoint winner, 1, is not maximal at
+    # its ends, where e^{z^3} is
+    terms = [nevanlinna._exp_harmonic(f) for f in (MeroFn.constant(1), MeroFn.unit(z() ** 3))]
+    monkeypatch.setattr(nevanlinna, "_harmonic_breaks", lambda terms, r: set())
+    with pytest.raises(QuadratureError, match="missed a breakpoint"):
+        nevanlinna.max_harmonic_average(terms, 7.5)
+
+
+def _draw_exp_harmonic(rng):
+    """c exp(Q) with Gaussian-rational c and Q of degree 1 to 3."""
+    def rat(k, den=1):
+        return GaussRat(rng.randint(-k, k), rng.randint(-k, k)) / rng.randint(1, den)
+
+    c = rat(6)
+    while not c:
+        c = rat(6)
+    q = SparsePoly.constant(rat(2), 1)
+    for k in range(1, rng.randint(1, 3) + 1):
+        q = q + (z() ** k).scale(rat(3, 3))
+    return MeroFn(scalar=c, exp_part=q)
+
+
+def test_harmonic_kernel_is_within_its_bound_of_mpmath(rng):
+    # the reference splits where a fine scan sees the maximal term change, so
+    # a breakpoint that the kernel misses shows as a difference beyond err
+    one = MeroFn.constant(1)
+    cases = [((one, MeroFn.unit(z()), MeroFn.unit(z() ** 2)), r) for r in (3.0, 19.5, 60.0)]
+    for _ in range(30):
+        tup = tuple(_draw_exp_harmonic(rng) for _ in range(rng.randint(1, 3)))
+        cases.append((tup + (one,), rng.choice((0.5, 3.0, 7.5, 20.0))))
+    for tup, r in cases:
+        terms = [nevanlinna._exp_harmonic(f) for f in tup]
+        value, err = nevanlinna.max_harmonic_average(terms, r)
+        want = _mp_logmax(tup, r, positive_part=False)
+        assert abs(value - want) <= err <= 1e-11 * (1 + abs(want)), (tup, r, value - want, err)
+        assert characteristic_T(tup, r) == value
+
+
+def test_extreme_scalars_take_their_exact_logarithm():
+    # log|c| from the integer triple of c: no float conversion of 10^400 or 10^-400
+    big, tiny = GaussRat(10**400), GaussRat(1) / 10**400
+    log_big = 400 * math.log(10)
+    t = z()
+    one = MeroFn.constant(1)
+    # b = log|c| outside [-r, r]: no crossing, T = b and m = 0
+    assert characteristic_T((one, MeroFn(scalar=big, exp_part=t)), 5.0) == pytest.approx(
+        log_big, rel=1e-15)
+    assert proximity_m(MeroFn(scalar=tiny, exp_part=t**2), 5.0) == 0.0
+    # with a polynomial factor the trapezoid samples log|c| + log|z - 1|, and
+    # the circle average of log|z - 1| is log 5 (Jensen)
+    f = MeroFn(scalar=big, factors=[(t - 1, 1)])
+    assert proximity_m(f, 5.0) == pytest.approx(log_big + math.log(5.0), rel=1e-12)
+    assert proximity_m(MeroFn(scalar=tiny, factors=[(t - 1, 1)]), 5.0) == 0.0
+    assert f.log_abs(np.array([2.0])) == pytest.approx([log_big], rel=1e-15)
 
 
 @pytest.mark.parametrize("scenario", ["gcd_bound_units", "gcd_bound_shared_lattice",
@@ -404,17 +503,27 @@ def test_gcd_bound_scenarios_run_without_quadrature(monkeypatch, scenario):
     assert calls == []
 
 
-def test_non_affine_functions_keep_the_quadrature(monkeypatch):
+def test_non_harmonic_functions_keep_the_quadrature(monkeypatch):
     from workbench import harness
+    from workbench.expsum import ExpSumFn
 
     calls = count_calls(monkeypatch, nevanlinna, "circle_average")
     t = z()
+    one, square = MeroFn.constant(1), MeroFn.unit(t**2)
     proximity_m(MeroFn(scalar=1, factors=[(t - 1, 1)], exp_part=t), 4.0)
-    characteristic_T((MeroFn.constant(1), MeroFn.from_poly(t + 2)), 4.0)
-    assert len(calls) == 2
-    scenario = harness.shipped_scenario_dir() / "smt_exp_units.json"  # carries exp(z^2)
-    harness.run_scenario(harness.load_scenario(scenario))
-    assert len(calls) > 2
+    characteristic_T((one, MeroFn.from_poly(t + 2)), 4.0)
+    characteristic_T((ExpSumFn.of(one), ExpSumFn.of(square)), 4.0)
+    log_derivative_T(log_derivative(square), 4.0)
+    assert len(calls) == 4
+    # smt_exp_units runs on [1 : e^z : e^{z^2}]: its characteristic rows are
+    # exact, and only the Jensen counts of 1 + e^{2z} + e^{2z^2} sample
+    s = harness.load_scenario(harness.shipped_scenario_dir() / "smt_exp_units.json")
+    del calls[:]
+    for r in RadiusGrid.log_spaced(*s.params["grid"]).points:
+        characteristic_T(s.curve, r)
+    assert calls == []
+    harness.run_scenario(s)
+    assert len(calls) == 9
 
 
 def test_each_radius_is_checked_once(monkeypatch):
