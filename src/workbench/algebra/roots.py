@@ -45,9 +45,9 @@ ENCLOSURE_RADIUS = 1e-12
 # polyroots ladder at doubling precision
 _ATTEMPTS = ((40, True), (40, False), (80, False), (160, False), (320, False), (640, False))
 # the float-seeded attempt runs only when a factor has at least this degree.
-# Seeding pays at every degree; the limit is there only because the benchmark
-# cannot yet time an exset pass that short (ROADMAP item 3, "seed every
-# degree").  Lower it to 0 once it can.
+# Seeding pays at every degree; the limit stays only because an exset pass that
+# short fires no calibration slice, and perfbench/worker.py then divides by zero
+# (ROADMAP item 1a).  Delete it once that is mended (ROADMAP item 1b).
 _MIN_SEEDED_DEGREE = 17
 
 

@@ -14,19 +14,18 @@ exponent and requires every group to cancel.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import mpmath
 import numpy as np
 
 from .algebra.euclid import gcd_poly
 from .algebra.gaussrat import GaussRat
 from .algebra.poly import SparsePoly
-from .algebra.roots import _to_mpc, roots_certified
 from .errors import InvalidInput
-from .nevanlinna import MeroFn, _complex_coeffs_desc
+from .nevanlinna import MeroFn, _complex_coeffs_desc, exp_lattice
 
 
 def _zero1() -> SparsePoly:
@@ -132,6 +131,15 @@ class ExpSumFn:
             return MeroFn(scalar=scalar, factors=factors, exp_part=q)
         return None
 
+    @functools.cached_property
+    def exp_harmonic(self) -> tuple[float, list[complex]] | None:
+        """``MeroFn.exp_harmonic`` of the class-function view, resolved once
+        per sum rather than once per radius; only c exp(Q), a single term
+        with constant data, has one."""
+        if len(self.terms) == 1 and all(p.is_constant() for p in self.terms[0][:2]):
+            return self.as_mero().exp_harmonic
+        return None
+
     # -- arithmetic --------------------------------------------------------------
 
     def __add__(self, other: "ExpSumFn") -> "ExpSumFn":
@@ -194,50 +202,10 @@ class ExpSumFn:
     # -- zero sets -------------------------------------------------------------------
 
     def zeros_in_disk(self, r: float) -> list[tuple[complex, int]] | None:
-        """Exact zero enumeration where the structure allows it.
-
-        Polynomials use certified enclosures.  Sums whose terms are
-        constants times integer powers of a single unit exp(D) with a
-        degree-one exponent D reduce to a polynomial p(w): each nonzero
-        root w0 of p contributes the lattice D(z) = log w0 + 2 pi i k with
-        the root's multiplicity.  Returns None when the sum has no
-        supported closed form.
-        """
-        p = self.as_polynomial()
-        if p is not None:
-            if not p:
-                raise InvalidInput("identically zero")
-            out = []
-            for root in roots_certified(p).roots:
-                if abs(root.center) <= r:
-                    out.append((root.center, root.multiplicity))
-            return out
+        """The zeros in |z| <= r of a unit polynomial p(e^D) with D linear
+        (``nevanlinna.exp_lattice``), or None for any other sum."""
         reduced = self._as_unit_polynomial()
-        if reduced is None:
-            return None
-        poly_w, D = reduced
-        alpha = complex(D.coeffs_in(0)[1].constant_value())
-        beta_exact = D.coeffs_in(0)[0].constant_value()
-        beta = complex(beta_exact)
-        out = []
-        for root in roots_certified(poly_w).roots:
-            if root.exact == 0:
-                continue  # w = 0 has no preimage under the unit
-            # log1p of w0 - 1 keeps log w0 to full relative accuracy near
-            # w0 = 1, where the float centre cancels: from the exact w0 when
-            # it is in Q(i), else from the certified high-precision root
-            with mpmath.workdps(30):
-                w0m1 = _to_mpc(root.exact - 1) if root.exact is not None else root.root - 1
-                w0log = complex(mpmath.log1p(w0m1))
-            for k in _lattice_range(alpha, beta, w0log, r):
-                z = (w0log + 2j * math.pi * k - beta) / alpha
-                # the origin is beta = 0, w0 = 1 and k = 0 exactly: e^beta is
-                # transcendental for algebraic beta != 0 (Lindemann-Weierstrass)
-                if z == 0 and (beta_exact or root.exact != 1 or k):
-                    raise InvalidInput("a nonzero lattice zero underflows to 0")
-                if abs(z) <= r:
-                    out.append((z, root.multiplicity))
-        return sorted(out, key=lambda t: (t[0].real, t[0].imag))
+        return None if reduced is None else exp_lattice(*reduced, r)
 
     def _as_unit_polynomial(self) -> tuple[SparsePoly, SparsePoly] | None:
         """Recognize sum_k c_k exp(m_k D) with constants c_k, integers m_k.
@@ -283,12 +251,6 @@ class ExpSumFn:
         if not poly_w or poly_w.degree_in(0) < 1:
             return None
         return poly_w, D
-
-
-def _lattice_range(alpha: complex, beta: complex, w0: complex, r: float):
-    bound = (abs(alpha) * r + abs(w0) + abs(beta)) / (2 * math.pi) + 2
-    k0 = int(bound)
-    return range(-k0, k0 + 1)
 
 
 def eval_poly_on_tuple(P: SparsePoly, fns: tuple) -> ExpSumFn:

@@ -18,9 +18,12 @@ log-derivatives) goes through adaptive trapezoid quadrature
 maximum).
 
 Tuples and counting take ``MeroFn`` and ``expsum.ExpSumFn`` (which imports
-this module) duck-typed, through ``log_abs``, ``is_zero``, ``eval`` and
-``as_mero``; the zero-counting route is chosen in ``_zero_points``.  The
-proximity of a ``LogDerivative`` is the log-max average of (f'/f, 1).
+this module) duck-typed, through ``log_abs``, ``is_zero``, ``eval``,
+``as_mero`` and ``exp_harmonic``; the zero-counting route is chosen in
+``counting_of``.  Shared zeros have one exact route, ``shared_zeros``: a
+gcd-free basis over Q(i) of the squarefree factors of both sides, in z or in
+a common unit e^D, with no float matching.  The proximity of a
+``LogDerivative`` is the log-max average of (f'/f, 1).
 """
 
 from __future__ import annotations
@@ -33,12 +36,13 @@ import sys
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
+import mpmath
 import numpy as np
 
 from .algebra.euclid import canonical_scale, gcd_poly
 from .algebra.gaussrat import GaussRat
 from .algebra.poly import SparsePoly
-from .algebra.roots import RootEnclosure, roots_certified
+from .algebra.roots import RootEnclosure, _to_mpc, roots_certified
 from .algebra.squarefree import squarefree_decompose
 from .errors import InvalidInput, QuadratureError
 
@@ -212,6 +216,21 @@ class MeroFn:
             object.__setattr__(self, "_divisor", out)
         return self._divisor
 
+    @property
+    def exp_harmonic(self) -> tuple[float, list[complex]] | None:
+        """(b, [a_1, ..., a_K]) with log|f(z)| = b + Re sum_k a_k z^k when
+        f = c exp(Q) has no polynomial factors, else None.
+
+        b = log|c| + Re Q(0) and a_k is the z^k coefficient of Q; ``f`` must be
+        nonzero.
+        """
+        if self.factors:
+            return None
+        q = self.exp_part.terms
+        b = self.scalar.log_abs() + float(q.get((0,), GaussRat(0)).re)
+        return b, [complex(q.get((k,), GaussRat(0)))
+                   for k in range(1, self.exp_part.degree_in(0) + 1)]
+
     def zero_multiplicities(self) -> list[int]:
         return [m for _, m in self.divisor() if m > 0]
 
@@ -296,6 +315,8 @@ class LogDerivative:
 
     num: SparsePoly
     den: SparsePoly
+
+    exp_harmonic = None  # no class-function view, so no exact circle average
 
     def eval(self, z: complex) -> complex:
         return complex(self.num.eval([z])) / complex(self.den.eval([z]))
@@ -425,20 +446,6 @@ def circle_average(logabs: Callable[[np.ndarray], np.ndarray], r: float) -> tupl
     raise QuadratureError(
         f"quadrature did not converge at r={r}", best_estimate=est, error_estimate=err
     )
-
-
-def _exp_harmonic(f: MeroFn) -> tuple[float, list[complex]] | None:
-    """(b, [a_1, ..., a_K]) with log|f(z)| = b + Re sum_k a_k z^k when
-    f = c exp(Q) has no polynomial factors, else None.
-
-    b = log|c| + Re Q(0) and a_k is the z^k coefficient of Q; ``f`` must be
-    nonzero.
-    """
-    if f.factors:
-        return None
-    q = f.exp_part.terms
-    b = f.scalar.log_abs() + float(q.get((0,), GaussRat(0)).re)
-    return b, [complex(q.get((k,), GaussRat(0))) for k in range(1, f.exp_part.degree_in(0) + 1)]
 
 
 _ADMIT = 1e-2      # roots w with ||w| - 1| below this are breakpoint candidates
@@ -602,11 +609,12 @@ _ONE = MeroFn(scalar=1)
 def _log_max_average(fns, r: float) -> float:
     """Circle average of log max_i |f_i| over the nonzero components.
 
-    Exact when every component is a class function c exp(P(z)); otherwise
-    the trapezoid over each component's own ``log_abs``.
+    Exact when the class-function view of every component is c exp(P(z))
+    (``exp_harmonic``, which a one-term exp-sum resolves once); otherwise the
+    trapezoid over each component's own ``log_abs``.
     """
     live = [g for g in fns if not g.is_zero()]
-    harmonic = [_exp_harmonic(g) if isinstance(g, MeroFn) else None for g in live]
+    harmonic = [g.exp_harmonic for g in live]
     if None not in harmonic:
         value, _ = max_harmonic_average(harmonic, r)
         return value
@@ -682,31 +690,21 @@ def _validate_no_common_zeros(fns: tuple[MeroFn, ...]):
         raise InvalidInput("tuple components share a zero (not a reduced representation)")
 
 
-def _zero_points(fn, r_max: float) -> list[tuple[complex, int]] | None:
-    """Zeros with multiplicity of ``fn`` in |z| <= r_max, or None for Jensen.
-
-    The one place the zero-counting route is chosen: a class function (or a
-    one-term exp-sum) uses its certified divisor; any other exp-sum uses
-    ``zeros_in_disk`` (certified roots or the exp lattice); None means no
-    supported zero structure, so only the Jensen average is available.
-    """
-    mero = fn.as_mero()
-    if mero is not None:
-        return [(z, m) for z, m in _divisor_points(mero, 1) if abs(z) <= r_max]
-    return fn.zeros_in_disk(r_max)
-
-
 def counting_of(fn, r_max: float):
     """N(0, r) of a class function or exp-sum for radii r <= r_max, as
     ``N(r, trunc, assume_simple)``.
 
-    The zero structure is resolved once, at ``r_max``; each call then only
-    sums the points with |z| <= r, in the resolved order.  Exp-sums without
-    a supported zero structure fall back to the Jensen average for the
-    untruncated count (also for truncated counts when ``assume_simple`` is
-    set, recorded by the caller as a note).
+    The zero structure is resolved once, at ``r_max``, by the one route
+    choice: the certified divisor of a class function (or one-term exp-sum),
+    else ``zeros_in_disk`` (the exp lattice of a unit polynomial).  Each call
+    then only sums the points with |z| <= r, in the resolved order.  Exp-sums
+    without a supported zero structure fall back to the Jensen average for
+    the untruncated count (also for truncated counts when ``assume_simple``
+    is set, recorded by the caller as a note).
     """
-    zeros = _zero_points(fn, r_max)
+    mero = fn.as_mero()
+    zeros = (fn.zeros_in_disk(r_max) if mero is None else
+             [(z, m) for z, m in _divisor_points(mero, 1) if abs(z) <= r_max])
 
     def N(r: float, trunc: float = INFINITY, assume_simple: bool = False) -> float:
         if zeros is not None:
@@ -729,55 +727,106 @@ def _jensen_counting(fn, r: float) -> float:
     return _log_max_average((fn,), r) - math.log(abs(h0))
 
 
+def exp_lattice(p: SparsePoly, D: SparsePoly, r: float) -> list[tuple[complex, int]]:
+    """The zeros of p(e^D) in |z| <= r for a linear D = alpha z + beta.
+
+    Each nonzero root w0 of p contributes the lattice D(z) = log w0 + 2 pi i k
+    with the root's multiplicity; w = 0 has no preimage under the unit.
+    Sorted by real, then imaginary part.
+    """
+    beta_exact, alpha = (c.constant_value() for c in D.coeffs_in(0))
+    alpha, beta = complex(alpha), complex(beta_exact)
+    out = []
+    for root in roots_certified(p).roots:
+        if root.exact == 0:
+            continue
+        # log1p of w0 - 1 keeps log w0 to full relative accuracy near
+        # w0 = 1, where the float centre cancels: from the exact w0 when
+        # it is in Q(i), else from the certified high-precision root
+        with mpmath.workdps(30):
+            w0m1 = _to_mpc(root.exact - 1) if root.exact is not None else root.root - 1
+            w0log = complex(mpmath.log1p(w0m1))
+        k0 = int((abs(alpha) * r + abs(w0log) + abs(beta)) / (2 * math.pi) + 2)
+        for k in range(-k0, k0 + 1):
+            z = (w0log + 2j * math.pi * k - beta) / alpha
+            # the origin is beta = 0, w0 = 1 and k = 0 exactly: e^beta is
+            # transcendental for algebraic beta != 0 (Lindemann-Weierstrass)
+            if z == 0 and (beta_exact or root.exact != 1 or k):
+                raise InvalidInput("a nonzero lattice zero underflows to 0")
+            if abs(z) <= r:
+                out.append((z, root.multiplicity))
+    return sorted(out, key=lambda t: (t[0].real, t[0].imag))
+
+
+def _unit_factors(fn, radii) -> tuple[SparsePoly | None, dict[SparsePoly, int]]:
+    """(D, {q: m}) with the zeros of ``fn`` those of prod_q q(e^D)^m, or of
+    prod_q q(z)^m when D is None; the divisor of a class-function view may
+    have no point on a circle of ``radii``.
+    """
+    mero = fn.as_mero()
+    if mero is not None:
+        if mero.is_zero():
+            raise InvalidInput("gcd counting needs nonzero functions")
+        for r in radii:
+            _check_radius(mero, r)
+        return None, {p: m for p, m in mero.factors if m > 0}
+    reduced = fn._as_unit_polynomial()
+    if reduced is None:
+        raise InvalidInput("gcd counting needs explicit zero structures")
+    p, D = reduced
+    return D, dict(squarefree_decompose(p))
+
+
+def _inflate(p: SparsePoly, s: int) -> SparsePoly:
+    """p(w^s), times w^(|s| deg p) when s < 0 so that it is a polynomial."""
+    top = p.degree_in(0) if s < 0 else 0
+    return SparsePoly(1, {(s * (e - top),): c for (e,), c in p.terms.items()})
+
+
+def _shared_basis(ff: dict[SparsePoly, int], fg: dict[SparsePoly, int]):
+    """(q, m) for each factor q of one gcd-free basis of both factor maps, with
+    m > 0 the smaller of the multiplicities of q in ``ff`` and in ``fg``."""
+    return [(q, m) for q in _coprime_refine(dict.fromkeys([*ff, *fg], 1))
+            if (m := min(sum(k for p, k in fac.items() if q.divides(p)) for fac in (ff, fg)))]
+
+
 def shared_zeros(f, g, radii) -> list[tuple[complex, int]]:
     """Common zeros of two class functions or exp-sums, min-of-multiplicity
     weighted, resolved once for every radius in ``radii``.
 
-    Two class functions match exactly: their factor polynomials are reduced
-    to a gcd-free basis over Q(i), so any shared root lives in a shared
-    basis factor, and no divisor point of either may lie on a circle of
-    ``radii``.  Otherwise both zero lists are resolved at the largest radius
-    and matched numerically.
+    One exact route, with no tolerance: each side is a unit and squarefree
+    factors (``_unit_factors``), and the shared zeros are those of the shared
+    factors of one gcd-free basis over Q(i): their roots for two class
+    functions, their exp lattices in |z| <= max(radii) for units e^{D_f},
+    e^{D_g} with D_g = (a/b) D_f, rewritten over e^{D_f/b}.  If D_g - (a/b) D_f
+    is a nonzero constant c, nothing is shared (e^{bc} would be algebraic;
+    Lindemann).  A class function P and p(e^{alpha z + beta}) can share only
+    z0 = -beta/alpha, when P(z0) = 0 and p(1) = 0 (Hermite-Lindemann).  Units
+    whose ratio is not rational raise.
     """
-    mero_f, mero_g = f.as_mero(), g.as_mero()
-    if mero_f is not None and mero_g is not None:
-        for r in radii:
-            _check_radius(mero_f, r)
-            _check_radius(mero_g, r)
-        if mero_f.is_zero() or mero_g.is_zero():
-            raise InvalidInput("gcd counting needs nonzero functions")
-        factors = list(mero_f.factors) + list(mero_g.factors)
-        basis = _coprime_refine({p: 1 for p, m in factors if m != 0})
-
-        def mult_in(fn: MeroFn, q: SparsePoly) -> int:
-            total = 0
-            for p, m in fn.factors:
-                if m > 0 and q.divides(p):
-                    total += m
-            return total
-
-        points = []
-        for q in basis:
-            m = min(mult_in(mero_f, q), mult_in(mero_g, q))
-            if m > 0:
-                points.extend((root.center, m) for root in roots_certified(q).roots)
-        return points
-    r_max = max(radii)
-    zf = _zero_points(f, r_max)
-    zg = _zero_points(g, r_max)
-    if zf is None or zg is None:
-        raise InvalidInput("gcd counting needs explicit zero structures")
-    shared = []
-    used = [False] * len(zg)
-    for z, m in zf:
-        for k, (w, mw) in enumerate(zg):
-            if used[k]:
-                continue
-            if abs(z - w) <= 1e-8 * max(1.0, abs(z)):
-                used[k] = True
-                shared.append((z, min(m, mw)))
-                break
-    return shared
+    (Df, ff), (Dg, fg) = _unit_factors(f, radii), _unit_factors(g, radii)
+    if Df is None and Dg is None:
+        return [(root.center, m) for q, m in _shared_basis(ff, fg)
+                for root in roots_certified(q).roots]
+    if Df is None or Dg is None:
+        P, D, p = (ff, Dg, fg) if Df is None else (fg, Df, ff)
+        beta, alpha = (c.constant_value() for c in D.coeffs_in(0))
+        z0 = -beta / alpha
+        m = min(sum(k for q, k in P.items() if not q.eval_exact([z0])),
+                sum(k for q, k in p.items() if not q.eval_exact([1])))
+        return [(complex(z0), m)] if m else []
+    ratio = Dg.coeffs_in(0)[1].constant_value() / Df.coeffs_in(0)[1].constant_value()
+    if not ratio.is_rational():
+        raise InvalidInput(f"units exp({Df.to_string(['z'])}) and exp({Dg.to_string(['z'])}) "
+                           "have no rational ratio")
+    if Dg != Df.scale(ratio):
+        return []
+    a, b = ratio.re.numerator, ratio.re.denominator
+    ff = {_inflate(q, b): k for q, k in ff.items()}
+    fg = {_inflate(q, a): k for q, k in fg.items()}
+    unit = Df.scale(GaussRat(1) / b)
+    return [(z, m) for q, m in _shared_basis(ff, fg)
+            for z, _ in exp_lattice(q, unit, max(radii))]
 
 
 def gcd_counting(f, g, r: float) -> float:

@@ -215,3 +215,44 @@ def test_scenario_parameters_are_the_ones_read():
 
     path = PACKAGE / "harness.py"
     assert _params_keys_read(ast.parse(path.read_text(), str(path))) == harness.PARAMS
+
+
+# ---------------------------------------------------------------------------
+# what the benchmark in perfbench/ reads from the program
+# ---------------------------------------------------------------------------
+
+def _perfbench(monkeypatch, name: str):
+    """Import a perfbench module the way its scripts do, from its own directory."""
+    import importlib
+
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    return importlib.import_module(name)
+
+
+def test_traced_names_resolve(monkeypatch):
+    """The tracer wraps functions and methods by name; each one must exist."""
+    import importlib
+
+    tracer = _perfbench(monkeypatch, "tracer")
+    for module, attr in tracer.FUNCTIONS.values():
+        assert callable(getattr(importlib.import_module(module), attr)), (module, attr)
+    for module, cls, method in tracer.METHODS.values():
+        owner = getattr(importlib.import_module(module), cls)
+        assert callable(getattr(owner, method)), (module, cls, method)
+
+
+def test_workloads_set_up_at_seed_one(monkeypatch):
+    workloads = _perfbench(monkeypatch, "workloads")
+    reference = workloads.load_reference()
+    for name, cls in workloads.WORKLOADS.items():
+        assert cls(1, reference).stages, name
+
+
+def test_reference_pins_exactly_the_shipped_scenarios(monkeypatch):
+    """The suite pass looks each scenario up in the reference outside any
+    operation, so a scenario added without a reference entry stops the pass."""
+    from workbench import harness
+
+    workloads = _perfbench(monkeypatch, "workloads")
+    stems = sorted(p.stem for p in harness.shipped_scenario_dir().glob("*.json"))
+    assert stems == sorted(workloads.load_reference()["suite"])

@@ -432,14 +432,14 @@ def test_characteristic_of_exp_z_power_is_r_power_over_pi():
             assert characteristic_T((one, f), r) == pytest.approx(want, rel=1e-13)
             assert characteristic_T(f, r) == pytest.approx(want, rel=1e-13)
             value, err = nevanlinna.max_harmonic_average(
-                [nevanlinna._exp_harmonic(one), nevanlinna._exp_harmonic(f)], r)
+                [one.exp_harmonic, f.exp_harmonic], r)
             assert abs(value - want) <= err <= 1e-12 * want
 
 
 def test_a_missed_breakpoint_raises(monkeypatch):
     # without breakpoints the one arc's midpoint winner, 1, is not maximal at
     # its ends, where e^{z^3} is
-    terms = [nevanlinna._exp_harmonic(f) for f in (MeroFn.constant(1), MeroFn.unit(z() ** 3))]
+    terms = [f.exp_harmonic for f in (MeroFn.constant(1), MeroFn.unit(z() ** 3))]
     monkeypatch.setattr(nevanlinna, "_harmonic_breaks", lambda terms, r: set())
     with pytest.raises(QuadratureError, match="missed a breakpoint"):
         nevanlinna.max_harmonic_average(terms, 7.5)
@@ -468,7 +468,7 @@ def test_harmonic_kernel_is_within_its_bound_of_mpmath(rng):
         tup = tuple(_draw_exp_harmonic(rng) for _ in range(rng.randint(1, 3)))
         cases.append((tup + (one,), rng.choice((0.5, 3.0, 7.5, 20.0))))
     for tup, r in cases:
-        terms = [nevanlinna._exp_harmonic(f) for f in tup]
+        terms = [f.exp_harmonic for f in tup]
         value, err = nevanlinna.max_harmonic_average(terms, r)
         want = _mp_logmax(tup, r, positive_part=False)
         assert abs(value - want) <= err <= 1e-11 * (1 + abs(want)), (tup, r, value - want, err)
@@ -512,7 +512,7 @@ def test_non_harmonic_functions_keep_the_quadrature(monkeypatch):
     one, square = MeroFn.constant(1), MeroFn.unit(t**2)
     proximity_m(MeroFn(scalar=1, factors=[(t - 1, 1)], exp_part=t), 4.0)
     characteristic_T((one, MeroFn.from_poly(t + 2)), 4.0)
-    characteristic_T((ExpSumFn.of(one), ExpSumFn.of(square)), 4.0)
+    characteristic_T((ExpSumFn.of(one), ExpSumFn.of(MeroFn.from_poly(t + 2))), 4.0)
     log_derivative_T(log_derivative(square), 4.0)
     assert len(calls) == 4
     # smt_exp_units runs on [1 : e^z : e^{z^2}]: its characteristic rows are
@@ -524,6 +524,22 @@ def test_non_harmonic_functions_keep_the_quadrature(monkeypatch):
     assert calls == []
     harness.run_scenario(s)
     assert len(calls) == 9
+
+
+def test_one_term_exp_sums_take_the_exact_route(monkeypatch):
+    # c exp(P) as a one-term sum is routed by its class-function view, which
+    # each sum resolves once: T(60, [1 : e^{z^2}]) = 3600/pi with no samples
+    from workbench.expsum import ExpSumFn
+
+    calls = count_calls(monkeypatch, nevanlinna, "circle_average")
+    views = count_calls(monkeypatch, ExpSumFn, "as_mero")
+    one, square = MeroFn.constant(1), MeroFn.unit(z() ** 2)
+    sums = (ExpSumFn.of(one), ExpSumFn.of(square))
+    for r in (4.0, 60.0):
+        assert characteristic_T(sums, r) == characteristic_T((one, square), r)
+    assert characteristic_T(sums, 60.0) == pytest.approx(3600 / math.pi, rel=1e-13)
+    assert calls == []
+    assert len(views) == 2
 
 
 def test_each_radius_is_checked_once(monkeypatch):
@@ -552,7 +568,7 @@ def test_functionals_take_exp_sums():
     one, ez = MeroFn.constant(1), MeroFn.unit(z())
     sums = (ExpSumFn.of(one), ExpSumFn.of(ez))
     assert ExpSumFn.of(sums[0]) is sums[0]
-    # the trapezoid over the exp-sums agrees with the exact class-function route
+    # one-term exp-sums take the exact route of their class-function views
     assert characteristic_T(sums, 5.0) == pytest.approx(5.0 / math.pi, abs=1e-8)
     assert characteristic_T((one, ez), 5.0) == pytest.approx(5.0 / math.pi, rel=1e-14)
     with pytest.raises(InvalidInput, match="all components vanish"):

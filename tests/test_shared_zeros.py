@@ -1,0 +1,174 @@
+"""Shared zeros of class functions and exp-sums: one exact route.
+
+Every pair goes through ``nevanlinna.shared_zeros``: a unit and squarefree
+factors per side, one gcd-free basis, and min-of-multiplicity weights.  The
+float match it replaced, |z - w| <= 1e-8 max(1, |z|), is kept here only as the
+oracle of the differential test, on draws whose zeros lie far apart.
+"""
+
+import math
+import random
+from fractions import Fraction
+
+import pytest
+
+from workbench.algebra.gaussrat import GaussRat
+from workbench.algebra.poly import SparsePoly
+from workbench.errors import InvalidInput
+from workbench.expsum import ExpSumFn
+from workbench.harness import gcd_bound_check
+from workbench.nevanlinna import MeroFn, gcd_counting, shared_zeros
+
+from conftest import scenario, variables
+
+
+def z():
+    return SparsePoly.variable(0, 1)
+
+
+def unit(D) -> ExpSumFn:
+    return ExpSumFn.of(MeroFn.unit(D))
+
+
+def unit_poly(p: SparsePoly, D: SparsePoly) -> ExpSumFn:
+    """p(e^D) = sum_k c_k e^{k D} as an exp-sum."""
+    return ExpSumFn.from_terms([(SparsePoly.constant(c, 1), SparsePoly.one(1), D.scale(e))
+                                for (e,), c in p.terms.items()])
+
+
+ONE = ExpSumFn.constant(1)
+
+
+def test_units_a_constant_apart_share_nothing():
+    # e^z - 1 and e^z - (1 + 10^-10) share no zero; the float match saw 15
+    near = GaussRat(1) + GaussRat(Fraction(1, 10**10))
+    f, g = unit(z()) - ONE, unit(z()) - ExpSumFn.constant(near)
+    assert shared_zeros(f, g, [50.0]) == []
+    assert gcd_counting(f, g, 50.0) == 0.0
+    # e^{z+1} - 1 and e^z - 1: e^{z+1} = e^z * e, and e is not 1
+    assert shared_zeros(unit(z() + 1) - ONE, unit(z()) - ONE, [50.0]) == []
+
+
+def test_gcd_bound_counts_no_zeros_that_are_not_shared():
+    # on [1 : e^z : e^{-z}], F = e^{2z} + e^{-2z} and G = e^{2z} + c e^{-2z}
+    x0, x1, x2 = variables(3)
+    c = GaussRat(1) + GaussRat(Fraction(1, 10**10))
+    F = x1**2 + x2**2 + (x0**2 - x1 * x2)
+    G = x1**2 + (x2**2).scale(c) + (x0**2 - x1 * x2).scale(2)
+    curve = (MeroFn.constant(1), MeroFn.unit(z()), MeroFn.unit(-z()))
+    rep = gcd_bound_check(scenario("gcd-bound", curve, {
+        "eps": "1/2", "grid": (5.0, 200.0, 13), "r_pass": 10.0, "scan_cap": 4},
+        polys=(F, G)))
+    assert [row.lhs for row in rep.rows] == [0.0] * 13
+
+
+def test_units_without_a_rational_ratio_are_refused():
+    with pytest.raises(InvalidInput, match=r"exp\(z\) and exp\(1\*i\*z\)"):
+        shared_zeros(unit(z()) - ONE, unit(z().scale(GaussRat(0, 1))) - ONE, [5.0])
+
+
+def test_a_polynomial_meets_a_unit_polynomial_only_where_the_exponent_vanishes():
+    # z0 = -beta/alpha is shared exactly when P(z0) = 0 and p(1) = 0
+    t = MeroFn.from_poly(z() - 1)
+    assert shared_zeros(t, unit(z() - 1) - ONE, [5.0]) == [(1, 1)]
+    assert shared_zeros(unit(z() - 1) - ONE, t, [5.0]) == [(1, 1)]
+    assert shared_zeros(MeroFn.from_poly(z()), unit(z() + 1) - ONE, [5.0]) == []
+    # P(0) = 0 but e^z + 1 does not vanish at 0
+    assert shared_zeros(MeroFn.from_poly(z() ** 2), unit(z()) + ONE, [5.0]) == []
+    # a double zero at the origin against a simple one: weight 1, the n(0) log r term
+    assert shared_zeros(MeroFn.from_poly(z() ** 2), unit(z()) - ONE, [5.0]) == [(0, 1)]
+    assert gcd_counting(MeroFn.from_poly(z() ** 2), unit(z()) - ONE, 5.0) == math.log(5.0)
+
+
+def test_shared_zeros_take_the_smaller_multiplicity():
+    # (1 + e^z)^2 against 1 - e^{2z} = (1 - e^z)(1 + e^z): e^z = -1, weight 1
+    square = (ONE + unit(z())) ** 2
+    points = shared_zeros(square, ONE - unit(z().scale(2)), [10.0])
+    assert sorted(round(w.imag / math.pi) for w, _ in points) == [-3, -1, 1, 3]
+    assert all(abs(w.real) < 1e-15 and m == 1 for w, m in points)
+    # against itself every zero keeps its multiplicity 2
+    assert [m for _, m in shared_zeros(square, square, [10.0])] == [2] * 4
+    # over e^{-z}: 1 + e^{-z} has the zeros of 1 + e^z, reversed as w + 1
+    assert shared_zeros(square, ONE + unit(-z()), [10.0]) == points
+
+
+def test_sums_without_a_zero_structure_are_refused():
+    trinomial = ONE + unit(z()) + unit(z() ** 2)
+    with pytest.raises(InvalidInput, match="explicit zero structures"):
+        shared_zeros(trinomial, ONE + unit(z()), [5.0])
+
+
+def _float_match(zf, zg):
+    """The float match that shared_zeros used for exp-sums before its exact
+    route: each zero of f pairs with the first unused zero of g within
+    1e-8 max(1, |z|)."""
+    shared, used = [], [False] * len(zg)
+    for w, m in zf:
+        for k, (v, mv) in enumerate(zg):
+            if not used[k] and abs(w - v) <= 1e-8 * max(1.0, abs(w)):
+                used[k] = True
+                shared.append((w, min(m, mv)))
+                break
+    return shared
+
+
+def _gauss(rng, k=2):
+    return GaussRat(rng.randint(-k, k), rng.randint(-k, k))
+
+
+def _linear(rng):
+    """a w + b with Gaussian-integer a, b != 0."""
+    a, b = _gauss(rng), _gauss(rng)
+    while not a or not b:
+        a, b = _gauss(rng), _gauss(rng)
+    return SparsePoly(1, {(1,): a, (0,): b})
+
+
+def _draw(rng):
+    """p(e^{lam z}) and q(e^{rho lam z}) with Gaussian-integer coefficients,
+    sharing the root u0 = s of u = e^{lam z / b} (rho = a / b) in most draws."""
+    a, b = rng.choice([(1, 1), (-1, 1), (2, 1), (-2, 1), (3, 1), (-3, 1), (1, 2), (-1, 2)])
+    lam = rng.choice([GaussRat(1), GaussRat(0, 1), GaussRat(1, 1), GaussRat(2)])
+    w = SparsePoly.variable(0, 1)
+    p, q = _linear(rng), _linear(rng)
+    if rng.random() < 0.75:
+        s = _gauss(rng)
+        while not s or s == GaussRat(1):
+            s = _gauss(rng)
+        p = p * (w - s**b) ** rng.randint(1, 2)
+        q = q * ((w - s**a) if a > 0 else (w.scale(s ** -a) - 1)) ** rng.randint(1, 2)
+    D = z().scale(lam)
+    return unit_poly(p, D), unit_poly(q, D.scale(GaussRat(Fraction(a, b))))
+
+
+def _far_apart(points, r):
+    """Every two zeros coincide (to 1e-8) or lie 1e-3 apart, and every zero
+    lies 1e-3 away from the circle |z| = r."""
+    for i, w in enumerate(points):
+        if abs(abs(w) - r) < 1e-3:
+            return False
+        for v in points[:i]:
+            if 1e-8 * max(1.0, abs(w)) < abs(w - v) < 1e-3:
+                return False
+    return True
+
+
+def test_exact_route_agrees_with_the_float_match_on_separated_zeros():
+    rng = random.Random(20261019)
+    checked = shared = 0
+    while checked < 40:
+        f, g = _draw(rng)
+        r = rng.choice([4.0, 7.5, 12.0])
+        zf, zg = f.zeros_in_disk(r), g.zeros_in_disk(r)
+        if not _far_apart([w for w, _ in zf + zg], r):
+            continue
+        want = _float_match(zf, zg)
+        got = shared_zeros(f, g, [r])
+        assert len(got) == len(want), (f, g, r)
+        for w, m in got:
+            [mv] = [mv for v, mv in want if abs(w - v) <= 1e-12 * max(1.0, abs(w))]
+            assert m == mv, (f, g, r, w)
+        checked += 1
+        shared += bool(got)
+    # most draws share a lattice, so both branches of the comparison are exercised
+    assert 10 < shared < checked
