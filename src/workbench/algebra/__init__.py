@@ -16,9 +16,7 @@ from .euclid import (
 from .squarefree import squarefree_decompose, squarefree_part
 from .roots import (
     AlgebraicRoots,
-    LinearFormFactorization,
     RootEnclosure,
-    factor_linear_forms,
     roots_certified,
 )
 from .certificates import NullstellensatzCertificate, nullstellensatz_certificate
@@ -34,7 +32,6 @@ __all__ = [
     "SparsePoly",
     "AlgebraicRoots",
     "RootEnclosure",
-    "LinearFormFactorization",
     "NullstellensatzCertificate",
     "canonical_scale",
     "content_in",
@@ -48,7 +45,6 @@ __all__ = [
     "squarefree_decompose",
     "squarefree_part",
     "roots_certified",
-    "factor_linear_forms",
     "nullstellensatz_certificate",
     "poly_to_doc",
     "poly_from_doc",

@@ -456,6 +456,7 @@ class SparsePoly:
                 if e
             )
             cs = str(coeff)
+            cs = {"1*i": "i", "-1*i": "-i"}.get(cs, cs)
             if mono:
                 if cs == "1":
                     parts.append(mono)

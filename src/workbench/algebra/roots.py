@@ -337,34 +337,3 @@ def _pairwise_disjoint(roots: list[RootEnclosure]) -> bool:
             return False
     return True
 
-
-@dataclass(frozen=True)
-class LinearFormFactorization:
-    """Factorization data of a homogeneous binary form h(X, Y).
-
-    ``slopes`` encloses the ratios delta with h = c * Y^y_multiplicity *
-    prod (X - delta_j Y); the slopes are the roots of h(delta, 1).
-    """
-
-    slopes: AlgebraicRoots
-    y_multiplicity: int
-
-
-def factor_linear_forms(h: SparsePoly) -> LinearFormFactorization:
-    """Split a homogeneous binary form into linear factors.
-
-    Returns the enclosed slopes delta_j (roots of h(delta, 1)) together with
-    the multiplicity of the factor Y.
-    """
-    if not h:
-        raise ValueError("zero form")
-    if h.num_vars != 2 or not h.is_homogeneous():
-        raise ValueError("expected a homogeneous form in two variables")
-    d = h.total_degree()
-    dehom = h.specialize(1, 1)  # univariate in X
-    x_deg = dehom.degree_in(0)
-    y_mult = d - x_deg
-    if x_deg == 0:
-        empty = AlgebraicRoots(dehom, ())
-        return LinearFormFactorization(empty, y_mult)
-    return LinearFormFactorization(roots_certified(dehom), y_mult)

@@ -28,7 +28,7 @@ import mpmath
 from .algebra.euclid import canonical_scale, is_squarefree, monomial_variables, resultant
 from .algebra.gaussrat import GaussRat
 from .algebra.poly import SparsePoly
-from .algebra.roots import AlgebraicRoots, RootEnclosure, factor_linear_forms, roots_certified
+from .algebra.roots import AlgebraicRoots, RootEnclosure, roots_certified
 from .algebra.squarefree import squarefree_part
 from .algebra import serialize
 from .constants import choose_m
@@ -286,23 +286,13 @@ def beta_loci(sub: SubstitutionResult) -> BetaLoci:
         raise InternalContradiction("resultant vanished identically; B not squarefree")
     alphas = _roots_of(res_u)
     gammas = _roots_of(B.coeffs_in(1)[0].drop_var(1))
-    lead = B.leading_coeff_in(1)
-    leading = _roots_of(lead.drop_var(1)) if not lead.is_constant() \
-        else AlgebraicRoots(SparsePoly.one(1), ())
+    leading = _roots_of(B.leading_coeff_in(1).drop_var(1))
     return BetaLoci(alphas, gammas, leading)
 
 
 # ---------------------------------------------------------------------------
 # curve records
 # ---------------------------------------------------------------------------
-
-def _reverse_univar(p: SparsePoly) -> SparsePoly:
-    """x^deg * p(1/x), canonically scaled; requires nonzero constant term."""
-    deg = p.degree_in(0)
-    if not p.terms.get((0,)):
-        raise ValueError("reversal needs a nonzero constant term")
-    return canonical_scale(SparsePoly(1, {(deg - e[0],): c for e, c in p.terms.items()}))
-
 
 def _reciprocal_enclosure(r: RootEnclosure) -> RootEnclosure:
     c = r.center
@@ -326,10 +316,6 @@ class BetaValue:
     defining_poly: SparsePoly
     enclosure: RootEnclosure
 
-    def reciprocal(self) -> "BetaValue":
-        return BetaValue(_reverse_univar(self.defining_poly),
-                         _reciprocal_enclosure(self.enclosure))
-
     def matches_constant(self, c: GaussRat) -> bool:
         """Whether beta is exactly c; an irrational beta matches no constant."""
         return self.enclosure.exact == c
@@ -339,7 +325,7 @@ class BetaValue:
 class Provenance:
     pair: tuple[int, int] | None
     perm: tuple[int, int, int] | None
-    locus: str          # alpha | gamma | leading | delta | coordinate
+    locus: str          # coordinate | leading | delta | alphas | gammas
     root_index: int = 0
 
     def describe(self) -> str:
@@ -353,7 +339,9 @@ class Provenance:
         return core
 
 
-_LOCUS_ORDER = {"coordinate": 0, "alpha": 1, "gamma": 2, "leading": 3, "delta": 4}
+# curves sort by pair, then by locus in this order; alphas and gammas rank
+# equal, so their curves of one pair sort by root index and exponents
+_LOCUS_ORDER = {"coordinate": 0, "leading": 1, "delta": 2, "alphas": 3, "gammas": 3}
 
 
 @dataclass(frozen=True)
@@ -371,37 +359,27 @@ class CurveSpec:
     coord_index: int | None = None
     provenance: tuple[Provenance, ...] = ()
 
-    def _oriented(self) -> tuple[tuple[int, int, int], BetaValue] | None:
-        """Exponents with first nonzero entry negative, and the matching beta;
-        None for a coordinate line."""
+    def _oriented(self) -> tuple[tuple[int, int, int], RootEnclosure] | None:
+        """Exponents with first nonzero entry negative, and the enclosure of
+        the matching beta (of 1/beta when the exponents flip); None for a
+        coordinate line."""
         if self.kind == "coordinate-line":
             return None
         e = self.exponents
         first = next(v for v in e if v)
         if first > 0:
-            return tuple(-v for v in e), self.beta.reciprocal()
-        return e, self.beta
+            return tuple(-v for v in e), _reciprocal_enclosure(self.beta.enclosure)
+        return e, self.beta.enclosure
 
     def sort_key(self):
         prov = self.provenance[0]
         pair = prov.pair if prov.pair is not None else (0, 0)
         return (
             abs(pair[0]) + abs(pair[1]), pair[0], pair[1],
-            _LOCUS_ORDER.get(prov.locus, 9), prov.root_index,
+            _LOCUS_ORDER[prov.locus], prov.root_index,
             self.exponents or (0, 0, 0),
             self.coord_index or 0,
         )
-
-    def render(self) -> str:
-        if self.kind == "coordinate-line":
-            return f"[x{self.coord_index} = 0]"
-        e = self.exponents
-        lhs = "*".join(f"x{i}^{v}" if v > 1 else f"x{i}"
-                       for i, v in enumerate(e) if v > 0) or "1"
-        rhs = "*".join(f"x{i}^{-v}" if v < -1 else f"x{i}"
-                       for i, v in enumerate(e) if v < 0) or "1"
-        c = self.beta.enclosure.center
-        return f"[{lhs} = beta*{rhs}], beta ~ {c:.6g}, root of {self.beta.defining_poly}"
 
 
 @dataclass(frozen=True)
@@ -413,9 +391,6 @@ class ExceptionalSet:
 
     def __len__(self):
         return len(self.curves)
-
-    def describe(self) -> str:
-        return "\n".join(c.render() for c in self.curves)
 
 
 # ---------------------------------------------------------------------------
@@ -438,18 +413,19 @@ def _delta_lines(G: SparsePoly) -> list[CurveSpec]:
     out = []
     for i in range(3):
         j, k = [v for v in range(3) if v != i]
-        form = G.specialize(i, 0)
-        fact = factor_linear_forms(form)
-        if fact.y_multiplicity:
+        # the slopes delta are the roots of the form at x_k = 1; a degree
+        # drop there means x_k divides the form
+        slope_poly = G.specialize(i, 0).specialize(1, 1)
+        if slope_poly.degree_in(0) != G.total_degree():
             raise InternalContradiction(
                 "top form divisible by a coordinate; general position violated"
             )
-        slope_poly = canonical_scale(squarefree_part(fact.slopes.defining_poly))
+        slopes = _roots_of(slope_poly)
         e = [0, 0, 0]
         e[j], e[k] = 1, -1
-        for idx, root in enumerate(fact.slopes.roots):
+        for idx, root in enumerate(slopes.roots):
             out.append(CurveSpec(
-                kind="line", exponents=tuple(e), beta=BetaValue(slope_poly, root),
+                kind="line", exponents=tuple(e), beta=BetaValue(slopes.defining_poly, root),
                 provenance=(Provenance(pair=(-1, 1), perm=(i, j, k), locus="delta",
                                        root_index=idx),),
             ))
@@ -484,9 +460,10 @@ def build_W(G: SparsePoly, ell2: int | None = None,
     every assignment of coordinates to the chart roles (base coordinate and
     the ordered pair), collects monomial-relation curves for each
     exceptional value, adds the chart top-form lines and the coordinate
-    lines, and deduplicates; dedup keys are exact for a rational beta and
-    its centre rounded to 9 digits for an irrational one, and a merge pass
-    across distinct polynomials compares exact values exactly.
+    lines, and deduplicates in one pass: in sort order, a relation merges
+    into the first kept curve with the same oriented exponents and the same
+    beta, that is an equal exact value for a rational beta and overlapping
+    disks for two irrational ones.
     When ``ell2`` is omitted it defaults to twice the working degree chosen
     for ``eps``.  G is validated once; a permutation of the variables keeps
     every hypothesis, so the charts are not validated again.
@@ -528,15 +505,6 @@ def build_W(G: SparsePoly, ell2: int | None = None,
     return ExceptionalSet(_dedup(curves), G, ell2, Fraction(eps) if eps is not None else None)
 
 
-def _exact_key(c: CurveSpec, oriented) -> tuple:
-    if oriented is None:
-        return ("coord", c.coord_index)
-    e, beta = oriented
-    r = beta.enclosure
-    value = r.exact if r.exact is not None else (round(r.center.real, 9), round(r.center.imag, 9))
-    return ("rel", e, beta.defining_poly, value)
-
-
 def _same_beta(a: RootEnclosure, b: RootEnclosure) -> bool:
     """Equal exact values, or overlapping disks of two irrational betas."""
     if a.exact is not None or b.exact is not None:
@@ -545,34 +513,27 @@ def _same_beta(a: RootEnclosure, b: RootEnclosure) -> bool:
 
 
 def _dedup(curves: list[CurveSpec]) -> tuple[CurveSpec, ...]:
-    # each curve is oriented once; a merge keeps the first curve's exponents
-    # and beta, so the first curve's orientation stays valid for the merge
-    by_exact: dict = {}
+    # one pass in sort_key order: each curve is oriented once and merges into
+    # the first kept curve with the same oriented exponents and the same beta
+    # (_same_beta).  A merge keeps that curve's exponents, beta and first
+    # provenance, so its orientation and its place in the order stay valid.
+    kept: list[CurveSpec] = []
+    groups: dict[tuple[int, int, int], list[tuple[int, RootEnclosure]]] = {}
     for c in sorted(curves, key=lambda c: c.sort_key()):
         oriented = c._oriented()
-        key = _exact_key(c, oriented)
-        prev = by_exact.get(key)
-        by_exact[key] = (c, oriented) if prev is None else (_merge(prev[0], c), prev[1])
-    # second pass: merge relations with the same oriented exponents and the
-    # same beta (_same_beta) but different defining polynomials; only curves
-    # in one exponent group can merge, and each group keeps the pass order
-    result: list[CurveSpec] = []
-    groups: dict[tuple[int, int, int], list[tuple[int, RootEnclosure]]] = {}
-    for c, oriented in by_exact.values():
         if oriented is None:
-            result.append(c)
+            kept.append(c)
             continue
-        e, beta = oriented
-        rb = beta.enclosure
+        e, rb = oriented
         group = groups.setdefault(e, [])
         for i, ra in group:
             if _same_beta(ra, rb):
-                result[i] = _merge(result[i], c)
+                kept[i] = _merge(kept[i], c)
                 break
         else:
-            group.append((len(result), rb))
-            result.append(c)
-    return tuple(sorted(result, key=lambda c: c.sort_key()))
+            group.append((len(kept), rb))
+            kept.append(c)
+    return tuple(kept)
 
 
 def _merge(a: CurveSpec, b: CurveSpec) -> CurveSpec:

@@ -11,7 +11,7 @@ from workbench import exset
 from workbench.algebra.gaussrat import GaussRat
 from workbench.algebra.poly import SparsePoly
 from workbench.algebra.roots import roots_certified
-from workbench.errors import InvalidInput
+from workbench.errors import InternalContradiction, InvalidInput
 from workbench.exset import (
     BetaValue,
     CurveSpec,
@@ -182,6 +182,17 @@ def test_delta_lines_linear_curve():
         assert val == pytest.approx(-1.0)
 
 
+def test_delta_lines_guard_a_top_form_with_a_coordinate_factor():
+    # x1 x2 divides the chart form at x0 = 0, so it drops degree at x2 = 1;
+    # validate_curve refuses this curve (it passes through e_1 and e_2)
+    x0, x1, x2 = variables(3)
+    G = x0**2 + x1 * x2
+    with pytest.raises(InvalidInput):
+        delta_lines(G)
+    with pytest.raises(InternalContradiction, match="divisible by a coordinate"):
+        exset._delta_lines(G)
+
+
 def test_build_W_sphere_exact_contents():
     W = build_W(sphere(), ell2=2)
     assert len(W) == 15
@@ -230,8 +241,7 @@ def test_build_W_symmetry():
                 out.add(("coord", idx))
             else:
                 e, b = c._oriented()
-                out.add(("rel", e, round(b.enclosure.center.real, 6),
-                         round(b.enclosure.center.imag, 6)))
+                out.add(("rel", e, round(b.center.real, 6), round(b.center.imag, 6)))
         return out
 
     # permute W's curves into the sigma-world and compare
@@ -248,8 +258,7 @@ def test_build_W_symmetry():
             moved = CurveSpec(kind=c.kind, exponents=tuple(e), beta=c.beta,
                               provenance=c.provenance)
             eo, bo = moved._oriented()
-            mapped.add(("rel", eo, round(bo.enclosure.center.real, 6),
-                        round(bo.enclosure.center.imag, 6)))
+            mapped.add(("rel", eo, round(bo.center.real, 6), round(bo.center.imag, 6)))
     assert mapped == keyset(Wp)
 
 
@@ -289,22 +298,17 @@ def test_gamma_zero_never_emitted():
 
 def test_beta_reciprocal_is_exact():
     L = SparsePoly.variable(0, 1)
-    from workbench.algebra.roots import roots_certified
-
     roots = roots_certified(L**2 - Fraction(1, 4))
-    bv = BetaValue(L**2 - Fraction(1, 4), roots.roots[1])
-    rec = bv.reciprocal()
-    assert rec.defining_poly == L**2 - 4
-    assert rec.enclosure.center == pytest.approx(2.0)
+    rec = exset._reciprocal_enclosure(roots.roots[1])
+    assert rec.center == pytest.approx(2.0)
+    assert rec.exact == 2 and rec.radius == 0.0
 
 
 def test_beta_reciprocal_covers_rounding():
     # the propagated radius alone (4.8e-17) misses 1/sqrt(2), 6.3e-17 from the float 1/c
     L = SparsePoly.variable(0, 1)
-    from workbench.algebra.roots import roots_certified
-
     for root in roots_certified(L**2 - 2).roots:
-        rec = BetaValue(L**2 - 2, root).reciprocal().enclosure
+        rec = exset._reciprocal_enclosure(root)
         with mpmath.workdps(50):
             exact = mpmath.sign(root.center.real) / mpmath.sqrt(2)
             assert abs(exact - mpmath.mpc(rec.center)) <= mpmath.mpf(rec.radius)
@@ -344,7 +348,7 @@ def test_dedup_merges_provenance_across_loci():
 
 
 def test_build_W_orients_each_raw_curve_at_most_once(monkeypatch):
-    calls = count_calls(monkeypatch, exset, "_reverse_univar")
+    calls = count_calls(monkeypatch, exset, "_reciprocal_enclosure")
     W = build_W(sphere(), ell2=3)
     raw = sum(len(c.provenance) for c in W.curves)
     assert 0 < len(calls) <= raw
@@ -419,10 +423,25 @@ def test_dedup_keeps_exact_betas_apart_and_merges_equal_ones():
              BetaValue(h, next(d for d in roots_certified(h).roots if d.exact == 1))]
     assert betas[2].enclosure.center == 1.0 and betas[2].enclosure.radius == 0.0
     curves = [CurveSpec(kind="monomial-relation", exponents=(-1, 1, 0), beta=beta,
-                        provenance=(Provenance(pair=None, perm=None, locus="alpha",
+                        provenance=(Provenance(pair=None, perm=None, locus="alphas",
                                                root_index=i),))
               for i, beta in enumerate(betas)]
     merged = exset._dedup(curves)
     assert len(merged) == 3
     assert {c.beta.enclosure.exact: len(c.provenance) for c in merged} == \
         {1: 2, 1 + gap: 1, 1 + GaussRat(Fraction(1, 10**20)): 1}
+
+
+def test_dedup_keeps_irrational_betas_that_agree_to_nine_digits_apart():
+    # the roots 1 -+ sqrt(2) 10^-11 of one polynomial round to 1.0 at 9 digits,
+    # but their certified disks (radii about 4e-18 and 1e-16) are disjoint
+    z = SparsePoly.variable(0, 1)
+    f = z**2 - 2 * z + (1 - Fraction(2, 10**22))
+    betas = [BetaValue(f, root) for root in roots_certified(f).roots]
+    assert [round(b.enclosure.center.real, 9) for b in betas] == [1.0, 1.0]
+    assert all(b.enclosure.exact is None for b in betas)
+    curves = [CurveSpec(kind="monomial-relation", exponents=(-1, 1, 0), beta=beta,
+                        provenance=(Provenance(pair=None, perm=None, locus="alphas",
+                                               root_index=i),))
+              for i, beta in enumerate(betas)]
+    assert exset._dedup(curves) == tuple(curves)

@@ -172,6 +172,21 @@ def test_one_home_for_root_refinement():
             assert not private.search(path.read_text()), path.name
 
 
+def test_one_root_route_for_exceptional_values():
+    """Every exceptional value, the chart top-form slopes included, comes from
+    exset._roots_of, which alone calls roots_certified; a beta is compared by
+    its enclosure, never by a rounded key or a reversed polynomial."""
+    exset = PACKAGE / "exset.py"
+    tree = ast.parse(exset.read_text(), str(exset))
+    calls = [n for n in ast.walk(tree) if isinstance(n, ast.Call)
+             and "roots_certified" in (getattr(n.func, "id", None), getattr(n.func, "attr", None))]
+    roots_of = next(f for f in tree.body if isinstance(f, ast.FunctionDef) and f.name == "_roots_of")
+    assert calls and all(any(call is n for n in ast.walk(roots_of)) for call in calls)
+    gone = re.compile(r"\b(factor_linear_forms|LinearFormFactorization|_exact_key|_reverse_univar)\b")
+    for path in PACKAGE.rglob("*.py"):
+        assert not gone.search(path.read_text()), path.name
+
+
 def test_every_check_takes_one_scenario():
     """run_scenario finds each target's check by name, and every check reads
     all it needs from its one Scenario argument."""

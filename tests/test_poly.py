@@ -344,3 +344,13 @@ def test_gaussian_integer_products_and_quotients_make_no_gaussrat_arithmetic(mon
     assert calls == [[], [], [], []] and lcms == []
     monkeypatch.undo()
     assert quot == p and prod == _product_reference(p, q)[0]
+
+
+def test_a_unit_imaginary_coefficient_prints_as_i():
+    z = SparsePoly.variable(0, 1)
+    i = GaussRat(0, 1)
+    assert str(z.scale(i)) == "i*x0"
+    assert (z.scale(-i) + i).to_string(["z"]) == "-i*z + i"
+    assert (z.scale(i) - i).to_string(["z"]) == "i*z - i"
+    # the sort key still reads GaussRat's own string, so orders do not move
+    assert z.scale(i).sort_key() == (((1,), "1*i"),)

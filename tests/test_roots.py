@@ -8,15 +8,11 @@ import pytest
 from workbench.algebra import roots
 from workbench.algebra.gaussrat import GaussRat
 from workbench.algebra.poly import SparsePoly
-from workbench.algebra.roots import (
-    ENCLOSURE_RADIUS,
-    factor_linear_forms,
-    roots_certified,
-)
+from workbench.algebra.roots import ENCLOSURE_RADIUS, roots_certified
 from workbench.algebra.squarefree import squarefree_decompose
 from workbench.errors import EnclosureError
 
-from conftest import cauchy_root_bound, count_calls, random_poly, variables
+from conftest import cauchy_root_bound, count_calls, random_poly
 
 
 def t():
@@ -68,29 +64,6 @@ def test_residual_bound(rng):
         for e in roots.roots:
             val = abs(complex(f.eval([e.center])))
             assert val <= max(bound, 1e-30) * 1e3 or val <= 1e-12
-
-
-def test_linear_forms_circle():
-    X, Y = variables(2)
-    lf = factor_linear_forms(X**2 + Y**2)
-    assert lf.y_multiplicity == 0
-    got = sorted(round(e.center.imag, 9) for e in lf.slopes.roots)
-    assert got == [-1.0, 1.0]
-
-
-def test_linear_forms_with_y_factor():
-    X, Y = variables(2)
-    lf = factor_linear_forms(X**2 * Y)
-    assert lf.y_multiplicity == 1
-    ((root,),) = (lf.slopes.roots,)
-    assert root.exact == GaussRat(0) and root.multiplicity == 2
-
-
-def test_linear_forms_rational_slopes():
-    X, Y = variables(2)
-    lf = factor_linear_forms(X**2 - 3 * X * Y + 2 * Y**2)
-    got = sorted(round(e.center.real, 9) for e in lf.slopes.roots)
-    assert got == [1.0, 2.0]
 
 
 def test_nonzero_filter():
