@@ -1,14 +1,18 @@
 """Certified complex root enclosures for exact univariate polynomials.
 
 Multiplicities are assigned structurally (from the squarefree
-decomposition), never numerically.  When a squarefree factor has degree
-``_MIN_SEEDED_DEGREE`` or more, the factors are first solved from float
-seeds: the eigenvalue roots of ``np.roots`` are refined by Newton's method at
-high working precision.  Every approximate root x gets one radius
-(``_radius``), which covers the rounding of the coefficients and of Horner's
-rule and holds at least one true root.  An attempt passes when every radius
-is at most ``ENCLOSURE_RADIUS`` max(1, |x|) and the disks are pairwise
-disjoint, which pins exactly one root per disk.  So a bad seed can only make
+decomposition), never numerically.  Each squarefree factor is solved to
+approximate roots, and a last Newton step on mpmath at the working precision
+turns each into its high-precision root x.  When a factor has degree
+``_MIN_SEEDED_DEGREE`` or more, the approximate roots first come from float
+seeds: the eigenvalue roots of ``np.roots``, refined by Newton's method in
+fixed point on Python integers, 80 bits past the working precision, on the
+working-precision coefficients converted exactly.  That refinement needs no
+certificate of its own, because the certificate is taken of x: every x gets
+one radius (``_radius``), which covers the rounding of the coefficients and
+of Horner's rule and holds at least one true root.  An attempt passes when
+every radius is at most ``ENCLOSURE_RADIUS`` max(1, |x|) and the disks are
+pairwise disjoint, which pins exactly one root per disk.  So a bad seed can only make
 the attempt fail, never give a wrong disk; when it fails, or is not made,
 ``mpmath.polyroots`` solves the factors at doubling precision instead.  The
 stored radius adds the rounding of x to its float centre, and the
@@ -102,7 +106,7 @@ def _horner(coeffs_mpc, z):
 
 def _newton(cm, dm, z, dps: int):
     """Newton steps on the polynomial ``cm`` from z until a step is below
-    10^-(dps-8) or the derivative vanishes; at most 80 steps."""
+    10^-(dps-8) max(1, |z|) or the derivative vanishes; at most 80 steps."""
     small = mpmath.mpf(10) ** (-(dps - 8))
     for _ in range(80):
         dv = _horner(dm, z)
@@ -110,9 +114,49 @@ def _newton(cm, dm, z, dps: int):
             break
         step = _horner(cm, z) / dv
         z = z - step
-        if abs(step) < small:
+        if abs(step) < small * max(1, abs(z)):
             break
     return z
+
+
+def _dyadic_pairs(cm):
+    """The coefficients ``cm`` exactly as Gaussian integer pairs over one
+    power of two 2^q: ([(a_k, b_k)], q), q the least that holds them all."""
+    parts = [[(-man if sign else man, exp) for sign, man, exp, _ in c._mpc_] for c in cm]
+    q = max((-exp for c in parts for man, exp in c if man), default=0)
+    return [tuple(int(man) << (exp + q) for man, exp in c) for c in parts], q
+
+
+def _fixed_newton(pairs, q: int, seed: complex, dps: int):
+    """Newton steps from the float ``seed`` on the polynomial with the
+    coefficients (a_k + b_k i) / 2^q (``_dyadic_pairs``), in fixed point on
+    Python integers; the stop test and the cap of 80 steps are ``_newton``'s.
+
+    Every value is an integer pair over 2^s, s the bits of ``dps`` digits
+    plus a guard of 32 and the bits that |seed| < 1 needs, and at least q,
+    so the coefficients are exact.  One Horner pass per step gives p and p',
+    each product rounded down to 2^-s, and one complex division the step.
+    Returns the last iterate as an mpc at the working precision.
+    """
+    s = max(q, mpmath.libmp.dps_to_prec(dps) + 32 + max(0, -math.frexp(abs(seed))[1]))
+    cs = [(a << (s - q), b << (s - q)) for a, b in pairs]
+    zr, zi = (x * 2**s // y for x, y in (seed.real.as_integer_ratio(),
+                                         seed.imag.as_integer_ratio()))
+    scale, one = 10 ** (2 * (dps - 8)), 1 << (2 * s)
+    for _ in range(80):
+        (pr, pi), dr, di = cs[-1], 0, 0
+        for cr, ci in reversed(cs[:-1]):
+            dr, di = ((dr * zr - di * zi) >> s) + pr, ((dr * zi + di * zr) >> s) + pi
+            pr, pi = ((pr * zr - pi * zi) >> s) + cr, ((pr * zi + pi * zr) >> s) + ci
+        size = dr * dr + di * di
+        if not size:
+            break
+        sr, si = ((pr * dr + pi * di) << s) // size, ((pi * dr - pr * di) << s) // size
+        zr, zi = zr - sr, zi - si
+        # |step| < 10^-(dps-8) max(1, |z|), squared and times 10^(2(dps-8)) 2^(2s)
+        if scale * (sr * sr + si * si) < max(one, zr * zr + zi * zi):
+            break
+    return mpmath.mpc(mpmath.mpf((zr, -s)), mpmath.mpf((zi, -s)))
 
 
 def _level(coeffs: list[GaussRat]):
@@ -148,11 +192,16 @@ def _radius(cm, dm, em, z):
     return (len(cm) - 1) * (abs(_horner(cm, z)) + mpmath.ldexp(e, top)) / slope
 
 
-def _seeded_roots(coeffs: list[GaussRat], cm, dm, dps: int):
+def _seeded_roots(coeffs: list[GaussRat], cm, dps: int):
     """Approximate roots from ``np.roots`` seeds refined by Newton.
 
-    Called at the working precision ``dps``.  As in ``mpmath.polyroots``,
-    the iteration runs 80 bits past it, parts below its epsilon are zeroed
+    Called at the working precision ``dps``.  The refinement runs on Python
+    integers (``_fixed_newton``), on the coefficients ``cm`` that
+    ``_level`` rounded to that precision, converted exactly
+    (``_dyadic_pairs``); it needs no certificate, since the radius of each
+    root is taken after the final Newton step on mpmath.  As in
+    ``mpmath.polyroots``, the iteration runs 80 bits past the working
+    precision, parts below its epsilon are zeroed
     (so a real root of a real polynomial comes out real) and the roots are
     rounded to it.  Raises EnclosureError when the float seeds are unusable:
     coefficients or seeds that are not finite floats, or fewer seeds than
@@ -168,10 +217,11 @@ def _seeded_roots(coeffs: list[GaussRat], cm, dm, dps: int):
     if len(seeds) != deg or not np.all(np.isfinite(seeds)):
         raise EnclosureError("no float seeds: non-finite or missing seeds")
     tol = +mpmath.mp.eps  # unary plus fixes it at the working precision
+    pairs, q = _dyadic_pairs(cm)
     out = []
     with mpmath.workdps(dps + 24):  # 80 bits
         for s in seeds:
-            z = _newton(cm, dm, mpmath.mpc(s.real, s.imag), dps + 24)
+            z = _fixed_newton(pairs, q, complex(s), dps + 24)
             if abs(z) < tol:
                 z = mpmath.mpc(0)
             elif abs(z.imag) < tol:
@@ -194,7 +244,7 @@ def _solve_squarefree(coeffs: list[GaussRat], dps: int, seeded: bool):
     with mpmath.workdps(dps):
         cm, dm, em = _level(coeffs)
         if seeded:
-            approx = _seeded_roots(coeffs, cm, dm, dps)
+            approx = _seeded_roots(coeffs, cm, dps)
         else:
             try:
                 approx = mpmath.polyroots(list(reversed(cm)), maxsteps=200, extraprec=80)

@@ -166,10 +166,22 @@ def test_one_home_for_root_refinement():
     """Newton refinement, the working-precision level and the enclosure
     radius live in algebra/roots.py; every other module reads the certified
     root a RootEnclosure carries instead of refining one again."""
-    private = re.compile(r"\b(_newton|_level|_radius)\b")
+    private = re.compile(r"\b(_newton|_fixed_newton|_dyadic_pairs|_level|_radius)\b")
     for path in PACKAGE.rglob("*.py"):
         if path != PACKAGE / "algebra" / "roots.py":
             assert not private.search(path.read_text()), path.name
+
+
+def test_seeds_are_refined_off_mpmath():
+    """_seeded_roots refines its float seeds with the integer Newton
+    iteration; mpmath's Horner rule and Newton run only after it."""
+    path = PACKAGE / "algebra" / "roots.py"
+    tree = ast.parse(path.read_text(), str(path))
+    seeded = next(f for f in tree.body
+                  if isinstance(f, ast.FunctionDef) and f.name == "_seeded_roots")
+    called = {getattr(n.func, "id", None) for n in ast.walk(seeded) if isinstance(n, ast.Call)}
+    assert "_fixed_newton" in called
+    assert not called & {"_newton", "_horner"}
 
 
 def test_one_root_route_for_exceptional_values():

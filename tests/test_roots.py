@@ -136,6 +136,19 @@ def test_radius_is_the_rounding_aware_formula(dps):
                 assert got == want or abs(got / want - 1) < 1e-9, (f, z)
 
 
+@pytest.mark.parametrize("f, calls", [(t() ** 3 - 2 * 10**60, 12), (t() ** 2 - 2 * 10**80, 32)])
+def test_newton_stops_relative_to_the_root(monkeypatch, f, calls):
+    # the roots have |z| of about 10^20 and 10^40; a stop test of 10^-32 in
+    # absolute terms cannot be met there at 40 digits, and every Newton
+    # refinement ran all 80 steps (486 and 332 calls)
+    horner = count_calls(monkeypatch, roots, "_horner")
+    roots_certified.cache_clear()
+    got = roots_certified(f)
+    roots_certified.cache_clear()
+    assert sum(d.multiplicity for d in got.roots) == f.degree_in(0)
+    assert len(horner) == calls
+
+
 # -- exact roots -----------------------------------------------------------------
 
 I = GaussRat(0, 1)
@@ -312,6 +325,35 @@ def test_seeded_draws_never_call_polyroots(monkeypatch, degree):
         got = roots_certified(_dense(rng, degree))
         assert sum(d.multiplicity for d in got.roots) == degree
     assert calls == []
+
+
+@pytest.mark.parametrize("degree", [20, 34])
+def test_seeded_solves_evaluate_four_times_per_root(monkeypatch, degree):
+    # the float seeds are refined on integers, so Horner's rule on mpmath
+    # runs only for the final Newton step (p and p') and for the radius
+    # (p and p'); refining the seeds on mpmath took about 10.6 per root
+    f = _dense(random.Random(f"seeded/{degree}"), degree)
+    horner = count_calls(monkeypatch, roots, "_horner")
+    polyroots = count_calls(monkeypatch, mpmath, "polyroots")
+    roots_certified.cache_clear()
+    got = roots_certified(f)
+    roots_certified.cache_clear()
+    assert polyroots == [] and [d.multiplicity for d in got.roots] == [1] * degree
+    assert len(horner) == 4 * degree
+
+
+def test_seeded_roots_that_span_scales_agree_with_polyroots(monkeypatch):
+    # roots of sizes 2^-60 and 2^40, exact and irrational, beside the unit
+    # circle's: each seed takes its own fixed-point scale
+    tiny, huge = GaussRat(Fraction(1, 2**60)), GaussRat(2**40)
+    f = (_dense(random.Random("scales"), 18) * _linear(tiny) * _linear(huge)
+         * (t() ** 2 - SparsePoly.constant(3 * tiny * tiny, 1)) * (t() ** 2 - 3 * huge * huge))
+    polyroots = count_calls(monkeypatch, mpmath, "polyroots")
+    seeded = _certify(f, monkeypatch, seeded=True)
+    assert polyroots == []  # the seeded attempt certified
+    assert seeded == _certify(f, monkeypatch, seeded=False)
+    assert {d.exact for d in seeded} >= {tiny, huge}
+    assert min(abs(d.center) for d in seeded if d.exact is None) < 2**-59
 
 
 def test_low_degrees_stay_on_polyroots(monkeypatch):
