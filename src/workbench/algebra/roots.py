@@ -1,30 +1,28 @@
 """Certified complex root enclosures for exact univariate polynomials.
 
 Multiplicities are assigned structurally (from the squarefree
-decomposition), never numerically.  Each squarefree factor is solved to
-approximate roots, and a last Newton step on mpmath at the working precision
-turns each into its high-precision root x.  When a factor has degree
-``_MIN_SEEDED_DEGREE`` or more, the approximate roots first come from float
-seeds: the eigenvalue roots of ``np.roots``, refined by Newton's method in
-fixed point on Python integers, 80 bits past the working precision, on the
-working-precision coefficients converted exactly.  That refinement needs no
-certificate of its own, because the certificate is taken of x: every x gets
-one radius (``_radius``), which covers the rounding of the coefficients and
-of Horner's rule and holds at least one true root.  An attempt passes when
-every radius is at most ``ENCLOSURE_RADIUS`` max(1, |x|) and the disks are
-pairwise disjoint, which pins exactly one root per disk.  So a bad seed can only make
-the attempt fail, never give a wrong disk; when it fails, or is not made,
-``mpmath.polyroots`` solves the factors at doubling precision instead.  The
-stored radius adds the rounding of x to its float centre, and the
-enclosure keeps x as its certified root.
+decomposition), never numerically.  A squarefree factor with its
+denominators cleared has coefficients in Z[i], and one integer arithmetic
+serves every step on them.  Approximate roots come from ``mpmath.polyroots``
+at doubling precision or, when the factor has degree ``_MIN_SEEDED_DEGREE``
+or more, first from the float seeds of ``np.roots``, refined 80 bits past
+the working precision.  A last Newton step in fixed point (``_newton``)
+turns each into its high-precision root z, a dyadic Gaussian rational.  The
+certificate is taken of z alone: p and p' are evaluated exactly there, and
+the disk of radius n |p(z)/p'(z)| about z holds a root (``_radius``), with
+no rounding term.  An attempt passes when every radius is at most
+``ENCLOSURE_RADIUS`` max(1, |z|) and the disks are pairwise disjoint, which
+pins exactly one root per disk.  So a bad seed can only make the attempt
+fail, never give a wrong disk.  The stored radius adds the distance from z
+to its float centre, and the enclosure keeps z as its certified root.
 
-Every root in Q(i) carries its exact value.  With denominators cleared a
-factor has a leading coefficient L in Z[i], and by Gauss's lemma over Z[i]
-its roots in Q(i) are g/L for Gaussian integers g.  Once the radii pass, an
-x whose radius times |L| is 1/2 or more is refined at the last attempt's
-precision; then g = round(L x) is the only candidate, and one exact
-evaluation decides it.  The disjointness test compares two exact roots by
-value, so two roots given one exact value leave the attempt uncertified.
+Every root in Q(i) carries its exact value.  A factor's leading coefficient
+L is in Z[i], and by Gauss's lemma over Z[i] its roots in Q(i) are g/L for
+Gaussian integers g.  Once the radii pass, a z whose radius times |L| is
+1/2 or more is refined at the last attempt's precision; then g = round(L z)
+is the only candidate, and one exact evaluation decides it.  The
+disjointness test compares two exact roots by value, so two roots given one
+exact value leave the attempt uncertified.
 """
 
 from __future__ import annotations
@@ -36,7 +34,6 @@ from dataclasses import dataclass, field
 
 import mpmath
 import numpy as np
-from mpmath.libmp import mpc_add, mpc_mul
 
 from ..errors import EnclosureError, InternalContradiction, InvalidInput
 from .gaussrat import GaussRat, int_pairs
@@ -51,7 +48,7 @@ _ATTEMPTS = ((40, True), (40, False), (80, False), (160, False), (320, False), (
 # the float-seeded attempt runs only when a factor has at least this degree.
 # Seeding pays at every degree; the limit stays only because an exset pass that
 # short fires no calibration slice, and perfbench/worker.py then divides by zero
-# (ROADMAP item 1a).  Delete it once that is mended (ROADMAP item 1b).
+# (ROADMAP item 1).  Delete it once that is mended (ROADMAP item 2).
 _MIN_SEEDED_DEGREE = 17
 
 
@@ -93,61 +90,56 @@ def _to_mpc(c: GaussRat) -> mpmath.mpc:
     return mpmath.mpc(re, im)
 
 
-def _horner(coeffs_mpc, z):
-    """p(z) by Horner's rule on mpmath's raw tuples: each step rounds at the
-    working precision exactly as ``acc * z + c`` on mpc values does, without
-    building an mpc per operation (the hot loop of every solve)."""
-    prec, rnd = mpmath.mp._prec_rounding
-    w, acc = z._mpc_, (+coeffs_mpc[-1])._mpc_
-    for c in reversed(coeffs_mpc[:-1]):
-        acc = mpc_add(mpc_mul(acc, w, prec, rnd), c._mpc_, prec, rnd)
-    return mpmath.mp.make_mpc(acc)
+def _dyadic(z):
+    """z, a complex or an mpc, exactly as (x, y, t): z = (x + iy) / 2^t."""
+    (xs, xm, xe, _), (ys, ym, ye, _) = (mpmath.mpmathify(v)._mpf_ for v in (z.real, z.imag))
+    t = max(0, -xe, -ye)
+    return (-xm if xs else xm) << (xe + t), (-ym if ys else ym) << (ye + t), t
 
 
-def _newton(cm, dm, z, dps: int):
-    """Newton steps on the polynomial ``cm`` from z until a step is below
-    10^-(dps-8) max(1, |z|) or the derivative vanishes; at most 80 steps."""
-    small = mpmath.mpf(10) ** (-(dps - 8))
-    for _ in range(80):
-        dv = _horner(dm, z)
-        if dv == 0:
-            break
-        step = _horner(cm, z) / dv
-        z = z - step
-        if abs(step) < small * max(1, abs(z)):
-            break
-    return z
+def _mpc(z):
+    """The dyadic z = (x, y, s) as an mpc at the working precision."""
+    x, y, s = z
+    return mpmath.mpc(mpmath.mpf((x, -s)), mpmath.mpf((y, -s)))
 
 
-def _dyadic_pairs(cm):
-    """The coefficients ``cm`` exactly as Gaussian integer pairs over one
-    power of two 2^q: ([(a_k, b_k)], q), q the least that holds them all."""
-    parts = [[(-man if sign else man, exp) for sign, man, exp, _ in c._mpc_] for c in cm]
-    q = max((-exp for c in parts for man, exp in c if man), default=0)
-    return [tuple(int(man) << (exp + q) for man, exp in c) for c in parts], q
+def _gap(z, w):
+    """|z - w|^2 of two dyadics, exactly, as (g, u) for g / 4^u."""
+    (x, y, s), (a, b, t) = z, w
+    u = max(s, t)
+    return ((x << u - s) - (a << u - t)) ** 2 + ((y << u - s) - (b << u - t)) ** 2, u
 
 
-def _fixed_newton(pairs, q: int, seed: complex, dps: int):
-    """Newton steps from the float ``seed`` on the polynomial with the
-    coefficients (a_k + b_k i) / 2^q (``_dyadic_pairs``), in fixed point on
-    Python integers; the stop test and the cap of 80 steps are ``_newton``'s.
+def _root_up(num: int, den: int, t: int) -> int:
+    """sqrt(num / den) 2^t rounded up, for t >= 0."""
+    q = -(-(num << 2 * t) // den)
+    r = math.isqrt(q)
+    return r + (r * r < q)
 
-    Every value is an integer pair over 2^s, s the bits of ``dps`` digits
-    plus a guard of 32 and the bits that |seed| < 1 needs, and at least q,
-    so the coefficients are exact.  One Horner pass per step gives p and p',
-    each product rounded down to 2^-s, and one complex division the step.
-    Returns the last iterate as an mpc at the working precision.
-    """
-    s = max(q, mpmath.libmp.dps_to_prec(dps) + 32 + max(0, -math.frexp(abs(seed))[1]))
-    cs = [(a << (s - q), b << (s - q)) for a, b in pairs]
-    zr, zi = (x * 2**s // y for x, y in (seed.real.as_integer_ratio(),
-                                         seed.imag.as_integer_ratio()))
+
+def _fixed_point_values(cs, zr, zi, s: int):
+    """p(z) and p'(z) by one Horner pass on integers over 2^s, rounded down."""
+    (pr, pi), dr, di = cs[-1], 0, 0
+    for cr, ci in reversed(cs[:-1]):
+        dr, di = ((dr * zr - di * zi) >> s) + pr, ((dr * zi + di * zr) >> s) + pi
+        pr, pi = ((pr * zr - pi * zi) >> s) + cr, ((pr * zi + pi * zr) >> s) + ci
+    return pr, pi, dr, di
+
+
+def _newton(pairs, seed, dps: int):
+    """Newton steps from the dyadic ``seed`` on the polynomial with the
+    Gaussian integer coefficients ``pairs``, in fixed point, until a step is
+    below 10^-(dps-8) max(1, |z|) or the derivative vanishes; at most 80
+    steps.  Every value is an integer over 2^s, s the bits of ``dps``
+    digits plus a guard of 32 and the bits that |seed| < 1 needs.  Returns
+    the last iterate as (x, y, s)."""
+    x, y, t = seed
+    s = mpmath.libmp.dps_to_prec(dps) + 32 + max(0, t - max(x.bit_length(), y.bit_length()))
+    zr, zi = (v << (s - t) if s >= t else v >> (t - s) for v in (x, y))
+    cs = [(a << s, b << s) for a, b in pairs]
     scale, one = 10 ** (2 * (dps - 8)), 1 << (2 * s)
     for _ in range(80):
-        (pr, pi), dr, di = cs[-1], 0, 0
-        for cr, ci in reversed(cs[:-1]):
-            dr, di = ((dr * zr - di * zi) >> s) + pr, ((dr * zi + di * zr) >> s) + pi
-            pr, pi = ((pr * zr - pi * zi) >> s) + cr, ((pr * zi + pi * zr) >> s) + ci
+        pr, pi, dr, di = _fixed_point_values(cs, zr, zi, s)
         size = dr * dr + di * di
         if not size:
             break
@@ -156,56 +148,36 @@ def _fixed_newton(pairs, q: int, seed: complex, dps: int):
         # |step| < 10^-(dps-8) max(1, |z|), squared and times 10^(2(dps-8)) 2^(2s)
         if scale * (sr * sr + si * si) < max(one, zr * zr + zi * zi):
             break
-    return mpmath.mpc(mpmath.mpf((zr, -s)), mpmath.mpf((zi, -s)))
+    return zr, zi, s
 
 
-def _level(coeffs: list[GaussRat]):
-    """p and p' at the working precision, and the coefficients u |c_k|,
-    u = 16 (deg + 1) eps, of their rounding bound, each as ``mpmath.frexp``
-    gives it but with a float mantissa."""
-    cm = [_to_mpc(c) for c in coeffs]
-    dm = [cm[i] * i for i in range(1, len(cm))]
-    u = 16 * len(cm) * mpmath.mp.eps
-    em = (mpmath.frexp(u * (abs(c.real) + abs(c.imag))) for c in cm)
-    return cm, dm, [(float(m), x) for m, x in em]
+def _radius(pairs, z):
+    """n^2 |p(z)|^2 / |p'(z)|^2 as an integer pair (num, den); None when
+    p'(z) = 0.  The disk of radius n |p(z)/p'(z)| about z holds a root of p,
+    since p'/p = sum 1/(z - zeta_k) (Henrici, Applied and Computational
+    Complex Analysis I, ch. 6).  Horner's rule runs exactly on the Gaussian
+    integers ``pairs`` at the dyadic z = (x, y, s): after j steps p carries
+    the scale 2^(js) and p' 2^((j-1)s), so the radius has no rounding term."""
+    x, y, s = z
+    (pr, pi), dr, di = pairs[-1], 0, 0
+    for j, (cr, ci) in enumerate(reversed(pairs[:-1]), 1):
+        dr, di = dr * x - di * y + pr, dr * y + di * x + pi
+        pr, pi = pr * x - pi * y + (cr << j * s), pr * y + pi * x + (ci << j * s)
+    size = dr * dr + di * di
+    n = len(pairs) - 1
+    return (n * n * (pr * pr + pi * pi), size << 2 * s) if size else None
 
 
-def _radius(cm, dm, em, z):
-    """n (|p(z)| + e_p) / (|p'(z)| - e_p'), infinite when p'(z) may vanish.
+def _seeded_roots(coeffs: list[GaussRat], pairs, dps: int):
+    """Approximate roots from ``np.roots`` seeds refined by ``_newton``.
 
-    A disk of radius n |p(z)/p'(z)| about z holds a root of p when p(z) and
-    p'(z) are exact.  Horner's running error bounds e_p = u sum |c_k| |z|^k
-    and e_p' = u sum k |c_k| |z|^(k-1) (``_level``) cover their rounding.
-    They are summed in floats, each term scaled by one power of two so that
-    nothing overflows; that rounding is far inside the factor 16 of u.
-    """
-    m, x = mpmath.frexp(abs(z))  # |z| = m 2^x
-    m = float(m)
-    top = max(xk + k * x for k, (mk, xk) in enumerate(em) if mk)
-    e = ed = 0.0
-    for k in range(len(em) - 1, -1, -1):
-        ed = ed * m + e
-        e = e * m + math.ldexp(em[k][0], em[k][1] + k * x - top)
-    slope = abs(_horner(dm, z)) - mpmath.ldexp(ed, top - x)
-    if slope <= 0:
-        return mpmath.inf
-    return (len(cm) - 1) * (abs(_horner(cm, z)) + mpmath.ldexp(e, top)) / slope
-
-
-def _seeded_roots(coeffs: list[GaussRat], cm, dps: int):
-    """Approximate roots from ``np.roots`` seeds refined by Newton.
-
-    Called at the working precision ``dps``.  The refinement runs on Python
-    integers (``_fixed_newton``), on the coefficients ``cm`` that
-    ``_level`` rounded to that precision, converted exactly
-    (``_dyadic_pairs``); it needs no certificate, since the radius of each
-    root is taken after the final Newton step on mpmath.  As in
-    ``mpmath.polyroots``, the iteration runs 80 bits past the working
-    precision, parts below its epsilon are zeroed
-    (so a real root of a real polynomial comes out real) and the roots are
-    rounded to it.  Raises EnclosureError when the float seeds are unusable:
-    coefficients or seeds that are not finite floats, or fewer seeds than
-    the degree.
+    Called at the working precision ``dps``.  The refinement needs no
+    certificate, since the radius of each root is taken after the final
+    Newton step.  As in ``mpmath.polyroots``, it runs 80 bits past the
+    working precision, parts below its epsilon are zeroed (so a real root
+    of a real polynomial comes out real) and the roots are rounded to it.
+    Raises EnclosureError when the float seeds are unusable: coefficients or
+    seeds that are not finite floats, or fewer seeds than the degree.
     """
     deg = len(coeffs) - 1
     try:
@@ -217,11 +189,10 @@ def _seeded_roots(coeffs: list[GaussRat], cm, dps: int):
     if len(seeds) != deg or not np.all(np.isfinite(seeds)):
         raise EnclosureError("no float seeds: non-finite or missing seeds")
     tol = +mpmath.mp.eps  # unary plus fixes it at the working precision
-    pairs, q = _dyadic_pairs(cm)
     out = []
     with mpmath.workdps(dps + 24):  # 80 bits
-        for s in seeds:
-            z = _fixed_newton(pairs, q, complex(s), dps + 24)
+        for seed in seeds:
+            z = _mpc(_newton(pairs, _dyadic(complex(seed)), dps + 24))
             if abs(z) < tol:
                 z = mpmath.mpc(0)
             elif abs(z.imag) < tol:
@@ -237,57 +208,66 @@ def _solve_squarefree(coeffs: list[GaussRat], dps: int, seeded: bool):
     """Roots of a squarefree polynomial at given precision.
 
     The approximate roots come from float seeds (``seeded``) or from
-    ``mpmath.polyroots``; either way a final Newton step gives the
-    high-precision root.  Returns (root, radius) per root, the radius from
-    ``_radius``.
+    ``mpmath.polyroots``; either way a final ``_newton`` step gives the
+    dyadic high-precision root z.  Returns (z, squared radius) per root, the
+    radius from ``_radius``.
     """
+    pairs = int_pairs(coeffs)[1]
     with mpmath.workdps(dps):
-        cm, dm, em = _level(coeffs)
         if seeded:
-            approx = _seeded_roots(coeffs, cm, dps)
+            approx = _seeded_roots(coeffs, pairs, dps)
         else:
             try:
-                approx = mpmath.polyroots(list(reversed(cm)), maxsteps=200, extraprec=80)
+                approx = mpmath.polyroots([_to_mpc(c) for c in reversed(coeffs)],
+                                          maxsteps=200, extraprec=80)
             except mpmath.libmp.libhyper.NoConvergence as exc:  # pragma: no cover
                 raise EnclosureError(f"root iteration failed to converge: {exc}") from exc
-        out = []
-        for r in approx:
-            z = _newton(cm, dm, mpmath.mpc(r), dps)
-            out.append((z, _radius(cm, dm, em, z)))
-        return out
+    zs = [_newton(pairs, _dyadic(r), dps) for r in approx]
+    return [(z, _radius(pairs, z)) for z in zs]
 
 
-def _gaussian_rational(p: SparsePoly, coeffs: list[GaussRat], lead: tuple[int, int], z,
-                       rad) -> GaussRat | None:
-    """The root of the squarefree ``p`` within the radius ``rad`` of its
-    high-precision root z if it is in Q(i), else None; ``lead`` is L = a + bi
-    as (a, b).  When |L| rad >= 1/2, z is first refined by Newton at the
+def _inside(z, rad2, fine, fine_rad2) -> bool:
+    """The disk of squared radius ``fine_rad2`` about ``fine`` lies inside
+    the one of ``rad2`` about z: (|fine - z| + r_fine)^2 <= r^2, exactly
+    but for the cross term 2 |fine - z| r_fine, rounded up."""
+    (gap, u), (a, b), (c, d) = _gap(fine, z), fine_rad2, rad2
+    cross = _root_up(gap * a * b, 1, 0)  # 2^u b |fine - z| r_fine
+    return d * (gap * b + (cross << u + 1) + (a << 2 * u)) <= c * b << 2 * u
+
+
+def _gaussian_rational(p: SparsePoly, pairs, z, rad2) -> GaussRat | None:
+    """The root of the squarefree ``p`` within the radius of squared value
+    ``rad2`` of its high-precision root z if it is in Q(i), else None;
+    ``pairs`` are p's coefficients over Z[i], the last, L = a + bi, its
+    leading one.  When |L| r >= 1/2, z is first refined by Newton at the
     ladder's last precision, and the refined disk must lie inside the first.
     Then g = round(L z) is the only candidate, and the root is g/L if that
     lies in the disk and p(g/L) = 0."""
-    a, b = lead
+    a, b = pairs[-1]
     size2 = a * a + b * b  # |L|^2
-    if size2 * rad**2 >= 0.25:
+    if 4 * size2 * rad2[0] >= rad2[1]:
         top = _ATTEMPTS[-1][0]
-        with mpmath.workdps(top):
-            cm, dm, em = _level(coeffs)
-            fine = _newton(cm, dm, z, top)
-            fine_rad = _radius(cm, dm, em, fine)
-            if abs(fine - z) + fine_rad > rad or size2 * fine_rad**2 >= 0.25:
-                raise EnclosureError(f"an exactness test needs more than {top} digits")
-        return _gaussian_rational(p, coeffs, lead, fine, fine_rad)
-    # z and rad as integers x, y, m over one power of two 2^s, so that the
-    # disk test is exact
-    parts = (z.real, z.imag, rad)
-    s = max(0, -min(v.exp for v in parts))
-    x, y, m = (int(mpmath.ldexp(v, s)) for v in parts)
+        fine = _newton(pairs, z, top)
+        fine_rad2 = _radius(pairs, fine)
+        if (fine_rad2 is None or not _inside(z, rad2, fine, fine_rad2)
+                or 4 * size2 * fine_rad2[0] >= fine_rad2[1]):
+            raise EnclosureError(f"an exactness test needs more than {top} digits")
+        return _gaussian_rational(p, pairs, fine, fine_rad2)
+    (x, y, s), (num, den) = z, rad2
     wr, wi = a * x - b * y, a * y + b * x  # L z times 2^s
     gr, gi = ((2 * w + (1 << s)) >> (s + 1) for w in (wr, wi))  # g = round(L z)
     dr, di = wr - (gr << s), wi - (gi << s)
-    if dr * dr + di * di > size2 * m * m:  # g/L is outside the disk
+    if den * (dr * dr + di * di) > size2 * num << 2 * s:  # g/L is outside the disk
         return None
     root = GaussRat(gr, gi) / GaussRat(a, b)
     return None if p.eval_exact([root]) else root
+
+
+def _small(z, rad2) -> bool:
+    """The radius is at most ``ENCLOSURE_RADIUS`` max(1, |z|), compared squared."""
+    (x, y, s), (num, den) = z, rad2
+    tn, td = ENCLOSURE_RADIUS.as_integer_ratio()
+    return num * td * td << 2 * s <= den * tn * tn * max(1 << 2 * s, x * x + y * y)
 
 
 @functools.lru_cache(maxsize=1024)
@@ -297,8 +277,8 @@ def roots_certified(f: SparsePoly) -> AlgebraicRoots:
     The polynomial is squarefree-decomposed first; each squarefree factor is
     solved numerically and every root is returned as a disk certified to
     contain exactly one root of that factor: the root is within
-    ``ENCLOSURE_RADIUS`` max(1, |x|) of its high-precision approximation x,
-    and the stored radius adds the rounding of x to the float centre.  Every
+    ``ENCLOSURE_RADIUS`` max(1, |z|) of its high-precision approximation z,
+    and the stored radius adds the distance from z to the float centre.  Every
     root in Q(i) is an exact enclosure of radius zero, so ``exact`` is None
     only for a root outside Q(i).  A centre is 0 exactly when its root is 0,
     the one root that is peeled structurally; a nonzero root whose centre
@@ -320,34 +300,34 @@ def roots_certified(f: SparsePoly) -> AlgebraicRoots:
     if f.is_constant():
         return AlgebraicRoots(original, tuple(enclosures))
     factors = squarefree_decompose(f)
-    # (factor, coefficients, multiplicity, leading coefficient in Z[i] as a pair)
-    pending: list[tuple[SparsePoly, list[GaussRat], int, tuple[int, int]]] = []
+    # (factor, coefficients, multiplicity, coefficients over Z[i] as pairs)
+    pending: list[tuple[SparsePoly, list[GaussRat], int, list[tuple[int, int]]]] = []
     for p, mult in factors:
         coeffs = _univar_coeffs(p)
         if len(coeffs) == 2:
             root = -coeffs[0] / coeffs[1]
             enclosures.append(RootEnclosure(complex(root), 0.0, mult, exact=root))
         elif len(coeffs) > 2:
-            pending.append((p, coeffs, mult, int_pairs(coeffs)[1][-1]))
+            pending.append((p, coeffs, mult, int_pairs(coeffs)[1]))
 
     top = max((len(c) - 1 for _, c, _, _ in pending), default=0)
     for dps, seeded in _ATTEMPTS:
         if seeded and top < _MIN_SEEDED_DEGREE:
             continue
         try:
-            # (factor, coefficients, multiplicity, L, high-precision root, radius)
-            solved = [(p, coeffs, mult, lead, z, rad) for p, coeffs, mult, lead in pending
-                      for z, rad in _solve_squarefree(coeffs, dps, seeded)]
+            # (factor, pairs, multiplicity, high-precision root, squared radius)
+            solved = [(p, pairs, mult, z, rad2) for p, coeffs, mult, pairs in pending
+                      for z, rad2 in _solve_squarefree(coeffs, dps, seeded)]
         except EnclosureError:
             if not seeded:
                 raise
             continue
-        if any(rad > ENCLOSURE_RADIUS * max(1, abs(z)) for *_, z, rad in solved):
+        if any(rad2 is None or not _small(z, rad2) for *_, z, rad2 in solved):
             continue
         with mpmath.workdps(dps):
             candidate = enclosures + [
-                _enclosure(z, rad, mult, _gaussian_rational(p, coeffs, lead, z, rad))
-                for p, coeffs, mult, lead, z, rad in solved]
+                _enclosure(z, rad2, mult, _gaussian_rational(p, pairs, z, rad2))
+                for p, pairs, mult, z, rad2 in solved]
         if _pairwise_disjoint(candidate):
             total = sum(r.multiplicity for r in candidate)
             expected = sum((len(c) - 1) * m for _, c, m, _ in pending) + sum(
@@ -365,15 +345,19 @@ def roots_certified(f: SparsePoly) -> AlgebraicRoots:
     raise EnclosureError(f"could not certify enclosures at relative tol={ENCLOSURE_RADIUS}")
 
 
-def _enclosure(z, rad, mult: int, exact: GaussRat | None) -> RootEnclosure:
+def _enclosure(z, rad2, mult: int, exact: GaussRat | None) -> RootEnclosure:
     """The point ``exact`` when the root is in Q(i); else the disk about the
-    float centre of z that holds the disk of radius ``rad`` about z, its
-    radius rounded up.  Either keeps z as the certified root."""
+    float centre of z that holds the disk of squared radius ``rad2`` about
+    z: r + |z - centre|, each rounded up 80 bits below the larger, summed
+    exactly, rounded to a float and up.  Either keeps z as the root."""
+    root = _mpc(z)
     if exact is not None:
-        return RootEnclosure(complex(exact), 0.0, mult, exact, z)
-    center = complex(z)
-    stored = float(rad + abs(z - mpmath.mpc(center)))
-    return RootEnclosure(center, math.nextafter(stored, math.inf), mult, None, z)
+        return RootEnclosure(complex(exact), 0.0, mult, exact, root)
+    center = complex(root)
+    (num, den), (gap, u) = rad2, _gap(z, _dyadic(center))
+    t = max(0, 80 - max(num.bit_length() - den.bit_length(), gap.bit_length() - 2 * u) // 2)
+    stored = (_root_up(num, den, t) + _root_up(gap, 1 << 2 * u, t)) / (1 << t)
+    return RootEnclosure(center, math.nextafter(stored, math.inf), mult, None, root)
 
 
 def _pairwise_disjoint(roots: list[RootEnclosure]) -> bool:

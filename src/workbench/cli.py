@@ -64,8 +64,7 @@ def _load_mero(path: str):
 
 def _cmd_exset(args) -> int:
     G = serialize.load_poly(args.poly)
-    eps = Fraction(args.eps) if args.eps else None
-    W = build_W(G, ell2=args.bound, eps=eps)
+    W = build_W(G, ell2=args.bound, eps=args.eps)
     doc = exceptional_set_to_doc(W)
     text = json.dumps(doc, indent=2) + "\n"
     if args.out:
@@ -81,16 +80,14 @@ def _cmd_constants(args) -> int:
     if args.family:
         with open(args.family) as fh:
             fam = MonomialFamily(tuple(tuple(v) for v in json.load(fh)["vectors"]))
-    eps = Fraction(args.eps)
-    prof = full_profile(eps, args.n, args.d, fam, Fraction(args.c3))
+    prof = full_profile(args.eps, args.n, args.d, fam, args.c3)
     print(json.dumps(prof.as_dict(), indent=2))
     return 0
 
 
 def _cmd_nev(args) -> int:
     f = _load_mero(args.fn)
-    rmin, rmax, count = (float(x) for x in args.grid.split(","))
-    grid = RadiusGrid.log_spaced(rmin, rmax, int(count))
+    grid = RadiusGrid.log_spaced(*args.grid)
     fns = [f]
     other = _load_mero(args.other) if args.other else None
     if other is not None:
@@ -175,6 +172,20 @@ def _cmd_suite(args) -> int:
     return 0 if ok else 1
 
 
+def rational(text: str) -> Fraction:
+    """A rational flag value such as 1/2."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError as exc:
+        raise ValueError(text) from exc
+
+
+def radius_grid(text: str) -> tuple[float, float, int]:
+    """A ``rmin,rmax,count`` flag value; the count must be an integer."""
+    rmin, rmax, count = text.split(",")
+    return float(rmin), float(rmax), int(count)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="workbench",
@@ -185,21 +196,22 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("exset", help="build the exceptional curve set of a plane curve")
     p.add_argument("--poly", required=True, help="polynomial document (JSON)")
     p.add_argument("--bound", type=int, default=None, help="enumeration bound on |n1|+|n2|")
-    p.add_argument("--eps", default=None, help="epsilon (derives the bound when given)")
+    p.add_argument("--eps", type=rational, default=None,
+                   help="epsilon (derives the bound when given)")
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_exset)
 
     p = sub.add_parser("constants", help="exact effective constants")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--d", type=int, required=True)
-    p.add_argument("--eps", required=True, help="rational, e.g. 1/2")
+    p.add_argument("--eps", type=rational, required=True, help="rational, e.g. 1/2")
     p.add_argument("--family", default=None, help="monomial family JSON {vectors: [...]}")
-    p.add_argument("--c3", default="0", help="supplied constant (rational)")
+    p.add_argument("--c3", type=rational, default="0", help="supplied constant (rational)")
     p.set_defaults(func=_cmd_constants)
 
     p = sub.add_parser("nev", help="evaluate a Nevanlinna functional on a grid")
     p.add_argument("--fn", required=True, help="function document (JSON)")
-    p.add_argument("--grid", required=True, help="rmin,rmax,count")
+    p.add_argument("--grid", type=radius_grid, required=True, help="rmin,rmax,count")
     p.add_argument("--functional", required=True,
                    choices=["T", "N", "N1", "m", "Ngcd"])
     p.add_argument("--other", default=None, help="second function (for Ngcd)")

@@ -23,6 +23,8 @@ from .errors import InternalContradiction, InvalidInput
 
 # the generator names after w1..wn, in the order of the diffpoly/1 header
 _DOC_SYMBOLS = ["lambda", "lambdainv", "lambdap", "s"]
+# verify_Du_numeric skips a sample where some |u_j| falls outside this window
+_SAMPLE_WINDOW = (1e-12, 1e12)
 
 
 class DiffSymbolRing:
@@ -218,8 +220,7 @@ def diffpoly_from_doc(doc: dict) -> tuple[DiffSymbolRing, SparsePoly]:
 # numeric confirmation of the defining identity
 # ---------------------------------------------------------------------------
 
-def verify_Du_numeric(F: SparsePoly, u: tuple, radius_samples: list[complex],
-                      skip_threshold: float = 1e12) -> float:
+def verify_Du_numeric(F: SparsePoly, u: tuple, radius_samples: list[complex]) -> float:
     """Max relative residual of F(u)' = D_u(F)(u) over the sample points.
 
     Two independent routes: the left side expands F on the tuple into an
@@ -244,7 +245,7 @@ def verify_Du_numeric(F: SparsePoly, u: tuple, radius_samples: list[complex],
     worst = 0.0
     for z in radius_samples:
         vals = [1.0 + 0j] + [uj.eval(z) for uj in u[1:]]
-        if any(not (1e-12 < abs(v) < skip_threshold) for v in vals[1:]):
+        if any(not (_SAMPLE_WINDOW[0] < abs(v) < _SAMPLE_WINDOW[1]) for v in vals[1:]):
             warnings.warn(f"sample {z} is too close to a zero/pole; skipped")
             continue
         lhs = lhs_fn.eval(z)

@@ -127,3 +127,30 @@ def test_verify_refuses_a_malformed_parameter(tmp_path, capsys, name, key, value
     path.write_text(json.dumps(doc))
     assert main(["verify", "--scenario", str(path)]) == 2
     assert f"error: malformed scenario parameter {key!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    ("nev", "--grid", "2,200"),
+    ("nev", "--grid", "2,x,5"),
+    ("nev", "--grid", "2,200,5.5"),  # a count that is not an integer
+    ("constants", "--eps", "abc"),
+    ("constants", "--eps", "1/0"),
+    ("constants", "--c3", "abc"),
+    ("exset", "--eps", "abc"),
+])
+def test_a_malformed_flag_value_is_refused(tmp_path, capsys, command, flag, value):
+    z = SparsePoly.variable(0, 1)
+    fdoc = {"scalar": {"re": "1", "im": "0"},
+            "factors": [{"poly": serialize.poly_to_doc(z**3), "mult": 1}],
+            "exp": serialize.poly_to_doc(SparsePoly.zero(1))}
+    fpath = tmp_path / "f.json"
+    fpath.write_text(json.dumps(fdoc))
+    argv = {"nev": ["nev", "--fn", str(fpath), "--grid", "2,50,5", "--functional", "T"],
+            "constants": ["constants", "--n", "2", "--d", "1", "--eps", "1/2"],
+            "exset": ["exset", "--poly", write_poly(tmp_path, "G.json", sphere()),
+                      "--bound", "2"]}[command]
+    with pytest.raises(SystemExit) as exit_:
+        main(argv + [flag, value])
+    assert exit_.value.code == 2
+    err = capsys.readouterr().err
+    assert f"error: argument {flag}" in err and value in err

@@ -163,10 +163,10 @@ def test_one_home_for_circle_functionals():
 
 
 def test_one_home_for_root_refinement():
-    """Newton refinement, the working-precision level and the enclosure
-    radius live in algebra/roots.py; every other module reads the certified
-    root a RootEnclosure carries instead of refining one again."""
-    private = re.compile(r"\b(_newton|_fixed_newton|_dyadic_pairs|_level|_radius)\b")
+    """Newton refinement and the enclosure radius live in algebra/roots.py;
+    every other module reads the certified root a RootEnclosure carries
+    instead of refining one again."""
+    private = re.compile(r"\b(_newton|_fixed_point_values|_radius|_dyadic)\b")
     for path in PACKAGE.rglob("*.py"):
         if path != PACKAGE / "algebra" / "roots.py":
             assert not private.search(path.read_text()), path.name
@@ -174,14 +174,35 @@ def test_one_home_for_root_refinement():
 
 def test_seeds_are_refined_off_mpmath():
     """_seeded_roots refines its float seeds with the integer Newton
-    iteration; mpmath's Horner rule and Newton run only after it."""
+    iteration, and the radius is taken only after the final step."""
     path = PACKAGE / "algebra" / "roots.py"
     tree = ast.parse(path.read_text(), str(path))
     seeded = next(f for f in tree.body
                   if isinstance(f, ast.FunctionDef) and f.name == "_seeded_roots")
     called = {getattr(n.func, "id", None) for n in ast.walk(seeded) if isinstance(n, ast.Call)}
-    assert "_fixed_newton" in called
-    assert not called & {"_newton", "_horner"}
+    assert "_newton" in called
+    assert "_radius" not in called
+
+
+def test_one_integer_arithmetic_for_certified_roots():
+    """One Newton iteration, on integers, refines the float seeds, the
+    polyroots roots and the exactness test's roots; the radius is evaluated
+    exactly and mentions no mpmath; mpmath's Horner rule and Newton, the
+    working-precision level and its rounding bound are gone."""
+    path = PACKAGE / "algebra" / "roots.py"
+    tree = ast.parse(path.read_text(), str(path))
+    defs = {f.name: f for f in tree.body if isinstance(f, ast.FunctionDef)}
+
+    def called(name):
+        return {getattr(n.func, "id", None) for n in ast.walk(defs[name])
+                if isinstance(n, ast.Call)}
+
+    for caller in ("_seeded_roots", "_solve_squarefree", "_gaussian_rational"):
+        assert "_newton" in called(caller), caller
+    assert "mpmath" not in ast.unparse(defs["_radius"])
+    gone = re.compile(r"\b(_horner|_level|_dyadic_pairs|_fixed_newton|mpc_mul|mpc_add)\b")
+    for path in PACKAGE.rglob("*.py"):
+        assert not gone.search(path.read_text()), path.name
 
 
 def test_one_root_route_for_exceptional_values():

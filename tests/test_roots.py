@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from workbench.algebra import roots
-from workbench.algebra.gaussrat import GaussRat
+from workbench.algebra.gaussrat import GaussRat, int_pairs
 from workbench.algebra.poly import SparsePoly
 from workbench.algebra.roots import ENCLOSURE_RADIUS, roots_certified
 from workbench.algebra.squarefree import squarefree_decompose
@@ -108,40 +108,54 @@ def test_disks_contain_their_roots_after_rounding(rng):
                 assert disk.exact is not None or _holds_a_root(disk, mp_roots), (f, disk)
 
 
-def _radius_by_formula(coeffs, z):
-    """n (|p(z)| + e_p) / (|p'(z)| - e_p') with every sum taken in mpmath,
-    infinite when the denominator is not positive."""
-    cm = [roots._to_mpc(c) for c in coeffs]
-    u, a = 16 * len(cm) * mpmath.mp.eps, abs(z)
-    size = [u * (abs(c.real) + abs(c.imag)) for c in cm]
-    e = sum(s * a**k for k, s in enumerate(size))
-    ed = sum(k * s * a ** (k - 1) for k, s in enumerate(size) if k)
-    pv = mpmath.polyval(cm[::-1], z)
-    dv = mpmath.polyval([k * c for k, c in enumerate(cm)][:0:-1], z)
-    slope = abs(dv) - ed
-    return (len(cm) - 1) * (abs(pv) + e) / slope if slope > 0 else mpmath.inf
+def _value_and_slope(coeffs, zr, zi):
+    """p(z) and p'(z) at z = zr + zi i as (re, im) Fraction pairs, from the
+    GaussRat coefficients, term by term."""
+    def mul(a, b):
+        return a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]
+
+    p = dp = (Fraction(0), Fraction(0))
+    power = (Fraction(1), Fraction(0))  # z^k
+    for k, c in enumerate(coeffs):
+        term = mul((c.re, c.im), power)
+        p = (p[0] + term[0], p[1] + term[1])
+        if k + 1 < len(coeffs):
+            slope = mul(((k + 1) * coeffs[k + 1].re, (k + 1) * coeffs[k + 1].im), power)
+            dp = (dp[0] + slope[0], dp[1] + slope[1])
+        power = mul(power, (zr, zi))
+    return p, dp
 
 
 @pytest.mark.parametrize("dps", [40, 640])
-def test_radius_is_the_rounding_aware_formula(dps):
+def test_radius_is_exact(dps):
     # sparse factors, coefficients of wide scale, and points from 0 to 10^160
     polys = [t() ** 15 - 2, (t() ** 2 + 10**320) * (t() ** 15 - 2),
              Fraction(1, 10**60) * t() ** 7 + 10**40 * t() ** 2 - 3]
-    with mpmath.workdps(dps):
-        for f in polys:
-            coeffs = roots._univar_coeffs(f)
-            level = roots._level(coeffs)
-            for z in (mpmath.mpc(0), mpmath.mpc(1.1, 0.3), mpmath.mpc(0, 10**160), 2 ** (1 / 15)):
-                got, want = roots._radius(*level, mpmath.mpc(z)), _radius_by_formula(coeffs, z)
-                assert got == want or abs(got / want - 1) < 1e-9, (f, z)
+    for f in polys:
+        coeffs = roots._univar_coeffs(f)
+        pairs, n = int_pairs(coeffs)[1], len(coeffs) - 1
+        for z in (0j, 1.1 + 0.3j, 1e160j, 2 ** (1 / 15) + 0j):
+            dyadic = roots._dyadic(z)
+            got = roots._radius(pairs, dyadic)
+            p, dp = _value_and_slope(coeffs, Fraction(z.real), Fraction(z.imag))
+            slope2 = dp[0] ** 2 + dp[1] ** 2
+            if not slope2:  # p'(0) = 0 on each of them
+                assert got is None, (f, z)
+                continue
+            want = n * n * (p[0] ** 2 + p[1] ** 2) / slope2
+            assert Fraction(*got) == want, (f, z)
+            with mpmath.workdps(dps):
+                stored = Fraction(roots._enclosure(dyadic, got, 1, None).radius)
+            assert stored * stored >= want, (f, z)
 
 
-@pytest.mark.parametrize("f, calls", [(t() ** 3 - 2 * 10**60, 12), (t() ** 2 - 2 * 10**80, 32)])
+@pytest.mark.parametrize("f, calls", [(t() ** 3 - 2 * 10**60, 3), (t() ** 2 - 2 * 10**80, 2)])
 def test_newton_stops_relative_to_the_root(monkeypatch, f, calls):
-    # the roots have |z| of about 10^20 and 10^40; a stop test of 10^-32 in
-    # absolute terms cannot be met there at 40 digits, and every Newton
-    # refinement ran all 80 steps (486 and 332 calls)
-    horner = count_calls(monkeypatch, roots, "_horner")
+    # the roots have |z| of about 10^20 and 10^40, and polyroots gives them
+    # to the working precision, so one Newton step per root meets the stop
+    # test of 10^-32 |z|; a stop test of 10^-32 in absolute terms takes a
+    # second step per root (6 and 4 Horner passes)
+    horner = count_calls(monkeypatch, roots, "_fixed_point_values")
     roots_certified.cache_clear()
     got = roots_certified(f)
     roots_certified.cache_clear()
@@ -221,12 +235,16 @@ def test_exactness_beyond_the_precision_ladder_is_refused():
         roots_certified((big * t() - (big + 1)) * (t() ** 2 - 3))
 
 
-def test_exactness_refines_a_root_past_its_attempt():
+def test_exactness_refines_a_root_past_its_attempt(monkeypatch):
     # the attempt at 40 digits certifies the disks under the relative
-    # tolerance, but about 10^160 i its radius is 1.1e123 (1.0e83 at 80
-    # digits); a refinement at 640 digits decides it
+    # tolerance, but about 10^160 i its radius is 1.7e80 (0.053 at 80
+    # digits), so |L| r >= 1/2; a refinement at 640 digits decides each
+    newton = count_calls(monkeypatch, roots, "_newton")
     f = (t() ** 2 + 10**320) * (t() ** 15 - 2)
+    roots_certified.cache_clear()
     assert _exact_roots(f) == {GaussRat(0, 10**160): 1, GaussRat(0, -(10**160)): 1}
+    roots_certified.cache_clear()
+    assert [dps for *_, dps in newton].count(640) == 2
 
 
 def _mignotte_times_its_rational_root():
@@ -247,7 +265,12 @@ def test_two_roots_given_one_exact_value_do_not_certify(monkeypatch):
     # collision leaves every attempt uncertified instead of returning three
     # disks at 1/10
     real = roots._radius
-    monkeypatch.setattr(roots, "_radius", lambda *args: max(real(*args), mpmath.mpf(1e-3)))
+
+    def widened(*args):  # a radius of at least 10^-3, squared as (num, den)
+        num, den = real(*args)
+        return (num, den) if num * 10**6 >= den else (1, 10**6)
+
+    monkeypatch.setattr(roots, "_radius", widened)
     monkeypatch.setattr(roots, "ENCLOSURE_RADIUS", 1e-2)
     roots_certified.cache_clear()
     with pytest.raises(EnclosureError, match="could not certify"):
@@ -328,18 +351,19 @@ def test_seeded_draws_never_call_polyroots(monkeypatch, degree):
 
 
 @pytest.mark.parametrize("degree", [20, 34])
-def test_seeded_solves_evaluate_four_times_per_root(monkeypatch, degree):
-    # the float seeds are refined on integers, so Horner's rule on mpmath
-    # runs only for the final Newton step (p and p') and for the radius
-    # (p and p'); refining the seeds on mpmath took about 10.6 per root
+def test_seeded_solves_run_newton_twice_per_root(monkeypatch, degree):
+    # one integer Newton refinement of each float seed 80 bits past the
+    # working precision, one final step at it, and one exact radius
     f = _dense(random.Random(f"seeded/{degree}"), degree)
-    horner = count_calls(monkeypatch, roots, "_horner")
+    newton = count_calls(monkeypatch, roots, "_newton")
+    radius = count_calls(monkeypatch, roots, "_radius")
     polyroots = count_calls(monkeypatch, mpmath, "polyroots")
     roots_certified.cache_clear()
     got = roots_certified(f)
     roots_certified.cache_clear()
     assert polyroots == [] and [d.multiplicity for d in got.roots] == [1] * degree
-    assert len(horner) == 4 * degree
+    assert [dps for _, _, dps in newton] == [64] * degree + [40] * degree
+    assert len(radius) == degree
 
 
 def test_seeded_roots_that_span_scales_agree_with_polyroots(monkeypatch):
@@ -405,13 +429,19 @@ def test_seeded_and_polyroots_paths_agree(monkeypatch):
         calls.clear()
 
 
+def _enclosures(p, seeded: bool):
+    """The enclosures of the squarefree ``p`` at 40 digits, built as
+    roots_certified builds them, in the order of their centres."""
+    coeffs = roots._univar_coeffs(p)
+    pairs = int_pairs(coeffs)[1]
+    with mpmath.workdps(40):
+        out = [roots._enclosure(z, rad2, 1, roots._gaussian_rational(p, pairs, z, rad2))
+               for z, rad2 in roots._solve_squarefree(coeffs, 40, seeded)]
+    return sorted(out, key=lambda d: (d.center.real, d.center.imag))
+
+
 def test_seeded_solver_agrees_with_polyroots_at_low_degrees():
     for f in _differential_draws(20241019, 64, (3, 5, 7, 9)):
         for p, _ in squarefree_decompose(f):
-            coeffs = roots._univar_coeffs(p)
-            if len(coeffs) > 2:
-                # roots_certified orders the disks itself
-                seeded, plain = (sorted(roots._solve_squarefree(coeffs, 40, s),
-                                        key=lambda r: (r[0].real, r[0].imag))
-                                 for s in (True, False))
-                assert seeded == plain, f
+            if p.degree_in(0) > 1:
+                assert _enclosures(p, True) == _enclosures(p, False), f
