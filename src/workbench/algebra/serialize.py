@@ -5,7 +5,8 @@ Polynomial document:
 
 Exponents are non-negative integers and coefficient strings are exact
 rationals.  A document tagged {"laurent": true} (negative exponents) is
-refused.
+refused, as is one that lacks a key or holds a value of the wrong form,
+with ``InvalidInput``.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
+from ..errors import InvalidInput
 from .gaussrat import GaussRat
 from .poly import SparsePoly
 
@@ -26,16 +28,26 @@ def poly_to_doc(p: SparsePoly) -> dict:
 
 
 def poly_from_doc(doc: dict) -> SparsePoly:
+    """The polynomial of a document; a malformed one raises InvalidInput."""
+    if not isinstance(doc, dict):
+        raise InvalidInput(f"a polynomial document is an object, not {doc!r}")
     if doc.get("laurent"):
-        raise ValueError("Laurent document passed where a polynomial was expected")
-    n = int(doc["vars"])
-    terms = {}
-    for t in doc["terms"]:
-        expo = tuple(int(e) for e in t["exp"])
-        coeff = GaussRat(Fraction(t["re"]), Fraction(t.get("im", "0")))
-        if coeff:
-            terms[expo] = coeff
-    return SparsePoly(n, terms)
+        raise InvalidInput("Laurent document passed where a polynomial was expected")
+    try:
+        n = int(doc["vars"])
+        terms = {}
+        for t in doc["terms"]:
+            expo = tuple(int(e) for e in t["exp"])
+            coeff = GaussRat(Fraction(t["re"]), Fraction(t.get("im", "0")))
+            if coeff:
+                terms[expo] = coeff
+        return SparsePoly(n, terms)
+    except KeyError as exc:
+        raise InvalidInput(f"malformed polynomial document: no key {exc}") from exc
+    except ZeroDivisionError as exc:
+        raise InvalidInput("malformed polynomial document: a denominator is 0") from exc
+    except (TypeError, ValueError) as exc:
+        raise InvalidInput(f"malformed polynomial document: {exc}") from exc
 
 
 def load_poly(path: str) -> SparsePoly:

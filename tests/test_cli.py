@@ -154,3 +154,22 @@ def test_a_malformed_flag_value_is_refused(tmp_path, capsys, command, flag, valu
     assert exit_.value.code == 2
     err = capsys.readouterr().err
     assert f"error: argument {flag}" in err and value in err
+
+
+@pytest.mark.parametrize("doc, problem", [
+    # a class-function document, not a polynomial one
+    ({"scalar": {"re": "1", "im": "0"}, "factors": [], "exp": None}, "no key 'vars'"),
+    ({"vars": 3, "terms": [{"exp": [1, 2], "re": "1"}]}, "has length 2, expected 3"),
+    ({"vars": 1, "terms": [{"exp": [1], "re": "x"}]}, "'x'"),
+    ({"vars": 1, "terms": [{"exp": [1], "re": "1/0"}]}, "a denominator is 0"),
+    ({"vars": 1, "terms": [{"exp": [-1], "re": "1"}]}, "negative exponent"),
+    ({"vars": 1, "laurent": True, "terms": []}, "Laurent document"),
+    ([1, 2], "is an object"),
+], ids=["class-function", "exponent-length", "coefficient", "zero-denominator",
+        "negative-exponent", "laurent", "not-an-object"])
+def test_a_malformed_polynomial_document_is_refused(tmp_path, capsys, doc, problem):
+    path = tmp_path / "G.json"
+    path.write_text(json.dumps(doc))
+    assert main(["exset", "--poly", str(path), "--bound", "2"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and problem in err

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -336,14 +337,115 @@ def test_gaussian_integer_products_and_quotients_make_no_gaussrat_arithmetic(mon
     x0, x1 = variables(2)
     p = random_poly(rng, 2, 4, max_terms=8) + x0**5
     q = random_poly(rng, 2, 4, max_terms=8) + x1**5
+    # 30 x 30 terms in a box of 11 x 11 points: a packed product
+    dense = [_dense_poly(rng, 2, 30, 5, "integer") for _ in range(2)]
     calls = [count_calls(monkeypatch, GaussRat, name)
              for name in ("__mul__", "__add__", "__sub__", "__truediv__")]
     lcms = count_calls(monkeypatch, poly, "lcm")
+    packed = count_calls(monkeypatch, poly, "_packed_product")
     prod = p * q
     quot = prod.exact_div(q)
-    assert calls == [[], [], [], []] and lcms == []
+    packed_prod = dense[0] * dense[1]
+    assert calls == [[], [], [], []] and lcms == [] and len(packed) == 1
     monkeypatch.undo()
     assert quot == p and prod == _product_reference(p, q)[0]
+    assert packed_prod == _product_reference(*dense)[0]
+
+
+def _dense_poly(rng, num_vars, size, span, kind, low=0):
+    """``size`` terms at distinct exponents between ``low`` and ``low +
+    span`` in each variable, with coefficients of ``kind`` (see
+    ``_gauss_coeff``; "mixed" draws a kind per term, "big" puts parts near
+    2^200 next to parts of 1 and -1)."""
+    box = list(itertools.product(range(low, low + span + 1), repeat=num_vars))
+    terms = {}
+    for expo in rng.sample(box, size):
+        if kind == "big":
+            terms[expo] = GaussRat(*(rng.choice((1, -1, 2**200 - 1, -2**200, 2**199 + 3))
+                                     for _ in range(2)))
+        else:
+            terms[expo] = _gauss_coeff(rng, rng.choice(
+                ("integer", "rational", "real", "imaginary")) if kind == "mixed" else kind)
+    return SparsePoly(num_vars, terms)
+
+
+# (variables, terms, span): each product has at least 400 term pairs and
+# fewer points in its exponent box than term pairs
+PACKED_SHAPES = {1: (24, 30), 2: (25, 6), 3: (30, 4)}
+
+
+@pytest.mark.parametrize("kind", ["integer", "rational", "real", "imaginary", "mixed", "big"])
+def test_packed_products_match_the_dict_loop(monkeypatch, rng, kind):
+    packed = count_calls(monkeypatch, poly, "_packed_product")
+    products = 0
+    for num_vars, (size, span) in PACKED_SHAPES.items():
+        for _ in range(4):
+            # a positive least exponent offsets the box of one operand
+            p = _dense_poly(rng, num_vars, size, span, kind, low=rng.randint(0, 3))
+            q = _dense_poly(rng, num_vars, size, span, kind, low=rng.randint(0, 3))
+            for a, b in ((p, q), (q, p), (p, -q)):
+                got = a * b
+                assert got == _product_reference(a, b)[0]
+                assert list(got.terms) == sorted(got.terms)
+                products += 1
+    assert len(packed) == products
+
+
+def test_packed_products_borrow_and_cancel_exactly(monkeypatch, rng):
+    packed = count_calls(monkeypatch, poly, "_packed_product")
+    cases, cancelling = [], []
+    # the largest slot of all: n = 64 products of 2^200 (1 + i) and
+    # 2^200 (1 -+ i) land on the middle exponent, +-2 * 64 * 2^400 = +-2^407,
+    # which takes 408 bits and a sign bit; the 51-byte slot that half this
+    # bound would give wraps
+    x = SparsePoly.variable(0, 1)
+    big = 2**200
+    ones = sum((x**k for k in range(64)), SparsePoly.zero(1))
+    cases.append((ones.scale(GaussRat(big, big)), ones.scale(GaussRat(big, -big))))
+    cases.append((ones.scale(GaussRat(big, big)), ones.scale(GaussRat(-big, big))))
+    for num_vars, (size, span) in PACKED_SHAPES.items():
+        for kind in ("integer", "big"):
+            p = _dense_poly(rng, num_vars, size, span, kind)
+            q = _dense_poly(rng, num_vars, size, span, kind, low=1)
+            # the highest exponent of p * q gets a negative real part, then a
+            # negative imaginary part: the packed integer is negative
+            top_p, top_q = max(p.terms), max(q.terms)
+            for lead in (GaussRat(-1, 1), GaussRat(1, -1)):
+                cases.append((p + SparsePoly(num_vars, {top_p: lead - p.terms[top_p]}),
+                              q + SparsePoly(num_vars, {top_q: 1 - q.terms[top_q]})))
+            # a has even and b odd exponents in the first variable, so
+            # (a + b)(a - b) = a^2 - b^2 cancels every odd slot inside the box
+            a = SparsePoly(num_vars, {(2 * e[0],) + e[1:]: c for e, c in p.terms.items()})
+            b = SparsePoly(num_vars, {(2 * e[0] + 1,) + e[1:]: c for e, c in q.terms.items()})
+            cancelling.append((a + b, a - b))
+    for p, q in cases:
+        assert p * q == _product_reference(p, q)[0]
+    for p, q in cancelling:
+        got = p * q
+        assert got == _product_reference(p, q)[0]
+        assert all(e[0] % 2 == 0 for e in got.terms)
+    assert len(packed) == len(cases) + len(cancelling)
+
+
+def test_dense_products_and_only_those_are_packed(monkeypatch):
+    packed = count_calls(monkeypatch, poly, "_packed_product")
+    x, y = variables(2)
+    # bivariate of degree 8 by degree 8: 45 x 45 terms, 17 x 17 box points
+    dense = SparsePoly(2, {(i, j): GaussRat(i + 1, j - 2)
+                           for i in range(9) for j in range(9 - i)})
+    got = dense * dense.permute_vars((1, 0))
+    assert len(packed) == 1 and len(dense.terms) == 45
+    # 30 x 30 terms in a box of 2814 x 2582 points
+    sparse_x = sum((x**(97 * k) for k in range(30)), SparsePoly.zero(2))
+    sparse_y = sum((y**(89 * k) for k in range(30)), SparsePoly.zero(2))
+    # the largest product of the reference test: 16 x 16 terms, 7 x 7 points
+    a = SparsePoly(2, {(i, j): GaussRat(i - j, i * j + 1) for i in range(4) for j in range(4)})
+    b = SparsePoly(2, {(i, j): GaussRat(j + 1, i - 1) for i in range(4) for j in range(4)})
+    for p, q in ((sparse_x, sparse_y), (a, b)):
+        assert p * q == _product_reference(p, q)[0]
+    assert len(packed) == 1
+    monkeypatch.undo()
+    assert got == _product_reference(dense, dense.permute_vars((1, 0)))[0]
 
 
 def test_a_unit_imaginary_coefficient_prints_as_i():

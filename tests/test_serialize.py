@@ -5,6 +5,7 @@ import pytest
 from workbench.algebra.gaussrat import GaussRat
 from workbench.algebra.poly import SparsePoly
 from workbench.algebra.serialize import poly_from_doc, poly_to_doc
+from workbench.errors import InvalidInput
 from workbench.nevanlinna import MeroFn, mero_from_doc, mero_to_doc
 
 from conftest import variables
@@ -21,7 +22,7 @@ def test_poly_round_trip():
 
 def test_laurent_doc_rejected_as_poly():
     doc = {"vars": 2, "laurent": True, "terms": []}
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidInput, match="Laurent"):
         poly_from_doc(doc)
 
 

@@ -10,6 +10,9 @@ module caches.  The ledger counts, per workload:
   into the float-seeded route and the ``mpmath.polyroots`` route
 - ``mpmath.polyroots`` calls
 - ``gcd_poly``, ``resultant`` and ``squarefree_decompose`` calls
+- ``SparsePoly`` products of two multi-term operands and the term pairs
+  they multiply (scalar and one-term factors are not counted), and those
+  of them that take the packed route (``poly._packed_product``)
 
 Modules import these functions by name, so every attribute of a loaded
 ``workbench`` module that is the function object is rebound to its counter,
@@ -61,12 +64,15 @@ def _counting(counts: Counter, key: str, fn):
 
 
 def _one_pass(mp, workloads, name: str) -> dict[str, int]:
-    from workbench.algebra import roots
+    from workbench.algebra import poly, roots
+    from workbench.algebra.poly import SparsePoly
     from workbench import nevanlinna
 
     workload = workloads.WORKLOADS[name](1, workloads.load_reference())
     counts = Counter({key: 0 for key in (
         "circle_average.calls", "circle_average.samples", "mpmath.polyroots.calls",
+        "products.multi_term", "products.term_pairs",
+        "products.packed", "products.packed_term_pairs",
         "solve_squarefree.polyroots", "solve_squarefree.seeded", *COUNTED)})
     for key, (module, attr) in COUNTED.items():
         fn = getattr(importlib.import_module(module), attr)
@@ -89,6 +95,23 @@ def _one_pass(mp, workloads, name: str) -> dict[str, int]:
         return solve(coeffs, dps, seeded)
 
     mp.setattr(roots, "_solve_squarefree", solve_squarefree)
+    mul = SparsePoly.__mul__
+
+    def product(p, q):
+        if isinstance(q, SparsePoly) and len(p.terms) > 1 and len(q.terms) > 1:
+            counts["products.multi_term"] += 1
+            counts["products.term_pairs"] += len(p.terms) * len(q.terms)
+        return mul(p, q)
+
+    mp.setattr(SparsePoly, "__mul__", product)
+    packed = poly._packed_product
+
+    def packed_product(p, q, *layout):
+        counts["products.packed"] += 1
+        counts["products.packed_term_pairs"] += len(p.terms) * len(q.terms)
+        return packed(p, q, *layout)
+
+    mp.setattr(poly, "_packed_product", packed_product)
     mp.setattr(mpmath, "polyroots", _counting(counts, "mpmath.polyroots.calls", mpmath.polyroots))
     # a fresh process starts with every module cache empty
     for m in _workbench_modules():
