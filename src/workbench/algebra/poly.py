@@ -7,10 +7,12 @@ polynomial over formal parameters (a coefficient ring Q(i)[y1,...,yk]) is a
 SparsePoly in more variables, so resultants and subresultant sequences over
 such a ring run on the same arithmetic.
 
-Products and exact quotients run on integer pairs: each operand is
+Products and divisions run on integer pairs: each operand is
 (1/D) * sum (a + b*i) x^e with D the lcm of its denominators, the term
 arithmetic is on plain Python integers, and one canonical GaussRat is built
-per output term.  A product takes one of three routes:
+per output term.  ``divmod`` is the one division (``exact_div`` and
+``divides`` read its quotient and remainder), ``compose`` the one evaluation
+on a tuple of ring elements, and ``*`` takes one of three routes:
 
 - a scaling, or a product with a one-term factor, has one coefficient
   product per output term and no sums, so it uses GaussRat ``*``;
@@ -30,7 +32,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import chain, product
 from math import gcd, lcm, prod
-from operator import add, mul
+from operator import add, mul, sub
 from typing import Iterable, Mapping
 
 from .gaussrat import GaussRat, from_ints, int_pairs
@@ -318,6 +320,21 @@ class SparsePoly:
             acc = acc + term
         return acc
 
+    def compose(self, values, constant):
+        """self(v_1, ..., v_n) for elements v_i of a ring with +, * and
+        powers, where ``constant`` maps a coefficient into that ring; the
+        terms are summed in term order."""
+        if len(values) != self.num_vars:
+            raise ValueError("wrong number of values")
+        acc = constant(0)
+        for expo, coeff in self.terms.items():
+            term = constant(coeff)
+            for v, e in zip(values, expo):
+                if e:
+                    term = term * v**e
+            acc = acc + term
+        return acc
+
     def specialize(self, var: int, c) -> "SparsePoly":
         """Set variable ``var`` to the exact constant ``c`` and remove it,
         reducing num_vars by one."""
@@ -385,10 +402,13 @@ class SparsePoly:
             return SparsePoly.zero(self.num_vars)
         return self.coeffs_in(var)[deg]
 
-    # -- exact division ---------------------------------------------------------
+    # -- division ---------------------------------------------------------------
 
-    def exact_div(self, other: "SparsePoly") -> "SparsePoly":
-        """Exact quotient self / other; raises ValueError if not divisible."""
+    def __divmod__(self, other) -> tuple["SparsePoly", "SparsePoly"]:
+        """(q, r) with self = q * other + r and no term of r divisible by the
+        lex-leading term of other (Cox, Little & O'Shea, Ideals, Varieties,
+        and Algorithms, ch. 2 sec. 3): r is the normal form of self modulo
+        other, zero exactly when other divides self."""
         if isinstance(other, (int, Fraction, GaussRat)):
             other = SparsePoly.constant(other, self.num_vars)
         self._check_compatible(other)
@@ -405,28 +425,31 @@ class SparsePoly:
             else:
                 tail.append((e, a, b))
         norm = lc * lc + li * li
-        # the remainder as [re, im] over one denominator r; each step removes
-        # its leading term (cancelled exactly by q * lead) and subtracts q * tail
+        # the rest as [re, im] over one denominator r; each step moves its
+        # leading term to the remainder if lead_e does not divide it, else
+        # cancels it exactly by q * lead and subtracts q * tail
         r = d_num
-        rem = {e: [a, b] for e, (a, b) in zip(self.terms, pairs)}
+        rest = {e: [a, b] for e, (a, b) in zip(self.terms, pairs)}
         quot: dict[Expo, tuple[int, int, int]] = {}
-        while rem:
-            e = max(rem)
-            diff = tuple(a - b for a, b in zip(e, lead_e))
-            if any(d < 0 for d in diff):
-                raise ValueError("not exactly divisible")
-            a, b = rem.pop(e)
+        rem: dict[Expo, GaussRat] = {}
+        while rest:
+            e = max(rest)
+            a, b = rest.pop(e)
+            diff = tuple(map(sub, e, lead_e))
+            if min(diff) < 0:
+                rem[e] = from_ints(a, b, r)
+                continue
             # q = (a + b*i)/r / (lc + li*i) = (x + y*i)/d in lowest terms
             x, y, d = a * lc + b * li, b * lc - a * li, r * norm
             g = gcd(x, y, d)
             x, y, d = x // g, y // g, d // g
             quot[diff] = (x, y, d)
             if r % d:
-                # q brings in a denominator the remainder lacks (never on an
-                # exact division over Z[i]): move the remainder to the lcm
+                # q brings in a denominator the rest lacks (never on an exact
+                # division over Z[i]): move the rest to the lcm
                 grown = lcm(r, d)
                 k = grown // r
-                for s in rem.values():
+                for s in rest.values():
                     s[0] *= k
                     s[1] *= k
                 r = grown
@@ -436,9 +459,9 @@ class SparsePoly:
                 expo = tuple(map(add, diff, te))
                 re = x * ta - y * tb
                 im = x * tb + y * ta
-                s = rem.get(expo)
+                s = rest.get(expo)
                 if s is None:
-                    rem[expo] = [-re, -im]
+                    rest[expo] = [-re, -im]
                 else:
                     re = s[0] - re
                     im = s[1] - im
@@ -446,17 +469,21 @@ class SparsePoly:
                         s[0] = re
                         s[1] = im
                     else:
-                        del rem[expo]
-        return SparsePoly._clean(
-            self.num_vars,
-            {e: from_ints(x * d_den, y * d_den, d) for e, (x, y, d) in quot.items()})
+                        del rest[expo]
+        return (SparsePoly._clean(self.num_vars, {
+                    e: from_ints(x * d_den, y * d_den, d) for e, (x, y, d) in quot.items()}),
+                SparsePoly._clean(self.num_vars, rem))
+
+    def exact_div(self, other: "SparsePoly") -> "SparsePoly":
+        """Exact quotient self / other; raises ValueError if not divisible."""
+        q, r = divmod(self, other)
+        if r:
+            raise ValueError("not exactly divisible")
+        return q
 
     def divides(self, other: "SparsePoly") -> bool:
-        try:
-            other.exact_div(self)
-            return True
-        except (ValueError, ZeroDivisionError):
-            return False
+        """Whether other is a multiple of self; zero divides nothing."""
+        return bool(self) and not divmod(other, self)[1]
 
     # -- presentation -------------------------------------------------------------
 

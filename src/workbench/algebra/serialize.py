@@ -5,13 +5,14 @@ Polynomial document:
 
 Exponents are non-negative integers and coefficient strings are exact
 rationals.  A document tagged {"laurent": true} (negative exponents) is
-refused, as is one that lacks a key or holds a value of the wrong form,
-with ``InvalidInput``.
+refused, as is one that lacks a key, holds a value of the wrong form or
+repeats an exponent, with ``InvalidInput``.
 """
 
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from fractions import Fraction
 
 from ..errors import InvalidInput
@@ -27,27 +28,36 @@ def poly_to_doc(p: SparsePoly) -> dict:
     return {"vars": p.num_vars, "terms": terms}
 
 
+@contextmanager
+def refuse_malformed(kind: str):
+    """Raise InvalidInput, naming the key or the value, for the errors that
+    reading a malformed ``kind`` document raises."""
+    try:
+        yield
+    except KeyError as exc:
+        raise InvalidInput(f"malformed {kind} document: no key {exc}") from exc
+    except ZeroDivisionError as exc:
+        raise InvalidInput(f"malformed {kind} document: a denominator is 0") from exc
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise InvalidInput(f"malformed {kind} document: {exc}") from exc
+
+
 def poly_from_doc(doc: dict) -> SparsePoly:
     """The polynomial of a document; a malformed one raises InvalidInput."""
     if not isinstance(doc, dict):
         raise InvalidInput(f"a polynomial document is an object, not {doc!r}")
     if doc.get("laurent"):
         raise InvalidInput("Laurent document passed where a polynomial was expected")
-    try:
+    with refuse_malformed("polynomial"):
         n = int(doc["vars"])
         terms = {}
         for t in doc["terms"]:
             expo = tuple(int(e) for e in t["exp"])
-            coeff = GaussRat(Fraction(t["re"]), Fraction(t.get("im", "0")))
-            if coeff:
-                terms[expo] = coeff
+            if expo in terms:
+                raise InvalidInput(
+                    f"malformed polynomial document: exponent {list(expo)} is repeated")
+            terms[expo] = GaussRat(Fraction(t["re"]), Fraction(t.get("im", "0")))
         return SparsePoly(n, terms)
-    except KeyError as exc:
-        raise InvalidInput(f"malformed polynomial document: no key {exc}") from exc
-    except ZeroDivisionError as exc:
-        raise InvalidInput("malformed polynomial document: a denominator is 0") from exc
-    except (TypeError, ValueError) as exc:
-        raise InvalidInput(f"malformed polynomial document: {exc}") from exc
 
 
 def load_poly(path: str) -> SparsePoly:

@@ -185,17 +185,14 @@ class ExpSumFn:
         # scale out the dominant exponential growth to avoid overflow
         if not self.terms:
             return np.full(np.shape(zs), -np.inf)
-        qvals = [
-            np.real(np.polyval(_complex_coeffs_desc(q), zs)) if q else np.zeros(np.shape(zs))
-            for _, _, q in self.terms
-        ]
-        qmax = np.maximum.reduce(qvals)
+        qvals = [np.polyval(_complex_coeffs_desc(q), zs) if q else np.zeros(np.shape(zs))
+                 for _, _, q in self.terms]
+        qmax = np.maximum.reduce([np.real(qv) for qv in qvals])
         acc = np.zeros(np.shape(zs), dtype=complex)
-        for (n, d, q), qv in zip(self.terms, qvals):
+        for (n, d, _), qv in zip(self.terms, qvals):
             nv = np.polyval(_complex_coeffs_desc(n), zs)
             dv = np.polyval(_complex_coeffs_desc(d), zs)
-            phase = np.polyval(_complex_coeffs_desc(q), zs) if q else 0.0
-            acc = acc + nv / dv * np.exp(phase - qmax)
+            acc = acc + nv / dv * np.exp(qv - qmax)
         with np.errstate(divide="ignore"):
             return np.log(np.abs(acc)) + qmax
 
@@ -258,11 +255,4 @@ def eval_poly_on_tuple(P: SparsePoly, fns: tuple) -> ExpSumFn:
     comps = [ExpSumFn.of(f) for f in fns]
     if P.num_vars != len(comps):
         raise InvalidInput("component count does not match the polynomial arity")
-    acc = ExpSumFn.zero()
-    for expo, c in P.terms.items():
-        term = ExpSumFn.constant(c)
-        for f, e in zip(comps, expo):
-            if e:
-                term = term * f**e
-        acc = acc + term
-    return acc
+    return P.compose(comps, ExpSumFn.constant)

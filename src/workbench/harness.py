@@ -220,17 +220,19 @@ class Scenario:
 
 
 def _component_from_doc(doc) -> MeroFn:
-    if "poly" in doc and set(doc) <= {"poly"}:
-        return MeroFn.from_poly(serialize.poly_from_doc(doc["poly"]))
-    if "unit" in doc:
-        return MeroFn.unit(serialize.poly_from_doc(doc["unit"]))
-    if "const" in doc:
-        c = doc["const"]
-        return MeroFn.constant(GaussRat.from_strings(c.get("re", "0"), c.get("im", "0")))
-    if "hl" in doc:
-        h = serialize.poly_from_doc(doc["hl"]["h"])
-        ell = int(doc["hl"]["ell"])
-        return MeroFn(scalar=1, factors=[(h, ell)])
+    """A scenario's curve or coefficient function; refuses a malformed one."""
+    with serialize.refuse_malformed("scenario component"):
+        if "poly" in doc and set(doc) <= {"poly"}:
+            return MeroFn.from_poly(serialize.poly_from_doc(doc["poly"]))
+        if "unit" in doc:
+            return MeroFn.unit(serialize.poly_from_doc(doc["unit"]))
+        if "const" in doc:
+            c = doc["const"]
+            return MeroFn.constant(GaussRat.from_strings(c.get("re", "0"), c.get("im", "0")))
+        if "hl" in doc:
+            h = serialize.poly_from_doc(doc["hl"]["h"])
+            ell = int(doc["hl"]["ell"])
+            return MeroFn(scalar=1, factors=[(h, ell)])
     return mero_from_doc(doc)
 
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import partial
 
 from .algebra.euclid import canonical_scale, content_in, gcd_poly, resultant
 from .algebra.gaussrat import GaussRat
@@ -32,19 +33,6 @@ def _require_forms(*forms: SparsePoly):
     for p in forms:
         if p.num_vars != 3 or not p or not p.is_homogeneous():
             raise InvalidInput("curves must be nonzero homogeneous forms in three variables")
-
-
-def _compose(polys, A: SparsePoly) -> SparsePoly:
-    """A(P1, P2, P3), a polynomial in the variables of the P_i."""
-    n = polys[0].num_vars
-    acc = SparsePoly.zero(n)
-    for expo, c in A.terms.items():
-        term = SparsePoly.constant(c, n)
-        for p, e in zip(polys, expo):
-            if e:
-                term = term * p**e
-        acc = acc + term
-    return acc
 
 
 def share_a_zero(F: SparsePoly, G: SparsePoly, H: SparsePoly) -> bool:
@@ -66,7 +54,7 @@ def share_a_zero(F: SparsePoly, G: SparsePoly, H: SparsePoly) -> bool:
                 if F.eval_exact([*ab, 1]))
     x0, x1, x2, t = (SparsePoly.variable(v, 4) for v in range(4))
     shear = (x0 + a * x2, x1 + b * x2, x2)
-    F, G, H = (_compose(shear, p) for p in (F, G, H))
+    F, G, H = (p.compose(shear, partial(SparsePoly.constant, num_vars=4)) for p in (F, G, H))
     R = resultant(F, G + t * H, 2)
     return not R or not content_in(R, 3).is_constant()
 
@@ -103,7 +91,7 @@ class PowerMorphism:
     def apply_to_polys(self, polys: tuple[SparsePoly, SparsePoly, SparsePoly],
                        A: SparsePoly) -> SparsePoly:
         """Composition A(F1^a1, F2^a2, F3^a3)."""
-        return _compose(polys, A)
+        return A.compose(polys, partial(SparsePoly.constant, num_vars=polys[0].num_vars))
 
 
 def jacobian_det(m: PowerMorphism, reduced: bool) -> SparsePoly:
@@ -196,30 +184,6 @@ def transversality_check(F: SparsePoly, G: SparsePoly) -> bool:
 # pushforward by the lowest-degree kernel
 # ---------------------------------------------------------------------------
 
-def _normal_form(terms: dict, lead, tail) -> dict:
-    """Remainder of a polynomial (exponent -> coefficient) modulo Z.
-
-    Z, scaled to be monic at its lex-leading exponent ``lead``, is x^lead
-    minus the terms in ``tail``.  Each step cancels the largest term that
-    ``lead`` divides; a single polynomial is a Groebner basis of its ideal,
-    so the remainder is unique and linear in the input.
-    """
-    rem, pending = {}, dict(terms)
-    while pending:
-        e = max(pending)
-        c = pending.pop(e)
-        if not c:
-            continue
-        shift = tuple(a - b for a, b in zip(e, lead))
-        if min(shift) < 0:
-            rem[e] = c
-            continue
-        for t, tc in tail:
-            k = tuple(a + b for a, b in zip(shift, t))
-            pending[k] = pending[k] + c * tc if k in pending else c * tc
-    return rem
-
-
 def _kernel(columns: list[dict]) -> list[list[GaussRat]]:
     """A basis of the kernel of the matrix with these sparse columns (Gauss-Jordan)."""
     M = [[col.get(k, GaussRat(0)) for col in columns]
@@ -260,14 +224,12 @@ def pushforward_curve(m: PowerMorphism, Z: SparsePoly) -> SparsePoly:
     if not jacobian_det(m, reduced=True):
         raise InvalidInput("the morphism components are algebraically dependent")
     P = m.powered_components()
-    lead = max(Z.terms)
-    tail = [(e, -c / Z.terms[lead]) for e, c in Z.terms.items() if e != lead]
-    # normal forms of P_i1 * ... * P_ie, i1 <= ... <= ie, each from its prefix
-    forms = {(): {(0, 0, 0): GaussRat(1)}}
+    # normal forms modulo Z of P_i1 * ... * P_ie, i1 <= ... <= ie, each from its prefix
+    forms = {(): SparsePoly.one(3)}
     for e in range(1, P[0].total_degree() * Z.total_degree() + 1):
-        forms = {c: _normal_form((SparsePoly(3, forms[c[:-1]]) * P[c[-1]]).terms, lead, tail)
+        forms = {c: divmod(forms[c[:-1]] * P[c[-1]], Z)[1]
                  for c in itertools.combinations_with_replacement(range(3), e)}
-        basis = _kernel(list(forms.values()))
+        basis = _kernel([f.terms for f in forms.values()])
         if len(basis) > 1:
             raise InvalidInput("the curve is contracted to a point by the morphism")
         if basis:

@@ -859,14 +859,16 @@ def mero_to_doc(f: MeroFn) -> dict:
 
 
 def mero_from_doc(doc: dict) -> MeroFn:
+    """The class function of a document; a malformed one raises InvalidInput."""
     from .algebra import serialize
 
-    sc = doc.get("scalar", {"re": "1", "im": "0"})
-    scalar = GaussRat.from_strings(sc.get("re", "1"), sc.get("im", "0"))
-    factors = [
-        (serialize.poly_from_doc(t["poly"]), int(t["mult"]))
-        for t in doc.get("factors", [])
-    ]
+    if not isinstance(doc, dict):
+        raise InvalidInput(f"a class-function document is an object, not {doc!r}")
+    with serialize.refuse_malformed("class-function"):
+        sc = doc.get("scalar", {"re": "1", "im": "0"})
+        scalar = GaussRat.from_strings(sc.get("re", "1"), sc.get("im", "0"))
+        factors = [(serialize.poly_from_doc(t["poly"]), int(t["mult"]))
+                   for t in doc.get("factors", [])]
     exp_doc = doc.get("exp")
     exp_part = serialize.poly_from_doc(exp_doc) if exp_doc else SparsePoly.zero(1)
     return MeroFn(scalar=scalar, factors=factors, exp_part=exp_part)

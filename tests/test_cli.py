@@ -165,11 +165,42 @@ def test_a_malformed_flag_value_is_refused(tmp_path, capsys, command, flag, valu
     ({"vars": 1, "terms": [{"exp": [-1], "re": "1"}]}, "negative exponent"),
     ({"vars": 1, "laurent": True, "terms": []}, "Laurent document"),
     ([1, 2], "is an object"),
+    # x + 2x + 5 + 0: a later term must not overwrite an earlier one
+    ({"vars": 1, "terms": [{"exp": [1], "re": "1"}, {"exp": [1], "re": "2"},
+                           {"exp": [0], "re": "5"}, {"exp": [0], "re": "0"}]},
+     "exponent [1] is repeated"),
 ], ids=["class-function", "exponent-length", "coefficient", "zero-denominator",
-        "negative-exponent", "laurent", "not-an-object"])
+        "negative-exponent", "laurent", "not-an-object", "repeated-exponent"])
 def test_a_malformed_polynomial_document_is_refused(tmp_path, capsys, doc, problem):
     path = tmp_path / "G.json"
     path.write_text(json.dumps(doc))
     assert main(["exset", "--poly", str(path), "--bound", "2"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and problem in err
+
+
+CUBE = {"vars": 1, "terms": [{"exp": [3], "re": "1"}]}
+
+
+@pytest.mark.parametrize("command, doc, problem", [
+    ("nev", {"factors": [{"poly": CUBE}]}, "no key 'mult'"),
+    ("nev", {"scalar": {"re": "x"}}, "'x'"),
+    ("nev", [1, 2], "is an object"),
+    ("verify", {"const": {"re": "abc"}}, "'abc'"),
+    ("verify", {"hl": {"h": CUBE}}, "no key 'ell'"),
+], ids=["factor-without-mult", "scalar", "not-an-object", "const", "hl-without-ell"])
+def test_a_malformed_function_document_is_refused(tmp_path, capsys, command, doc, problem):
+    """A class-function document (nev --fn) and a scenario's curve component
+    (verify --scenario) are refused with an error line, not a traceback."""
+    path = tmp_path / "doc.json"
+    if command == "nev":
+        path.write_text(json.dumps(doc))
+        argv = ["nev", "--fn", str(path), "--grid", "2,50,5", "--functional", "T"]
+    else:
+        scenario = json.loads((shipped_scenario_dir() / "truncation_defect_generic.json").read_text())
+        scenario["curve"][0] = doc
+        path.write_text(json.dumps(scenario))
+        argv = ["verify", "--scenario", str(path)]
+    assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and problem in err

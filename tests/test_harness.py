@@ -11,6 +11,7 @@ from workbench.errors import InvalidInput
 from workbench.expsum import ExpSumFn
 from workbench.exset import BetaValue, CurveSpec, build_W
 from workbench.harness import (
+    Verdict,
     borel_check,
     gcd_bound_check,
     load_scenario,
@@ -112,9 +113,11 @@ def test_unit_sum_hypothesis_violations():
     t = MeroFn.from_poly(z())
     grid = {"grid": (2.0, 50.0, 5)}
     rep = unit_sum_check(scenario("borel-unit-sum", [one, minus, t], grid))
-    assert rep.verdict.startswith("hypothesis-violation")
+    assert rep.outcome is Verdict.HYPOTHESIS_VIOLATION
+    assert rep.detail == "components do not sum to zero"
     rep = unit_sum_check(scenario("borel-unit-sum", [one, minus, t, MeroFn.from_poly(-z())], grid))
-    assert "subsum" in rep.verdict
+    assert rep.outcome is Verdict.HYPOTHESIS_VIOLATION
+    assert rep.detail == "vanishing proper subsum (0, 1)"
 
 
 def test_borel_check_moving_coefficients():
@@ -137,7 +140,8 @@ def test_borel_check_degenerate_subsum():
     coeffs = [MeroFn.constant(1), MeroFn.constant(1), MeroFn.constant(0)]
     rep = borel_check(scenario("coefficient-borel", f, {"ell": 1, "grid": (2.0, 20.0, 4)},
                                coeffs=coeffs))
-    assert rep.verdict.startswith("hypothesis-violation")
+    assert rep.outcome is Verdict.HYPOTHESIS_VIOLATION
+    assert rep.detail == "vanishing proper subsum (2,)"
 
 
 def test_gcd_bound_unit_curve_disjoint_lattices():
@@ -211,7 +215,8 @@ def test_smt_curve_inside_hypersurface():
     rep = smt_instance_check(scenario("smt-instance", curve, {
         "eps": "1/4", "trunc": 2, "grid": (5.0, 50.0, 5), "r_pass": 10.0},
         polys=(x0, x1, x2, x0 + x1 + x2)))
-    assert rep.verdict.startswith("hypothesis-violation")
+    assert rep.outcome is Verdict.HYPOTHESIS_VIOLATION
+    assert rep.detail == "curve inside a hypersurface"
 
 
 def test_witness_generator_produces_multiple_zeros():

@@ -127,6 +127,35 @@ def test_one_polynomial_arithmetic():
     assert owners == {"GaussRat", "SparsePoly", "MeroFn", "ExpSumFn"}
 
 
+def test_one_home_for_division_and_composition():
+    """SparsePoly alone defines division by a polynomial and composition,
+    and no module outside algebra/ runs either loop again: no ``while rest``
+    loop there takes the leading exponent ``max(rest)`` of what is left, and no
+    loop over a polynomial's terms raises values to their exponents.  The
+    pushforward's normal forms and the two composition loops are gone."""
+    owners = {"__divmod__": set(), "compose": set()}
+    for path in PACKAGE.rglob("*.py"):
+        tree = ast.parse(path.read_text(), str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                for d in node.body:
+                    if isinstance(d, ast.FunctionDef) and d.name in owners:
+                        owners[d.name].add(node.name)
+        if PACKAGE / "algebra" in path.parents:
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.While) and isinstance(node.test, ast.Name):
+                assert not any(isinstance(n, ast.Call) and getattr(n.func, "id", None) == "max"
+                               and [ast.unparse(a) for a in n.args] == [node.test.id]
+                               for n in ast.walk(node)), (path.name, node.lineno)
+            elif isinstance(node, ast.For) and any(
+                    isinstance(n, ast.Attribute) and n.attr == "terms" for n in ast.walk(node.iter)):
+                assert not any(isinstance(n, ast.BinOp) and isinstance(n.op, ast.Pow)
+                               for n in ast.walk(node)), (path.name, node.lineno)
+        assert not re.search(r"\b(_normal_form|_compose)\b", path.read_text()), path.name
+    assert owners == {"__divmod__": {"SparsePoly"}, "compose": {"SparsePoly"}}
+
+
 def test_one_home_for_circle_functionals():
     """Circle averages and the choice between the two function types live in
     nevanlinna.py; the harness asks for functionals and never tests a type.

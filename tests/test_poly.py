@@ -1,4 +1,5 @@
 import itertools
+import operator
 from fractions import Fraction
 
 import pytest
@@ -318,6 +319,54 @@ def test_product_and_division_kernels_match_the_reference(rng):
                 assert got == want and list(got.terms) == list(want.terms)
         assert (a * b).exact_div(b) == a
     assert cancelled > 100
+
+
+def _divmod_reference(p, q):
+    """Division by one polynomial in lex order on GaussRat values, rebuilding
+    what is left on every step: its leading term is cancelled when q's
+    leading term divides it and moved to the remainder otherwise."""
+    rest, quot, rem = p, {}, {}
+    lead_e = max(q.terms)
+    while rest:
+        e = max(rest.terms)
+        diff = tuple(a - b for a, b in zip(e, lead_e))
+        if min(diff) < 0:
+            rem[e] = rest.terms[e]
+            rest = rest - SparsePoly(p.num_vars, {e: rem[e]})
+        else:
+            quot[diff] = rest.terms[e] / q.terms[lead_e]
+            rest = rest - SparsePoly(p.num_vars, {diff: quot[diff]}) * q
+    return SparsePoly(p.num_vars, quot), SparsePoly(p.num_vars, rem)
+
+
+def test_divmod_matches_the_reference(rng):
+    remainders = exact = 0
+    for _ in range(300):
+        num_vars = rng.randint(1, 3)
+        a, b = _gauss_poly(rng, num_vars), _gauss_poly(rng, num_vars)
+        if not b:
+            with pytest.raises(ZeroDivisionError):
+                divmod(a, b)
+            assert not b.divides(a)
+            continue
+        lead = max(b.terms)
+        for p in (a * b, a * b + a, a):
+            q, r = divmod(p, b)
+            assert (q, r) == _divmod_reference(p, b)
+            if b.is_constant():
+                assert divmod(p, b.constant_value()) == (q, r)
+            assert q * b + r == p
+            # the lex-leading term of b divides no term of the remainder
+            assert not any(min(map(operator.sub, e, lead)) >= 0 for e in r.terms)
+            assert b.divides(p) == (not r)
+            if r:
+                remainders += 1
+                with pytest.raises(ValueError):
+                    p.exact_div(b)
+            else:
+                exact += 1
+                assert p.exact_div(b) == q
+    assert remainders > 250 and exact > 400
 
 
 def test_division_raises_the_remainder_denominator_once(monkeypatch):
