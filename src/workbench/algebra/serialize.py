@@ -5,7 +5,8 @@ Polynomial document:
 
 Exponents are non-negative integers and coefficient strings are exact
 rationals.  A document tagged {"laurent": true} (negative exponents) is
-refused, as is one that lacks a key, holds a value of the wrong form or
+refused, as is one that lacks a key, holds a value of the wrong form (a
+number that is not a JSON integer where an integer belongs, too) or
 repeats an exponent, with ``InvalidInput``.
 """
 
@@ -42,6 +43,15 @@ def refuse_malformed(kind: str):
         raise InvalidInput(f"malformed {kind} document: {exc}") from exc
 
 
+def json_int(value, key: str, kind: str) -> int:
+    """``value`` when it is a JSON integer, that is an ``int`` and not a
+    ``bool``; else InvalidInput naming ``key`` of the ``kind`` document.
+    A float such as 1.7 is refused, not truncated."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise InvalidInput(f"malformed {kind} document: {key!r} must be an integer, not {value!r}")
+
+
 def poly_from_doc(doc: dict) -> SparsePoly:
     """The polynomial of a document; a malformed one raises InvalidInput."""
     if not isinstance(doc, dict):
@@ -49,10 +59,10 @@ def poly_from_doc(doc: dict) -> SparsePoly:
     if doc.get("laurent"):
         raise InvalidInput("Laurent document passed where a polynomial was expected")
     with refuse_malformed("polynomial"):
-        n = int(doc["vars"])
+        n = json_int(doc["vars"], "vars", "polynomial")
         terms = {}
         for t in doc["terms"]:
-            expo = tuple(int(e) for e in t["exp"])
+            expo = tuple(json_int(e, "exp", "polynomial") for e in t["exp"])
             if expo in terms:
                 raise InvalidInput(
                     f"malformed polynomial document: exponent {list(expo)} is repeated")

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -33,7 +34,7 @@ from .algebra.squarefree import squarefree_part
 from .algebra import serialize
 from .constants import choose_m
 from .errors import InternalContradiction, InvalidInput
-from .nevanlinna import MeroFn
+from .nevanlinna import MeroFn, gcd_free_basis
 
 # ---------------------------------------------------------------------------
 # pair normalization
@@ -359,16 +360,21 @@ class CurveSpec:
     coord_index: int | None = None
     provenance: tuple[Provenance, ...] = ()
 
-    def _oriented(self) -> tuple[tuple[int, int, int], RootEnclosure] | None:
+    def _oriented(self, inverses: dict[RootEnclosure, RootEnclosure]
+                  ) -> tuple[tuple[int, int, int], RootEnclosure] | None:
         """Exponents with first nonzero entry negative, and the enclosure of
         the matching beta (of 1/beta when the exponents flip); None for a
-        coordinate line."""
+        coordinate line.  ``inverses`` keeps each reciprocal enclosure, so a
+        beta shared by many curves is inverted once."""
         if self.kind == "coordinate-line":
             return None
         e = self.exponents
         first = next(v for v in e if v)
         if first > 0:
-            return tuple(-v for v in e), _reciprocal_enclosure(self.beta.enclosure)
+            r = self.beta.enclosure
+            if r not in inverses:
+                inverses[r] = _reciprocal_enclosure(r)
+            return tuple(-v for v in e), inverses[r]
         return e, self.beta.enclosure
 
     def sort_key(self):
@@ -517,10 +523,12 @@ def _dedup(curves: list[CurveSpec]) -> tuple[CurveSpec, ...]:
     # the first kept curve with the same oriented exponents and the same beta
     # (_same_beta).  A merge keeps that curve's exponents, beta and first
     # provenance, so its orientation and its place in the order stay valid.
+    # Each distinct beta of a flipped curve is inverted once.
     kept: list[CurveSpec] = []
     groups: dict[tuple[int, int, int], list[tuple[int, RootEnclosure]]] = {}
+    inverses: dict[RootEnclosure, RootEnclosure] = {}
     for c in sorted(curves, key=lambda c: c.sort_key()):
-        oriented = c._oriented()
+        oriented = c._oriented(inverses)
         if oriented is None:
             kept.append(c)
             continue
@@ -549,9 +557,13 @@ def _merge(a: CurveSpec, b: CurveSpec) -> CurveSpec:
 def member_of_W(W: ExceptionalSet, curve: tuple[MeroFn, MeroFn, MeroFn]) -> list[CurveSpec]:
     """Exactly decide which exceptional curves contain the image of the map.
 
-    Components live in the factored meromorphic class, so each monomial
-    relation g^e reduces to a single class element whose constancy and
-    exact value are decidable; coordinate lines match identically-zero
+    The factors of the three components are refined once into one gcd-free
+    basis (``gcd_free_basis``), so each component g_i = c_i * prod_q q^(v_iq)
+    * exp(Q_i) is its scalar c_i, an integer vector v_i over the basis and
+    its exp part Q_i.  A monomial relation g^e = beta then holds exactly
+    when sum_i e_i v_i = 0, sum_i e_i Q_i = 0 and prod_i c_i^(e_i) = beta;
+    no class function is multiplied, and a relation with a nonzero exponent
+    on a zero component fails.  Coordinate lines match identically-zero
     components.  An empty list means the image is not contained in any
     listed curve.
     """
@@ -560,33 +572,25 @@ def member_of_W(W: ExceptionalSet, curve: tuple[MeroFn, MeroFn, MeroFn]) -> list
         raise InvalidInput("expected a triple of class functions")
     if all(c.is_zero() for c in g):
         raise InvalidInput("all components vanish")
+    _, vectors = gcd_free_basis([dict(c.factors) for c in g])
+    columns = list(zip(*vectors))
     matches = []
     for spec in W.curves:
         if spec.kind == "coordinate-line":
             if g[spec.coord_index].is_zero():
                 matches.append(spec)
             continue
-        if _relation_holds(spec, g):
+        e = spec.exponents
+        if any(ei and gi.is_zero() for ei, gi in zip(e, g)):
+            continue
+        if any(sum(map(operator.mul, e, column)) for column in columns):
+            continue
+        if sum((gi.exp_part.scale(ei) for ei, gi in zip(e, g) if ei), SparsePoly.zero(1)):
+            continue
+        value = math.prod((gi.scalar ** ei for ei, gi in zip(e, g) if ei), start=GaussRat(1))
+        if spec.beta.matches_constant(value):
             matches.append(spec)
     return matches
-
-
-def _relation_holds(spec: CurveSpec, g) -> bool:
-    lhs = MeroFn.constant(1)
-    rhs = MeroFn.constant(1)
-    for gi, e in zip(g, spec.exponents):
-        if e > 0:
-            if gi.is_zero():
-                return False
-            lhs = lhs * gi**e
-        elif e < 0:
-            if gi.is_zero():
-                return False
-            rhs = rhs * gi ** (-e)
-    ratio = lhs / rhs
-    if not ratio.is_constant() or ratio.exp_part:
-        return False
-    return spec.beta.matches_constant(ratio.constant_value())
 
 
 # ---------------------------------------------------------------------------

@@ -231,7 +231,7 @@ def _component_from_doc(doc) -> MeroFn:
             return MeroFn.constant(GaussRat.from_strings(c.get("re", "0"), c.get("im", "0")))
         if "hl" in doc:
             h = serialize.poly_from_doc(doc["hl"]["h"])
-            ell = int(doc["hl"]["ell"])
+            ell = serialize.json_int(doc["hl"]["ell"], "ell", "scenario component")
             return MeroFn(scalar=1, factors=[(h, ell)])
     return mero_from_doc(doc)
 

@@ -305,6 +305,23 @@ def _coprime_refine(canon: dict[SparsePoly, int]) -> dict[SparsePoly, int]:
     return {p: m for p, m in out.items() if m}
 
 
+def gcd_free_basis(factor_maps: Sequence[dict[SparsePoly, int]]
+                   ) -> tuple[list[SparsePoly], list[list[int]]]:
+    """One gcd-free basis of the factors of every map, refined once, and each
+    map's integer vector of multiplicities over it.
+
+    The multiplicity of a basis element q in a map is the sum of the
+    multiplicities of the map's factors that q divides.  For the factors of
+    a canonical ``MeroFn`` c * prod_p p^(m_p) * exp(Q) (squarefree, pairwise
+    coprime, monic) that is c * prod_q q^(v_q) * exp(Q), so a product of
+    powers of such functions has the matching integer combination of their
+    vectors.
+    """
+    basis = list(_coprime_refine(dict.fromkeys(itertools.chain.from_iterable(factor_maps), 1)))
+    return basis, [[sum(k for p, k in fac.items() if q.divides(p)) for q in basis]
+                   for fac in factor_maps]
+
+
 # ---------------------------------------------------------------------------
 # logarithmic derivative
 # ---------------------------------------------------------------------------
@@ -786,8 +803,8 @@ def _inflate(p: SparsePoly, s: int) -> SparsePoly:
 def _shared_basis(ff: dict[SparsePoly, int], fg: dict[SparsePoly, int]):
     """(q, m) for each factor q of one gcd-free basis of both factor maps, with
     m > 0 the smaller of the multiplicities of q in ``ff`` and in ``fg``."""
-    return [(q, m) for q in _coprime_refine(dict.fromkeys([*ff, *fg], 1))
-            if (m := min(sum(k for p, k in fac.items() if q.divides(p)) for fac in (ff, fg)))]
+    basis, (vf, vg) = gcd_free_basis([ff, fg])
+    return [(q, m) for q, a, b in zip(basis, vf, vg) if (m := min(a, b))]
 
 
 def shared_zeros(f, g, radii) -> list[tuple[complex, int]]:
@@ -867,7 +884,8 @@ def mero_from_doc(doc: dict) -> MeroFn:
     with serialize.refuse_malformed("class-function"):
         sc = doc.get("scalar", {"re": "1", "im": "0"})
         scalar = GaussRat.from_strings(sc.get("re", "1"), sc.get("im", "0"))
-        factors = [(serialize.poly_from_doc(t["poly"]), int(t["mult"]))
+        factors = [(serialize.poly_from_doc(t["poly"]),
+                    serialize.json_int(t["mult"], "mult", "class-function"))
                    for t in doc.get("factors", [])]
     exp_doc = doc.get("exp")
     exp_part = serialize.poly_from_doc(exp_doc) if exp_doc else SparsePoly.zero(1)

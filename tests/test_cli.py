@@ -169,8 +169,13 @@ def test_a_malformed_flag_value_is_refused(tmp_path, capsys, command, flag, valu
     ({"vars": 1, "terms": [{"exp": [1], "re": "1"}, {"exp": [1], "re": "2"},
                            {"exp": [0], "re": "5"}, {"exp": [0], "re": "0"}]},
      "exponent [1] is repeated"),
+    # numbers that are not JSON integers are refused, not truncated
+    ({"vars": 1, "terms": [{"exp": [1.7], "re": "1"}]}, "'exp' must be an integer, not 1.7"),
+    ({"vars": 1.9, "terms": [{"exp": [1], "re": "1"}]}, "'vars' must be an integer, not 1.9"),
+    ({"vars": 1, "terms": [{"exp": [True], "re": "1"}]}, "'exp' must be an integer, not True"),
 ], ids=["class-function", "exponent-length", "coefficient", "zero-denominator",
-        "negative-exponent", "laurent", "not-an-object", "repeated-exponent"])
+        "negative-exponent", "laurent", "not-an-object", "repeated-exponent",
+        "float-exponent", "float-vars", "bool-exponent"])
 def test_a_malformed_polynomial_document_is_refused(tmp_path, capsys, doc, problem):
     path = tmp_path / "G.json"
     path.write_text(json.dumps(doc))
@@ -188,7 +193,10 @@ CUBE = {"vars": 1, "terms": [{"exp": [3], "re": "1"}]}
     ("nev", [1, 2], "is an object"),
     ("verify", {"const": {"re": "abc"}}, "'abc'"),
     ("verify", {"hl": {"h": CUBE}}, "no key 'ell'"),
-], ids=["factor-without-mult", "scalar", "not-an-object", "const", "hl-without-ell"])
+    ("nev", {"factors": [{"poly": CUBE, "mult": 1.5}]}, "'mult' must be an integer, not 1.5"),
+    ("verify", {"hl": {"h": CUBE, "ell": 2.5}}, "'ell' must be an integer, not 2.5"),
+], ids=["factor-without-mult", "scalar", "not-an-object", "const", "hl-without-ell",
+        "float-mult", "float-ell"])
 def test_a_malformed_function_document_is_refused(tmp_path, capsys, command, doc, problem):
     """A class-function document (nev --fn) and a scenario's curve component
     (verify --scenario) are refused with an error line, not a traceback."""

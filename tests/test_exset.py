@@ -1,5 +1,7 @@
 import dataclasses
+import functools
 import math
+import random
 import re
 from fractions import Fraction
 
@@ -7,7 +9,7 @@ import mpmath
 import pytest
 import sympy
 
-from workbench import exset
+from workbench import exset, nevanlinna
 from workbench.algebra.gaussrat import GaussRat
 from workbench.algebra.poly import SparsePoly
 from workbench.algebra.roots import roots_certified
@@ -26,6 +28,7 @@ from workbench.exset import (
     pair_count,
     substitute,
 )
+from workbench.harness import witness_curves
 from workbench.nevanlinna import MeroFn
 
 from conftest import count_calls, to_sympy, two_close_roots, variables
@@ -240,7 +243,7 @@ def test_build_W_symmetry():
                     idx = apply.index(idx) if idx in apply else idx
                 out.add(("coord", idx))
             else:
-                e, b = c._oriented()
+                e, b = c._oriented({})
                 out.add(("rel", e, round(b.center.real, 6), round(b.center.imag, 6)))
         return out
 
@@ -257,7 +260,7 @@ def test_build_W_symmetry():
 
             moved = CurveSpec(kind=c.kind, exponents=tuple(e), beta=c.beta,
                               provenance=c.provenance)
-            eo, bo = moved._oriented()
+            eo, bo = moved._oriented({})
             mapped.add(("rel", eo, round(bo.center.real, 6), round(bo.center.imag, 6)))
     assert mapped == keyset(Wp)
 
@@ -270,7 +273,7 @@ def test_member_of_W_examples():
 
     matched = member_of_W(W, (one, t, MeroFn.constant(GaussRat(0, 1))))
     assert len(matched) == 1
-    e, b = matched[0]._oriented()
+    e, b = matched[0]._oriented({})
     assert sorted(e) == [-1, 0, 1]
 
     assert member_of_W(W, (one, t, MeroFn.from_poly(z + 1))) == []
@@ -280,6 +283,110 @@ def test_member_of_W_examples():
     matched = member_of_W(W, (one, ez, half_inv))
     assert len(matched) == 1
     assert sorted(matched[0].exponents) == [-2, 1, 1]
+
+
+def _membership_reference(W, curve):
+    """``member_of_W`` by products and quotients: each relation g^e is one
+    class function, which must be the constant beta (test oracle)."""
+    matches = []
+    for spec in W.curves:
+        if spec.kind == "coordinate-line":
+            if curve[spec.coord_index].is_zero():
+                matches.append(spec)
+            continue
+        if any(e and g.is_zero() for e, g in zip(spec.exponents, curve)):
+            continue
+        lhs = rhs = MeroFn.constant(1)
+        for g, e in zip(curve, spec.exponents):
+            if e > 0:
+                lhs = lhs * g**e
+            elif e < 0:
+                rhs = rhs * g ** (-e)
+        ratio = lhs / rhs
+        if (ratio.is_constant() and not ratio.exp_part
+                and spec.beta.matches_constant(ratio.constant_value())):
+            matches.append(spec)
+    return matches
+
+
+BENCH_BUILDS = (("sphere", 2), ("sphere", 3), ("sphere", 4), ("cubic", 2), ("cubic", 3),
+                ("quartic", 2))
+
+
+@functools.cache
+def bench_set(name, bound):
+    x0, x1, x2 = variables(3)
+    G = {"sphere": sphere(), "cubic": x0**3 + x1**3 + x2**3 + x0 * x1 * x2,
+         "quartic": quartic()}[name]
+    return build_W(G, bound)
+
+
+def _random_class_function(rng):
+    """A scalar, up to two factors of multiplicity +-1..3 drawn from
+    polynomials that share factors (z^2 - 1 = (z - 1)(z + 1), z^2 + z =
+    z (z + 1)), and an exp part that is zero, constant or not."""
+    z = SparsePoly.variable(0, 1)
+    i = GaussRat(0, 1)
+    polys = [z, z + 1, z - 1, z**2 - 1, z**2 + z, z**2 + 1, z - i, 2 * z + 1]
+    scalars = [GaussRat(1), GaussRat(-1), GaussRat(2), GaussRat("1/2"), i, -i,
+               GaussRat(1, 1), GaussRat("3/4")]
+    exps = [SparsePoly.zero(1), SparsePoly.one(1), z, -z, 2 * z, z.scale(i), z**2]
+    factors = [(rng.choice(polys), rng.choice([-3, -2, -1, 1, 2, 3]))
+               for _ in range(rng.randrange(3))]
+    return MeroFn(scalar=rng.choice(scalars), factors=factors, exp_part=rng.choice(exps))
+
+
+def _queries(W, rng):
+    """Witnesses of every curve that has one, the same witnesses times one
+    random class function (g^e is unchanged, since e sums to zero), the
+    witnesses with one component times another or times e (mostly misses),
+    triples with a zero component in each place, random triples, and
+    triples (p, exp(a z), q) that lie on no curve."""
+    z = SparsePoly.variable(0, 1)
+    zero = MeroFn.constant(0)
+    out = []
+    for spec in W.curves:
+        for w in witness_curves(spec, count=1):
+            f = _random_class_function(rng)
+            out.append(w)
+            out.append(tuple(f * c for c in w))
+            k = rng.randrange(3)
+            for bent in (_random_class_function(rng), MeroFn.unit(SparsePoly.one(1))):
+                out.append(tuple(c * bent if j == k else c for j, c in enumerate(w)))
+    for k in range(3):
+        out.append(tuple(zero if j == k else MeroFn.from_poly(z + j) for j in range(3)))
+        out.append(tuple(zero if j == k else _random_class_function(rng) for j in range(3)))
+    out += [tuple(_random_class_function(rng) for _ in range(3)) for _ in range(6)]
+    for a in (1, 2, GaussRat(1, -2)):
+        p, q = z**2 + rng.randrange(1, 4) * z + 1, z**2 - GaussRat(0, rng.randrange(1, 4))
+        out.append((MeroFn.from_poly(p), MeroFn.unit(z.scale(a)), MeroFn.from_poly(q)))
+    return out
+
+
+def test_member_of_W_agrees_with_products_and_quotients():
+    rng = random.Random(29)
+    hits = misses = 0
+    for name, bound in BENCH_BUILDS:
+        W = bench_set(name, bound)
+        for curve in _queries(W, rng):
+            got = member_of_W(W, curve)
+            assert got == _membership_reference(W, curve), (name, bound, curve)
+            hits += bool(got)
+            misses += not got
+    assert hits > 100 and misses > 100
+
+
+def test_member_of_W_refines_once_and_multiplies_nothing(monkeypatch):
+    W = bench_set("cubic", 3)
+    spec = next(c for c in W.curves if c.kind == "monomial-relation" and witness_curves(c))
+    f = _random_class_function(random.Random(3))
+    curve = tuple(f * c for c in witness_curves(spec, count=1)[0])
+    refinements = count_calls(monkeypatch, nevanlinna, "_coprime_refine")
+    products = [count_calls(monkeypatch, MeroFn, name)
+                for name in ("__mul__", "__truediv__", "__pow__", "inverse")]
+    assert spec in member_of_W(W, curve)
+    assert len(refinements) == 1
+    assert products == [[], [], [], []]
 
 
 def test_member_coordinate_line():
@@ -348,10 +455,12 @@ def test_dedup_merges_provenance_across_loci():
 
 
 def test_build_W_orients_each_raw_curve_at_most_once(monkeypatch):
+    # a beta that many flipped curves share is inverted once: every call
+    # inverts a distinct enclosure
     calls = count_calls(monkeypatch, exset, "_reciprocal_enclosure")
     W = build_W(sphere(), ell2=3)
     raw = sum(len(c.provenance) for c in W.curves)
-    assert 0 < len(calls) <= raw
+    assert 0 < len(calls) == len(set(calls)) < raw
 
 
 def quartic():
