@@ -192,17 +192,20 @@ def gcd_many(polys: list[SparsePoly]) -> SparsePoly:
     return canonical_scale(acc)
 
 
-def is_squarefree(p: SparsePoly) -> bool:
-    """True when p has no repeated factor (characteristic zero test)."""
-    occ = _occurring_vars(p)
-    if not occ:
-        return True
+def _repeated_part(p: SparsePoly) -> SparsePoly:
+    """gcd of p with each of its partial derivatives: in characteristic zero
+    the product of q^(m-1) over the factors q^m of p, up to a constant."""
     g = p
-    for v in occ:
+    for v in _occurring_vars(p):
         if g.is_constant():
             break
         g = gcd_poly(g, p.partial_derivative(v))
-    return g.is_constant()
+    return g
+
+
+def is_squarefree(p: SparsePoly) -> bool:
+    """True when p has no repeated factor (characteristic zero test)."""
+    return _repeated_part(p).is_constant()
 
 
 def monomial_variables(p: SparsePoly) -> list[int]:

@@ -22,8 +22,8 @@ on a tuple of ring elements, and ``*`` takes one of three routes:
   three big-integer products (Kronecker substitution; ``_packed_product``);
 - all others run a dict loop over the term pairs.
 
-The routes list the same terms in different orders, and ``eval`` sums in
-term order.  The dict loop puts each term where the first product that
+The routes list the same terms in different orders, and ``compose`` sums
+in term order.  The dict loop puts each term where the first product that
 made it came; a packed product lists its terms in ascending exponent order.
 """
 
@@ -289,41 +289,12 @@ class SparsePoly:
 
     # -- evaluation / substitution --------------------------------------------
 
-    def eval(self, values):
-        """Evaluate in floating point at a point of numbers (``eval_exact``
-        is the exact evaluator).
-
-        ``values`` is a sequence of length ``num_vars``; each coefficient is
-        converted with complex() and the terms are summed in term order.
-        """
-        if len(values) != self.num_vars:
-            raise ValueError("wrong number of values")
-        total = None
-        for expo, coeff in self.terms.items():
-            term = complex(coeff)
-            for v, e in zip(values, expo):
-                if e:
-                    term = term * v**e
-            total = term if total is None else total + term
-        if total is None:
-            return 0j
-        return total
-
-    def eval_exact(self, values: Iterable[GaussRat]) -> GaussRat:
-        values = [GaussRat.coerce(v) for v in values]
-        acc = GaussRat(0)
-        for expo, coeff in self.terms.items():
-            term = coeff
-            for v, e in zip(values, expo):
-                if e:
-                    term = term * v**e
-            acc = acc + term
-        return acc
-
     def compose(self, values, constant):
         """self(v_1, ..., v_n) for elements v_i of a ring with +, * and
         powers, where ``constant`` maps a coefficient into that ring; the
-        terms are summed in term order."""
+        terms are summed in term order.  This is the one evaluation:
+        ``constant=complex`` evaluates in floating point at a point of
+        numbers, ``constant=GaussRat.coerce`` exactly at a point of Q(i)."""
         if len(values) != self.num_vars:
             raise ValueError("wrong number of values")
         acc = constant(0)

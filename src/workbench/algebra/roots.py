@@ -260,7 +260,7 @@ def _gaussian_rational(p: SparsePoly, pairs, z, rad2) -> GaussRat | None:
     if den * (dr * dr + di * di) > size2 * num << 2 * s:  # g/L is outside the disk
         return None
     root = GaussRat(gr, gi) / GaussRat(a, b)
-    return None if p.eval_exact([root]) else root
+    return None if p.compose([root], GaussRat.coerce) else root
 
 
 def _small(z, rad2) -> bool:
@@ -292,11 +292,12 @@ def roots_certified(f: SparsePoly) -> AlgebraicRoots:
     original = f
     enclosures: list[RootEnclosure] = []
     # peel the origin structurally so a zero root is always exact
+    # and solve the univariate view, whichever variable occurs in f
     coeffs0 = _univar_coeffs(f)
     v = next(i for i, c in enumerate(coeffs0) if c)
     if v:
         enclosures.append(RootEnclosure(0j, 0.0, v, exact=GaussRat(0)))
-        f = SparsePoly(1, {(i - v,): c for i, c in enumerate(coeffs0) if c})
+    f = SparsePoly(1, {(i - v,): c for i, c in enumerate(coeffs0) if c})
     if f.is_constant():
         return AlgebraicRoots(original, tuple(enclosures))
     factors = squarefree_decompose(f)

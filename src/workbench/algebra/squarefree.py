@@ -1,14 +1,21 @@
-"""Squarefree factorization (Yun's method) over the Gaussian rationals.
+"""Squarefree factorization and gcd-free bases over the Gaussian rationals.
 
-Works for univariate polynomials directly and for multivariate ones by
-running Yun with respect to a main variable and recursing on the content.
-The returned factors are pairwise coprime, squarefree, canonically scaled,
-and multiply back to the input up to a nonzero constant.
+``squarefree_decompose`` runs Yun's method, on univariate polynomials
+directly and on multivariate ones with respect to a main variable,
+recursing on the content; its factors are pairwise coprime, squarefree,
+canonically scaled, and multiply back to the input up to a nonzero
+constant.  ``squarefree_part`` is the classical f / gcd(f, df), with one
+gcd per occurring variable and no factors.  ``gcd_free_basis`` refines the
+factors of several factorizations into one pairwise coprime basis.
 """
 
 from __future__ import annotations
 
-from .euclid import canonical_scale, content_in, gcd_poly, _occurring_vars
+from collections import deque
+from operator import add
+from typing import Mapping, Sequence
+
+from .euclid import _occurring_vars, _repeated_part, canonical_scale, content_in, gcd_poly
 from .poly import SparsePoly
 
 
@@ -54,8 +61,50 @@ def squarefree_decompose(f: SparsePoly) -> list[tuple[SparsePoly, int]]:
 
 
 def squarefree_part(f: SparsePoly) -> SparsePoly:
-    """Product of the distinct squarefree factors of f (multiplicities dropped)."""
-    acc = SparsePoly.one(f.num_vars)
-    for factor, _ in squarefree_decompose(f):
-        acc = acc * factor
-    return canonical_scale(acc)
+    """The product of the distinct irreducible factors of f, canonically
+    scaled: f divided by its gcd with every partial derivative.  Raises on
+    the zero polynomial."""
+    if not f:
+        raise ValueError("the zero polynomial has no squarefree part")
+    return canonical_scale(f.exact_div(_repeated_part(f)))
+
+
+def gcd_free_basis(factor_maps: Sequence[Mapping[SparsePoly, int]]
+                   ) -> dict[SparsePoly, tuple[int, ...]]:
+    """One gcd-free basis of the factors of every map, each basis element q
+    with its vector (v_1, ..., v_k) of multiplicities in the k maps.
+
+    The elements are non-constant and pairwise coprime, and each map
+    prod_p p^(m_p) equals prod_q q^(v_iq) up to a constant.  For the factors
+    of a canonical ``MeroFn`` c * prod_p p^(m_p) * exp(Q) (squarefree,
+    pairwise coprime, monic) that is c * prod_q q^(v_q) * exp(Q), so a
+    product of powers of such functions has the matching integer
+    combination of their vectors.
+
+    Worklist factor refinement (Bach, Driscoll and Shallit, "Factor
+    refinement", J. Algorithms 15, 1993): each factor meets the basis in
+    turn.  A factor equal to a basis element adds its vector to that
+    element's; one that shares g = gcd(p, q) with an element q replaces q by
+    g, p/g and q/g at the back of the queue, g with the sum of both vectors.
+    """
+    k = len(factor_maps)
+    queue = deque((p, tuple(m if j == i else 0 for j in range(k)))
+                  for i, fac in enumerate(factor_maps) for p, m in fac.items())
+    basis: dict[SparsePoly, tuple[int, ...]] = {}
+    while queue:
+        p, v = queue.popleft()
+        if p in basis:
+            basis[p] = tuple(map(add, basis[p], v))
+            continue
+        for q in basis:
+            g = gcd_poly(p, q)
+            if not g.is_constant():
+                w = basis.pop(q)
+                parts = ((g, tuple(map(add, v, w))),
+                         (canonical_scale(p.exact_div(g)), v),
+                         (canonical_scale(q.exact_div(g)), w))
+                queue.extend((f, u) for f, u in parts if not f.is_constant())
+                break
+        else:
+            basis[p] = v
+    return basis

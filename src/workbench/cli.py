@@ -79,7 +79,9 @@ def _cmd_constants(args) -> int:
     fam = None
     if args.family:
         with open(args.family) as fh:
-            fam = MonomialFamily(tuple(tuple(v) for v in json.load(fh)["vectors"]))
+            doc = json.load(fh)
+        with serialize.refuse_malformed("family"):
+            fam = MonomialFamily(tuple(tuple(v) for v in doc["vectors"]))
     prof = full_profile(args.eps, args.n, args.d, fam, args.c3)
     print(json.dumps(prof.as_dict(), indent=2))
     return 0

@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
+from .algebra.serialize import json_int
 from .errors import InvalidInput, WorkbenchError
 
 # search caps: the largest degree m, the largest b, and the most sumset
@@ -122,7 +123,8 @@ class MonomialFamily:
     vectors: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        vs = tuple(sorted({tuple(int(e) for e in v) for v in self.vectors}))
+        vs = tuple(sorted({tuple(json_int(e, "vectors", "family") for e in v)
+                           for v in self.vectors}))
         if not vs:
             raise InvalidInput("empty family")
         width = len(vs[0])

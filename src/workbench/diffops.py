@@ -19,6 +19,7 @@ from __future__ import annotations
 from .algebra.gaussrat import GaussRat
 from .algebra.poly import SparsePoly
 from .algebra.euclid import gcd_poly, is_squarefree, monomial_variables, resultant
+from .algebra.serialize import json_int, refuse_malformed
 from .errors import InternalContradiction, InvalidInput
 
 # the generator names after w1..wn, in the order of the diffpoly/1 header
@@ -193,27 +194,29 @@ def diffpoly_to_doc(ring: DiffSymbolRing, F: SparsePoly) -> dict:
 
 
 def diffpoly_from_doc(doc: dict) -> tuple[DiffSymbolRing, SparsePoly]:
-    """The ring and the reduced polynomial of a diffpoly/1 document."""
-    if doc.get("schema") != DIFFPOLY_SCHEMA:
-        raise ValueError(f"unknown schema {doc.get('schema')!r}")
-    names = doc["symbols"]
-    n = len(names) - 4
-    if n < 0 or names[n:] != _DOC_SYMBOLS:
-        raise ValueError("symbols header must end with lambda, lambdainv, lambdap, s")
-    if int(doc["vars"]) != n + 1:
-        raise ValueError(f"{n} symbols need {n + 1} x variables, not {doc['vars']}")
-    ring = DiffSymbolRing(n)
-    terms = {}
-    for t in doc["terms"]:
-        expo = [int(e) for e in t["exp"]]
-        for part in t["coeff"]:
-            sym = [int(e) for e in part["exp"]]
-            if len(sym) != n + 4:
-                raise ValueError(f"symbol exponent {sym} needs {n + 4} entries")
-            key = tuple(expo + sym[:n] + sym[n + 2 :] + sym[n : n + 2])
-            coeff = GaussRat.from_strings(part["re"], part.get("im", "0"))
-            terms[key] = terms.get(key, GaussRat(0)) + coeff
-    return ring, ring.reduce(SparsePoly(ring.num_vars, terms))
+    """The ring and the reduced polynomial of a diffpoly/1 document; a
+    malformed one raises InvalidInput."""
+    with refuse_malformed("diffpoly"):
+        if doc.get("schema") != DIFFPOLY_SCHEMA:
+            raise ValueError(f"unknown schema {doc.get('schema')!r}")
+        names = doc["symbols"]
+        n = len(names) - 4
+        if n < 0 or names[n:] != _DOC_SYMBOLS:
+            raise ValueError("symbols header must end with lambda, lambdainv, lambdap, s")
+        if json_int(doc["vars"], "vars", "diffpoly") != n + 1:
+            raise ValueError(f"{n} symbols need {n + 1} x variables, not {doc['vars']}")
+        ring = DiffSymbolRing(n)
+        terms = {}
+        for t in doc["terms"]:
+            expo = [json_int(e, "exp", "diffpoly") for e in t["exp"]]
+            for part in t["coeff"]:
+                sym = [json_int(e, "exp", "diffpoly") for e in part["exp"]]
+                if len(sym) != n + 4:
+                    raise ValueError(f"symbol exponent {sym} needs {n + 4} entries")
+                key = tuple(expo + sym[:n] + sym[n + 2 :] + sym[n : n + 2])
+                coeff = GaussRat.from_strings(part["re"], part.get("im", "0"))
+                terms[key] = terms.get(key, GaussRat(0)) + coeff
+        return ring, ring.reduce(SparsePoly(ring.num_vars, terms))
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +252,8 @@ def verify_Du_numeric(F: SparsePoly, u: tuple, radius_samples: list[complex]) ->
             warnings.warn(f"sample {z} is too close to a zero/pole; skipped")
             continue
         lhs = lhs_fn.eval(z)
-        rhs = image.eval(vals + [ld.eval(z) for ld in logders] + [0j, 0j, 1 + 0j, 1 + 0j])
+        rhs = image.compose(vals + [ld.eval(z) for ld in logders] + [0j, 0j, 1 + 0j, 1 + 0j],
+                            complex)
         resid = abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs))
         worst = max(worst, resid)
     return worst

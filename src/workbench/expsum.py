@@ -107,15 +107,6 @@ class ExpSumFn:
         """Exact: every exponent group must cancel identically."""
         return not self.terms
 
-    def as_polynomial(self) -> SparsePoly | None:
-        if not self.terms:
-            return _zero1()
-        if len(self.terms) == 1:
-            num, den, q = self.terms[0]
-            if den.is_constant() and not q:
-                return num.scale(GaussRat(1) / den.constant_value())
-        return None
-
     def as_mero(self) -> MeroFn | None:
         """Single-term sums live in the factored class."""
         if not self.terms:
@@ -178,7 +169,8 @@ class ExpSumFn:
     def eval(self, z: complex) -> complex:
         acc = 0j
         for n, d, q in self.terms:
-            acc += complex(n.eval([z])) / complex(d.eval([z])) * cmath.exp(complex(q.eval([z])))
+            acc += (n.compose([z], complex) / d.compose([z], complex)
+                    * cmath.exp(q.compose([z], complex)))
         return acc
 
     def log_abs(self, zs: np.ndarray) -> np.ndarray:

@@ -26,15 +26,15 @@ from fractions import Fraction
 
 import mpmath
 
-from .algebra.euclid import canonical_scale, is_squarefree, monomial_variables, resultant
+from .algebra.euclid import is_squarefree, monomial_variables, resultant
 from .algebra.gaussrat import GaussRat
 from .algebra.poly import SparsePoly
 from .algebra.roots import AlgebraicRoots, RootEnclosure, roots_certified
-from .algebra.squarefree import squarefree_part
+from .algebra.squarefree import gcd_free_basis, squarefree_part
 from .algebra import serialize
 from .constants import choose_m
 from .errors import InternalContradiction, InvalidInput
-from .nevanlinna import MeroFn, gcd_free_basis
+from .nevanlinna import MeroFn
 
 # ---------------------------------------------------------------------------
 # pair normalization
@@ -159,7 +159,7 @@ def validate_curve(G: SparsePoly) -> None:
     for i in range(3):
         point = [GaussRat(0)] * 3
         point[i] = GaussRat(1)
-        if not G.eval_exact(point):
+        if not G.compose(point, GaussRat.coerce):
             raise InvalidInput(
                 f"curve passes through the coordinate point e_{i}; "
                 "general position with the coordinate lines fails"
@@ -246,7 +246,7 @@ def _strip_monic_squarefree(p: SparsePoly) -> SparsePoly:
         p = SparsePoly(1, {(e[0] - shift,): c for e, c in p.terms.items()})
     if p.is_constant():
         return SparsePoly.one(1)
-    return canonical_scale(squarefree_part(p))
+    return squarefree_part(p)
 
 
 def _roots_of(p: SparsePoly) -> AlgebraicRoots:
@@ -572,8 +572,7 @@ def member_of_W(W: ExceptionalSet, curve: tuple[MeroFn, MeroFn, MeroFn]) -> list
         raise InvalidInput("expected a triple of class functions")
     if all(c.is_zero() for c in g):
         raise InvalidInput("all components vanish")
-    _, vectors = gcd_free_basis([dict(c.factors) for c in g])
-    columns = list(zip(*vectors))
+    columns = gcd_free_basis([dict(c.factors) for c in g]).values()
     matches = []
     for spec in W.curves:
         if spec.kind == "coordinate-line":

@@ -151,9 +151,17 @@ class MarginReport:
 _DEFAULT_GRID = (2.0, 200.0, 21)
 
 
+def _int_param(value) -> int:
+    """A JSON integer, refused as ``serialize.json_int`` refuses one: a float,
+    a bool or a string is not truncated or parsed."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise TypeError("expected an integer")
+
+
 def _grid_param(value) -> tuple[float, float, int]:
     rmin, rmax, count = value
-    return float(rmin), float(rmax), int(count)
+    return float(rmin), float(rmax), _int_param(count)
 
 
 def _allowance_param(value) -> tuple[Fraction, Fraction]:
@@ -170,9 +178,9 @@ def _flag(value) -> bool:
 # the type of each key a scenario's "params" may set: a Scenario converts its
 # params once, refusing other keys and the values a conversion rejects, and
 # the checks read the converted values
-_PARAM_TYPES = {"eps": Fraction, "ell": int, "ell2": int, "trunc": int, "scan_cap": int,
-                "r_pass": float, "grid": _grid_param, "log_allowance": _allowance_param,
-                "simple_zeros": _flag}
+_PARAM_TYPES = {"eps": Fraction, "ell": _int_param, "ell2": _int_param, "trunc": _int_param,
+                "scan_cap": _int_param, "r_pass": float, "grid": _grid_param,
+                "log_allowance": _allowance_param, "simple_zeros": _flag}
 PARAMS = frozenset(_PARAM_TYPES)
 
 # target -> name of its check in this module; run_scenario looks the name up
@@ -470,7 +478,7 @@ def gcd_bound_check(s: Scenario) -> MarginReport:
     for i in range(F.num_vars):
         point = [GaussRat(0)] * F.num_vars
         point[i] = GaussRat(1)
-        if not F.eval_exact(point) and not G.eval_exact(point):
+        if not F.compose(point, GaussRat.coerce) and not G.compose(point, GaussRat.coerce):
             raise InvalidInput(f"both forms vanish at the coordinate point e_{i}")
     notes: list[str] = []
     ell = s.params.get("ell")
@@ -641,15 +649,12 @@ def _ext_gcd(a: int, b: int) -> tuple[int, int]:
     return old_s, old_t
 
 
-def witness_curves(spec: CurveSpec, count: int = 3,
-                   require_form: SparsePoly | None = None) -> list[tuple[MeroFn, MeroFn, MeroFn]]:
+def witness_curves(spec: CurveSpec, count: int = 3) -> list[tuple[MeroFn, MeroFn, MeroFn]]:
     """Monomial curves t -> (c_i t^{k_i}) lying exactly on a relation curve.
 
     Returns up to ``count`` witnesses, or an empty list when the relation
     value beta is not a Gaussian rational (its enclosure has no exact
-    value).  With
-    ``require_form`` only witnesses whose composition with the form is
-    non-constant are kept (the generic parameterizations).
+    value).
     """
     if spec.kind == "coordinate-line":
         z = SparsePoly.variable(0, 1)
@@ -671,12 +676,7 @@ def witness_curves(spec: CurveSpec, count: int = 3,
             for i in range(3):
                 c = beta ** x[i]
                 comps.append(MeroFn(scalar=c, factors=[(z, k[i] + shift)]))
-            curve = tuple(comps)
-            if require_form is not None:
-                h = eval_poly_on_tuple(require_form, curve).as_polynomial()
-                if h is None or h.is_constant():
-                    continue
-            out.append(curve)
+            out.append(tuple(comps))
             if len(out) >= count:
                 return out
     return out

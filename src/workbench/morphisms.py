@@ -51,7 +51,7 @@ def share_a_zero(F: SparsePoly, G: SparsePoly, H: SparsePoly) -> bool:
     _require_forms(F, G, H)
     d = F.total_degree()
     a, b = next(ab for ab in itertools.product(range(d + 1), repeat=2)
-                if F.eval_exact([*ab, 1]))
+                if F.compose([*ab, 1], GaussRat.coerce))
     x0, x1, x2, t = (SparsePoly.variable(v, 4) for v in range(4))
     shear = (x0 + a * x2, x1 + b * x2, x2)
     F, G, H = (p.compose(shear, partial(SparsePoly.constant, num_vars=4)) for p in (F, G, H))

@@ -43,7 +43,7 @@ from .algebra.euclid import canonical_scale, gcd_poly
 from .algebra.gaussrat import GaussRat
 from .algebra.poly import SparsePoly
 from .algebra.roots import RootEnclosure, _to_mpc, roots_certified
-from .algebra.squarefree import squarefree_decompose
+from .algebra.squarefree import gcd_free_basis, squarefree_decompose
 from .errors import InvalidInput, QuadratureError
 
 INFINITY = float("inf")
@@ -90,7 +90,8 @@ class MeroFn:
         if scalar:
             for poly, mult in factors:
                 poly = _univar(poly)
-                mult = int(mult)
+                if not isinstance(mult, int) or isinstance(mult, bool):
+                    raise InvalidInput(f"a factor's multiplicity must be an integer, not {mult!r}")
                 if mult == 0:
                     continue
                 if not poly:
@@ -102,7 +103,7 @@ class MeroFn:
                     canon[sq] = canon.get(sq, 0) + k * mult
                 # the parts are monic, so the unit they drop is the leading coefficient
                 scalar = scalar * poly.terms[max(poly.terms)] ** mult
-            canon = _coprime_refine(canon)
+            canon = _refine(canon)
         self._set(scalar, canon.items(), exp_part)
 
     def _set(self, scalar: GaussRat, factors, exp_part: SparsePoly) -> None:
@@ -182,7 +183,7 @@ class MeroFn:
         canon = dict(self.factors)
         for p, m in other.factors:
             canon[p] = canon.get(p, 0) + m
-        return MeroFn._canonical(self.scalar * other.scalar, _coprime_refine(canon).items(),
+        return MeroFn._canonical(self.scalar * other.scalar, _refine(canon).items(),
                                  self.exp_part + other.exp_part)
 
     def __truediv__(self, other: "MeroFn") -> "MeroFn":
@@ -239,9 +240,9 @@ class MeroFn:
             return 0j
         acc = complex(self.scalar)
         for poly, mult in self.factors:
-            acc *= complex(poly.eval([z])) ** mult
+            acc *= poly.compose([z], complex) ** mult
         if self.exp_part:
-            acc *= np.exp(complex(self.exp_part.eval([z])))
+            acc *= np.exp(self.exp_part.compose([z], complex))
         return acc
 
     def log_abs(self, zs: np.ndarray) -> np.ndarray:
@@ -270,56 +271,11 @@ class MeroFn:
     __repr__ = __str__
 
 
-def _coprime_refine(canon: dict[SparsePoly, int]) -> dict[SparsePoly, int]:
-    """Split factors until pairwise coprime (gcd-free basis), exactly."""
-    work = [(p, m) for p, m in canon.items() if m]
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(work)):
-            for j in range(i + 1, len(work)):
-                p, mp = work[i]
-                q, mq = work[j]
-                if p == q:
-                    work[i] = (p, mp + mq)
-                    del work[j]
-                    changed = True
-                    break
-                g = gcd_poly(p, q, 0)
-                if g.degree_in(0) > 0:
-                    pg = canonical_scale(p.exact_div(g))
-                    qg = canonical_scale(q.exact_div(g))
-                    repl = [(g, mp + mq)]
-                    if pg.degree_in(0) > 0:
-                        repl.append((pg, mp))
-                    if qg.degree_in(0) > 0:
-                        repl.append((qg, mq))
-                    work = [w for k, w in enumerate(work) if k not in (i, j)] + repl
-                    changed = True
-                    break
-            if changed:
-                break
-    out: dict[SparsePoly, int] = {}
-    for p, m in work:
-        out[p] = out.get(p, 0) + m
-    return {p: m for p, m in out.items() if m}
-
-
-def gcd_free_basis(factor_maps: Sequence[dict[SparsePoly, int]]
-                   ) -> tuple[list[SparsePoly], list[list[int]]]:
-    """One gcd-free basis of the factors of every map, refined once, and each
-    map's integer vector of multiplicities over it.
-
-    The multiplicity of a basis element q in a map is the sum of the
-    multiplicities of the map's factors that q divides.  For the factors of
-    a canonical ``MeroFn`` c * prod_p p^(m_p) * exp(Q) (squarefree, pairwise
-    coprime, monic) that is c * prod_q q^(v_q) * exp(Q), so a product of
-    powers of such functions has the matching integer combination of their
-    vectors.
-    """
-    basis = list(_coprime_refine(dict.fromkeys(itertools.chain.from_iterable(factor_maps), 1)))
-    return basis, [[sum(k for p, k in fac.items() if q.divides(p)) for q in basis]
-                   for fac in factor_maps]
+def _refine(canon: dict[SparsePoly, int]) -> dict[SparsePoly, int]:
+    """The nonzero multiplicities of the factors over one gcd-free basis of
+    the factors with nonzero multiplicity."""
+    basis = gcd_free_basis([{p: m for p, m in canon.items() if m}])
+    return {q: m for q, (m,) in basis.items() if m}
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +292,7 @@ class LogDerivative:
     exp_harmonic = None  # no class-function view, so no exact circle average
 
     def eval(self, z: complex) -> complex:
-        return complex(self.num.eval([z])) / complex(self.den.eval([z]))
+        return self.num.compose([z], complex) / self.den.compose([z], complex)
 
     def is_zero(self) -> bool:
         return not self.num
@@ -803,8 +759,7 @@ def _inflate(p: SparsePoly, s: int) -> SparsePoly:
 def _shared_basis(ff: dict[SparsePoly, int], fg: dict[SparsePoly, int]):
     """(q, m) for each factor q of one gcd-free basis of both factor maps, with
     m > 0 the smaller of the multiplicities of q in ``ff`` and in ``fg``."""
-    basis, (vf, vg) = gcd_free_basis([ff, fg])
-    return [(q, m) for q, a, b in zip(basis, vf, vg) if (m := min(a, b))]
+    return [(q, m) for q, (a, b) in gcd_free_basis([ff, fg]).items() if (m := min(a, b))]
 
 
 def shared_zeros(f, g, radii) -> list[tuple[complex, int]]:
@@ -829,8 +784,8 @@ def shared_zeros(f, g, radii) -> list[tuple[complex, int]]:
         P, D, p = (ff, Dg, fg) if Df is None else (fg, Df, ff)
         beta, alpha = (c.constant_value() for c in D.coeffs_in(0))
         z0 = -beta / alpha
-        m = min(sum(k for q, k in P.items() if not q.eval_exact([z0])),
-                sum(k for q, k in p.items() if not q.eval_exact([1])))
+        m = min(sum(k for q, k in P.items() if not q.compose([z0], GaussRat.coerce)),
+                sum(k for q, k in p.items() if not q.compose([1], GaussRat.coerce)))
         return [(complex(z0), m)] if m else []
     ratio = Dg.coeffs_in(0)[1].constant_value() / Df.coeffs_in(0)[1].constant_value()
     if not ratio.is_rational():

@@ -93,21 +93,33 @@ def leading_coeff_log_abs_at_zero(f) -> float:
     origin (test oracle)."""
     total = math.log(abs(complex(f.scalar)))
     for poly, mult in f.factors:
-        c0 = poly.eval_exact([GaussRat(0)])
+        c0 = poly.compose([GaussRat(0)], GaussRat.coerce)
         if c0:
             total += mult * math.log(abs(complex(c0)))
         else:
             # squarefree factor: simple root at 0, use p'(0)
-            d0 = poly.partial_derivative(0).eval_exact([GaussRat(0)])
+            d0 = poly.partial_derivative(0).compose([GaussRat(0)], GaussRat.coerce)
             total += mult * math.log(abs(complex(d0)))
-    total += float(f.exp_part.eval_exact([GaussRat(0)]).re)
+    total += float(f.exp_part.compose([GaussRat(0)], GaussRat.coerce).re)
     return total
+
+
+def as_polynomial(fn) -> SparsePoly | None:
+    """The polynomial an exp-sum equals, or None when it is not one (test
+    oracle): a single term n/d with a constant d and no exponential."""
+    if fn.is_zero():
+        return SparsePoly.zero(1)
+    if len(fn.terms) == 1:
+        num, den, q = fn.terms[0]
+        if den.is_constant() and not q:
+            return num.scale(GaussRat(1) / den.constant_value())
+    return None
 
 
 def composed_form_has_multiple_zero(G: SparsePoly, curve) -> bool:
     """Exact check that G on a polynomial curve has some zero of
     multiplicity >= 2 (test oracle)."""
-    h = eval_poly_on_tuple(G, tuple(curve)).as_polynomial()
+    h = as_polynomial(eval_poly_on_tuple(G, tuple(curve)))
     assert h is not None, "composition did not reduce to a polynomial"
     if not h:
         return True

@@ -36,7 +36,13 @@ from workbench.nevanlinna import (
     log_derivative_T,
 )
 
-from conftest import fit_log_slope, leading_coeff_log_abs_at_zero, random_poly, scenario
+from conftest import (
+    as_polynomial,
+    fit_log_slope,
+    leading_coeff_log_abs_at_zero,
+    random_poly,
+    scenario,
+)
 
 
 def _vars3():
@@ -84,7 +90,7 @@ def test_criterion_1_exceptional_set_oracle():
     t = MeroFn.from_poly(_z())
     witness = (one, t, MeroFn.constant(GaussRat(0, 1)))
     assert member_of_W(W, witness)
-    Gg = eval_poly_on_tuple(sphere(), witness).as_polynomial()
+    Gg = as_polynomial(eval_poly_on_tuple(sphere(), witness))
     assert Gg == _z() ** 2
     f = MeroFn.from_poly(Gg)
     for r in (7.0, 23.0):

@@ -119,6 +119,12 @@ def test_exset_refuses_an_enumeration_that_cannot_finish(tmp_path, capsys):
     ("smt_lines.json", "trunc", "x"),
     ("smt_lines.json", "r_pass", "far"),
     ("smt_exp_units.json", "simple_zeros", "yes"),
+    # integers are JSON integers: not truncated, counted as 1 or parsed
+    ("coefficient_borel.json", "ell", 2.7),
+    ("lower_bound_generic.json", "ell2", True),
+    ("smt_lines.json", "trunc", "3"),
+    ("gcd_bound_units.json", "scan_cap", 4.5),
+    ("unit_sum_poly.json", "grid", [5.0, 500.0, 21.5]),
 ])
 def test_verify_refuses_a_malformed_parameter(tmp_path, capsys, name, key, value):
     doc = json.loads((shipped_scenario_dir() / name).read_text())
@@ -127,6 +133,21 @@ def test_verify_refuses_a_malformed_parameter(tmp_path, capsys, name, key, value
     path.write_text(json.dumps(doc))
     assert main(["verify", "--scenario", str(path)]) == 2
     assert f"error: malformed scenario parameter {key!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("doc, problem", [
+    ({"vectors": [[0, 0], [1.5, 0]]}, "'vectors' must be an integer, not 1.5"),
+    ({"vectors": [[0], [True]]}, "'vectors' must be an integer, not True"),
+    ({"generators": [[0]]}, "no key 'vectors'"),
+    ([[0], [1]], "malformed family document"),
+], ids=["float-exponent", "bool-exponent", "no-vectors", "not-an-object"])
+def test_a_malformed_family_document_is_refused(tmp_path, capsys, doc, problem):
+    path = tmp_path / "family.json"
+    path.write_text(json.dumps(doc))
+    argv = ["constants", "--n", "2", "--d", "1", "--eps", "1/2", "--family", str(path)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and problem in err
 
 
 @pytest.mark.parametrize("command, flag, value", [

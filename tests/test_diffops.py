@@ -239,5 +239,24 @@ def test_diffpoly_serialization_round_trip():
     back_ring, back = diffpoly_from_doc(json.loads(json.dumps(doc)))
     assert back_ring.n == ring.n and back == F
     # the layout fixes x0..xn for n symbols, so another x count is refused
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidInput):
         diffpoly_from_doc({**doc, "vars": 4})
+
+
+def test_diffpoly_document_numbers_are_json_integers():
+    from workbench.diffops import diffpoly_from_doc, diffpoly_to_doc
+
+    ring = DiffSymbolRing(2)
+    x0, x1, x2, w1, w2, lam_p, s, lam, lam_inv = symbols(ring)
+    doc = diffpoly_to_doc(ring, w1 * x1 + x0**2)
+    term = doc["terms"][0]
+    part = {**term["coeff"][0], "exp": [True, 0, 0, 0, 0, 0]}
+    bad = [
+        ({**doc, "vars": 3.0}, "'vars' must be an integer, not 3.0"),
+        ({**doc, "terms": [{**term, "exp": [1.7, 0, 0]}]}, "'exp' must be an integer, not 1.7"),
+        ({**doc, "terms": [{**term, "coeff": [part]}]}, "'exp' must be an integer, not True"),
+        ({k: v for k, v in doc.items() if k != "terms"}, "no key 'terms'"),
+    ]
+    for bad_doc, problem in bad:
+        with pytest.raises(InvalidInput, match=problem):
+            diffpoly_from_doc(bad_doc)

@@ -12,7 +12,7 @@ from workbench.errors import InvalidInput
 from workbench.expsum import ExpSumFn, eval_poly_on_tuple
 from workbench.nevanlinna import MeroFn, _log_counting
 
-from conftest import variables
+from conftest import as_polynomial, variables
 
 
 def z():
@@ -50,9 +50,9 @@ def test_poly_evaluation_on_tuple():
     one = MeroFn.constant(1)
     t = MeroFn.from_poly(z())
     i_const = MeroFn.constant(GaussRat(0, 1))
-    got = eval_poly_on_tuple(G, (one, t, i_const)).as_polynomial()
+    got = as_polynomial(eval_poly_on_tuple(G, (one, t, i_const)))
     assert got == z() ** 2  # 1 + t^2 - 1
-    got = eval_poly_on_tuple(G, (one, t, MeroFn.from_poly(z() + 1))).as_polynomial()
+    got = as_polynomial(eval_poly_on_tuple(G, (one, t, MeroFn.from_poly(z() + 1))))
     assert got == 2 * z() ** 2 + 2 * z() + 2
 
 

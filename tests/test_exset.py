@@ -381,7 +381,7 @@ def test_member_of_W_refines_once_and_multiplies_nothing(monkeypatch):
     spec = next(c for c in W.curves if c.kind == "monomial-relation" and witness_curves(c))
     f = _random_class_function(random.Random(3))
     curve = tuple(f * c for c in witness_curves(spec, count=1)[0])
-    refinements = count_calls(monkeypatch, nevanlinna, "_coprime_refine")
+    refinements = count_calls(monkeypatch, exset, "gcd_free_basis")
     products = [count_calls(monkeypatch, MeroFn, name)
                 for name in ("__mul__", "__truediv__", "__pow__", "inverse")]
     assert spec in member_of_W(W, curve)

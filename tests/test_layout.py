@@ -156,6 +156,25 @@ def test_one_home_for_division_and_composition():
     assert owners == {"__divmod__": {"SparsePoly"}, "compose": {"SparsePoly"}}
 
 
+def test_one_home_for_bases_squarefree_parts_and_evaluation():
+    """algebra/squarefree.py alone defines the gcd-free basis, which every
+    refinement reads; squarefree_part and is_squarefree read one loop of
+    gcds with the partial derivatives; compose is the one evaluation.  The
+    restart loop and the two evaluators it replaced are gone."""
+    owners = {"gcd_free_basis": set(), "_repeated_part": set()}
+    for path in PACKAGE.rglob("*.py"):
+        text = path.read_text()
+        for node in ast.walk(ast.parse(text, str(path))):
+            if isinstance(node, ast.FunctionDef) and node.name in owners:
+                owners[node.name].add(path.relative_to(PACKAGE).as_posix())
+        assert not re.search(r"\b(_coprime_refine|eval_exact)\b|\.eval\(\[", text), path.name
+    assert owners == {"gcd_free_basis": {"algebra/squarefree.py"},
+                      "_repeated_part": {"algebra/euclid.py"}}
+    from workbench.algebra.poly import SparsePoly
+
+    assert not hasattr(SparsePoly, "eval") and not hasattr(SparsePoly, "eval_exact")
+
+
 def test_one_home_for_circle_functionals():
     """Circle averages and the choice between the two function types live in
     nevanlinna.py; the harness asks for functionals and never tests a type.

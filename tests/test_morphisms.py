@@ -171,7 +171,7 @@ def test_share_a_zero_against_exact_intersections(rng):
             if not any(_cross(P, v)):
                 continue
             H = H * _linear_form(_cross(P, v))
-        truth = any(not H.eval_exact(P) for P in points)
+        truth = any(not H.compose(P, GaussRat.coerce) for P in points)
         for triple in ((F, G, H), (G, H, F), (H, F, G)):
             assert share_a_zero(*triple) == truth
         outcomes.append(truth)
@@ -289,7 +289,7 @@ def sign_flip_degree(Z, rng) -> int:
     lie on Z.
     """
     p0, p1 = complex(rng.uniform(1, 2), rng.uniform(1, 2)), complex(rng.uniform(1, 2), -1)
-    coeffs = [complex(c.eval([p0, p1, 0])) for c in Z.coeffs_in(2)]
+    coeffs = [c.compose([p0, p1, 0], complex) for c in Z.coeffs_in(2)]
     p2 = np.roots(coeffs[::-1])[0] if len(coeffs) > 1 else 0j
     flips = []
     for s0 in (1, -1):
@@ -298,7 +298,7 @@ def sign_flip_degree(Z, rng) -> int:
             q = q / q[np.argmax(np.abs(q))]
             if all(np.max(np.abs(q - f)) > 1e-9 for f in flips):
                 flips.append(q)
-    return sum(abs(complex(Z.eval(list(q)))) < 1e-9 for q in flips)
+    return sum(abs(Z.compose(list(q), complex)) < 1e-9 for q in flips)
 
 
 def assert_image(m, Z, A, rng):

@@ -37,6 +37,13 @@ def test_canonical_form():
     assert g.is_constant() and g.constant_value() == GaussRat(1)
 
 
+@pytest.mark.parametrize("mult", [1.5, 2.0, True, "3", Fraction(3)])
+def test_multiplicities_are_integers(mult):
+    # refused, not truncated to z^1, counted as 1 or parsed
+    with pytest.raises(InvalidInput, match="multiplicity must be an integer"):
+        MeroFn(factors=[(z() ** 3, mult)])
+
+
 def test_mero_operator_examples():
     t = z()
     assert MeroFn.from_poly(t**2) * MeroFn.from_poly(t**3) == MeroFn.from_poly(t**5)

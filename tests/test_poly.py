@@ -71,11 +71,47 @@ def test_homogeneity_and_degrees():
     assert p.degree_in(2) == 2 and p.min_degree_in(2) == 0
 
 
-def test_eval_exact_and_numeric():
+def _reference_eval(p, values):
+    """The former float evaluator: complex coefficients, summed in term order."""
+    total = None
+    for expo, coeff in p.terms.items():
+        term = complex(coeff)
+        for v, e in zip(values, expo):
+            if e:
+                term = term * v**e
+        total = term if total is None else total + term
+    return 0j if total is None else total
+
+
+def _reference_eval_exact(p, values):
+    """The former exact evaluator."""
+    values = [GaussRat.coerce(v) for v in values]
+    acc = GaussRat(0)
+    for expo, coeff in p.terms.items():
+        term = coeff
+        for v, e in zip(values, expo):
+            if e:
+                term = term * v**e
+        acc = acc + term
+    return acc
+
+
+def test_eval_exact_and_numeric(rng):
     x0, x1 = variables(2)
     p = x0**2 + 3 * x1
-    assert p.eval_exact([GaussRat(2), GaussRat(1, 1)]) == GaussRat(7, 3)
-    assert p.eval([2.0, 1j]) == pytest.approx(4 + 3j)
+    assert p.compose([GaussRat(2), GaussRat(1, 1)], GaussRat.coerce) == GaussRat(7, 3)
+    assert p.compose([2.0, 1j], complex) == pytest.approx(4 + 3j)
+    # compose is the one evaluation: it gives the former evaluators' values,
+    # bit for bit in floating point, on sums and products (whose routes list
+    # terms in different orders) in one to three variables
+    for _ in range(60):
+        n = rng.randrange(1, 4)
+        a, b = (random_poly(rng, n, 3, coeff_range=9) for _ in range(2))
+        for q in (a, a * b, a - a):
+            point = [GaussRat(rng.randrange(-4, 5), rng.randrange(-4, 5)) for _ in range(n)]
+            assert q.compose(point, GaussRat.coerce) == _reference_eval_exact(q, point)
+            z = [complex(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(n)]
+            assert q.compose(z, complex) == _reference_eval(q, z)
 
 
 def test_specialize(rng):

@@ -62,7 +62,7 @@ def test_residual_bound(rng):
         B = cauchy_root_bound(f)
         bound = lc * tol * (2 * B) ** max(f.degree_in(0) - 1, 0)
         for e in roots.roots:
-            val = abs(complex(f.eval([e.center])))
+            val = abs(f.compose([e.center], complex))
             assert val <= max(bound, 1e-30) * 1e3 or val <= 1e-12
 
 
@@ -226,6 +226,17 @@ def test_exact_on_exactly_the_gaussian_rational_roots():
 def test_exact_roots_of_named_polynomials(f, values, irrational):
     assert _exact_roots(f) == values
     assert sum(d.multiplicity for d in roots_certified(f).roots if d.exact is None) == irrational
+
+
+def test_exact_roots_in_whichever_variable_occurs():
+    # the univariate view is solved, so a root is exact when the only
+    # occurring variable of a polynomial in several variables is not the first
+    for n in (2, 3):
+        for v in range(n):
+            y = SparsePoly.variable(v, n)
+            assert _exact_roots(y**2 + 1) == {GaussRat(0, 1): 1, GaussRat(0, -1): 1}
+            assert _exact_roots(y**3 - 8) == {GaussRat(2): 1}
+            assert _exact_roots(y**2 * (2 * y - 3) ** 2) == {0: 2, GaussRat(Fraction(3, 2)): 2}
 
 
 def test_exactness_beyond_the_precision_ladder_is_refused():
