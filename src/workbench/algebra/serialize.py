@@ -70,9 +70,20 @@ def poly_from_doc(doc: dict) -> SparsePoly:
         return SparsePoly(n, terms)
 
 
+def read_doc(path, kind: str):
+    """The JSON document in the file at ``path``; a file that cannot be read
+    or does not hold JSON raises InvalidInput naming the ``kind`` of document."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise InvalidInput(f"cannot read the {kind} document {path}: {exc.strerror}") from exc
+    except ValueError as exc:
+        raise InvalidInput(f"malformed {kind} document {path}: {exc}") from exc
+
+
 def load_poly(path: str) -> SparsePoly:
-    with open(path) as fh:
-        return poly_from_doc(json.load(fh))
+    return poly_from_doc(read_doc(path, "polynomial"))
 
 
 def dump_poly(p: SparsePoly, path: str) -> None:

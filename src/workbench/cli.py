@@ -58,8 +58,7 @@ def _atomic_write(path: str, text: str) -> None:
 
 
 def _load_mero(path: str):
-    with open(path) as fh:
-        return mero_from_doc(json.load(fh))
+    return mero_from_doc(serialize.read_doc(path, "class-function"))
 
 
 def _cmd_exset(args) -> int:
@@ -78,8 +77,7 @@ def _cmd_exset(args) -> int:
 def _cmd_constants(args) -> int:
     fam = None
     if args.family:
-        with open(args.family) as fh:
-            doc = json.load(fh)
+        doc = serialize.read_doc(args.family, "family")
         with serialize.refuse_malformed("family"):
             fam = MonomialFamily(tuple(tuple(v) for v in doc["vectors"]))
     prof = full_profile(args.eps, args.n, args.d, fam, args.c3)

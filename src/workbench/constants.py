@@ -9,7 +9,7 @@ multiplicity threshold.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 
 from .algebra.serialize import json_int
@@ -52,19 +52,9 @@ class ConstantsProfile:
     c3: Fraction | None = None  # supplied, not computed
 
     def as_dict(self) -> dict:
-        out = {
-            "n": self.n, "d": self.d, "m": self.m, "M": self.M,
-            "M_prime": self.M_prime, "c_mnd": self.c_mnd, "L": self.L,
-        }
-        if self.eps is not None:
-            out["eps"] = str(self.eps)
-        for k in ("b", "w", "u", "N_threshold"):
-            v = getattr(self, k)
-            if v is not None:
-                out[k] = v
-        if self.c3 is not None:
-            out["c3"] = str(self.c3)
-        return out
+        """The fields that are set, in order, each Fraction as a string."""
+        return {f.name: str(v) if isinstance(v, Fraction) else v for f in fields(self)
+                if (v := getattr(self, f.name)) is not None}
 
 
 def constants(n: int, d: int, m: int) -> ConstantsProfile:
@@ -222,7 +212,7 @@ def choose_N(eps: Fraction, n: int, m: int, L: int, M: int, c3: Fraction) -> int
     if eps <= 0 or min(n, m, L, M) <= 0 or Fraction(c3) < 0:
         raise InvalidInput("all inputs must be positive (c3 >= 0)")
     value = 4 * ((n + 1) * m * L + Fraction(c3) / M) / eps
-    return int(value) + 1 if value == int(value) else math.floor(value) + 1
+    return math.floor(value) + 1
 
 
 def full_profile(eps: Fraction, n: int, d: int, fam: MonomialFamily | None = None,

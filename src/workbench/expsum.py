@@ -15,9 +15,7 @@ from __future__ import annotations
 
 import cmath
 import functools
-import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -25,7 +23,7 @@ from .algebra.euclid import gcd_poly
 from .algebra.gaussrat import GaussRat
 from .algebra.poly import SparsePoly
 from .errors import InvalidInput
-from .nevanlinna import MeroFn, _complex_coeffs_desc, exp_lattice
+from .nevanlinna import MeroFn, _complex_coeffs_desc, common_unit, exp_lattice
 
 
 def _zero1() -> SparsePoly:
@@ -89,7 +87,11 @@ class ExpSumFn:
 
     @staticmethod
     def from_mero(f: MeroFn) -> "ExpSumFn":
-        """Convert a factored class function; poles become denominators."""
+        """Convert a factored class function; poles become denominators.
+
+        The factors are monic, squarefree and pairwise coprime, so num/den
+        is already reduced with den monic: the term is wrapped as it is,
+        without ``from_terms``."""
         if f.is_zero():
             return ExpSumFn.zero()
         num = SparsePoly.constant(f.scalar, 1)
@@ -99,7 +101,7 @@ class ExpSumFn:
                 num = num * p**m
             else:
                 den = den * p ** (-m)
-        return ExpSumFn.from_terms([(num, den, f.exp_part)])
+        return ExpSumFn(((num, den, f.exp_part),))
 
     # -- predicates ------------------------------------------------------------
 
@@ -200,46 +202,23 @@ class ExpSumFn:
         """Recognize sum_k c_k exp(m_k D) with constants c_k, integers m_k.
 
         Returns (p, D) with p(w) = sum c_k w^{m_k - min m} and D linear, or
-        None.  Exponent remainders that are nonzero constants would scale
-        coefficients by transcendental units, so only exact multiples count.
+        None.  The exponents less the first must be integer multiples of one
+        D (``common_unit``): remainders that are nonzero constants would
+        scale coefficients by transcendental units.  The exponents of the
+        terms are distinct, so the powers are too, and p has degree >= 1.
         """
         if len(self.terms) < 2:
             return None
         if not all(n.is_constant() and d.is_constant() for n, d, _ in self.terms):
             return None
         base = self.terms[0][2]
-        diffs = [q - base for _, _, q in self.terms]
-        if any(d.degree_in(0) > 1 for d in diffs):
+        common = common_unit([q - base for _, _, q in self.terms])
+        if common is None:
             return None
-        nonzero = [d for d in diffs if d]
-        if not nonzero or any(d.degree_in(0) < 1 for d in nonzero):
-            return None
-        D0 = nonzero[0]
-        lead0 = D0.coeffs_in(0)[1].constant_value()
-        ratios: list[Fraction] = []
-        for d in diffs:
-            if not d:
-                ratios.append(Fraction(0))
-                continue
-            ratio = d.coeffs_in(0)[1].constant_value() / lead0
-            if not ratio.is_rational():
-                return None
-            if d != D0.scale(ratio):
-                return None
-            ratios.append(ratio.re)
-        denom = math.lcm(*(f.denominator for f in ratios))
-        D = D0.scale(GaussRat(Fraction(1, denom)))
-        powers = [int(f * denom) for f in ratios]
+        D, powers = common
         shift = min(powers)
-        terms = {}
-        for (n, d, _), m in zip(self.terms, powers):
-            key = (m - shift,)
-            c = n.constant_value() / d.constant_value()
-            terms[key] = terms.get(key, GaussRat(0)) + c
-        poly_w = SparsePoly(1, terms)
-        if not poly_w or poly_w.degree_in(0) < 1:
-            return None
-        return poly_w, D
+        return SparsePoly(1, {(m - shift,): n.constant_value() / d.constant_value()
+                              for (n, d, _), m in zip(self.terms, powers)}), D
 
 
 def eval_poly_on_tuple(P: SparsePoly, fns: tuple) -> ExpSumFn:

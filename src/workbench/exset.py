@@ -68,9 +68,6 @@ class NormalizedPair:
             assert (a, b) == (0, 1)
         assert a < b, "expected a < b"
 
-    def ell1(self) -> int:
-        return abs(self.n1) + abs(self.n2)
-
 
 def _bezout_constrained(n1: int, n2: int) -> tuple[int, int]:
     if n1 == 0:
@@ -83,40 +80,31 @@ def _bezout_constrained(n1: int, n2: int) -> tuple[int, int]:
 
 
 def normalize_pair(n1: int, n2: int) -> NormalizedPair:
-    """Normalize an integer pair (not both zero) to the canonical form."""
+    """Normalize an integer pair (not both zero) to the canonical form.
+
+    The sign rule: the absolute values of the primitive pair in ascending
+    order when the signs agree (or one is 0), else the larger negated and
+    put first.
+    """
     if (n1, n2) == (0, 0):
         raise InvalidInput("pair (0, 0) is not admissible")
     g = math.gcd(n1, n2)
-    m1, m2 = n1 // g, n2 // g
-    for swap, flip in ((False, False), (True, False), (False, True), (True, True)):
-        c1, c2 = (m2, m1) if swap else (m1, m2)
-        if flip:
-            c1, c2 = -c1, -c2
-        if c1 * c2 >= 0:
-            if not (c2 >= c1 >= 0):
-                continue
-        else:
-            if not (0 < c2 <= -c1):
-                continue
-        a, b = _bezout_constrained(c1, c2)
-        return NormalizedPair(c1, c2, a, b)
-    raise InternalContradiction(f"no normal form found for ({n1}, {n2})")
+    lo, hi = sorted((abs(n1) // g, abs(n2) // g))
+    c1, c2 = (lo, hi) if n1 * n2 >= 0 else (-hi, lo)
+    return NormalizedPair(c1, c2, *_bezout_constrained(c1, c2))
 
 
 def enumerate_pairs(ell2: int) -> list[NormalizedPair]:
-    """All normalized coprime pairs with |n1| + |n2| <= ell2, deterministic order."""
+    """All normalized coprime pairs with |n1| + |n2| <= ell2, ordered by
+    s = |n1| + |n2|, then n1: for each s the mixed-sign pairs (lo - s, lo),
+    then (lo, s - lo), with lo <= s - lo and the pair coprime."""
     if ell2 < 1:
         raise InvalidInput("enumeration bound must be >= 1")
-    seen = {}
-    for n1 in range(-ell2, ell2 + 1):
-        for n2 in range(-ell2, ell2 + 1):
-            if (n1, n2) == (0, 0) or abs(n1) + abs(n2) > ell2:
-                continue
-            if math.gcd(n1, n2) != 1:
-                continue
-            p = normalize_pair(n1, n2)
-            seen[(p.n1, p.n2)] = p
-    return sorted(seen.values(), key=lambda p: (p.ell1(), p.n1, p.n2))
+    return [NormalizedPair(n1, n2, *_bezout_constrained(n1, n2))
+            for s in range(1, ell2 + 1)
+            for n1, n2 in [(lo - s, lo) for lo in range(1, s // 2 + 1)]
+            + [(lo, s - lo) for lo in range(s // 2 + 1)]
+            if math.gcd(n1, n2) == 1]
 
 
 def pair_count(ell2: int) -> int:

@@ -33,7 +33,6 @@ Supported targets:
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -245,29 +244,32 @@ def _component_from_doc(doc) -> MeroFn:
 
 
 def scenario_from_doc(doc: dict) -> Scenario:
-    if doc.get("schema") not in (None, "scenario/1"):
-        raise InvalidInput(f"unknown scenario schema {doc.get('schema')!r}")
-    target = doc.get("target")
-    if target not in CHECKS:
-        raise InvalidInput(f"unknown target {target!r}")
-    curve = tuple(_component_from_doc(c) for c in doc.get("curve", []))
-    coeffs = tuple(_component_from_doc(c) for c in doc.get("coeffs", []))
-    poly = serialize.poly_from_doc(doc["poly"]) if "poly" in doc else None
-    polys = tuple(serialize.poly_from_doc(p) for p in doc.get("polys", []))
-    return Scenario(
-        name=doc.get("name", "unnamed"),
-        target=target,
-        curve=curve,
-        coeffs=coeffs,
-        poly=poly,
-        polys=polys,
-        params=doc.get("params", {}),
-    )
+    """The scenario of a document; a malformed one raises InvalidInput."""
+    if not isinstance(doc, dict):
+        raise InvalidInput(f"a scenario document is an object, not {doc!r}")
+    with serialize.refuse_malformed("scenario"):
+        if doc.get("schema") not in (None, "scenario/1"):
+            raise InvalidInput(f"unknown scenario schema {doc.get('schema')!r}")
+        target = doc.get("target")
+        if target not in CHECKS:
+            raise InvalidInput(f"unknown target {target!r}")
+        curve = tuple(_component_from_doc(c) for c in doc.get("curve", []))
+        coeffs = tuple(_component_from_doc(c) for c in doc.get("coeffs", []))
+        poly = serialize.poly_from_doc(doc["poly"]) if "poly" in doc else None
+        polys = tuple(serialize.poly_from_doc(p) for p in doc.get("polys", []))
+        return Scenario(
+            name=doc.get("name", "unnamed"),
+            target=target,
+            curve=curve,
+            coeffs=coeffs,
+            poly=poly,
+            polys=polys,
+            params=doc.get("params", {}),
+        )
 
 
 def load_scenario(path: str | Path) -> Scenario:
-    with open(path) as fh:
-        return scenario_from_doc(json.load(fh))
+    return scenario_from_doc(serialize.read_doc(path, "scenario"))
 
 
 # ---------------------------------------------------------------------------

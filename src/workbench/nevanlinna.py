@@ -34,12 +34,13 @@ import itertools
 import math
 import sys
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
 import mpmath
 import numpy as np
 
-from .algebra.euclid import canonical_scale, gcd_poly
+from .algebra.euclid import gcd_poly
 from .algebra.gaussrat import GaussRat
 from .algebra.poly import SparsePoly
 from .algebra.roots import RootEnclosure, _to_mpc, roots_certified
@@ -49,9 +50,9 @@ from .errors import InvalidInput, QuadratureError
 INFINITY = float("inf")
 
 
-def _univar(p: SparsePoly) -> SparsePoly:
-    if p.num_vars != 1:
-        raise InvalidInput("expected a univariate polynomial")
+def _univar(p) -> SparsePoly:
+    if not isinstance(p, SparsePoly) or p.num_vars != 1:
+        raise InvalidInput(f"expected a univariate polynomial, not {p!r}")
     return p
 
 
@@ -64,18 +65,21 @@ def _complex_coeffs_desc(p: SparsePoly) -> np.ndarray:
 
 
 class MeroFn:
-    """A meromorphic function scalar * prod p_k^{m_k} * exp(Q).
+    """A meromorphic function scalar * prod_k P_k^k * exp(Q).
 
-    Canonical form: factor polynomials are squarefree, pairwise coprime,
-    monic, non-constant, with nonzero multiplicities; the scalar absorbs
-    all constants.  The zero scalar represents the zero function.
+    Canonical form, by order: one monic squarefree P_k for each nonzero
+    order k, whose roots are the points of order k; the scalar absorbs all
+    constants.  It is the squarefree decomposition of the numerator and the
+    denominator (Yun, SYMSAC 1976), unique, so ``==`` and ``hash`` compare
+    values.  The zero scalar represents the zero function.
 
     The public constructor canonicalises its input: one squarefree
     decomposition per factor (whose parts are monic, so the unit moved into
     the scalar is the factor's leading coefficient), then a gcd-free
-    refinement across all parts.  Operands of ``*``, ``/``, ``inverse`` and
-    ``**`` are already canonical, so products only refine the two factor
-    lists against each other and inverses and powers map multiplicities;
+    refinement across all parts, regrouped by order (``_by_order``).
+    Operands of ``*``, ``/``, ``inverse`` and ``**`` are already canonical,
+    so products only refine the two factor lists against each other and
+    regroup, and inverses and powers map the orders, which stay distinct;
     none of them decomposes again.
     """
 
@@ -103,8 +107,7 @@ class MeroFn:
                     canon[sq] = canon.get(sq, 0) + k * mult
                 # the parts are monic, so the unit they drop is the leading coefficient
                 scalar = scalar * poly.terms[max(poly.terms)] ** mult
-            canon = _refine(canon)
-        self._set(scalar, canon.items(), exp_part)
+        self._set(scalar, _by_order(canon), exp_part)
 
     def _set(self, scalar: GaussRat, factors, exp_part: SparsePoly) -> None:
         object.__setattr__(self, "scalar", scalar)
@@ -183,7 +186,7 @@ class MeroFn:
         canon = dict(self.factors)
         for p, m in other.factors:
             canon[p] = canon.get(p, 0) + m
-        return MeroFn._canonical(self.scalar * other.scalar, _refine(canon).items(),
+        return MeroFn._canonical(self.scalar * other.scalar, _by_order(canon),
                                  self.exp_part + other.exp_part)
 
     def __truediv__(self, other: "MeroFn") -> "MeroFn":
@@ -271,11 +274,15 @@ class MeroFn:
     __repr__ = __str__
 
 
-def _refine(canon: dict[SparsePoly, int]) -> dict[SparsePoly, int]:
-    """The nonzero multiplicities of the factors over one gcd-free basis of
-    the factors with nonzero multiplicity."""
-    basis = gcd_free_basis([{p: m for p, m in canon.items() if m}])
-    return {q: m for q, (m,) in basis.items() if m}
+def _by_order(canon: dict[SparsePoly, int]) -> list[tuple[SparsePoly, int]]:
+    """(P_k, k) for each nonzero order k of prod p^m over ``canon``: P_k is the
+    product of the elements of one gcd-free basis of the factors on which the
+    multiplicity is k."""
+    orders: dict[int, SparsePoly] = {}
+    for q, (m,) in gcd_free_basis([{p: m for p, m in canon.items() if m}]).items():
+        if m:
+            orders[m] = orders[m] * q if m in orders else q
+    return [(p, m) for m, p in orders.items()]
 
 
 # ---------------------------------------------------------------------------
@@ -305,11 +312,11 @@ class LogDerivative:
 
     @functools.cached_property
     def poles(self) -> tuple[RootEnclosure, ...]:
-        """Poles are exactly the distinct roots of the factor product (all
-        simple); resolved once per object."""
+        """Poles are exactly the distinct roots of the (monic) factor product
+        (all simple); resolved once per object."""
         if self.den.is_constant():
             return ()
-        return roots_certified(canonical_scale(self.den)).roots
+        return roots_certified(self.den).roots
 
 
 def log_derivative(f: MeroFn) -> LogDerivative:
@@ -750,6 +757,24 @@ def _unit_factors(fn, radii) -> tuple[SparsePoly | None, dict[SparsePoly, int]]:
     return D, dict(squarefree_decompose(p))
 
 
+def common_unit(exponents: Sequence[SparsePoly]) -> tuple[SparsePoly, list[int]] | None:
+    """(D, [k_i]) with D linear and each exponent k_i * D for coprime integers
+    k_i, or None.  D is the first nonzero exponent over the lcm of the
+    denominators of the exponents' ratios to it; an exponent off that line
+    by a nonzero constant c has none (e^c would be algebraic; Lindemann)."""
+    D0 = next((e for e in exponents if e), None)
+    if D0 is None or D0.degree_in(0) != 1:
+        return None
+    ratios = []
+    for e in exponents:
+        ratio = e.terms.get((1,), GaussRat(0)) / D0.terms[(1,)]
+        if not ratio.is_rational() or e != D0.scale(ratio):
+            return None
+        ratios.append(ratio.re)
+    denom = math.lcm(*(k.denominator for k in ratios))
+    return D0.scale(GaussRat(Fraction(1, denom))), [int(k * denom) for k in ratios]
+
+
 def _inflate(p: SparsePoly, s: int) -> SparsePoly:
     """p(w^s), times w^(|s| deg p) when s < 0 so that it is a polynomial."""
     top = p.degree_in(0) if s < 0 else 0
@@ -770,11 +795,12 @@ def shared_zeros(f, g, radii) -> list[tuple[complex, int]]:
     factors (``_unit_factors``), and the shared zeros are those of the shared
     factors of one gcd-free basis over Q(i): their roots for two class
     functions, their exp lattices in |z| <= max(radii) for units e^{D_f},
-    e^{D_g} with D_g = (a/b) D_f, rewritten over e^{D_f/b}.  If D_g - (a/b) D_f
-    is a nonzero constant c, nothing is shared (e^{bc} would be algebraic;
-    Lindemann).  A class function P and p(e^{alpha z + beta}) can share only
-    z0 = -beta/alpha, when P(z0) = 0 and p(1) = 0 (Hermite-Lindemann).  Units
-    whose ratio is not rational raise.
+    e^{D_g} rewritten over their common unit e^D (``common_unit``), D_f = k_f D
+    and D_g = k_g D.  Units with a rational ratio and no common unit differ by
+    a nonzero constant, and share nothing (Lindemann).  A class function P
+    and p(e^{alpha z + beta}) can share only z0 = -beta/alpha, when
+    P(z0) = 0 and p(1) = 0 (Hermite-Lindemann).  Units whose ratio is not
+    rational raise.
     """
     (Df, ff), (Dg, fg) = _unit_factors(f, radii), _unit_factors(g, radii)
     if Df is None and Dg is None:
@@ -791,12 +817,12 @@ def shared_zeros(f, g, radii) -> list[tuple[complex, int]]:
     if not ratio.is_rational():
         raise InvalidInput(f"units exp({Df.to_string(['z'])}) and exp({Dg.to_string(['z'])}) "
                            "have no rational ratio")
-    if Dg != Df.scale(ratio):
+    common = common_unit([Df, Dg])
+    if common is None:
         return []
-    a, b = ratio.re.numerator, ratio.re.denominator
-    ff = {_inflate(q, b): k for q, k in ff.items()}
-    fg = {_inflate(q, a): k for q, k in fg.items()}
-    unit = Df.scale(GaussRat(1) / b)
+    unit, (kf, kg) = common
+    ff = {_inflate(q, kf): k for q, k in ff.items()}
+    fg = {_inflate(q, kg): k for q, k in fg.items()}
     return [(z, m) for q, m in _shared_basis(ff, fg)
             for z, _ in exp_lattice(q, unit, max(radii))]
 

@@ -233,3 +233,51 @@ def test_a_malformed_function_document_is_refused(tmp_path, capsys, command, doc
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and problem in err
+
+
+SCENARIO = "truncation_defect_generic.json"
+
+
+@pytest.mark.parametrize("key, value, problem", [
+    ("params", [], "malformed scenario document"),
+    ("target", [], "malformed scenario document"),
+    ("curve", None, "malformed scenario document"),
+    ("polys", 3, "malformed scenario document"),
+    (None, [1], "a scenario document is an object"),
+    (None, "truncated", "malformed scenario document"),
+    (None, "missing", "cannot read the scenario document"),
+], ids=["params-list", "target-list", "curve-null", "polys-number", "not-an-object",
+        "truncated", "missing-file"])
+def test_a_malformed_scenario_document_is_refused(tmp_path, capsys, key, value, problem):
+    """verify exits 2 with an error line, not 1 (a violated inequality) with a
+    traceback."""
+    text = (shipped_scenario_dir() / SCENARIO).read_text()
+    path = tmp_path / SCENARIO
+    if key is not None:
+        doc = json.loads(text)
+        doc[key] = value
+        path.write_text(json.dumps(doc))
+    elif value == "truncated":
+        path.write_text(text[:len(text) // 2])
+    elif value != "missing":
+        path.write_text(json.dumps(value))
+    assert main(["verify", "--scenario", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and problem in err
+
+
+@pytest.mark.parametrize("state", ["truncated", "missing"])
+@pytest.mark.parametrize("command", ["exset", "nev", "constants"])
+def test_an_unreadable_document_file_is_refused(tmp_path, capsys, command, state):
+    path = tmp_path / "doc.json"
+    if state == "truncated":
+        path.write_text('{"vars": 1, "terms": [{"exp": [1], "re"')
+    argv = {"exset": ["exset", "--poly", str(path), "--bound", "2"],
+            "nev": ["nev", "--fn", str(path), "--grid", "2,50,5", "--functional", "T"],
+            "constants": ["constants", "--n", "2", "--d", "1", "--eps", "1/2",
+                          "--family", str(path)]}[command]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    kind = {"exset": "polynomial", "nev": "class-function", "constants": "family"}[command]
+    want = "malformed" if state == "truncated" else "cannot read the"
+    assert err.startswith("error: ") and f"{want} {kind} document" in err

@@ -17,6 +17,7 @@ from workbench.errors import InternalContradiction, InvalidInput
 from workbench.exset import (
     BetaValue,
     CurveSpec,
+    NormalizedPair,
     Provenance,
     beta_loci,
     build_W,
@@ -64,6 +65,44 @@ def test_normalize_invariants_hold(rng):
 def test_enumerate_pairs_bound_two():
     pairs = [(p.n1, p.n2) for p in enumerate_pairs(2)]
     assert pairs == [(0, 1), (-1, 1), (1, 1)]
+
+
+def _normalize_pair_reference(n1, n2):
+    """The search over four swap/flip candidates that normalize_pair ran
+    before the sign rule."""
+    g = math.gcd(n1, n2)
+    m1, m2 = n1 // g, n2 // g
+    for swap, flip in ((False, False), (True, False), (False, True), (True, True)):
+        c1, c2 = (m2, m1) if swap else (m1, m2)
+        if flip:
+            c1, c2 = -c1, -c2
+        if (c2 >= c1 >= 0) if c1 * c2 >= 0 else (0 < c2 <= -c1):
+            return NormalizedPair(c1, c2, *exset._bezout_constrained(c1, c2))
+    raise AssertionError(f"no normal form for ({n1}, {n2})")
+
+
+def _enumerate_pairs_reference(ell2):
+    """The box scan that enumerate_pairs ran before the closed form: every
+    coprime point with |n1| + |n2| <= ell2, normalized and deduplicated."""
+    seen = {}
+    for n1 in range(-ell2, ell2 + 1):
+        for n2 in range(-ell2, ell2 + 1):
+            if 0 < abs(n1) + abs(n2) <= ell2 and math.gcd(n1, n2) == 1:
+                p = _normalize_pair_reference(n1, n2)
+                seen[(p.n1, p.n2)] = p
+    return sorted(seen.values(), key=lambda p: (abs(p.n1) + abs(p.n2), p.n1, p.n2))
+
+
+def test_normalize_pair_matches_the_candidate_search():
+    for n1 in range(-40, 41):
+        for n2 in range(-40, 41):
+            if (n1, n2) != (0, 0):
+                assert normalize_pair(n1, n2) == _normalize_pair_reference(n1, n2), (n1, n2)
+
+
+def test_enumerate_pairs_matches_the_box_scan():
+    for ell2 in range(1, 40):
+        assert enumerate_pairs(ell2) == _enumerate_pairs_reference(ell2), ell2
 
 
 def test_substitution_worked_examples():
@@ -145,7 +184,7 @@ def test_substitution_against_sympy():
     for G, pair in _substitution_cases():
         s = substitute(G, pair)
         # (L T)^K clears every negative exponent of the image
-        K = G.total_degree() * (abs(pair.a) + abs(pair.b) + pair.ell1())
+        K = G.total_degree() * (abs(pair.a) + abs(pair.b) + abs(pair.n1) + abs(pair.n2))
         image = to_sympy(G, xs).subs(
             {xs[0]: 1, xs[1]: L**pair.a * T**pair.n2, xs[2]: L**pair.b * T**(-pair.n1)},
             simultaneous=True)

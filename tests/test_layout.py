@@ -37,6 +37,8 @@ KEPT_PUBLIC = {
     "diffops.diffpoly_to_doc",
     "diffops.diffpoly_from_doc",
     "diffops.verify_Du_numeric",
+    # the normal form of an exponent pair (enumerate_pairs lists normal pairs)
+    "exset.normalize_pair",
     # the exact transversality test of the morphism toolkit
     "morphisms.transversality_check",
     # the writing half of the class-function file format
@@ -173,6 +175,37 @@ def test_one_home_for_bases_squarefree_parts_and_evaluation():
     from workbench.algebra.poly import SparsePoly
 
     assert not hasattr(SparsePoly, "eval") and not hasattr(SparsePoly, "eval_exact")
+
+
+def test_one_rule_for_common_units_and_pair_normal_forms():
+    """nevanlinna.common_unit is the one definition of the common unit of
+    exponentials, and in the modules that handle exponents it alone takes
+    the lcm or the denominators of their ratios; _as_unit_polynomial and
+    shared_zeros call it.  normalize_pair is the closed-form sign rule, with
+    no loop over candidates."""
+    owners, uses = [], []
+    for path in PACKAGE.rglob("*.py"):
+        tree = ast.parse(path.read_text(), str(path))
+        owners += [(path.name, n.name) for n in ast.walk(tree)
+                   if isinstance(n, ast.FunctionDef) and n.name == "common_unit"]
+        if path.name not in ("nevanlinna.py", "expsum.py"):
+            continue
+        for f in ast.walk(tree):
+            if isinstance(f, ast.FunctionDef):
+                for n in ast.walk(f):
+                    name = getattr(n, "attr", getattr(n, "id", None))
+                    if name in ("lcm", "denominator", "numerator"):
+                        uses.append(f.name)
+                    if name == "common_unit" and isinstance(n, (ast.Name, ast.Attribute)):
+                        uses.append(f"{f.name} calls")
+    assert owners == [("nevanlinna.py", "common_unit")]
+    assert set(uses) == {"common_unit", "_as_unit_polynomial calls", "shared_zeros calls"}
+    exset = PACKAGE / "exset.py"
+    tree = ast.parse(exset.read_text(), str(exset))
+    normalize = next(f for f in tree.body
+                     if isinstance(f, ast.FunctionDef) and f.name == "normalize_pair")
+    loops = (ast.For, ast.While, ast.comprehension)
+    assert not any(isinstance(n, loops) for n in ast.walk(normalize))
 
 
 def test_one_home_for_circle_functionals():

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -42,6 +43,50 @@ def test_multiplicities_are_integers(mult):
     # refused, not truncated to z^1, counted as 1 or parsed
     with pytest.raises(InvalidInput, match="multiplicity must be an integer"):
         MeroFn(factors=[(z() ** 3, mult)])
+
+
+@pytest.mark.parametrize("factors, exp_part", [
+    ([(3, 1)], None),
+    ([("z", 1)], None),
+    ((), 3),
+], ids=["int-factor", "str-factor", "int-exp"])
+def test_factors_and_exp_parts_are_univariate_polynomials(factors, exp_part):
+    with pytest.raises(InvalidInput, match="expected a univariate polynomial"):
+        MeroFn(factors=factors, exp_part=exp_part)
+
+
+def _by_order_draw(rng):
+    """A scalar and up to 5 factors from 7 linear and 2 quadratic polynomials
+    that share roots, with multiplicities -2..2."""
+    t = z()
+    i = GaussRat(0, 1)
+    linear = [t, t - 1, t + 1, t - 2, t + 2, t - i, 2 * t + 1]
+    quadratic = [t**2 - 1, t**2 + 1]
+    factors = [(rng.choice(linear + quadratic), rng.randint(-2, 2))
+               for _ in range(rng.randint(0, 5))]
+    return GaussRat(rng.randint(1, 3), rng.randint(-1, 1)), factors
+
+
+def test_equal_class_functions_compare_and_hash_equal():
+    """One function built three ways is one value: one constructor call, a
+    product of one-factor functions, and one factor per multiplicity,
+    multiplied out first."""
+    rng = random.Random(31)
+    for _ in range(300):
+        scalar, factors = _by_order_draw(rng)
+        whole = MeroFn(scalar=scalar, factors=factors, exp_part=z())
+        product = MeroFn(scalar=scalar, exp_part=z())
+        for p, m in factors:
+            product = product * MeroFn(factors=[(p, m)])
+        grouped = {}
+        for p, m in factors:
+            grouped[m] = grouped.get(m, SparsePoly.one(1)) * p
+        premultiplied = MeroFn(scalar=scalar, factors=[(p, m) for m, p in grouped.items()],
+                               exp_part=z())
+        assert whole == product == premultiplied, factors
+        assert hash(whole) == hash(product) == hash(premultiplied), factors
+        orders = [m for _, m in whole.factors]
+        assert len(set(orders)) == len(orders) and 0 not in orders, factors
 
 
 def test_mero_operator_examples():

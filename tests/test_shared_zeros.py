@@ -14,10 +14,18 @@ import pytest
 
 from workbench.algebra.gaussrat import GaussRat
 from workbench.algebra.poly import SparsePoly
+from workbench.algebra.squarefree import squarefree_decompose
 from workbench.errors import InvalidInput
 from workbench.expsum import ExpSumFn
 from workbench.harness import gcd_bound_check
-from workbench.nevanlinna import MeroFn, gcd_counting, shared_zeros
+from workbench.nevanlinna import (
+    MeroFn,
+    _inflate,
+    _shared_basis,
+    exp_lattice,
+    gcd_counting,
+    shared_zeros,
+)
 
 from conftest import scenario, variables
 
@@ -172,3 +180,122 @@ def test_exact_route_agrees_with_the_float_match_on_separated_zeros():
         shared += bool(got)
     # most draws share a lattice, so both branches of the comparison are exercised
     assert 10 < shared < checked
+
+
+def _unit_polynomial_reference(fn):
+    """ExpSumFn._as_unit_polynomial before the common-unit rule: the ratio of
+    each exponent difference to the first nonzero one, and their lcm."""
+    if len(fn.terms) < 2:
+        return None
+    if not all(n.is_constant() and d.is_constant() for n, d, _ in fn.terms):
+        return None
+    base = fn.terms[0][2]
+    diffs = [q - base for _, _, q in fn.terms]
+    if any(d.degree_in(0) > 1 for d in diffs):
+        return None
+    nonzero = [d for d in diffs if d]
+    if not nonzero or any(d.degree_in(0) < 1 for d in nonzero):
+        return None
+    D0 = nonzero[0]
+    lead0 = D0.coeffs_in(0)[1].constant_value()
+    ratios = []
+    for d in diffs:
+        if not d:
+            ratios.append(Fraction(0))
+            continue
+        ratio = d.coeffs_in(0)[1].constant_value() / lead0
+        if not ratio.is_rational() or d != D0.scale(ratio):
+            return None
+        ratios.append(ratio.re)
+    denom = math.lcm(*(f.denominator for f in ratios))
+    powers = [int(f * denom) for f in ratios]
+    terms = {}
+    for (n, d, _), m in zip(fn.terms, powers):
+        key = (m - min(powers),)
+        terms[key] = terms.get(key, GaussRat(0)) + n.constant_value() / d.constant_value()
+    poly_w = SparsePoly(1, terms)
+    if not poly_w or poly_w.degree_in(0) < 1:
+        return None
+    return poly_w, D0.scale(GaussRat(Fraction(1, denom)))
+
+
+def _two_units_reference(f, g, radii):
+    """The two-unit branch of shared_zeros before the common-unit rule:
+    D_g = (a/b) D_f, both sides rewritten over e^{D_f / b}."""
+    (p, Df), (q, Dg) = _unit_polynomial_reference(f), _unit_polynomial_reference(g)
+    ff, fg = dict(squarefree_decompose(p)), dict(squarefree_decompose(q))
+    ratio = Dg.coeffs_in(0)[1].constant_value() / Df.coeffs_in(0)[1].constant_value()
+    if not ratio.is_rational():
+        raise InvalidInput("no rational ratio")
+    if Dg != Df.scale(ratio):
+        return []
+    a, b = ratio.re.numerator, ratio.re.denominator
+    ff = {_inflate(h, b): k for h, k in ff.items()}
+    fg = {_inflate(h, a): k for h, k in fg.items()}
+    unit = Df.scale(GaussRat(1) / b)
+    return [(w, m) for h, m in _shared_basis(ff, fg)
+            for w, _ in exp_lattice(h, unit, max(radii))]
+
+
+def _exponent_draw(rng):
+    """An exp-sum of 1-4 terms c e^{k D + c0}: D linear with a Gaussian
+    slope, k rational or (rarely) i, c0 mostly 0, the coefficient rarely
+    not constant and the exponent rarely quadratic."""
+    D = SparsePoly(1, {(1,): rng.choice([GaussRat(1), GaussRat(-2), GaussRat(1, 1),
+                                         GaussRat(Fraction(2, 3))]),
+                       (0,): rng.choice([GaussRat(0), GaussRat(0), GaussRat(1)])})
+    ks = [Fraction(-2), Fraction(-1), Fraction(0), Fraction(1, 2), Fraction(1),
+          Fraction(3, 2), Fraction(2), Fraction(-5, 3), Fraction(3)]
+    terms = []
+    for _ in range(rng.randint(1, 4)):
+        q = D.scale(GaussRat(rng.choice(ks)))
+        roll = rng.random()
+        if roll < 0.08:
+            q = q + SparsePoly.constant(rng.choice([1, -1, GaussRat(0, 1)]), 1)
+        elif roll < 0.12:
+            q = D.scale(GaussRat(0, 1))
+        elif roll < 0.15:
+            q = q + z() ** 2
+        num = SparsePoly.constant(_gauss(rng) or GaussRat(1), 1)
+        if rng.random() < 0.05:
+            num = num * (z() + 1)
+        terms.append((num, SparsePoly.constant(rng.choice([1, 2, 3]), 1), q))
+    return ExpSumFn.from_terms(terms)
+
+
+def test_unit_polynomials_match_the_ratio_and_lcm_route():
+    rng = random.Random(31)
+    found = 0
+    for _ in range(400):
+        f = _exponent_draw(rng)
+        got, want = f._as_unit_polynomial(), _unit_polynomial_reference(f)
+        assert got == want, f.terms
+        found += got is not None
+    # both outcomes are drawn often
+    assert 100 < found < 300, found
+
+
+def test_shared_zeros_of_two_units_match_the_ratio_route():
+    """Seeded unit-polynomial pairs over rational ratios (negative ones too),
+    with a constant offset (nothing shared) or a non-real ratio (refused)."""
+    rng = random.Random(32)
+    kinds = []
+    for _ in range(60):
+        f, g = _draw(rng)
+        kind = rng.choice(["ratio", "ratio", "offset", "non-real"])
+        q, Dg = _unit_polynomial_reference(g)
+        if kind == "offset":
+            g = unit_poly(q, Dg + SparsePoly.constant(rng.choice([1, GaussRat(0, 2)]), 1))
+        elif kind == "non-real":
+            g = unit_poly(q, Dg.scale(GaussRat(0, 1)))
+        r = rng.choice([4.0, 7.5])
+        if kind == "non-real":
+            with pytest.raises(InvalidInput, match="no rational ratio"):
+                _two_units_reference(f, g, [r])
+            with pytest.raises(InvalidInput, match="no rational ratio"):
+                shared_zeros(f, g, [r])
+        else:
+            want = _two_units_reference(f, g, [r])
+            assert shared_zeros(f, g, [r]) == want, (f, g, r)
+            kinds.append((kind, bool(want)))
+    assert {("ratio", True), ("ratio", False), ("offset", False)} <= set(kinds), kinds
