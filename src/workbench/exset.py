@@ -469,6 +469,9 @@ def build_W(G: SparsePoly, ell2: int | None = None,
         ell2 = 2 * choose_m(Fraction(eps), 2, G.total_degree())
     charts = [(perm, G.permute_vars(perm)) for perm in _ALL_PERMS]
     distinct = len({chart_G for _, chart_G in charts})
+    if ell2 > MAX_CHART_SOLVES:  # so is pair_count(ell2), whose sieve is linear in ell2
+        raise InvalidInput(f"ell2 = {ell2} needs more than the limit of {MAX_CHART_SOLVES:,} "
+                           "chart solves; use a smaller ell2 or a larger eps")
     pairs = pair_count(ell2)
     if pairs * distinct > MAX_CHART_SOLVES:
         raise InvalidInput(

@@ -146,26 +146,30 @@ class MarginReport:
 # scenarios
 # ---------------------------------------------------------------------------
 
-# (r_min, r_max, count) of the log-spaced grid when a scenario sets no "grid"
-_DEFAULT_GRID = (2.0, 200.0, 21)
+def _json_int(value) -> int:
+    if not serialize.is_json_int(value):
+        raise TypeError("expected an integer")
+    return value
 
 
-def _int_param(value) -> int:
-    """A JSON integer, refused as ``serialize.json_int`` refuses one: a float,
-    a bool or a string is not truncated or parsed."""
-    if isinstance(value, int) and not isinstance(value, bool):
-        return value
-    raise TypeError("expected an integer")
+def _ranged(convert, within, expected: str):
+    """The converter ``convert``, refusing a value that ``within`` rejects."""
+    def checked(value):
+        converted = convert(value)
+        if not within(converted):
+            raise ValueError(f"expected {expected}")
+        return converted
+    return checked
 
 
-def _grid_param(value) -> tuple[float, float, int]:
+def _grid_param(value) -> RadiusGrid:
     rmin, rmax, count = value
-    return float(rmin), float(rmax), _int_param(count)
+    return RadiusGrid.log_spaced(float(rmin), float(rmax), _json_int(count))
 
 
-def _allowance_param(value) -> tuple[Fraction, Fraction]:
+def _allowance_param(value) -> tuple[float, float]:
     c, c0 = value
-    return Fraction(str(c)), Fraction(str(c0))
+    return float(Fraction(str(c))), float(Fraction(str(c0)))
 
 
 def _flag(value) -> bool:
@@ -174,13 +178,22 @@ def _flag(value) -> bool:
     return value
 
 
-# the type of each key a scenario's "params" may set: a Scenario converts its
-# params once, refusing other keys and the values a conversion rejects, and
-# the checks read the converted values
-_PARAM_TYPES = {"eps": Fraction, "ell": _int_param, "ell2": _int_param, "trunc": _int_param,
-                "scan_cap": _int_param, "r_pass": float, "grid": _grid_param,
-                "log_allowance": _allowance_param, "simple_zeros": _flag}
-PARAMS = frozenset(_PARAM_TYPES)
+# each key a scenario's "params" may set -> (converter with its type and range,
+# default): a Scenario converts the keys given and fills the rest, so the checks
+# read s.params[key] with no default of their own.  ell2=None derives build_W's
+# bound from eps; r_pass=None gates from the geometric midpoint of the radii
+_PARAMS = {
+    "eps": (_ranged(Fraction, lambda e: 0 < e < 1, "0 < eps < 1"), Fraction(1, 10)),
+    "ell": (_ranged(_json_int, lambda n: n >= 1, "an integer >= 1"), 1),
+    "ell2": (_ranged(_json_int, lambda n: n >= 1, "an integer >= 1"), None),
+    "trunc": (_ranged(_json_int, lambda n: n >= 1, "an integer >= 1"), 1),
+    "scan_cap": (_ranged(_json_int, lambda n: n >= 0, "an integer >= 0"), 8),
+    "r_pass": (_ranged(float, lambda r: 0 < r < math.inf, "a finite r_pass > 0"), None),
+    "grid": (_grid_param, RadiusGrid.log_spaced(2.0, 200.0, 21)),
+    "log_allowance": (_allowance_param, (1.0, 0.0)),
+    "simple_zeros": (_flag, False),
+}
+PARAMS = frozenset(_PARAMS)
 
 # target -> name of its check in this module; run_scenario looks the name up
 # when it is called, so a wrapper bound to the module attribute sees the call
@@ -206,24 +219,17 @@ class Scenario:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        unknown = sorted(set(self.params) - PARAMS)
+        unknown = sorted(self.params.keys() - PARAMS)
         if unknown:
             raise InvalidInput(f"unknown scenario parameters {', '.join(map(repr, unknown))}")
-        converted = {}
-        for key, value in self.params.items():
+        given, converted = self.params, {}
+        for key, (convert, default) in _PARAMS.items():
             try:
-                converted[key] = _PARAM_TYPES[key](value)
-            except (TypeError, ValueError, ZeroDivisionError) as exc:
+                converted[key] = convert(given[key]) if key in given else default
+            except (InvalidInput, TypeError, ValueError, ArithmeticError) as exc:
                 raise InvalidInput(
-                    f"malformed scenario parameter {key!r} = {value!r}: {exc}") from exc
+                    f"malformed scenario parameter {key!r} = {given[key]!r}: {exc}") from exc
         self.params = converted
-
-    def eps(self) -> Fraction:
-        return self.params.get("eps", Fraction(1, 10))
-
-    def allowance(self) -> tuple[float, float]:
-        c, c0 = self.params.get("log_allowance", (1, 0))
-        return float(c), float(c0)
 
 
 def _component_from_doc(doc) -> MeroFn:
@@ -283,12 +289,16 @@ def run_scenario(s: Scenario) -> MarginReport:
 def _gated_grid(s: Scenario, fns) -> tuple[tuple[float, ...], float]:
     """The scenario's radii nudged off the divisors of ``fns``, and the radius
     from which rows are gated: ``params["r_pass"]``, by default the geometric
-    midpoint sqrt(r_min * r_max) of the nudged radii."""
-    grid = RadiusGrid.log_spaced(*s.params.get("grid", _DEFAULT_GRID))
-    points = grid.perturbed_for(fns).points
-    if "r_pass" in s.params:
-        return points, s.params["r_pass"]
-    return points, math.sqrt(points[0] * points[-1])
+    midpoint sqrt(r_min * r_max) of the nudged radii.  An r_pass beyond the
+    last radius would gate no row, and is refused."""
+    points = s.params["grid"].perturbed_for(fns).points
+    r_pass = s.params["r_pass"]
+    if r_pass is None:
+        return points, math.sqrt(points[0] * points[-1])
+    if r_pass > max(points):
+        raise InvalidInput(f"malformed scenario parameter 'r_pass' = {r_pass!r}: "
+                           f"beyond the last radius {max(points)!r}, so no row is gated")
+    return points, r_pass
 
 
 def _margins(report: MarginReport, points, r_pass: float, row,
@@ -300,32 +310,29 @@ def _margins(report: MarginReport, points, r_pass: float, row,
     return report.finalize()
 
 
-def _validate_curve_tuple(curve, notes: list[str], ell: int | None):
+def _validate_curve_tuple(curve, notes: list[str], ell: int):
     if not curve or all(c.is_zero() for c in curve):
         raise InvalidInput("curve components must not all vanish")
-    if ell:
-        for i, c in enumerate(curve):
-            if c.is_zero():
-                continue
-            bad = [m for m in c.zero_multiplicities() if m < ell]
-            if bad:
-                notes.append(
-                    f"component {i} has zero multiplicity {min(bad)} < ell={ell}"
-                )
+    for i, c in enumerate(curve):
+        if c.is_zero():
+            continue
+        bad = [m for m in c.zero_multiplicities() if m < ell]
+        if bad:
+            notes.append(
+                f"component {i} has zero multiplicity {min(bad)} < ell={ell}"
+            )
 
 
 def _curve_vs_form_check(s: Scenario) -> MarginReport:
     if s.poly is None or len(s.curve) != 3:
         raise InvalidInput("target needs a form 'poly' and a 3-component curve")
     notes: list[str] = []
-    ell = s.params.get("ell")
-    _validate_curve_tuple(s.curve, notes, ell)
+    _validate_curve_tuple(s.curve, notes, s.params["ell"])
     G = s.poly
-    eps = float(s.eps())
+    eps = float(s.params["eps"])
     d = G.total_degree()
 
-    ell2 = s.params.get("ell2")
-    W = build_W(G, ell2=ell2 or None, eps=s.eps() if not ell2 else None)
+    W = build_W(G, ell2=s.params["ell2"], eps=s.params["eps"])
     report = MarginReport(s.name, s.target, matched_curves=tuple(member_of_W(W, s.curve)))
 
     Gg = eval_poly_on_tuple(G, s.curve)
@@ -334,7 +341,7 @@ def _curve_vs_form_check(s: Scenario) -> MarginReport:
             "curve lies inside the form")
 
     points, r_pass = _gated_grid(s, s.curve)
-    simple = s.params.get("simple_zeros", False)
+    simple = s.params["simple_zeros"]
     N = counting_of(Gg, max(points))
 
     def row(r):
@@ -352,12 +359,10 @@ def _log_derivative_check(s: Scenario) -> MarginReport:
     if len(s.curve) != 1:
         raise InvalidInput("log-derivative-height takes a single function")
     f = s.curve[0]
-    ell = s.params.get("ell", 1)
+    ell = s.params["ell"]
     notes: list[str] = []
-    mults = f.zero_multiplicities()
-    if mults and min(mults) < ell:
-        notes.append(f"zero multiplicity {min(mults)} below ell={ell}")
-    C, C0 = s.allowance()
+    _validate_curve_tuple((f,), notes, ell)
+    C, C0 = s.params["log_allowance"]
     ld = log_derivative(f)
     points, r_pass = _gated_grid(s, [f])
 
@@ -385,7 +390,7 @@ def unit_sum_check(s: Scenario) -> MarginReport:
     bad = _vanishing_subsum(sums)
     if bad is not None:
         return report.reject(f"vanishing proper subsum {bad}")
-    C, C0 = s.allowance()
+    C, C0 = s.params["log_allowance"]
     points, r_pass = _gated_grid(s, fns)
     # the characteristic of the expanded head, whose rounding the shipped
     # margins carry; the counts from each component's own zero structure
@@ -419,7 +424,7 @@ def borel_check(s: Scenario) -> MarginReport:
     """Moving-coefficient vanishing combination: quotient characteristics
     against 3n T_a + ((n^2 - 1)/ell) T_f plus the allowance."""
     coeffs, fns = s.coeffs, s.curve
-    ell = s.params.get("ell", 1)
+    ell = s.params["ell"]
     if len(coeffs) != len(fns):
         raise InvalidInput("coefficient and component counts differ")
     n = len(fns) - 1
@@ -440,7 +445,7 @@ def borel_check(s: Scenario) -> MarginReport:
             if m < 0:
                 denom = denom * MeroFn(scalar=1, factors=[(p, -m)])
     cleared = [a * denom for a in coeffs]
-    C, C0 = s.allowance()
+    C, C0 = s.params["log_allowance"]
     points, r_pass = _gated_grid(s, list(fns) + cleared)
     notes: list[str] = []
     _validate_curve_tuple(fns, notes, ell)
@@ -470,7 +475,7 @@ def gcd_bound_check(s: Scenario) -> MarginReport:
     if len(s.polys) != 2:
         raise InvalidInput("gcd-bound needs two forms 'polys'")
     (F, G), curve = s.polys, s.curve
-    eps = s.eps()
+    eps = s.params["eps"]
     if F.num_vars != G.num_vars:
         raise InvalidInput("forms must share their variable count")
     if len(curve) != F.num_vars:
@@ -483,8 +488,7 @@ def gcd_bound_check(s: Scenario) -> MarginReport:
         if not F.compose(point, GaussRat.coerce) and not G.compose(point, GaussRat.coerce):
             raise InvalidInput(f"both forms vanish at the coordinate point e_{i}")
     notes: list[str] = []
-    ell = s.params.get("ell")
-    _validate_curve_tuple(curve, notes, ell)
+    _validate_curve_tuple(curve, notes, s.params["ell"])
     points, r_pass = _gated_grid(s, curve)
 
     Fg = eval_poly_on_tuple(F, curve)
@@ -499,7 +503,7 @@ def gcd_bound_check(s: Scenario) -> MarginReport:
     gated_T = {r: T for r, T in T_curve.items() if r >= r_pass}
     report.degenerate_tuple = _degeneracy_scan(
         curve, eps, max(F.total_degree(), G.total_degree()),
-        s.params.get("scan_cap", 8), gated_T, notes)
+        s.params["scan_cap"], gated_T, notes)
     return _margins(report, points, r_pass,
                     lambda r: (_log_counting(shared, r), float(eps) * T_curve[r]), notes)
 
@@ -517,8 +521,6 @@ def _degeneracy_scan(curve, eps: Fraction, d: int, scan_cap: int,
     g0, g1, g2 = curve
     if g0.is_zero() or g1.is_zero() or g2.is_zero():
         return None
-    if not 0 < eps < 1:
-        raise InvalidInput("degeneracy scan needs 0 < eps < 1")
     m = choose_m(eps, 2, max(d, 1))
     bound = 2 * m
     numeric_bound = min(bound, scan_cap)
@@ -565,8 +567,8 @@ def smt_instance_check(s: Scenario) -> MarginReport:
     """Truncated counting sum against (q - n - 1 - eps) T for a
     general-position configuration."""
     hypersurfaces, curve = list(s.polys), s.curve
-    eps = s.eps()
-    M = s.params.get("trunc", 1)
+    eps = s.params["eps"]
+    M = s.params["trunc"]
     if not hypersurfaces:
         raise InvalidInput("need at least one hypersurface")
     nv = hypersurfaces[0].num_vars
@@ -588,7 +590,7 @@ def smt_instance_check(s: Scenario) -> MarginReport:
         composed.append((c, p.total_degree()))
     q = len(hypersurfaces)
     points, r_pass = _gated_grid(s, curve)
-    simple = s.params.get("simple_zeros", False)
+    simple = s.params["simple_zeros"]
     factor = q - n - 1 - float(eps)
     counts = [(counting_of(c, max(points)), d) for c, d in composed]
 

@@ -340,6 +340,12 @@ def log_derivative(f: MeroFn) -> LogDerivative:
 
 _CIRCLE_TOL = 1e-9
 _PERTURB = 1e-6
+# a grid's caps (the shipped grids reach 25 radii and 10^5): each radius costs a
+# quadrature per functional and numpy allocates the grid; the counting functions
+# list the ~r/pi zeros of an exponential unit in the disk of radius r, so a lattice
+# scenario takes about 1 s at r = 10^6 (2-vCPU host) and runs out of memory at 10^8
+MAX_GRID_COUNT = 1000
+MAX_GRID_RADIUS = 1e6
 
 
 def _on_circle(rho: float, r: float) -> bool:
@@ -355,8 +361,13 @@ class RadiusGrid:
 
     @staticmethod
     def log_spaced(r_min: float, r_max: float, count: int) -> "RadiusGrid":
-        if r_min <= 0 or r_max <= r_min or count < 2:
-            raise InvalidInput("need 0 < r_min < r_max and count >= 2")
+        if not 0 < r_min < r_max or count < 2:
+            raise InvalidInput(f"grid needs 0 < r_min < r_max and count >= 2, not "
+                               f"({r_min!r}, {r_max!r}, {count!r})")
+        if count > MAX_GRID_COUNT:
+            raise InvalidInput(f"grid count {count} is above MAX_GRID_COUNT = {MAX_GRID_COUNT}")
+        if r_max > MAX_GRID_RADIUS:
+            raise InvalidInput(f"grid r_max {r_max:g} is above MAX_GRID_RADIUS = {MAX_GRID_RADIUS:g}")
         pts = np.exp(np.linspace(math.log(r_min), math.log(r_max), count))
         return RadiusGrid(tuple(float(p) for p in pts))
 

@@ -125,6 +125,23 @@ def test_exset_refuses_an_enumeration_that_cannot_finish(tmp_path, capsys):
     ("smt_lines.json", "trunc", "3"),
     ("gcd_bound_units.json", "scan_cap", 4.5),
     ("unit_sum_poly.json", "grid", [5.0, 500.0, 21.5]),
+    # values of the right type outside the range the inequalities are stated for
+    ("log_derivative_height.json", "ell", 0),
+    ("coefficient_borel.json", "ell", 0),
+    ("coefficient_borel.json", "ell", -3),
+    ("smt_lines.json", "trunc", 0),
+    ("smt_lines.json", "trunc", -2),
+    ("lower_bound_generic.json", "ell2", 0),
+    ("smt_lines.json", "r_pass", "nan"),
+    ("smt_lines.json", "r_pass", "inf"),
+    ("smt_lines.json", "r_pass", 1e9),  # beyond the last radius: no row is gated
+    ("smt_lines.json", "eps", "5"),
+    ("smt_lines.json", "eps", "-1"),
+    ("truncation_defect_generic.json", "eps", "3/2"),
+    ("gcd_bound_units.json", "scan_cap", -1),
+    ("unit_sum_poly.json", "grid", ["nan", 500, 17]),
+    ("unit_sum_poly.json", "grid", [5, "inf", 17]),
+    ("unit_sum_poly.json", "grid", [5, 500, 2**70]),
 ])
 def test_verify_refuses_a_malformed_parameter(tmp_path, capsys, name, key, value):
     doc = json.loads((shipped_scenario_dir() / name).read_text())
@@ -233,6 +250,42 @@ def test_a_malformed_function_document_is_refused(tmp_path, capsys, command, doc
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and problem in err
+
+
+@pytest.mark.parametrize("grid, problem", [
+    ("nan,50,5", "grid needs 0 < r_min < r_max"),
+    ("2,inf,5", "MAX_GRID_RADIUS"),
+    ("2,1e7,5", "MAX_GRID_RADIUS"),
+    (f"2,50,{2**70}", "MAX_GRID_COUNT"),
+])
+def test_nev_refuses_a_grid_outside_its_range(tmp_path, capsys, grid, problem):
+    fpath = tmp_path / "f.json"
+    fpath.write_text(json.dumps({"factors": [{"poly": CUBE, "mult": 1}]}))
+    assert main(["nev", "--fn", str(fpath), "--grid", grid, "--functional", "T"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and problem in err
+
+
+HUGE_TERM = {"exp": [2**70], "re": "1"}
+
+
+@pytest.mark.parametrize("command", ["exset", "nev"])
+def test_a_document_with_a_huge_exponent_is_refused(tmp_path, capsys, command):
+    """Coefficient lists are dense over the degree, so such a document would
+    hang; it is refused at the exponent cap instead."""
+    path = tmp_path / "doc.json"
+    if command == "exset":
+        # x^N + y^N + z^N with N = 2^70
+        terms = [{"exp": [2**70 if i == j else 0 for j in range(3)], "re": "1"} for i in range(3)]
+        path.write_text(json.dumps({"vars": 3, "terms": terms}))
+        argv = ["exset", "--poly", str(path), "--bound", "2"]
+    else:
+        path.write_text(json.dumps({"factors": [{"poly": {"vars": 1, "terms": [HUGE_TERM]},
+                                                 "mult": 1}]}))
+        argv = ["nev", "--fn", str(path), "--grid", "2,50,5", "--functional", "T"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"above the cap MAX_EXPONENT = {serialize.MAX_EXPONENT}" in err
 
 
 SCENARIO = "truncation_defect_generic.json"

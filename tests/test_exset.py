@@ -540,6 +540,8 @@ def test_pair_count_matches_the_enumeration():
     # eps = 1/2 gives ell2 = 252; the six charts of the sphere are one polynomial
     (sphere, {"eps": Fraction(1, 2)}, "19,347 chart solves (19,347 pairs x 1 distinct"),
     (quartic, {"ell2": 50}, "2,325 chart solves (775 pairs x 3 distinct"),
+    # refused before counting the pairs, whose sieve is linear in ell2
+    (sphere, {"ell2": 2**70}, "needs more than the limit of 2,000 chart solves"),
 ])
 def test_build_W_refuses_an_enumeration_that_cannot_finish(monkeypatch, curve, kwargs, message):
     calls = count_calls(monkeypatch, exset, "_substitute")

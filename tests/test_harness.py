@@ -1,7 +1,9 @@
+import json
 import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from workbench import harness
 from workbench.algebra.gaussrat import GaussRat
@@ -281,15 +283,39 @@ def test_unknown_scenario_parameter_rejected(key):
 
 
 def test_scenario_holds_converted_parameters():
-    # the checks read params without converting them again
+    # the checks read params without converting them again, and every key the
+    # document leaves out holds its default
     s = scenario_from_doc({"target": "smt-instance", "params": {
         "eps": "1/4", "ell": 2, "trunc": 3, "r_pass": 10, "grid": [5, "200", 13],
         "log_allowance": ["1/2", 0], "simple_zeros": True}})
-    assert s.params == {"eps": Fraction(1, 4), "ell": 2, "trunc": 3, "r_pass": 10.0,
-                        "grid": (5.0, 200.0, 13), "log_allowance": (Fraction(1, 2), 0),
-                        "simple_zeros": True}
-    assert [type(v) for v in s.params.values()] == [Fraction, int, int, float, tuple, tuple, bool]
-    assert s.eps() == Fraction(1, 4) and s.allowance() == (0.5, 0.0)
+    assert s.params == {"eps": Fraction(1, 4), "ell": 2, "ell2": None, "trunc": 3,
+                        "scan_cap": 8, "r_pass": 10.0,
+                        "grid": RadiusGrid.log_spaced(5.0, 200.0, 13),
+                        "log_allowance": (0.5, 0.0), "simple_zeros": True}
+    assert [type(v) for v in s.params.values()] == [
+        Fraction, int, type(None), int, int, float, RadiusGrid, tuple, bool]
+    defaults = scenario_from_doc({"target": "smt-instance"}).params
+    assert defaults == {"eps": Fraction(1, 10), "ell": 1, "ell2": None, "trunc": 1,
+                        "scan_cap": 8, "r_pass": None,
+                        "grid": RadiusGrid.log_spaced(2.0, 200.0, 21),
+                        "log_allowance": (1.0, 0.0), "simple_zeros": False}
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(path=st.sampled_from(sorted(shipped_scenario_dir().glob("*.json"))),
+       key=st.sampled_from(sorted(harness.PARAMS)),
+       value=st.sampled_from([0, -1, 2**70, 0.5, "nan", "inf", 1e9, True, "x", [3, 40, 5]]))
+def test_a_parameter_out_of_range_is_refused_or_checked(path, key, value):
+    """A shipped scenario with one parameter set to an odd value returns a
+    report or raises InvalidInput, and a pass always rests on a gated row."""
+    doc = json.loads(path.read_text())
+    doc["params"][key] = value
+    try:
+        report = run_scenario(scenario_from_doc(doc))
+    except InvalidInput:
+        return
+    if report.outcome is Verdict.HOLDS_ON_GRID:
+        assert any(row.gated for row in report.rows)
 
 
 def test_unit_witness_scenario_excluded_with_double_zeros():

@@ -313,37 +313,51 @@ def test_every_check_takes_one_scenario():
         assert list(params) == ["s"], (target, name, list(params))
 
 
+def _is_params(node) -> bool:
+    return (isinstance(node, ast.Name) and node.id == "params") or (
+        isinstance(node, ast.Attribute) and node.attr == "params")
+
+
+def _params_get_calls(tree: ast.AST) -> list[ast.Call]:
+    return [node for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "get" and _is_params(node.func.value)]
+
+
 def _params_keys_read(tree: ast.AST) -> set[str]:
     """String keys read from ``params`` or ``<x>.params``: subscripts, ``.get``
     calls and ``in`` tests."""
 
-    def is_params(node):
-        return (isinstance(node, ast.Name) and node.id == "params") or (
-            isinstance(node, ast.Attribute) and node.attr == "params")
-
     def key(node):
         return node.value if isinstance(node, ast.Constant) and isinstance(node.value, str) else None
 
-    keys = set()
+    keys = {key(call.args[0]) for call in _params_get_calls(tree)}
     for node in ast.walk(tree):
-        if isinstance(node, ast.Subscript) and is_params(node.value):
+        if isinstance(node, ast.Subscript) and _is_params(node.value):
             keys.add(key(node.slice))
-        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-              and node.func.attr == "get" and is_params(node.func.value)):
-            keys.add(key(node.args[0]))
         elif (isinstance(node, ast.Compare) and isinstance(node.ops[0], ast.In)
-              and is_params(node.comparators[0])):
+              and _is_params(node.comparators[0])):
             keys.add(key(node.left))
     return keys
 
 
 def test_scenario_parameters_are_the_ones_read():
     """harness.PARAMS names exactly the keys the harness reads from a
-    scenario's params, each as a literal string."""
+    scenario's params, each as a literal string.  The checks read them with
+    no default of their own (no ``params.get``): each key has one default,
+    its entry in the table, which every Scenario fills in."""
     from workbench import harness
 
     path = PACKAGE / "harness.py"
-    assert _params_keys_read(ast.parse(path.read_text(), str(path))) == harness.PARAMS
+    tree = ast.parse(path.read_text(), str(path))
+    assert _params_keys_read(tree) == harness.PARAMS
+    assert [call.lineno for call in _params_get_calls(tree)] == []
+    assert set(harness._PARAMS) == harness.PARAMS
+    assert all(len(entry) == 2 and callable(entry[0]) for entry in harness._PARAMS.values())
+    defaults = {key: default for key, (_, default) in harness._PARAMS.items()}
+    assert harness.Scenario("defaults", "smt-instance").params == defaults
+    assert [name for name in vars(harness.Scenario)
+            if callable(getattr(harness.Scenario, name)) and not name.startswith("__")] == []
 
 
 # ---------------------------------------------------------------------------

@@ -571,7 +571,7 @@ def test_non_harmonic_functions_keep_the_quadrature(monkeypatch):
     # exact, and only the Jensen counts of 1 + e^{2z} + e^{2z^2} sample
     s = harness.load_scenario(harness.shipped_scenario_dir() / "smt_exp_units.json")
     del calls[:]
-    for r in RadiusGrid.log_spaced(*s.params["grid"]).points:
+    for r in s.params["grid"].points:
         characteristic_T(s.curve, r)
     assert calls == []
     harness.run_scenario(s)
