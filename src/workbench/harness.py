@@ -362,6 +362,8 @@ def _log_derivative_check(s: Scenario) -> MarginReport:
     ell = s.params["ell"]
     notes: list[str] = []
     _validate_curve_tuple((f,), notes, ell)
+    if notes:  # the bound is stated for f with every zero multiplicity >= ell
+        return MarginReport(s.name, s.target).reject(notes[0])
     C, C0 = s.params["log_allowance"]
     ld = log_derivative(f)
     points, r_pass = _gated_grid(s, [f])
@@ -508,6 +510,14 @@ def gcd_bound_check(s: Scenario) -> MarginReport:
                     lambda r: (_log_counting(shared, r), float(eps) * T_curve[r]), notes)
 
 
+# Building and sorting the coprime tuples with |m1|+|m2| <= bound, before the
+# first test, took 0.26 s at bound 314 (eps = 1/10, d = 1), 1.8 s at 1,000 and
+# 3.0 s at 1,274 (Python 3.11, 2-vCPU host), growing as bound^2; a curve with
+# no relation then tests every tuple, 23 s at bound 314 for (1, z, z^2 + 1).
+# The shipped scenarios need a bound of 58.
+MAX_SCAN_BOUND = 1000
+
+
 def _degeneracy_scan(curve, eps: Fraction, d: int, scan_cap: int,
                      T_curve: dict[float, float], notes: list[str]) -> tuple[int, int] | None:
     """Scan exponent tuples for multiplicative near-degeneracy of the curve.
@@ -523,6 +533,9 @@ def _degeneracy_scan(curve, eps: Fraction, d: int, scan_cap: int,
         return None
     m = choose_m(eps, 2, max(d, 1))
     bound = 2 * m
+    if bound > MAX_SCAN_BOUND:
+        raise InvalidInput(f"degeneracy scan to |m1|+|m2| <= {bound:,} is above the limit "
+                           f"MAX_SCAN_BOUND = {MAX_SCAN_BOUND:,}; use a larger eps")
     numeric_bound = min(bound, scan_cap)
     if numeric_bound < bound:
         notes.append(

@@ -40,6 +40,34 @@ def test_constants_command(capsys):
     assert out["m"] == 29 and out["M"] == 464
 
 
+def test_constants_for_a_tiny_eps_answers(capsys):
+    assert main(["constants", "--n", "2", "--d", "2", "--eps", "1/100000"]) == 0
+    assert json.loads(capsys.readouterr().out)["m"] == 6399998
+
+
+@pytest.mark.parametrize("vectors", [[[0, 0], [2, 0]], [[0, 0], [2**70, 0]]],
+                         ids=["exponent-2", "exponent-2^70"])
+def test_constants_for_one_generator_with_a_large_exponent(tmp_path, capsys, vectors):
+    # the sumset of {0, v} has t + 1 points whatever v is: the simplex's answer
+    path = tmp_path / "family.json"
+    path.write_text(json.dumps({"vectors": vectors}))
+    argv = ["constants", "--n", "2", "--d", "1", "--eps", "1/2", "--family", str(path)]
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["b"] == 465
+
+
+def test_constants_refuses_a_family_past_the_sumset_cap(tmp_path, capsys, monkeypatch):
+    from workbench import constants
+
+    monkeypatch.setattr(constants, "_SUMSET_CAP", 10_000)
+    path = tmp_path / "family.json"
+    path.write_text(json.dumps({"vectors": [[0, 0], [1, 0], [0, 1], [1, 1]]}))
+    argv = ["constants", "--n", "2", "--d", "1", "--eps", "1/2", "--family", str(path)]
+    assert main(argv) == 2
+    assert ("error: sumset enumeration exceeded 10000 points at depth 99; "
+            "family growth too fast for exact counting") in capsys.readouterr().err
+
+
 def test_nev_command(tmp_path, capsys):
     z = SparsePoly.variable(0, 1)
     fdoc = {
@@ -109,6 +137,15 @@ def test_exset_refuses_an_enumeration_that_cannot_finish(tmp_path, capsys):
     assert code == 2
     assert "19,347 chart solves" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_verify_refuses_a_degeneracy_scan_that_cannot_finish(tmp_path, capsys):
+    doc = json.loads((shipped_scenario_dir() / "gcd_bound_units.json").read_text())
+    doc["params"]["eps"] = "1/100000"
+    path = tmp_path / "gcd.json"
+    path.write_text(json.dumps(doc))
+    assert main(["verify", "--scenario", str(path)]) == 2
+    assert "error: degeneracy scan to |m1|+|m2| <= 3,199,994" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("name, key, value", [

@@ -14,7 +14,10 @@ from workbench.constants import (
     dim_Vt,
     full_profile,
 )
+from workbench import constants as constants_module
 from workbench.errors import InvalidInput
+
+from conftest import count_calls
 
 
 def bigint_binomial(top, k):
@@ -81,6 +84,33 @@ def test_choose_m_lower_clamp():
     # relaxing epsilon never increases the chosen degree
     ms = [choose_m(Fraction(k, 10), 2, 1) for k in range(1, 10)]
     assert ms == sorted(ms, reverse=True)
+
+
+def linear_choose_m(eps, n, d):
+    """Reference search: the first m >= 2d at which both conditions hold."""
+    m = 2 * d
+    while not all(degree_conditions(n, d, m, eps)):
+        m += 1
+    return m
+
+
+def test_choose_m_equals_the_linear_search(rng):
+    for eps in [Fraction(1, 2), Fraction(99, 100)] + [Fraction(k, 10) for k in range(1, 10)]:
+        assert choose_m(eps, 2, 1) == linear_choose_m(eps, 2, 1)
+    for _ in range(210):
+        n, d, q = rng.randrange(2, 5), rng.randrange(1, 4), rng.randrange(2, 12)
+        eps = Fraction(rng.randrange(1, q), q)
+        assert choose_m(eps, n, d) == linear_choose_m(eps, n, d), (eps, n, d)
+
+
+def test_choose_m_makes_logarithmically_many_checks(monkeypatch):
+    # doubling then bisection: a linear search from m = 2 checks 15,996 degrees
+    m = choose_m(Fraction(1, 1000), 2, 1)
+    calls = count_calls(monkeypatch, constants_module, "degree_conditions")
+    assert choose_m(Fraction(1, 1000), 2, 1) == m
+    assert len(calls) <= 64
+    assert all(degree_conditions(2, 1, m, Fraction(1, 1000)))
+    assert not all(degree_conditions(2, 1, m - 1, Fraction(1, 1000)))
 
 
 def test_second_condition_identity_n2_d1():
@@ -151,6 +181,25 @@ def test_choose_b_simplex():
     b, w, u = choose_b(Fraction(1, 2), m, 2, simplex, M)
     assert w == binom(M * b + 2, 2) and u == binom(M * b - M + 2, 2)
     assert Fraction(w, u) - 1 <= Fraction(1, 2) / (4 * m * 2)
+
+
+def test_choose_b_walks_one_growing_sumset(monkeypatch):
+    # every count of a sumset starts from the family's reduced vectors; one
+    # walk reads them once (and is_simplex once), a recount per b reads them
+    # again for every b, so the budget stops a quadratic search at once
+    reads = []
+    real = MonomialFamily.reduced_vectors
+
+    def budgeted(self):
+        reads.append(self)
+        assert len(reads) <= 4, "sumset counted again"
+        return real(self)
+
+    monkeypatch.setattr(MonomialFamily, "reduced_vectors", budgeted)
+    fam = MonomialFamily(((0,), (1,), (3,)))
+    # the t-fold sums of {0, 1, 3} are 0..3t except 3t - 1, so |V(t)| = 3t for
+    # t >= 2 and the ratio is b/(b - 1), as for the simplex {0, 1}
+    assert choose_b(Fraction(1, 2), 29, 2, fam, 464) == (465, 3 * 464 * 465, 3 * 464 * 464)
 
 
 def test_choose_N():

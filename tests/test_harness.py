@@ -98,6 +98,17 @@ def test_log_derivative_margins():
         assert all(row.margin >= 0 for row in rep.rows)
 
 
+@pytest.mark.parametrize("ell", [11, 2**70])
+def test_log_derivative_with_a_zero_below_ell_is_a_rejection(ell):
+    # the bound is stated for f with every zero multiplicity >= ell; (z^2 - 1)^10
+    # has multiplicity 10, so a larger ell is a failed hypothesis, not a violation
+    doc = json.loads((shipped_scenario_dir() / "log_derivative_height.json").read_text())
+    doc["params"]["ell"] = ell
+    rep = run_scenario(scenario_from_doc(doc))
+    assert rep.outcome is Verdict.HYPOTHESIS_VIOLATION and rep.rows == []
+    assert rep.detail == f"component 0 has zero multiplicity 10 < ell={ell}"
+
+
 def test_unit_sum_exponential_instance():
     # components (1, e^z, -1 - e^z): the third lives outside the factored
     # class and is passed as an exponential sum
@@ -304,7 +315,8 @@ def test_scenario_holds_converted_parameters():
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(path=st.sampled_from(sorted(shipped_scenario_dir().glob("*.json"))),
        key=st.sampled_from(sorted(harness.PARAMS)),
-       value=st.sampled_from([0, -1, 2**70, 0.5, "nan", "inf", 1e9, True, "x", [3, 40, 5]]))
+       value=st.sampled_from([0, -1, 2**70, 0.5, "nan", "inf", 1e9, True, "x", [3, 40, 5],
+                              "1/100000"]))
 def test_a_parameter_out_of_range_is_refused_or_checked(path, key, value):
     """A shipped scenario with one parameter set to an odd value returns a
     report or raises InvalidInput, and a pass always rests on a gated row."""
