@@ -10,7 +10,6 @@ from .euclid import (
     is_squarefree,
     monomial_variables,
     primitive_part_in,
-    pseudo_rem,
     resultant,
 )
 from .squarefree import squarefree_decompose, squarefree_part
@@ -21,7 +20,6 @@ from .roots import (
 )
 from .certificates import NullstellensatzCertificate, nullstellensatz_certificate
 from .serialize import (
-    dump_poly,
     load_poly,
     poly_from_doc,
     poly_to_doc,
@@ -40,7 +38,6 @@ __all__ = [
     "is_squarefree",
     "monomial_variables",
     "primitive_part_in",
-    "pseudo_rem",
     "resultant",
     "squarefree_decompose",
     "squarefree_part",
@@ -49,5 +46,4 @@ __all__ = [
     "poly_to_doc",
     "poly_from_doc",
     "load_poly",
-    "dump_poly",
 ]

@@ -19,21 +19,17 @@ from .poly import SparsePoly
 # pseudo-division
 # ---------------------------------------------------------------------------
 
-def pseudo_rem(f: SparsePoly, g: SparsePoly, var: int) -> SparsePoly:
-    """Pseudo-remainder of f by g with respect to one variable.
+def _pseudo_divmod(f: SparsePoly, g: SparsePoly, var: int, quotient: bool = False):
+    """Pseudo-quotient and pseudo-remainder ``(q, rem)`` of f by g with
+    respect to one variable.
 
     Satisfies lc(g)^(deg f - deg g + 1) * f = q*g + rem with deg_var rem <
     deg_var g, entirely within the coefficient domain.  The exponent is the
     classical one even when sparse cancellation skips degrees (the missing
     leading-coefficient factors are topped up), which the subresultant
-    divisions rely on.
+    divisions rely on.  q is built only when ``quotient`` is set (None
+    otherwise), so the remainder-only runs pay nothing for it.
     """
-    return _pseudo_divmod(f, g, var)[1]
-
-
-def _pseudo_divmod(f: SparsePoly, g: SparsePoly, var: int, quotient: bool = False):
-    """``(q, rem)`` of ``pseudo_rem``; q is built only when ``quotient`` is set
-    (None otherwise), so the remainder-only runs pay nothing for it."""
     dg = g.degree_in(var)
     if dg < 0:
         raise ZeroDivisionError("pseudo-division by zero")

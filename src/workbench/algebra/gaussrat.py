@@ -84,9 +84,6 @@ class GaussRat:
     def is_rational(self) -> bool:
         return not self._b
 
-    def is_one(self) -> bool:
-        return self._a == 1 and not self._b and self._d == 1
-
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other):

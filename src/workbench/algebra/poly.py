@@ -181,9 +181,6 @@ class SparsePoly:
                 terms[expo] = -coeff
         return SparsePoly._clean(self.num_vars, terms)
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, GaussRat)):
             return self.scale(other)

@@ -220,7 +220,7 @@ def _solve_squarefree(coeffs: list[GaussRat], dps: int, seeded: bool):
             try:
                 approx = mpmath.polyroots([_to_mpc(c) for c in reversed(coeffs)],
                                           maxsteps=200, extraprec=80)
-            except mpmath.libmp.libhyper.NoConvergence as exc:  # pragma: no cover
+            except mpmath.libmp.libhyper.NoConvergence as exc:
                 raise EnclosureError(f"root iteration failed to converge: {exc}") from exc
     zs = [_newton(pairs, _dyadic(r), dps) for r in approx]
     return [(z, _radius(pairs, z)) for z in zs]

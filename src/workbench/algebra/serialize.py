@@ -97,9 +97,3 @@ def read_doc(path, kind: str):
 
 def load_poly(path: str) -> SparsePoly:
     return poly_from_doc(read_doc(path, "polynomial"))
-
-
-def dump_poly(p: SparsePoly, path: str) -> None:
-    with open(path, "w") as fh:
-        json.dump(poly_to_doc(p), fh, indent=2)
-        fh.write("\n")

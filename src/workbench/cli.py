@@ -103,12 +103,10 @@ def _cmd_nev(args) -> int:
             v = counting_N(f, "zero", r, trunc=1)
         elif args.functional == "m":
             v = proximity_m(f, r)
-        elif args.functional == "Ngcd":
+        else:  # Ngcd, the last of the parser's choices
             if other is None:
                 raise WorkbenchError("Ngcd needs --other")
             v = gcd_counting(f, other, r)
-        else:
-            raise WorkbenchError(f"unknown functional {args.functional}")
         rows.append(f"{r!r},{v!r}")
     text = "\n".join(rows) + "\n"
     if args.out:
@@ -139,14 +137,12 @@ def _cmd_morphism(args) -> int:
         ok = euler_identity_check(m)
         print("euler identities:", "exact" if ok else "FAILED")
         return 0 if ok else 1
-    if args.op == "pushforward":
-        if not args.z:
-            raise WorkbenchError("pushforward needs --z")
-        Z = serialize.load_poly(args.z)
-        A = pushforward_curve(m, Z)
-        print(json.dumps(serialize.poly_to_doc(A), indent=2))
-        return 0
-    raise WorkbenchError(f"unknown op {args.op}")
+    # pushforward, the last of the parser's choices
+    if not args.z:
+        raise WorkbenchError("pushforward needs --z")
+    A = pushforward_curve(m, serialize.load_poly(args.z))
+    print(json.dumps(serialize.poly_to_doc(A), indent=2))
+    return 0
 
 
 def _cmd_verify(args) -> int:

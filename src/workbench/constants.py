@@ -151,8 +151,18 @@ class MonomialFamily:
                             - {(0,) * len(used)}))
 
     def is_simplex(self) -> bool:
-        """True when the non-unit generators are exactly distinct basis vectors."""
-        return all(sum(v) == 1 and max(v) == 1 for v in self.reduced_vectors())
+        """True when the nonzero reduced vectors v_1..v_g are linearly
+        independent over Q.  With the zero vector they are then the vertices
+        of a simplex: the t-fold sums are the sum_i a_i v_i with a_i >= 0 and
+        sum_i a_i <= t, distinct a give distinct sums, and |V(t)| = C(t+g, g)."""
+        rows = [[Fraction(e) for e in v] for v in self.reduced_vectors()]
+        while rows:
+            pivot = rows.pop()
+            col = next(i for i, e in enumerate(pivot) if e)
+            rows = [[a - r[col] / pivot[col] * b for a, b in zip(r, pivot)] for r in rows]
+            if not all(any(r) for r in rows):
+                return False
+        return True
 
 
 def _sumset_sizes(fam: MonomialFamily) -> Iterator[int]:
@@ -175,7 +185,8 @@ def dim_Vt(fam: MonomialFamily, t: int) -> int:
 
     Equals the cardinality of the t-fold sumset of the exponent vectors
     (free generators make distinct products linearly independent).  Simplex
-    families use the exact closed form, any other family the sumset walk.
+    families (``is_simplex``) use the closed form, any other family the
+    sumset walk.
     """
     if t < 0:
         raise InvalidInput("t must be >= 0")

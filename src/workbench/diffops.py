@@ -239,7 +239,7 @@ def verify_Du_numeric(F: SparsePoly, u: tuple, radius_samples: list[complex]) ->
 
     if F.num_vars != len(u):
         raise InvalidInput("tuple length must match the number of variables")
-    if not (u[0].is_constant() and not u[0].exp_part and u[0].scalar.is_one()):
+    if not (u[0].is_constant() and not u[0].exp_part and u[0].scalar == 1):
         raise InvalidInput("the first tuple component must be the constant 1")
     ring = DiffSymbolRing(len(u) - 1)
     image = apply_Du(ring, ring.embed(F))

@@ -21,10 +21,6 @@ class CoprimalityError(WorkbenchError):
     """Two polynomials required to be coprime share a factor."""
 
 
-class NonProperIntersection(WorkbenchError):
-    """Two curves share a common component, so their intersection is not finite."""
-
-
 class QuadratureError(WorkbenchError):
     """Adaptive quadrature failed to converge; carries the best estimate."""
 

@@ -177,7 +177,7 @@ def _monomial_map(terms, image0, image1, shift=(0, 0)) -> dict:
 
     The maps used here have determinant -1, so distinct monomials stay
     distinct and no coefficients are summed; a wrong map that merged two
-    would lose a term, which the round trip in ``_substitute`` detects.
+    would lose a term, which the round trip in ``substitute`` detects.
     Exponents may be negative.
     """
     return {(i * image0[0] + j * image1[0] + shift[0], i * image0[1] + j * image1[1] + shift[1]): c
@@ -192,16 +192,11 @@ def dehomogenize(G: SparsePoly) -> SparsePoly:
 def substitute(G: SparsePoly, pair: NormalizedPair) -> SubstitutionResult:
     """Run the monomial change of variables X = L^a T^n2, Y = L^b T^(-n1).
 
-    Validates the curve hypotheses, normalizes away the monomial content
-    (powers M1 of T and M2 of L), checks the exact round-trip identity and
-    asserts squarefreeness of the core polynomial B.
+    G must satisfy ``validate_curve``, which ``build_W`` checks once for all
+    charts.  Normalizes away the monomial content (powers M1 of T and M2 of
+    L), checks the exact round-trip identity and asserts squarefreeness of
+    the core polynomial B.
     """
-    validate_curve(G)
-    return _substitute(G, pair)
-
-
-def _substitute(G: SparsePoly, pair: NormalizedPair) -> SubstitutionResult:
-    """``substitute`` for a curve that already passed ``validate_curve``."""
     G1 = dehomogenize(G)
     image = _monomial_map(G1.terms, (pair.a, pair.n2), (pair.b, -pair.n1))
     M1 = min(t for _, t in image)
@@ -395,15 +390,9 @@ def delta_lines(G: SparsePoly) -> list[CurveSpec]:
     """Linear curves from the top-degree forms of all three coordinate charts.
 
     For the chart that drops x_i, the binary form G|_{x_i = 0} factors into
-    linear forms x_j - delta x_k; general position makes every delta finite
-    and nonzero.
+    linear forms x_j - delta x_k; general position, which ``validate_curve``
+    checks, makes every delta finite and nonzero.
     """
-    validate_curve(G)
-    return _delta_lines(G)
-
-
-def _delta_lines(G: SparsePoly) -> list[CurveSpec]:
-    """``delta_lines`` for a curve that already passed ``validate_curve``."""
     out = []
     for i in range(3):
         j, k = [v for v in range(3) if v != i]
@@ -486,7 +475,7 @@ def build_W(G: SparsePoly, ell2: int | None = None,
         for perm, chart_G in charts:
             loci = solved.get(chart_G)
             if loci is None:
-                loci = solved[chart_G] = beta_loci(_substitute(chart_G, pair))
+                loci = solved[chart_G] = beta_loci(substitute(chart_G, pair))
             base = (-(pair.n1 + pair.n2), pair.n1, pair.n2)
             exps = [0, 0, 0]
             for chart_pos, e in enumerate(base):
@@ -498,7 +487,7 @@ def build_W(G: SparsePoly, ell2: int | None = None,
                     provenance=(Provenance(pair=(pair.n1, pair.n2), perm=perm,
                                            locus=locus_name, root_index=idx),),
                 ))
-    curves.extend(_delta_lines(G))
+    curves.extend(delta_lines(G))
     return ExceptionalSet(_dedup(curves), G, ell2, Fraction(eps) if eps is not None else None)
 
 

@@ -5,9 +5,9 @@ with a_i = lcm(d1, d2, d3)/d_i, so all three components share the common
 degree lcm(d1, d2, d3); it is a finite morphism exactly when the F_i have
 no common zero.  The toolkit computes Jacobian determinants (full and
 reduced), verifies the Euler-relation determinant identities, and decides
-finiteness, general position and transversality with one exact incidence
-test, ``share_a_zero``: a resultant and its content, with no intersection
-point computed.  It pushes an irreducible curve forward to its image
+finiteness and general position with one exact incidence test,
+``share_a_zero``: a resultant and its content, with no intersection point
+computed.  It pushes an irreducible curve forward to its image
 curve, the lowest-degree form whose pullback Z divides, found by exact
 linear algebra modulo Z.
 """
@@ -19,10 +19,10 @@ import math
 from dataclasses import dataclass
 from functools import partial
 
-from .algebra.euclid import canonical_scale, content_in, gcd_poly, resultant
+from .algebra.euclid import canonical_scale, content_in, resultant
 from .algebra.gaussrat import GaussRat
 from .algebra.poly import SparsePoly
-from .errors import InvalidInput, NonProperIntersection
+from .errors import InvalidInput
 
 
 # ---------------------------------------------------------------------------
@@ -135,7 +135,7 @@ def euler_identity_check(m: PowerMorphism) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# general position / transversality
+# general position
 # ---------------------------------------------------------------------------
 
 def general_position_check(curves: list[SparsePoly]) -> tuple[tuple[int, int, int], ...]:
@@ -147,37 +147,6 @@ def general_position_check(curves: list[SparsePoly]) -> tuple[tuple[int, int, in
     _require_forms(*curves)
     return tuple(ijk for ijk in itertools.combinations(range(len(curves)), 3)
                  if share_a_zero(*(curves[i] for i in ijk)))
-
-
-def transversality_check(F: SparsePoly, G: SparsePoly) -> bool:
-    """Whether two curves meet transversally at every common point.
-
-    At a common point P the Euler relations give grad F . P = grad G . P = 0,
-    so grad F x grad G = lambda P, with lambda = 0 exactly where a curve is
-    singular or the tangents agree.  Where the line c . x misses F and G,
-    sum_v c_v (grad F x grad G)_v = lambda (c . P) vanishes exactly with
-    lambda; c = (1, a, a^2) passes through a given point for at most two
-    values of a, so a = 0, 1, 2, ... finds such a line.  Curves with a
-    common component raise NonProperIntersection.
-    """
-    _require_forms(F, G)
-    if not gcd_poly(F, G, 0).is_constant():
-        raise NonProperIntersection("curves share a common component")
-    if F.is_constant() or G.is_constant():
-        return True  # the curves do not meet
-    dF = [F.partial_derivative(v) for v in range(3)]
-    dG = [G.partial_derivative(v) for v in range(3)]
-    cross = [dF[(v + 1) % 3] * dG[(v + 2) % 3] - dF[(v + 2) % 3] * dG[(v + 1) % 3]
-             for v in range(3)]
-    xs = [SparsePoly.variable(v, 3) for v in range(3)]
-
-    def dot(c, forms):
-        return sum((ci * p for ci, p in zip(c, forms)), SparsePoly.zero(3))
-
-    a = next(a for a in itertools.count() if not share_a_zero(F, G, dot((1, a, a * a), xs)))
-    W = dot((1, a, a * a), cross)
-    # W = 0 puts lambda = 0 at every common point, and the curves do meet
-    return bool(W) and not share_a_zero(F, G, W)
 
 
 # ---------------------------------------------------------------------------

@@ -157,18 +157,6 @@ class MeroFn:
     def is_constant(self) -> bool:
         return not self.factors and self.exp_part.degree_in(0) <= 0
 
-    def constant_value(self) -> GaussRat:
-        """Exact value of a constant function; requires a constant exp part too.
-
-        exp(c) for c != 0 is transcendental, so only exp part 0 yields an
-        exact Gaussian rational.
-        """
-        if not self.is_constant():
-            raise InvalidInput("function is not constant")
-        if self.exp_part:
-            raise InvalidInput("constant has a transcendental exp factor")
-        return self.scalar
-
     def __eq__(self, other):
         if not isinstance(other, MeroFn):
             return NotImplemented
@@ -260,18 +248,6 @@ class MeroFn:
             if self.exp_part:
                 acc = acc + np.real(np.polyval(_complex_coeffs_desc(self.exp_part), zs))
         return acc
-
-    def __str__(self):
-        if self.is_zero():
-            return "0"
-        parts = [str(self.scalar)]
-        for p, m in self.factors:
-            parts.append(f"({p})^{m}" if m != 1 else f"({p})")
-        if self.exp_part:
-            parts.append(f"exp({self.exp_part})")
-        return " * ".join(parts)
-
-    __repr__ = __str__
 
 
 def _by_order(canon: dict[SparsePoly, int]) -> list[tuple[SparsePoly, int]]:
@@ -853,19 +829,6 @@ def log_derivative_T(ld: LogDerivative, r: float) -> float:
 # ---------------------------------------------------------------------------
 # file format
 # ---------------------------------------------------------------------------
-
-def mero_to_doc(f: MeroFn) -> dict:
-    from .algebra import serialize
-
-    re, im = f.scalar.to_strings()
-    return {
-        "scalar": {"re": re, "im": im},
-        "factors": [
-            {"poly": serialize.poly_to_doc(p), "mult": m} for p, m in f.factors
-        ],
-        "exp": serialize.poly_to_doc(f.exp_part),
-    }
-
 
 def mero_from_doc(doc: dict) -> MeroFn:
     """The class function of a document; a malformed one raises InvalidInput."""

@@ -13,7 +13,7 @@ from conftest import variables
 
 def write_poly(tmp_path, name, p):
     path = tmp_path / name
-    serialize.dump_poly(p, str(path))
+    path.write_text(json.dumps(serialize.poly_to_doc(p)))
     return str(path)
 
 
@@ -86,6 +86,47 @@ def test_nev_command(tmp_path, capsys):
     assert v == pytest.approx(3 * math.log(r), abs=1e-6)
 
 
+def write_fn(tmp_path, name, factors):
+    path = tmp_path / name
+    path.write_text(json.dumps({"factors": [{"poly": serialize.poly_to_doc(p), "mult": m}
+                                            for p, m in factors]}))
+    return str(path)
+
+
+@pytest.mark.parametrize("functional, slope", [("T", 3), ("N", 3), ("N1", 2), ("m", 3),
+                                               ("Ngcd", 1)])
+def test_nev_prints_each_functional(tmp_path, capsys, functional, slope):
+    # f = (z - 1)^2 (z + 1) and g = z - 1: every value is slope * log r for
+    # r >= 2, where |f| >= 1 on the circle, and the two share the zero 1 once
+    z = SparsePoly.variable(0, 1)
+    f = write_fn(tmp_path, "f.json", [(z - 1, 2), (z + 1, 1)])
+    g = write_fn(tmp_path, "g.json", [(z - 1, 1)])
+    argv = ["nev", "--fn", f, "--other", g, "--grid", "2,50,3", "--functional", functional]
+    assert main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "r,value" and len(lines) == 4
+    for line in lines[1:]:
+        r, v = (float(x) for x in line.split(","))
+        assert v == pytest.approx(slope * math.log(r), abs=1e-9)
+
+
+def test_nev_writes_its_rows_to_out(tmp_path, capsys):
+    z = SparsePoly.variable(0, 1)
+    f = write_fn(tmp_path, "f.json", [(z, 3)])
+    out = tmp_path / "T.csv"
+    assert main(["nev", "--fn", f, "--grid", "2,50,5", "--functional", "T", "--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert out.read_text().splitlines()[0] == "r,value"
+    assert len(out.read_text().splitlines()) == 6
+
+
+def test_nev_refuses_ngcd_without_other(tmp_path, capsys):
+    z = SparsePoly.variable(0, 1)
+    f = write_fn(tmp_path, "f.json", [(z, 1)])
+    assert main(["nev", "--fn", f, "--grid", "2,50,5", "--functional", "Ngcd"]) == 2
+    assert capsys.readouterr().err == "error: Ngcd needs --other\n"
+
+
 def test_morphism_command(tmp_path, capsys):
     x0, x1, x2 = variables(3)
     f1 = write_poly(tmp_path, "f1.json", x0)
@@ -100,6 +141,16 @@ def test_morphism_command(tmp_path, capsys):
     doc = json.loads(capsys.readouterr().out)
     A = serialize.poly_from_doc(doc)
     assert A.total_degree() == 1 and len(A.terms) == 3
+
+
+def test_morphism_jacobian_prints_both_determinants(tmp_path, capsys):
+    x0, x1, x2 = variables(3)
+    forms = [write_poly(tmp_path, f"f{k}.json", p) for k, p in enumerate((x0, x1, sphere()))]
+    argv = ["morphism", "--f1", forms[0], "--f2", forms[1], "--f3", forms[2]]
+    assert main(argv + ["--op", "jacobian"]) == 0
+    assert capsys.readouterr().out == "reduced: 2*x2\nfull:    8*x0*x1*x2\n"
+    assert main(argv + ["--op", "pushforward"]) == 2
+    assert capsys.readouterr().err == "error: pushforward needs --z\n"
 
 
 def test_morphism_genpos_names_each_shared_point(tmp_path, capsys):
@@ -121,6 +172,23 @@ def test_verify_command(tmp_path, capsys):
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "r,lhs,rhs,margin,gated"
     assert len(lines) > 5
+
+
+def test_exset_and_verify_print_to_stdout(tmp_path, capsys):
+    gpath = write_poly(tmp_path, "G.json", sphere())
+    assert main(["exset", "--poly", gpath, "--bound", "2"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert len(doc["curves"]) == 15
+    scenario = shipped_scenario_dir() / "truncation_defect_generic.json"
+    assert main(["verify", "--scenario", str(scenario)]) == 0
+    out = capsys.readouterr()
+    assert out.out.splitlines()[0] == "r,lhs,rhs,margin,gated"
+    assert "# verdict: holds-on-grid" in out.err
+
+
+def test_suite_refuses_a_directory_without_scenarios(tmp_path, capsys):
+    assert main(["suite", "--dir", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"error: no scenarios in {tmp_path}\n"
 
 
 def test_suite_command(capsys):

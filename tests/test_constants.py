@@ -202,6 +202,41 @@ def test_choose_b_walks_one_growing_sumset(monkeypatch):
     assert choose_b(Fraction(1, 2), 29, 2, fam, 464) == (465, 3 * 464 * 465, 3 * 464 * 464)
 
 
+@pytest.mark.parametrize("vectors, b", [
+    (((0, 0), (2, 0)), 465),
+    (((0, 0), (2, 0), (0, 3)), 930),
+], ids=["one-generator", "two-generators"])
+def test_a_free_family_answers_in_closed_form(monkeypatch, vectors, b):
+    # independent reduced vectors: |V(t)| = C(t + g, g), and no sumset is walked
+    def walked(fam):
+        raise AssertionError("sumset walked")
+
+    monkeypatch.setattr(constants_module, "_sumset_sizes", walked)
+    fam = MonomialFamily(vectors)
+    assert fam.is_simplex()
+    assert full_profile(Fraction(1, 2), 2, 1, fam).b == b
+
+
+def test_independence_is_a_rank_test():
+    free = ((0, 0, 0), (1, 1, 0), (0, 1, 1), (1, 0, 1))
+    # no two vectors are parallel, but the last is the sum of the first two
+    dependent = ((0, 0, 0), (1, 1, 0), (0, 1, 1), (1, 2, 1))
+    assert MonomialFamily(free).is_simplex()
+    assert not MonomialFamily(dependent).is_simplex()
+    for t in range(5):
+        assert dim_Vt(MonomialFamily(free), t) == brute_force_dim(sorted(free), t) == binom(t + 3, 3)
+
+
+def test_a_dependent_family_walks_its_sumset(monkeypatch):
+    calls = count_calls(monkeypatch, constants_module, "_sumset_sizes")
+    fam = MonomialFamily(((0, 0), (1, 0), (2, 0)))
+    assert not fam.is_simplex()
+    # the t-fold sums of {0, 1, 2} are 0..2t, so |V(t)| = 2t + 1 and the least
+    # b with 22/(22b - 21) <= 1/64 is 65
+    assert choose_b(Fraction(1, 2), 4, 2, fam, 11) == (65, 2 * 11 * 65 + 1, 2 * 11 * 64 + 1)
+    assert len(calls) == 1
+
+
 def test_choose_N():
     n, m = 2, 29
     prof = constants(2, 1, m)

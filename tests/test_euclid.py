@@ -5,13 +5,13 @@ import pytest
 import sympy
 
 from workbench.algebra.euclid import (
+    _pseudo_divmod,
     _subresultant_prs,
     canonical_scale,
     content_in,
     gcd_poly,
     is_squarefree,
     monomial_variables,
-    pseudo_rem,
     resultant,
 )
 from workbench.algebra.gaussrat import GaussRat
@@ -19,6 +19,11 @@ from workbench.algebra.poly import SparsePoly
 from workbench.errors import InvalidInput
 
 from conftest import random_poly, to_sympy, variables
+
+
+def pseudo_rem(f, g, var):
+    """The pseudo-remainder each step of the subresultant PRS takes."""
+    return _pseudo_divmod(f, g, var)[1]
 
 
 def test_resultant_quadratic_vs_linear():

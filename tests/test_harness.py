@@ -441,7 +441,7 @@ def _relation_value(curve, exponents):
     for g, e in zip(curve, exponents):
         acc = acc * g**e if e >= 0 else acc / g ** (-e)
     assert acc.is_constant() and not acc.exp_part
-    return acc.constant_value()
+    return acc.scalar
 
 
 def _witnesses_on(f, disk, exponents=(-1, 1, 0)):

@@ -1,124 +1,19 @@
-"""Every def and class under src/workbench is mentioned by the program itself.
-
-A definition counts as used when src/ or perfbench/ mentions its name
-outside its own body: as an attribute, inside a string (the way
-perfbench/tracer.py names the functions it wraps), or, for a module-level or
-nested function or class, as a name that is read.  A method is reached
-through an attribute, so a bare name counts for it only in the statements of
-its own class body (``__str__ = to_string``); a local variable that happens
-to share its name does not keep it.  Package ``__init__.py`` files are not
-counted, so a re-export or an ``__all__`` entry alone does not make a name
-used.  Special methods are called by the language and are exempt.  Public
-entry points that only users and tests call are listed in KEPT_PUBLIC, and
-the list must name exactly the unused definitions, so it cannot go stale.
-
-This is a check on name mentions, not a call graph: a method whose name is
-also some unrelated attribute still counts as used.
-"""
+"""Structural checks on src/workbench: one home for each concept, and what
+the benchmark in perfbench/ reads from the program.  Whether every function
+is called by a product path is checked in test_calls.py."""
 
 import ast
 import re
-from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "workbench"
 
-KEPT_PUBLIC = {
-    # the algebra kernel's public operations
-    "algebra.certificates.nullstellensatz_certificate",
-    "algebra.euclid.pseudo_rem",
-    # the other halves of the polynomial file format
-    "algebra.serialize.dump_poly",
-    # the formal symbol ring and its checks (acceptance criterion 4)
-    "diffops.check_product_rule",
-    "diffops.coprime_with_Du",
-    "diffops.resultants_with_Du",
-    "diffops.diffpoly_to_doc",
-    "diffops.diffpoly_from_doc",
-    "diffops.verify_Du_numeric",
-    # the normal form of an exponent pair (enumerate_pairs lists normal pairs)
-    "exset.normalize_pair",
-    # the exact transversality test of the morphism toolkit
-    "morphisms.transversality_check",
-    # the writing half of the class-function file format
-    "nevanlinna.mero_to_doc",
-}
-
-
-_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-
-
-def _mentions(tree: ast.AST) -> tuple[Counter, Counter]:
-    """Names read, and names mentioned as attributes or inside strings."""
-    names, attrs = Counter(), Counter()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            names[node.id] += 1
-        elif isinstance(node, ast.Attribute):
-            attrs[node.attr] += 1
-        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-            attrs.update(p for p in node.value.replace(":", ".").split(".") if p.isidentifier())
-    return names, attrs
-
-
-def _class_level_names(cls: ast.ClassDef) -> Counter:
-    """Names read by the statements of a class body outside its definitions."""
-    out = Counter()
-    for stmt in cls.body:
-        if not isinstance(stmt, _DEFS):
-            out += _mentions(stmt)[0]
-    return out
-
-
-def _definitions(tree: ast.AST, prefix: str):
-    """(qualified name, node, enclosing class or None) for every definition."""
-    for node in ast.iter_child_nodes(tree):
-        if isinstance(node, _DEFS):
-            yield f"{prefix}.{node.name}", node, tree if isinstance(tree, ast.ClassDef) else None
-            yield from _definitions(node, f"{prefix}.{node.name}")
-
-
-def _unused() -> set[str]:
-    sources = sorted(PACKAGE.rglob("*.py")) + sorted((ROOT / "perfbench").rglob("*.py"))
-    trees = {path: ast.parse(path.read_text(), str(path)) for path in sources}
-    names, attrs = Counter(), Counter()
-    for path, tree in trees.items():
-        if path.name != "__init__.py":
-            n, a = _mentions(tree)
-            names += n
-            attrs += a
-    unused = set()
-    for path, tree in trees.items():
-        if PACKAGE not in path.parents:
-            continue
-        module = ".".join(path.relative_to(PACKAGE).with_suffix("").parts)
-        for qualname, node, cls in _definitions(tree, module):
-            name = node.name
-            if name.startswith("__") and name.endswith("__"):
-                continue
-            own_names, own_attrs = _mentions(node)
-            uses = attrs[name] - own_attrs[name]
-            if cls is None:
-                uses += names[name] - own_names[name]
-            else:
-                uses += _class_level_names(cls)[name]
-            if uses <= 0:
-                unused.add(qualname)
-    return unused
-
-
-def test_every_definition_is_used_or_kept_public():
-    assert _unused() == KEPT_PUBLIC
-
 
 def test_one_polynomial_arithmetic():
-    """Only the exact kernel and the two function classes define products.
-
-    The name check above exempts special methods, so an operator that
-    nothing applies would hide from it; a polynomial over formal symbols is
-    a SparsePoly in more variables, not a second arithmetic.
-    """
+    """Only the exact kernel and the two function classes define products;
+    a polynomial over formal symbols is a SparsePoly in more variables, not
+    a second arithmetic."""
     owners = set()
     for path in PACKAGE.rglob("*.py"):
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
@@ -382,6 +277,33 @@ def test_traced_names_resolve(monkeypatch):
     for module, cls, method in tracer.METHODS.values():
         owner = getattr(importlib.import_module(module), cls)
         assert callable(getattr(owner, method)), (module, cls, method)
+
+
+def test_a_traced_exset_pass_counts_the_steps_build_W_calls(monkeypatch):
+    """build_W calls substitute and delta_lines by the names the tracer
+    wraps: one substitution per beta_loci call, one delta_lines per build."""
+    import importlib
+    import sys
+
+    tracer = _perfbench(monkeypatch, "tracer")
+    workloads = _perfbench(monkeypatch, "workloads")
+    # install() rebinds module attributes and methods for good; setting each
+    # to itself first lets monkeypatch put it back
+    for name, module in list(sys.modules.items()):
+        if name == "workbench" or name.startswith("workbench."):
+            for key, value in list(vars(module).items()):
+                if callable(value):
+                    monkeypatch.setattr(module, key, value)
+    for module, cls, method in tracer.METHODS.values():
+        owner = getattr(importlib.import_module(module), cls)
+        monkeypatch.setattr(owner, method, getattr(owner, method))
+    traced = tracer.Tracer()
+    traced.install()
+    workload = workloads.WORKLOADS["exset"](1, workloads.load_reference())
+    workload.run(workloads.Pass(workload.stages))
+    metrics = traced.layer_metrics()
+    assert metrics["exset.substitute.calls"] == metrics["exset.beta_loci.calls"] == 32
+    assert metrics["exset.delta_lines.calls"] == metrics["exset.build_W.calls"] == 6
 
 
 def test_workloads_set_up_at_seed_one(monkeypatch):

@@ -7,7 +7,7 @@ import sympy
 
 from workbench.algebra.gaussrat import GaussRat
 from workbench.algebra.poly import SparsePoly
-from workbench.errors import InvalidInput, NonProperIntersection
+from workbench.errors import InvalidInput
 from workbench.morphisms import (
     PowerMorphism,
     euler_identity_check,
@@ -15,7 +15,6 @@ from workbench.morphisms import (
     jacobian_det,
     pushforward_curve,
     share_a_zero,
-    transversality_check,
 )
 
 from conftest import count_calls, random_poly, to_sympy, variables
@@ -117,23 +116,6 @@ def test_irrational_common_points_are_found():
     assert general_position_check(list(F)) == ((0, 1, 2),)
     with pytest.raises(InvalidInput):
         PowerMorphism.build(*F)
-
-
-def test_transversality_examples():
-    x0, x1, x2 = variables(3)
-    assert transversality_check(x0, x1)
-    # tangency of a line with a conic at an exact point
-    assert not transversality_check(x1, x1 * x2 - x0**2)
-    assert transversality_check(sphere(), x0)
-    q = x1**2 - 2 * x0**2
-    # x2 = 0 meets q^2 + x2^4 only at its singular points (1 : +-sqrt(2) : 0)
-    assert not transversality_check(q**2 + x2**4, x2)
-    # and meets q*x0 + x2^3 in the three simple points (0 : 1 : 0), (1 : +-sqrt(2) : 0)
-    assert transversality_check(q * x0 + x2**3, x2)
-    with pytest.raises(NonProperIntersection):
-        transversality_check(x0 * x1, x1 * x2)
-    with pytest.raises(InvalidInput):
-        transversality_check(SparsePoly.zero(3), x1)
 
 
 def _linear_form(c):

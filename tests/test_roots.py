@@ -456,3 +456,18 @@ def test_seeded_solver_agrees_with_polyroots_at_low_degrees():
         for p, _ in squarefree_decompose(f):
             if p.degree_in(0) > 1:
                 assert _enclosures(p, True) == _enclosures(p, False), f
+
+
+@pytest.mark.xfail(strict=True, raises=EnclosureError,
+                   reason="polyroots does not converge on these moduli (ROADMAP item 7); "
+                          "the NoConvergence branch of _solve_squarefree raises")
+@pytest.mark.parametrize("make", [
+    lambda z: z**2 + 10**60,
+    lambda z: z**2 + 3 * 10**60,
+    lambda z: z**3 - 2 * 10**600,
+    lambda z: (z**2 + 3 * 10**401) * (z - 5),
+], ids=["z^2+10^60", "z^2+3*10^60", "z^3-2*10^600", "(z^2+3*10^401)(z-5)"])
+def test_roots_of_large_modulus_certify(make):
+    f = make(t())
+    r = roots_certified(f)
+    assert sum(e.multiplicity for e in r.roots) == f.degree_in(0)

@@ -6,7 +6,7 @@ from workbench.algebra.gaussrat import GaussRat
 from workbench.algebra.poly import SparsePoly
 from workbench.algebra.serialize import poly_from_doc, poly_to_doc
 from workbench.errors import InvalidInput
-from workbench.nevanlinna import MeroFn, mero_from_doc, mero_to_doc
+from workbench.nevanlinna import MeroFn, mero_from_doc
 
 from conftest import variables
 
@@ -24,6 +24,16 @@ def test_laurent_doc_rejected_as_poly():
     doc = {"vars": 2, "laurent": True, "terms": []}
     with pytest.raises(InvalidInput, match="Laurent"):
         poly_from_doc(doc)
+
+
+def mero_to_doc(f: MeroFn) -> dict:
+    """The class-function document of f, as mero_from_doc reads it."""
+    re, im = f.scalar.to_strings()
+    return {
+        "scalar": {"re": re, "im": im},
+        "factors": [{"poly": poly_to_doc(p), "mult": m} for p, m in f.factors],
+        "exp": poly_to_doc(f.exp_part),
+    }
 
 
 def test_mero_round_trip():
