@@ -3,11 +3,15 @@
 Multiplicities are assigned structurally (from the squarefree
 decomposition), never numerically.  A squarefree factor with its
 denominators cleared has coefficients in Z[i], and one integer arithmetic
-serves every step on them.  Approximate roots come from ``mpmath.polyroots``
-at doubling precision or, when the factor has degree ``_MIN_SEEDED_DEGREE``
-or more, first from the float seeds of ``np.roots``, refined 80 bits past
-the working precision.  A last Newton step in fixed point (``_newton``)
-turns each into its high-precision root z, a dyadic Gaussian rational.  The
+serves every step on them.  Approximate roots come from one of three
+sources.  A factor whose reversal (its coefficients in reverse order, up to
+a scalar) was solved before in the process first takes the inverses of that
+solve's certified roots at the working precision.  Otherwise, and when that
+attempt fails, they come from ``mpmath.polyroots`` at doubling precision
+or, when the factor has degree ``_MIN_SEEDED_DEGREE`` or more, first from
+the float seeds of ``np.roots``, refined 80 bits past the working
+precision.  A last Newton step in fixed point (``_newton``) turns each
+into its high-precision root z, a dyadic Gaussian rational.  The
 certificate is taken of z alone: p and p' are evaluated exactly there, and
 the disk of radius n |p(z)/p'(z)| about z holds a root (``_radius``), with
 no rounding term.  An attempt passes when every radius is at most
@@ -30,6 +34,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import mpmath
@@ -42,14 +47,22 @@ from .squarefree import squarefree_decompose
 
 # every enclosure radius is at most this times max(1, |root|)
 ENCLOSURE_RADIUS = 1e-12
-# (working dps, float-seeded) per attempt: float seeds first, then the
-# polyroots ladder at doubling precision
-_ATTEMPTS = ((40, True), (40, False), (80, False), (160, False), (320, False), (640, False))
+# (working dps, route) per attempt: float seeds first, then the polyroots
+# ladder at doubling precision; a factor whose reversal is stored takes the
+# "reversal" route before these, at the precision that solve certified at
+_ATTEMPTS = ((40, "seeded"), (40, "polyroots"), (80, "polyroots"), (160, "polyroots"),
+             (320, "polyroots"), (640, "polyroots"))
 # the float-seeded attempt runs only when a factor has at least this degree.
 # Seeding pays at every degree; the limit stays only because an exset pass that
 # short fires no calibration slice, and perfbench/worker.py then divides by zero
 # (ROADMAP item 1).  Delete it once that is mended (ROADMAP item 2).
 _MIN_SEEDED_DEGREE = 17
+# entries of roots_certified's LRU, and of the store of solved factors
+_CACHE_SIZE = 1024
+# monic coefficients of each solved squarefree factor -> (the dps its
+# attempt certified at, its high-precision roots z), least recently used
+# first; emptied with roots_certified's LRU
+_SOLVED: OrderedDict[tuple[GaussRat, ...], tuple[int, list]] = OrderedDict()
 
 
 @dataclass(frozen=True)
@@ -204,17 +217,23 @@ def _seeded_roots(coeffs: list[GaussRat], pairs, dps: int):
     return [+z for z in out]
 
 
-def _solve_squarefree(coeffs: list[GaussRat], dps: int, seeded: bool):
+def _solve_squarefree(coeffs: list[GaussRat], dps: int, route: str, mirror=()):
     """Roots of a squarefree polynomial at given precision.
 
-    The approximate roots come from float seeds (``seeded``) or from
-    ``mpmath.polyroots``; either way a final ``_newton`` step gives the
-    dyadic high-precision root z.  Returns (z, squared radius) per root, the
-    radius from ``_radius``.
+    The approximate roots come from the ``route``: the inverses of
+    ``mirror``, the high-precision roots of the reversal ("reversal"), float
+    seeds ("seeded") or ``mpmath.polyroots`` ("polyroots"); either way a
+    final ``_newton`` step gives the dyadic high-precision root z.  Returns
+    (z, squared radius) per root, the radius from ``_radius``.
     """
     pairs = int_pairs(coeffs)[1]
     with mpmath.workdps(dps):
-        if seeded:
+        if route == "reversal":
+            try:
+                approx = [1 / _mpc(z) for z in mirror]
+            except ZeroDivisionError as exc:
+                raise EnclosureError("a stored root of the reversal is 0") from exc
+        elif route == "seeded":
             approx = _seeded_roots(coeffs, pairs, dps)
         else:
             try:
@@ -270,7 +289,28 @@ def _small(z, rad2) -> bool:
     return num * td * td << 2 * s <= den * tn * tn * max(1 << 2 * s, x * x + y * y)
 
 
-@functools.lru_cache(maxsize=1024)
+def _monic(coeffs: list[GaussRat]) -> tuple[GaussRat, ...]:
+    """The coefficients over the leading one: the store's key of a factor."""
+    lead = coeffs[-1]
+    return tuple(c / lead for c in coeffs)
+
+
+def _stored(key):
+    """The store's entry for ``key``, marked as just used, or None."""
+    entry = _SOLVED.get(key)
+    if entry is not None:
+        _SOLVED.move_to_end(key)
+    return entry
+
+
+def _store(key, dps: int, zs: list) -> None:
+    _SOLVED[key] = (dps, zs)
+    _SOLVED.move_to_end(key)
+    if len(_SOLVED) > _CACHE_SIZE:
+        _SOLVED.popitem(last=False)
+
+
+@functools.lru_cache(maxsize=_CACHE_SIZE)
 def roots_certified(f: SparsePoly) -> AlgebraicRoots:
     """All complex roots of a nonzero univariate polynomial, with multiplicity.
 
@@ -285,7 +325,9 @@ def roots_certified(f: SparsePoly) -> AlgebraicRoots:
     underflows to 0 raises InvalidInput.  Raises EnclosureError if that
     radius, the exactness test's or disk disjointness cannot be reached.
     Results are cached per polynomial, so all callers share one solve; an
-    error is never cached.
+    error is never cached.  The roots of each certified squarefree factor
+    are stored too, and seed the first attempt on a later factor that is
+    its reversal; ``roots_certified.cache_clear()`` empties both.
     """
     if not f:
         raise ValueError("cannot isolate roots of the zero polynomial")
@@ -312,17 +354,26 @@ def roots_certified(f: SparsePoly) -> AlgebraicRoots:
             pending.append((p, coeffs, mult, int_pairs(coeffs)[1]))
 
     top = max((len(c) - 1 for _, c, _, _ in pending), default=0)
-    for dps, seeded in _ATTEMPTS:
-        if seeded and top < _MIN_SEEDED_DEGREE:
+    # (dps, roots) of each factor's stored reversal, or None; a reversal has
+    # a nonzero leading coefficient, since the origin is peeled
+    mirrors = [_stored(_monic(coeffs[::-1])) for _, coeffs, _, _ in pending]
+    attempts = _ATTEMPTS
+    if pending and None not in mirrors:
+        attempts = ((max(dps for dps, _ in mirrors), "reversal"),) + attempts
+    for dps, route in attempts:
+        if route == "seeded" and top < _MIN_SEEDED_DEGREE:
             continue
         try:
-            # (factor, pairs, multiplicity, high-precision root, squared radius)
-            solved = [(p, pairs, mult, z, rad2) for p, coeffs, mult, pairs in pending
-                      for z, rad2 in _solve_squarefree(coeffs, dps, seeded)]
+            # (high-precision root, squared radius) per root, per factor
+            solves = [_solve_squarefree(coeffs, dps, route, mirror[1] if mirror else ())
+                      for (_, coeffs, _, _), mirror in zip(pending, mirrors)]
         except EnclosureError:
-            if not seeded:
+            if route == "polyroots":
                 raise
             continue
+        # (factor, pairs, multiplicity, high-precision root, squared radius)
+        solved = [(p, pairs, mult, z, rad2) for (p, _, mult, pairs), solve in zip(pending, solves)
+                  for z, rad2 in solve]
         if any(rad2 is None or not _small(z, rad2) for *_, z, rad2 in solved):
             continue
         with mpmath.workdps(dps):
@@ -338,12 +389,27 @@ def roots_certified(f: SparsePoly) -> AlgebraicRoots:
                 raise InternalContradiction("root count does not match degree")
             if any(r.center == 0 and r.exact != 0 for r in candidate):
                 raise InvalidInput("a nonzero root's float centre underflows to 0")
+            for (_, coeffs, _, _), solve in zip(pending, solves):
+                _store(_monic(coeffs), dps, [z for z, _ in solve])
             ordered = tuple(
                 sorted(candidate, key=lambda r: (round(r.center.real, 10),
                                                  round(r.center.imag, 10)))
             )
             return AlgebraicRoots(original, ordered)
     raise EnclosureError(f"could not certify enclosures at relative tol={ENCLOSURE_RADIUS}")
+
+
+_clear_results = roots_certified.cache_clear
+
+
+def _cache_clear() -> None:
+    """``roots_certified.cache_clear``: empties the LRU and the store of
+    solved factors, so the two have one lifetime."""
+    _clear_results()
+    _SOLVED.clear()
+
+
+roots_certified.cache_clear = _cache_clear
 
 
 def _enclosure(z, rad2, mult: int, exact: GaussRat | None) -> RootEnclosure:

@@ -72,6 +72,9 @@ KEPT = {
     "algebra.gaussrat.GaussRat.__rtruediv__": "operator of the number type: int / GaussRat",
     "expsum.ExpSumFn.__sub__": "operator of the exp-sum ring: f - g",
     "expsum.ExpSumFn.__neg__": "operator of the exp-sum ring: -f",
+    "algebra.roots._cache_clear": "roots_certified.cache_clear, which empties the LRU and "
+                                  "the store of solved factors together; no product path "
+                                  "clears a cache",
     "algebra.roots._inside": "refinement guard: the refined disk must lie inside the first; "
                              "runs only when |L| r >= 1/2",
     "errors.QuadratureError.__init__": "raised when adaptive quadrature does not converge",

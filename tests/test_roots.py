@@ -420,7 +420,7 @@ def test_overflowing_coefficients_certify_through_polyroots(monkeypatch):
     # that: 10^320 does not fit a float
     f = (t() ** 2 + GaussRat(10**320)) * (t() ** 15 - 2)
     with pytest.raises(EnclosureError, match="no float seeds"):
-        roots._solve_squarefree(roots._univar_coeffs(f), 40, True)
+        roots._solve_squarefree(roots._univar_coeffs(f), 40, "seeded")
     calls = count_calls(monkeypatch, mpmath, "polyroots")
     got = _certify(f, monkeypatch, seeded=True)
     seeded_calls = len(calls)
@@ -440,14 +440,14 @@ def test_seeded_and_polyroots_paths_agree(monkeypatch):
         calls.clear()
 
 
-def _enclosures(p, seeded: bool):
-    """The enclosures of the squarefree ``p`` at 40 digits, built as
-    roots_certified builds them, in the order of their centres."""
+def _enclosures(p, route: str):
+    """The enclosures of the squarefree ``p`` at 40 digits by ``route``,
+    built as roots_certified builds them, in the order of their centres."""
     coeffs = roots._univar_coeffs(p)
     pairs = int_pairs(coeffs)[1]
     with mpmath.workdps(40):
         out = [roots._enclosure(z, rad2, 1, roots._gaussian_rational(p, pairs, z, rad2))
-               for z, rad2 in roots._solve_squarefree(coeffs, 40, seeded)]
+               for z, rad2 in roots._solve_squarefree(coeffs, 40, route)]
     return sorted(out, key=lambda d: (d.center.real, d.center.imag))
 
 
@@ -455,7 +455,7 @@ def test_seeded_solver_agrees_with_polyroots_at_low_degrees():
     for f in _differential_draws(20241019, 64, (3, 5, 7, 9)):
         for p, _ in squarefree_decompose(f):
             if p.degree_in(0) > 1:
-                assert _enclosures(p, True) == _enclosures(p, False), f
+                assert _enclosures(p, "seeded") == _enclosures(p, "polyroots"), f
 
 
 @pytest.mark.xfail(strict=True, raises=EnclosureError,
@@ -471,3 +471,130 @@ def test_roots_of_large_modulus_certify(make):
     f = make(t())
     r = roots_certified(f)
     assert sum(e.multiplicity for e in r.roots) == f.degree_in(0)
+
+
+# -- factors solved from their reversal's roots ----------------------------------
+
+# two beta-loci of build_W on the quartic x0^4 + x1^4 + x2^4 + x0 x1 x2^2 at
+# bound 2; the charts that swap x0 and x2 give their reversals
+QUARTIC_LOCI = {
+    "quartic-12": t() ** 12 + Fraction(741, 256) * t() ** 8 + 3 * t() ** 4 + 1,
+    "quartic-16": (t() ** 16 + Fraction(997, 256) * t() ** 12 + Fraction(1509, 256) * t() ** 8
+                   + 4 * t() ** 4 + 1),
+}
+MIRROR_DEGREES = (2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 20, 23, 26, 30, 34)
+
+
+def _reversal(f):
+    """f's coefficients in reverse order, whose roots are the inverses of f's
+    when f(0) != 0."""
+    n = f.degree_in(0)
+    return SparsePoly(1, {(n - e[0],): c for e, c in f.terms.items()})
+
+
+def _anti_palindromic(rng, degree):
+    """Coefficients c_(n-k) = -c_k, n odd: the reversal is -f, so f is its
+    own reversal up to a scalar."""
+    low = {k: rng.choice(UNITS) for k in range((degree + 1) // 2)}
+    return SparsePoly(1, {**{(k,): c for k, c in low.items()},
+                          **{(degree - k,): -c for k, c in low.items()}})
+
+
+def _mirror_cases():
+    rng = random.Random("mirror")
+    cases = dict(QUARTIC_LOCI)
+    cases.update((f"dense-{degree}", _dense(rng, degree)) for degree in MIRROR_DEGREES)
+    cases["anti-palindromic-11"] = _anti_palindromic(rng, 11)
+    return cases
+
+
+MIRROR_CASES = _mirror_cases()
+
+
+@pytest.mark.parametrize("name", list(MIRROR_CASES))
+def test_a_reversal_solves_from_its_stored_roots_as_a_cold_solve_does(monkeypatch, name):
+    f = MIRROR_CASES[name]
+    rev = _reversal(f)
+    assert rev != f and rev.terms.get((0,))
+    cold = _certify(rev, monkeypatch, seeded=True)
+    roots_certified.cache_clear()
+    roots_certified(f)
+    polyroots = count_calls(monkeypatch, mpmath, "polyroots")
+    seeds = count_calls(monkeypatch, roots.np, "roots")
+    routes = count_calls(monkeypatch, roots, "_solve_squarefree")
+    warm = roots_certified(rev).roots
+    roots_certified.cache_clear()
+    assert polyroots == [] and seeds == []
+    assert {args[2] for args in routes} == {"reversal"}
+    assert warm == cold
+
+
+def _duplicate(zs):
+    return [zs[0], *zs[:-1]]
+
+
+def _zero(zs):
+    return [(0, 0, zs[0][2])] + zs[1:]
+
+
+@pytest.mark.parametrize("name, plant, ladder", [
+    ("quartic-16", _duplicate, "polyroots"),  # two approximations meet one root
+    ("quartic-12", _zero, "polyroots"),       # a root with no inverse
+    ("dense-20", _duplicate, "seeded"),
+])
+def test_a_planted_stored_root_leaves_the_ladder_to_certify(monkeypatch, name, plant, ladder):
+    f = MIRROR_CASES[name]
+    rev = _reversal(f)
+    cold = _certify(rev, monkeypatch, seeded=True)
+    roots_certified.cache_clear()
+    roots_certified(f)
+    (key, (dps, zs)), = roots._SOLVED.items()
+    roots._SOLVED[key] = (dps, plant(zs))
+    routes = count_calls(monkeypatch, roots, "_solve_squarefree")
+    got = roots_certified(rev).roots
+    roots_certified.cache_clear()
+    assert [args[2] for args in routes] == ["reversal", ladder]
+    assert got == cold
+
+
+def test_cache_clear_empties_the_store_of_solved_factors(monkeypatch):
+    f = QUARTIC_LOCI["quartic-12"]
+    roots_certified.cache_clear()
+    roots_certified(f)
+    assert list(roots._SOLVED) == [roots._monic(roots._univar_coeffs(f))]
+    roots_certified.cache_clear()
+    assert not roots._SOLVED
+    routes = count_calls(monkeypatch, roots, "_solve_squarefree")
+    roots_certified(_reversal(f))
+    roots_certified.cache_clear()
+    assert [args[2] for args in routes] == ["polyroots"]
+
+
+def test_the_store_of_solved_factors_is_bounded(monkeypatch):
+    monkeypatch.setattr(roots, "_CACHE_SIZE", 2)
+    rng = random.Random("bounded store")
+    first, second, third = (_dense(rng, 5) for _ in range(3))
+    assert len({first, second, third, _reversal(first), _reversal(third)}) == 5
+    roots_certified.cache_clear()
+    for f in (first, second, third):
+        roots_certified(f)
+    assert list(roots._SOLVED) == [roots._monic(roots._univar_coeffs(f)) for f in (second, third)]
+    routes = count_calls(monkeypatch, roots, "_solve_squarefree")
+    roots_certified(_reversal(first))
+    roots_certified(_reversal(third))
+    roots_certified.cache_clear()
+    assert [args[2] for args in routes] == ["polyroots", "reversal"]
+
+
+def test_the_reversal_attempt_runs_at_the_precision_of_the_stored_solve(monkeypatch):
+    f = QUARTIC_LOCI["quartic-12"]
+    cold = _certify(_reversal(f), monkeypatch, seeded=True)
+    roots_certified.cache_clear()
+    roots_certified(f)
+    (key, (_, zs)), = roots._SOLVED.items()
+    roots._SOLVED[key] = (80, zs)
+    routes = count_calls(monkeypatch, roots, "_solve_squarefree")
+    got = roots_certified(_reversal(f)).roots
+    roots_certified.cache_clear()
+    assert [args[1:3] for args in routes] == [(80, "reversal")]
+    assert got == cold

@@ -7,8 +7,10 @@ module caches.  The ledger counts, per workload:
 
 - ``circle_average`` calls and the nodes they sample
 - real solves of a squarefree factor (``roots._solve_squarefree``), split
-  into the float-seeded route and the ``mpmath.polyroots`` route
+  into the route from a solved reversal's roots, the float-seeded route and
+  the ``mpmath.polyroots`` route
 - ``mpmath.polyroots`` calls
+- ``roots_certified`` calls that solve (cache misses) and cache hits
 - ``gcd_poly``, ``resultant`` and ``squarefree_decompose`` calls
 - ``SparsePoly`` products of two multi-term operands and the term pairs
   they multiply (scalar and one-term factors are not counted), and those
@@ -73,7 +75,8 @@ def _one_pass(mp, workloads, name: str) -> dict[str, int]:
         "circle_average.calls", "circle_average.samples", "mpmath.polyroots.calls",
         "products.multi_term", "products.term_pairs",
         "products.packed", "products.packed_term_pairs",
-        "solve_squarefree.polyroots", "solve_squarefree.seeded", *COUNTED)})
+        "solve_squarefree.polyroots", "solve_squarefree.reversal", "solve_squarefree.seeded",
+        *COUNTED)})
     for key, (module, attr) in COUNTED.items():
         fn = getattr(importlib.import_module(module), attr)
         _rebind(mp, fn, _counting(counts, key, fn))
@@ -90,9 +93,9 @@ def _one_pass(mp, workloads, name: str) -> dict[str, int]:
     _rebind(mp, average, circle_average)
     solve = roots._solve_squarefree
 
-    def solve_squarefree(coeffs, dps, seeded):
-        counts["solve_squarefree." + ("seeded" if seeded else "polyroots")] += 1
-        return solve(coeffs, dps, seeded)
+    def solve_squarefree(coeffs, dps, route, *mirror):
+        counts["solve_squarefree." + route] += 1
+        return solve(coeffs, dps, route, *mirror)
 
     mp.setattr(roots, "_solve_squarefree", solve_squarefree)
     mul = SparsePoly.__mul__
@@ -122,6 +125,8 @@ def _one_pass(mp, workloads, name: str) -> dict[str, int]:
     workload.run(p)
     raised = [label for label, out, _ in p.ops if isinstance(out, Exception)]
     assert not raised, (name, raised)
+    info = roots.roots_certified.cache_info()
+    counts["roots_certified.solves"], counts["roots_certified.cache_hits"] = info.misses, info.hits
     return dict(sorted(counts.items()))
 
 
